@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateFit, InsufficientAnnotators, OutOfDomain
-from .pig_io import GroundTruthSet
+from .pig_io import GroundTruthSet, hand_positions
 
 
 class MultiplicityUnit(enum.Enum):
@@ -74,10 +74,7 @@ def multiplicity_distribution(
             k = len({seq[i] for seq in fingerings})
             counts[k] = counts.get(k, 0) + 1
     else:
-        for channel in (0, 1):
-            positions = [
-                i for i, note in enumerate(gt_set.piece.notes) if note.channel == channel
-            ]
+        for positions in hand_positions(gt_set.piece).values():
             for a, b in zip(positions, positions[1:]):
                 k = len({(seq[a], seq[b]) for seq in fingerings})
                 counts[k] = counts.get(k, 0) + 1
@@ -157,11 +154,12 @@ def analyze_sets(gt_sets) -> AgreementReport:
         for s in gt_sets:
             piece_counts = multiplicity_distribution(s, unit)
             # histogram values are proportions; pool by unit count
-            n_units = len(s.piece) if unit is MultiplicityUnit.NOTE else None
-            if n_units is None:
+            if unit is MultiplicityUnit.NOTE:
+                n_units = len(s.piece)
+            else:
                 n_units = sum(
-                    max(0, sum(1 for n in s.piece.notes if n.channel == c) - 1)
-                    for c in (0, 1)
+                    max(0, len(positions) - 1)
+                    for positions in hand_positions(s.piece).values()
                 )
             for k, proportion in piece_counts.items():
                 counts[k] = counts.get(k, 0.0) + proportion * n_units

@@ -35,7 +35,7 @@ from .errors import (
     MissingFinger,
     NoFeasiblePath,
 )
-from .pig_io import FingerLabel, Hand, Piece, infer_hand, split_hands
+from .pig_io import Hand, Piece, infer_hand
 from .pitch_space import (
     PitchRepresentation,
     alphabet_size,
@@ -77,8 +77,7 @@ class ChordHmmParams:
 
     ``truncate_overlaps`` optionally clips each note's offset at the next
     onset in its hand before clustering, a guard for synthetic input with
-    unphysically long durations.  ``order`` is reserved for longer-range
-    chord transitions; only order 1 is implemented.
+    unphysically long durations.
     """
 
     beta1: float = 0.94
@@ -90,7 +89,6 @@ class ChordHmmParams:
     delta_p_max: int = 15
     smoothing_epsilon: float = 0.5
     truncate_overlaps: bool = False
-    order: int = 1
 
     def __post_init__(self):
         for name in ("beta1", "beta2", "gamma1", "gamma2", "zeta", "delta"):
@@ -100,10 +98,6 @@ class ChordHmmParams:
             raise ValueError("delta_p_max must be positive")
         if self.smoothing_epsilon < 0:
             raise ValueError("smoothing_epsilon must be non-negative")
-        if self.order != 1:
-            raise ValueError(
-                "higher-order chord transitions are reserved but not implemented"
-            )
 
 
 @dataclass
@@ -347,13 +341,20 @@ def _edge_score(
     return k ** (-p.zeta) * total
 
 
-def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
+def chord_path_log_score(
+    model: ChordHmmModel, chords, hand: Hand, path, *, relaxed=()
+) -> float:
     """Score of one complete state path, bitwise identical to the value
-    the decoder assigns to it."""
+    the decoder assigns to it.
+
+    ``relaxed`` holds the chord indices whose incoming edge is scored
+    without the sustain filter: pass the decode's ``relaxed_boundaries``.
+    """
     acc = _edge_score(model, hand, None, None, chords[0], path[0])
     for ci in range(1, len(chords)):
         acc = acc + _edge_score(
-            model, hand, chords[ci - 1], path[ci - 1], chords[ci], path[ci]
+            model, hand, chords[ci - 1], path[ci - 1], chords[ci], path[ci],
+            ci not in relaxed,
         )
     return acc
 
@@ -434,26 +435,3 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
         log_score=float(best),
         relaxed_boundaries=tuple(relaxed),
     )
-
-
-def decode_piece(model: ChordHmmModel, piece: Piece):
-    """Decode both hands of a full piece with the chord model.
-
-    Returns (signed fingers aligned with piece.notes, {hand: result}).
-    Raises HandOverflow when a hand needs more than five simultaneous
-    pitches; callers batching over a corpus should catch it and exclude
-    the piece.
-    """
-    rh, lh = split_hands(piece)
-    signed = [0] * len(piece)
-    results = {}
-    for hand, part in ((Hand.RH, rh), (Hand.LH, lh)):
-        if len(part) == 0:
-            continue
-        chords = cluster_chords(part, model.params.delta, model.params.truncate_overlaps)
-        result = decode_chords(model, chords, hand)
-        results[hand] = result
-        for i, note in enumerate(piece.notes):
-            if note.channel == hand.channel:
-                signed[i] = FingerLabel(hand, result.fingers_by_note[note.note_id]).signed
-    return signed, results

@@ -13,30 +13,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import agreement, dataset, experiments, model_io
-from .chord_hmm import ChordHmmParams
 from .errors import AlignmentMismatch, EmptyPiece, FingeringError, LengthMismatch
 from .estimate import annotate_piece
 from .eval_measures import (
-    MatchRateReport,
     format_report_table,
     format_report_text,
-    match_rate_report,
+    hand_reports,
     summarize,
 )
-from .note_hmm import NoteHmmConfig, Symmetry
 from .pig_io import GroundTruthSet, serialize_fingering_file
-from .pitch_space import PitchRepresentation
-
-_SYMMETRY_CHOICES = {
-    "none": frozenset(),
-    "time": frozenset({Symmetry.TIME_INVERSION}),
-    "reflect": frozenset({Symmetry.REFLECTION}),
-    "time+reflect": frozenset({Symmetry.TIME_INVERSION, Symmetry.REFLECTION}),
-}
 
 
 def _csv_floats(text: str) -> tuple:
@@ -44,13 +32,12 @@ def _csv_floats(text: str) -> tuple:
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model-kind", choices=("note-hmm", "chord-hmm"), default="note-hmm"
-    )
+    parser.add_argument("--model-kind", choices=tuple(model_io.KINDS), default="note-hmm")
     parser.add_argument("--order", type=int, choices=(1, 2, 3), default=2,
                         help="note-HMM order")
     parser.add_argument("--pitch", choices=("lattice", "integral"), default="lattice")
-    parser.add_argument("--symmetry", choices=sorted(_SYMMETRY_CHOICES), default="none")
+    parser.add_argument("--symmetry", choices=("none", "reflect", "time", "time+reflect"),
+                        default="none")
     parser.add_argument("--delta-ms", type=float, default=30.0,
                         help="chord clustering threshold in milliseconds")
     parser.add_argument("--delta-p-max", type=int, default=15)
@@ -72,53 +59,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
                         help="chord-HMM: clip offsets at the next onset")
 
 
-def _config_from_args(args):
-    if args.model_kind == "note-hmm":
-        return NoteHmmConfig(
-            order=args.order,
-            pitch_representation=PitchRepresentation(args.pitch),
-            symmetries=_SYMMETRY_CHOICES[args.symmetry],
-            delta_p_max=args.delta_p_max,
-            chord_threshold=args.delta_ms / 1000.0,
-            alpha=args.alpha,
-            lambda_=args.lambda_,
-            smoothing_epsilon=args.epsilon,
-            chord_constraint=not args.no_chord_constraint,
-        )
-    defaults = ChordHmmParams()
-    beta = args.beta or (defaults.beta1, defaults.beta2)
-    gamma = args.gamma or (defaults.gamma1, defaults.gamma2)
-    return ChordHmmParams(
-        beta1=beta[0],
-        beta2=beta[1],
-        gamma1=gamma[0],
-        gamma2=gamma[1],
-        zeta=defaults.zeta if args.zeta is None else args.zeta,
-        delta=args.delta_ms / 1000.0,
-        delta_p_max=args.delta_p_max,
-        smoothing_epsilon=args.epsilon,
-        truncate_overlaps=args.truncate_overlaps,
-    )
-
-
-def _config_signature(args) -> str:
-    """Compact echo of the effective model configuration."""
-    config = _config_from_args(args)
-    if args.model_kind == "note-hmm":
-        return (
-            f"note-hmm(order={config.order},pitch={config.pitch_representation.value},"
-            f"symmetry={args.symmetry},alpha={list(config.alpha)},"
-            f"lambda={list(config.lambda_)},delta_ms={args.delta_ms},"
-            f"delta_p_max={config.delta_p_max},constraint={config.chord_constraint})"
-        )
-    return (
-        f"chord-hmm(beta=[{config.beta1},{config.beta2}],"
-        f"gamma=[{config.gamma1},{config.gamma2}],zeta={config.zeta},"
-        f"delta_ms={args.delta_ms},delta_p_max={config.delta_p_max},"
-        f"truncate_overlaps={config.truncate_overlaps})"
-    )
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -133,7 +73,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_train(args) -> int:
     corpus = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
-    config = _config_from_args(args)
+    config = model_io.KINDS[args.model_kind].from_args(args)
     model = experiments.train_model(args.model_kind, config, corpus)
     _write_output(model_io.dumps_model(model), args.out)
     n_notes = sum(len(p) for p in corpus)
@@ -167,50 +107,6 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _mean_report(reports, n_notes, n_ground_truths) -> MatchRateReport:
-    k = len(reports)
-    return MatchRateReport(
-        m_gen=sum(r.m_gen for r in reports) / k,
-        m_high=sum(r.m_high for r in reports) / k,
-        m_soft=sum(r.m_soft for r in reports) / k,
-        m_rec=sum(r.m_rec for r in reports) / k,
-        e_rec=sum(r.e_rec for r in reports) / k,
-        recombination_path=(),
-        n_notes=n_notes,
-        n_ground_truths=n_ground_truths,
-    )
-
-
-def _leave_one_out_rows(gt_set) -> list:
-    """Mean over annotators of each measure against the other annotators,
-    combined and per hand."""
-    fingerings = gt_set.signed_fingerings
-    channels = [n.channel for n in gt_set.piece.notes]
-    groups = {"": list(range(len(channels)))}
-    for channel, suffix in ((0, "/rh"), (1, "/lh")):
-        positions = [i for i, c in enumerate(channels) if c == channel]
-        if positions:
-            groups[suffix] = positions
-    rows = []
-    for suffix, positions in groups.items():
-        reports = []
-        for i, estimate in enumerate(fingerings):
-            others = [seq for j, seq in enumerate(fingerings) if j != i]
-            reports.append(
-                match_rate_report(
-                    [estimate[p] for p in positions],
-                    [[seq[p] for p in positions] for seq in others],
-                )
-            )
-        rows.append(
-            (
-                f"{gt_set.piece_id}{suffix}",
-                _mean_report(reports, len(positions), len(gt_set)),
-            )
-        )
-    return rows
-
-
 def _check_alignment(est_piece, gt_set) -> None:
     if len(est_piece) != len(gt_set.piece):
         raise LengthMismatch(
@@ -226,67 +122,42 @@ def _check_alignment(est_piece, gt_set) -> None:
             )
 
 
-def _piece_report(task) -> list:
-    """Combined report for one piece plus a row per non-empty hand."""
-    piece_id, est, gts, channels = task
-    rows = [(piece_id, match_rate_report(est, gts))]
-    for hand, suffix in ((0, "rh"), (1, "lh")):
-        positions = [i for i, c in enumerate(channels) if c == hand]
-        if not positions:
-            continue
-        sub_est = [est[i] for i in positions]
-        sub_gts = [[gt[i] for i in positions] for gt in gts]
-        rows.append((f"{piece_id}/{suffix}", match_rate_report(sub_est, sub_gts)))
-    return rows
-
-
 def cmd_evaluate(args) -> int:
+    rows = []
     if args.human:
         gt_sets = dataset.load_ground_truth_sets(
             args.gt[0], min_annotators=2, on_error="skip"
         )
-        reports = {
-            key: report for s in gt_sets for key, report in _leave_one_out_rows(s)
-        }
+        for s in gt_sets:
+            rows += hand_reports(s.piece_id, s.piece, s.signed_fingerings)
     else:
         if args.est is None:
             raise FingeringError("evaluate needs --est (or --human)")
         est_path = Path(args.est)
-        tasks = []
         if est_path.is_dir():
-            gt_dir = args.gt[0]
             gt_sets = {
                 s.piece_id: s
-                for s in dataset.load_ground_truth_sets(gt_dir, on_error="skip")
+                for s in dataset.load_ground_truth_sets(args.gt[0], on_error="skip")
             }
+            pairs = []
             for piece_id, entries in dataset.discover(est_path).items():
                 if piece_id not in gt_sets:
                     print(f"no ground truth for {piece_id}", file=sys.stderr)
                     continue
                 est_piece = dataset.load_piece(next(iter(entries.values())))
                 _check_alignment(est_piece, gt_sets[piece_id])
-                est = [f.signed for f in est_piece.fingers]
-                channels = [n.channel for n in est_piece.notes]
-                tasks.append(
-                    (piece_id, est, gt_sets[piece_id].signed_fingerings, channels)
-                )
+                pairs.append((piece_id, est_piece, gt_sets[piece_id]))
         else:
             est_piece = dataset.load_piece(est_path)
             gt_set = GroundTruthSet.from_pieces(
                 [dataset.load_piece(p) for p in args.gt]
             )
             _check_alignment(est_piece, gt_set)
+            pairs = [(est_piece.piece_id, est_piece, gt_set)]
+        for piece_id, est_piece, gt_set in pairs:
             est = [f.signed for f in est_piece.fingers]
-            channels = [n.channel for n in est_piece.notes]
-            tasks.append(
-                (est_piece.piece_id, est, gt_set.signed_fingerings, channels)
-            )
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                row_lists = list(pool.map(_piece_report, tasks))
-        else:
-            row_lists = list(map(_piece_report, tasks))
-        reports = {key: report for rows in row_lists for key, report in rows}
+            rows += hand_reports(piece_id, est_piece, gt_set.signed_fingerings, est)
+    reports = dict(rows)
     # corpus summary over the combined (whole-piece) rows only
     summary = summarize({k: r for k, r in reports.items() if "/" not in str(k)})
     formatter = format_report_text if args.format == "text" else format_report_table
@@ -305,32 +176,20 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _default_bounds(args) -> dict:
-    if args.model_kind == "note-hmm":
-        bounds = {f"alpha{i + 1}": (0.0, 2.0) for i in range(args.order)}
-        bounds.update({f"lambda{i + 1}": (0.0, 1.0) for i in range(args.order - 1)})
-        return bounds
-    return {
-        "beta1": (0.0, 10.0),
-        "beta2": (0.0, 10.0),
-        "gamma1": (0.0, 10.0),
-        "gamma2": (0.0, 10.0),
-        "zeta": (0.0, 2.0),
-    }
-
-
 def cmd_tune(args) -> int:
     train_pieces = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
     valid_sets = dataset.load_ground_truth_sets(args.valid, on_error="skip")
+    kind = model_io.KINDS[args.model_kind]
+    config = kind.from_args(args)
     spec = experiments.TuningSpec(
-        bounds=_default_bounds(args), objective=args.objective, budget=args.budget
+        bounds=kind.tune_bounds(config), objective=args.objective, budget=args.budget
     )
     result = experiments.tune(
         spec,
         train_pieces,
         valid_sets,
         model_kind=args.model_kind,
-        base_config=_config_from_args(args),
+        base_config=config,
         seed=args.seed,
     )
     meta = {
@@ -338,7 +197,7 @@ def cmd_tune(args) -> int:
         "seed": args.seed,
         "budget": args.budget,
         "objective": args.objective,
-        "config": _config_signature(args),
+        "config": kind.describe(config, args),
     }
     _write_output(experiments.format_tuning_trace(result, meta), args.out)
     return 0
@@ -347,13 +206,15 @@ def cmd_tune(args) -> int:
 def cmd_scaling(args) -> int:
     train_pieces = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
     test_sets = dataset.load_ground_truth_sets(args.test, on_error="skip")
+    kind = model_io.KINDS[args.model_kind]
+    config = kind.from_args(args)
     points = experiments.scaling_experiment(
         train_pieces,
         test_sets,
         fractions=list(args.fractions),
         repeats=args.repeats,
         model_kind=args.model_kind,
-        config=_config_from_args(args),
+        config=config,
         seed=args.seed,
     )
     fit = None
@@ -365,7 +226,7 @@ def cmd_scaling(args) -> int:
         "command": "scaling",
         "seed": args.seed,
         "repeats": args.repeats,
-        "config": _config_signature(args),
+        "config": kind.describe(config, args),
     }
     _write_output(experiments.format_scaling_table(points, fit, meta), args.out)
     return 0
@@ -400,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--human", action="store_true",
                    help="leave-one-annotator-out agreement instead of --est")
     p.add_argument("--format", choices=("text", "table"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 

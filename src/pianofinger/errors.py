@@ -71,6 +71,10 @@ class HandOverflow(FingeringError):
     """A chord would require more than five simultaneous pitches in one hand."""
 
 
+class MalformedModel(FingeringError):
+    """A model document lacks a required key or holds a value of the wrong type."""
+
+
 # --- analysis ---
 
 class OutOfDomain(FingeringError):

@@ -1,22 +1,27 @@
-"""Whole-piece fingering estimation, dispatching on the model kind."""
+"""Whole-piece fingering estimation with a model of either kind."""
 
-from .chord_hmm import ChordHmmModel
-from .chord_hmm import decode_piece as _decode_chord_piece
-from .note_hmm import NoteHmmModel
-from .note_hmm import decode_piece as _decode_note_piece
-from .pig_io import FingerLabel, Piece
+from . import model_io
+from .pig_io import FingerLabel, Piece, hand_positions, split_hands
 
 
 def estimate_piece(model, piece: Piece):
     """Decode both hands of a piece.
 
-    Returns (signed fingers aligned with piece.notes, per-hand results).
+    Returns (signed fingers aligned with piece.notes, {hand: decode
+    result}).  A chord model raises HandOverflow when a hand needs more
+    than five simultaneous pitches; callers batching over a corpus should
+    catch it and exclude the piece.
     """
-    if isinstance(model, NoteHmmModel):
-        return _decode_note_piece(model, piece)
-    if isinstance(model, ChordHmmModel):
-        return _decode_chord_piece(model, piece)
-    raise TypeError(f"not a model: {type(model).__name__}")
+    decode_part = model_io.KINDS[model_io.model_kind(model)].decode_part
+    signed = [0] * len(piece)
+    results = {}
+    for (hand, positions), part in zip(hand_positions(piece).items(), split_hands(piece)):
+        if not positions:
+            continue
+        digits, results[hand] = decode_part(model, part, hand)
+        for i, digit in zip(positions, digits):
+            signed[i] = FingerLabel(hand, digit).signed
+    return signed, results
 
 
 def annotate_piece(model, piece: Piece) -> tuple:

@@ -18,9 +18,10 @@ Infinite costs use ``math.inf`` so that path feasibility is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import LengthMismatch
+from .pig_io import hand_positions
 
 INF = math.inf
 
@@ -179,6 +180,44 @@ def match_rate_report(
 
 
 _MEASURES = ("m_gen", "m_high", "m_soft", "m_rec")
+
+
+def hand_reports(piece_id, piece, gts, est=None) -> list:
+    """Reports for a whole piece and for each of its hands that has notes.
+
+    Returns (row key, report) pairs keyed ``piece_id``, ``piece_id/rh``
+    and ``piece_id/lh``; ``est`` and ``gts`` are aligned with
+    ``piece.notes``.  Without ``est`` the rows are leave-one-out: each
+    ground truth in turn is scored against the others and every row is
+    the mean over annotators, with ``n_ground_truths`` counting all of
+    them and an empty recombination path.
+    """
+    if est is None:
+        per_annotator = [
+            hand_reports(piece_id, piece, gts[:i] + gts[i + 1 :], own)
+            for i, own in enumerate(gts)
+        ]
+        rows = []
+        for row in zip(*per_annotator):
+            reports = [report for _, report in row]
+            means = {
+                m: sum(getattr(r, m) for r in reports) / len(reports)
+                for m in _MEASURES + ("e_rec",)
+            }
+            mean = replace(
+                reports[0], **means, recombination_path=(), n_ground_truths=len(gts)
+            )
+            rows.append((row[0][0], mean))
+        return rows
+    rows = [(piece_id, match_rate_report(est, gts))]
+    for hand, positions in hand_positions(piece).items():
+        if positions:
+            sub_est = [est[i] for i in positions]
+            sub_gts = [[gt[i] for i in positions] for gt in gts]
+            rows.append(
+                (f"{piece_id}/{hand.name.lower()}", match_rate_report(sub_est, sub_gts))
+            )
+    return rows
 
 
 def summarize(piece_reports: dict) -> dict:

@@ -13,11 +13,11 @@ training data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import chord_hmm, note_hmm
+from . import model_io
 from .errors import DegenerateFit, EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
 from .eval_measures import match_rate_report
@@ -78,12 +78,7 @@ def hand_parts(pieces) -> list:
 
 def train_model(model_kind: str, config, train_pieces):
     """Train either model kind on whole pieces (hands split internally)."""
-    parts = hand_parts(train_pieces)
-    if model_kind == "note-hmm":
-        return note_hmm.train(parts, config)
-    if model_kind == "chord-hmm":
-        return chord_hmm.train_chord(parts, config)
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    return model_io.KINDS[model_kind].train(hand_parts(train_pieces), config)
 
 
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
@@ -153,21 +148,8 @@ def apply_params(config, params: dict):
     For note models the lambda vector is projected back onto the
     sum <= 1 simplex by scaling when a candidate overshoots.
     """
-    if isinstance(config, note_hmm.NoteHmmConfig):
-        alpha = list(config.alpha)
-        lam = list(config.lambda_)
-        for name, value in params.items():
-            if name.startswith("alpha"):
-                alpha[int(name[5:]) - 1] = float(value)
-            elif name.startswith("lambda"):
-                lam[int(name[6:]) - 1] = float(value)
-            else:
-                raise ValueError(f"unknown note-model coefficient {name!r}")
-        total = sum(lam)
-        if total > 1.0:
-            lam = [v / total for v in lam]
-        return replace(config, alpha=tuple(alpha), lambda_=tuple(lam))
-    return replace(config, **{k: float(v) for k, v in params.items()})
+    kind = model_io.KINDS[model_io.model_kind(config)]
+    return kind.with_coefficients(config, params)
 
 
 def tune(
@@ -191,11 +173,7 @@ def tune(
     if not train_pieces or not valid_sets:
         raise EmptyCorpus("tuning needs non-empty train and validation data")
     if base_config is None:
-        base_config = (
-            note_hmm.NoteHmmConfig()
-            if model_kind == "note-hmm"
-            else chord_hmm.ChordHmmParams()
-        )
+        base_config = model_io.KINDS[model_kind].config()
     rng = np.random.default_rng(seed)
     names = sorted(spec.bounds)
     trace = []
@@ -296,11 +274,7 @@ def scaling_experiment(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     if config is None:
-        config = (
-            note_hmm.NoteHmmConfig()
-            if model_kind == "note-hmm"
-            else chord_hmm.ChordHmmParams()
-        )
+        config = model_io.KINDS[model_kind].config()
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside (0, 1]")

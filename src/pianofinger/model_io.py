@@ -16,16 +16,26 @@ by explicit context strings: digit contexts are comma-joined digits
 (integral) or ``"dx,dy"`` (lattice).  Zero-probability cells serialise as
 ``-Infinity``, which the JSON module reads back exactly, so a reloaded
 model decodes bit-identically.
+
+The kind string is part of the file format, so this module also holds
+``KINDS``, the one table that knows the model kinds: for each kind its
+config and model classes, trainer, per-hand decoder, dict codec,
+tunable coefficients and command-line options.  Everything else looks a
+kind up here instead of branching on it.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from . import chord_hmm, note_hmm
 from .chord_hmm import ChordHmmModel, ChordHmmParams
+from .errors import MalformedModel
 from .note_hmm import N_DIGITS, NoteHmmConfig, NoteHmmModel, Symmetry
 from .pig_io import Hand
 from .pitch_space import (
@@ -108,22 +118,42 @@ def _output_table_from_dict(data, representation, delta_p_max) -> np.ndarray:
     return table
 
 
-def _note_config_to_dict(config: NoteHmmConfig) -> dict:
-    return {
-        "order": config.order,
-        "pitch_representation": config.pitch_representation.value,
-        "symmetries": sorted(s.value for s in config.symmetries),
-        "delta_p_max": config.delta_p_max,
-        "chord_threshold": config.chord_threshold,
-        "alpha": list(config.alpha),
-        "lambda": list(config.lambda_),
-        "smoothing_epsilon": config.smoothing_epsilon,
-        "chord_constraint": config.chord_constraint,
+# --- note HMM ------------------------------------------------------------
+
+def _note_to_dict(model: NoteHmmModel) -> tuple:
+    cfg = model.config
+    repr_, dpmax = cfg.pitch_representation, cfg.delta_p_max
+    config = {
+        "order": cfg.order,
+        "pitch_representation": repr_.value,
+        "symmetries": sorted(s.value for s in cfg.symmetries),
+        "delta_p_max": dpmax,
+        "chord_threshold": cfg.chord_threshold,
+        "alpha": list(cfg.alpha),
+        "lambda": list(cfg.lambda_),
+        "smoothing_epsilon": cfg.smoothing_epsilon,
+        "chord_constraint": cfg.chord_constraint,
     }
+    tables = {
+        "initial": [
+            _digit_table_to_dict(model.log_initial[k], k) for k in range(cfg.order)
+        ],
+        "transition": _digit_table_to_dict(model.log_transition, cfg.order),
+        "output": {
+            _HAND_KEY[hand]: {
+                str(lag + 1): _output_table_to_dict(
+                    model.log_output[hand][lag], repr_, dpmax
+                )
+                for lag in range(cfg.order)
+            }
+            for hand in Hand
+        },
+    }
+    return config, tables
 
 
-def _note_config_from_dict(data: dict) -> NoteHmmConfig:
-    return NoteHmmConfig(
+def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
+    config = NoteHmmConfig(
         order=data["order"],
         pitch_representation=PitchRepresentation(data["pitch_representation"]),
         symmetries=frozenset(Symmetry(s) for s in data["symmetries"]),
@@ -134,149 +164,265 @@ def _note_config_from_dict(data: dict) -> NoteHmmConfig:
         smoothing_epsilon=data["smoothing_epsilon"],
         chord_constraint=data["chord_constraint"],
     )
+    repr_, dpmax = config.pitch_representation, config.delta_p_max
+    return NoteHmmModel(
+        config=config,
+        log_initial=[
+            _digit_table_from_dict(tables["initial"][k], k)
+            for k in range(config.order)
+        ],
+        log_transition=_digit_table_from_dict(tables["transition"], config.order),
+        log_output={
+            hand: [
+                _output_table_from_dict(
+                    tables["output"][_HAND_KEY[hand]][str(lag + 1)], repr_, dpmax
+                )
+                for lag in range(config.order)
+            ]
+            for hand in Hand
+        },
+    )
 
 
-def _chord_params_to_dict(params: ChordHmmParams) -> dict:
-    return {
-        "beta1": params.beta1,
-        "beta2": params.beta2,
-        "gamma1": params.gamma1,
-        "gamma2": params.gamma2,
-        "zeta": params.zeta,
-        "delta": params.delta,
-        "delta_p_max": params.delta_p_max,
-        "smoothing_epsilon": params.smoothing_epsilon,
-        "truncate_overlaps": params.truncate_overlaps,
-        "order": params.order,
+def _decode_note_part(model: NoteHmmModel, part, hand: Hand) -> tuple:
+    result = note_hmm.decode_viterbi(model, part, hand=hand)
+    return result.fingers, result
+
+
+def _note_with_coefficients(config: NoteHmmConfig, params: dict) -> NoteHmmConfig:
+    alpha = list(config.alpha)
+    lam = list(config.lambda_)
+    for name, value in params.items():
+        if name.startswith("alpha"):
+            alpha[int(name[5:]) - 1] = float(value)
+        elif name.startswith("lambda"):
+            lam[int(name[6:]) - 1] = float(value)
+        else:
+            raise ValueError(f"unknown note-model coefficient {name!r}")
+    total = sum(lam)
+    if total > 1.0:
+        lam = [v / total for v in lam]
+    return replace(config, alpha=tuple(alpha), lambda_=tuple(lam))
+
+
+def _note_bounds(config: NoteHmmConfig) -> dict:
+    bounds = {f"alpha{i + 1}": (0.0, 2.0) for i in range(config.order)}
+    bounds.update({f"lambda{i + 1}": (0.0, 1.0) for i in range(config.order - 1)})
+    return bounds
+
+
+def _note_from_args(args) -> NoteHmmConfig:
+    return NoteHmmConfig(
+        order=args.order,
+        pitch_representation=PitchRepresentation(args.pitch),
+        symmetries=frozenset(
+            Symmetry(s) for s in args.symmetry.split("+") if s != "none"
+        ),
+        delta_p_max=args.delta_p_max,
+        chord_threshold=args.delta_ms / 1000.0,
+        alpha=args.alpha,
+        lambda_=args.lambda_,
+        smoothing_epsilon=args.epsilon,
+        chord_constraint=not args.no_chord_constraint,
+    )
+
+
+def _note_describe(config: NoteHmmConfig, args) -> str:
+    return (
+        f"note-hmm(order={config.order},pitch={config.pitch_representation.value},"
+        f"symmetry={args.symmetry},alpha={list(config.alpha)},"
+        f"lambda={list(config.lambda_)},delta_ms={args.delta_ms},"
+        f"delta_p_max={config.delta_p_max},constraint={config.chord_constraint})"
+    )
+
+
+# --- chord HMM -----------------------------------------------------------
+
+def _chord_to_dict(model: ChordHmmModel) -> tuple:
+    params = model.params
+    lattice = PitchRepresentation.LATTICE
+    tables = {
+        "initial_digit": {
+            str(d + 1): float(model.log_initial_digit[d]) for d in range(N_DIGITS)
+        },
+        "transition_across": _digit_table_to_dict(model.log_trans_across, 1),
+        "transition_within": _digit_table_to_dict(model.log_trans_within, 1),
+        "output_across": {
+            _HAND_KEY[h]: _output_table_to_dict(
+                model.log_out_across[h], lattice, params.delta_p_max
+            )
+            for h in Hand
+        },
+        "output_within": {
+            _HAND_KEY[h]: _output_table_to_dict(
+                model.log_out_within[h], lattice, params.delta_p_max
+            )
+            for h in Hand
+        },
     }
+    # v1 files carry the chord transition order, which is always 1
+    return {**asdict(params), "order": 1}, tables
 
 
-def _chord_params_from_dict(data: dict) -> ChordHmmParams:
-    return ChordHmmParams(**data)
+def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
+    data = dict(data)
+    if data.pop("order", 1) != 1:
+        raise MalformedModel("chord-hmm model: only order 1 is defined")
+    params = ChordHmmParams(**data)
+    lattice = PitchRepresentation.LATTICE
+    return ChordHmmModel(
+        params=params,
+        log_initial_digit=np.array(
+            [tables["initial_digit"][str(d + 1)] for d in range(N_DIGITS)],
+            dtype=float,
+        ),
+        log_trans_across=_digit_table_from_dict(tables["transition_across"], 1),
+        log_trans_within=_digit_table_from_dict(tables["transition_within"], 1),
+        log_out_across={
+            h: _output_table_from_dict(
+                tables["output_across"][_HAND_KEY[h]], lattice, params.delta_p_max
+            )
+            for h in Hand
+        },
+        log_out_within={
+            h: _output_table_from_dict(
+                tables["output_within"][_HAND_KEY[h]], lattice, params.delta_p_max
+            )
+            for h in Hand
+        },
+    )
 
 
-def model_kind(model) -> str:
-    if isinstance(model, NoteHmmModel):
-        return "note-hmm"
-    if isinstance(model, ChordHmmModel):
-        return "chord-hmm"
-    raise TypeError(f"not a model: {type(model).__name__}")
+def _decode_chord_part(model: ChordHmmModel, part, hand: Hand) -> tuple:
+    chords = chord_hmm.cluster_chords(
+        part, model.params.delta, model.params.truncate_overlaps
+    )
+    result = chord_hmm.decode_chords(model, chords, hand)
+    return [result.fingers_by_note[n.note_id] for n in part.notes], result
+
+
+def _chord_from_args(args) -> ChordHmmParams:
+    defaults = ChordHmmParams()
+    beta = args.beta or (defaults.beta1, defaults.beta2)
+    gamma = args.gamma or (defaults.gamma1, defaults.gamma2)
+    return ChordHmmParams(
+        beta1=beta[0],
+        beta2=beta[1],
+        gamma1=gamma[0],
+        gamma2=gamma[1],
+        zeta=defaults.zeta if args.zeta is None else args.zeta,
+        delta=args.delta_ms / 1000.0,
+        delta_p_max=args.delta_p_max,
+        smoothing_epsilon=args.epsilon,
+        truncate_overlaps=args.truncate_overlaps,
+    )
+
+
+def _chord_describe(config: ChordHmmParams, args) -> str:
+    return (
+        f"chord-hmm(beta=[{config.beta1},{config.beta2}],"
+        f"gamma=[{config.gamma1},{config.gamma2}],zeta={config.zeta},"
+        f"delta_ms={args.delta_ms},delta_p_max={config.delta_p_max},"
+        f"truncate_overlaps={config.truncate_overlaps})"
+    )
+
+
+# --- the kind table --------------------------------------------------------
+
+@dataclass(frozen=True)
+class ModelKind:
+    """Everything that differs between the model kinds.  Model functions
+    are looked up in their modules at call time, so a profiler or test
+    double that rebinds them there is seen."""
+
+    config: type
+    model: type
+    train: Callable          # (single-hand parts, config) -> model
+    decode_part: Callable    # (model, part, hand) -> (digits per note, result)
+    to_dict: Callable        # model -> (config dict, tables dict), format v1
+    from_dict: Callable      # (config dict, tables dict) -> model
+    with_coefficients: Callable  # (config, {name: value}) -> config
+    tune_bounds: Callable    # config -> {coefficient name: (low, high)}
+    from_args: Callable      # command-line options -> config
+    describe: Callable       # (config, command-line options) -> echo string
+
+
+KINDS = {
+    "note-hmm": ModelKind(
+        config=NoteHmmConfig,
+        model=NoteHmmModel,
+        train=lambda parts, config: note_hmm.train(parts, config),
+        decode_part=_decode_note_part,
+        to_dict=_note_to_dict,
+        from_dict=_note_from_dict,
+        with_coefficients=_note_with_coefficients,
+        tune_bounds=_note_bounds,
+        from_args=_note_from_args,
+        describe=_note_describe,
+    ),
+    "chord-hmm": ModelKind(
+        config=ChordHmmParams,
+        model=ChordHmmModel,
+        train=lambda parts, config: chord_hmm.train_chord(parts, config),
+        decode_part=_decode_chord_part,
+        to_dict=_chord_to_dict,
+        from_dict=_chord_from_dict,
+        with_coefficients=lambda config, params: replace(
+            config, **{k: float(v) for k, v in params.items()}
+        ),
+        tune_bounds=lambda config: {
+            "beta1": (0.0, 10.0),
+            "beta2": (0.0, 10.0),
+            "gamma1": (0.0, 10.0),
+            "gamma2": (0.0, 10.0),
+            "zeta": (0.0, 2.0),
+        },
+        from_args=_chord_from_args,
+        describe=_chord_describe,
+    ),
+}
+
+
+def model_kind(obj) -> str:
+    """Kind string of a trained model or of a model config."""
+    for name, kind in KINDS.items():
+        if type(obj) in (kind.model, kind.config):
+            return name
+    raise TypeError(f"not a model or model config: {type(obj).__name__}")
 
 
 def dumps_model(model) -> str:
     """Serialise a trained model to deterministic JSON text."""
     kind = model_kind(model)
-    if kind == "note-hmm":
-        cfg = model.config
-        repr_, dpmax = cfg.pitch_representation, cfg.delta_p_max
-        tables = {
-            "initial": [
-                _digit_table_to_dict(model.log_initial[k], k)
-                for k in range(cfg.order)
-            ],
-            "transition": _digit_table_to_dict(model.log_transition, cfg.order),
-            "output": {
-                _HAND_KEY[hand]: {
-                    str(lag + 1): _output_table_to_dict(
-                        model.log_output[hand][lag], repr_, dpmax
-                    )
-                    for lag in range(cfg.order)
-                }
-                for hand in Hand
-            },
-        }
-        doc = {
-            "format": FORMAT,
-            "version": VERSION,
-            "kind": kind,
-            "config": _note_config_to_dict(cfg),
-            "tables": tables,
-        }
-    else:
-        params = model.params
-        lattice = PitchRepresentation.LATTICE
-        tables = {
-            "initial_digit": {
-                str(d + 1): float(model.log_initial_digit[d]) for d in range(N_DIGITS)
-            },
-            "transition_across": _digit_table_to_dict(model.log_trans_across, 1),
-            "transition_within": _digit_table_to_dict(model.log_trans_within, 1),
-            "output_across": {
-                _HAND_KEY[h]: _output_table_to_dict(
-                    model.log_out_across[h], lattice, params.delta_p_max
-                )
-                for h in Hand
-            },
-            "output_within": {
-                _HAND_KEY[h]: _output_table_to_dict(
-                    model.log_out_within[h], lattice, params.delta_p_max
-                )
-                for h in Hand
-            },
-        }
-        doc = {
-            "format": FORMAT,
-            "version": VERSION,
-            "kind": kind,
-            "config": _chord_params_to_dict(params),
-            "tables": tables,
-        }
+    config, tables = KINDS[kind].to_dict(model)
+    doc = {
+        "format": FORMAT,
+        "version": VERSION,
+        "kind": kind,
+        "config": config,
+        "tables": tables,
+    }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def loads_model(text: str):
-    """Parse a model file; the inverse of dumps_model."""
+    """Parse a model file; the inverse of dumps_model.
+
+    A foreign document raises ValueError; a model document with a missing
+    key or a value of the wrong type raises MalformedModel.
+    """
     doc = json.loads(text)
-    if doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     kind = doc.get("kind")
-    tables = doc["tables"]
-    if kind == "note-hmm":
-        config = _note_config_from_dict(doc["config"])
-        repr_, dpmax = config.pitch_representation, config.delta_p_max
-        return NoteHmmModel(
-            config=config,
-            log_initial=[
-                _digit_table_from_dict(tables["initial"][k], k)
-                for k in range(config.order)
-            ],
-            log_transition=_digit_table_from_dict(tables["transition"], config.order),
-            log_output={
-                hand: [
-                    _output_table_from_dict(
-                        tables["output"][_HAND_KEY[hand]][str(lag + 1)], repr_, dpmax
-                    )
-                    for lag in range(config.order)
-                ]
-                for hand in Hand
-            },
-        )
-    if kind == "chord-hmm":
-        params = _chord_params_from_dict(doc["config"])
-        lattice = PitchRepresentation.LATTICE
-        return ChordHmmModel(
-            params=params,
-            log_initial_digit=np.array(
-                [tables["initial_digit"][str(d + 1)] for d in range(N_DIGITS)]
-            ),
-            log_trans_across=_digit_table_from_dict(tables["transition_across"], 1),
-            log_trans_within=_digit_table_from_dict(tables["transition_within"], 1),
-            log_out_across={
-                h: _output_table_from_dict(
-                    tables["output_across"][_HAND_KEY[h]], lattice, params.delta_p_max
-                )
-                for h in Hand
-            },
-            log_out_within={
-                h: _output_table_from_dict(
-                    tables["output_within"][_HAND_KEY[h]], lattice, params.delta_p_max
-                )
-                for h in Hand
-            },
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    try:
+        return KINDS[kind].from_dict(doc["config"], doc["tables"])
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise MalformedModel(f"{kind} model: {type(exc).__name__}: {exc}") from None
 
 
 def save_model(model, path) -> None:

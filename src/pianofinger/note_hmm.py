@@ -30,7 +30,7 @@ import numpy as np
 
 from ._tables import normalize_rows, safe_log
 from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
-from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch, split_hands
+from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
     MIDI_MAX,
     MIDI_MIN,
@@ -501,25 +501,6 @@ def sequence_log_score(
         if step.allowed is not None and not step.allowed[fingers[n - 1] - 1, fingers[n] - 1]:
             acc = NEG_INF
     return float(acc)
-
-
-def decode_piece(model: NoteHmmModel, piece: Piece):
-    """Decode both hands of a full piece.
-
-    Returns (signed fingers aligned with piece.notes, {hand: DecodeResult}).
-    """
-    rh, lh = split_hands(piece)
-    signed = [0] * len(piece)
-    results = {}
-    for hand, part in ((Hand.RH, rh), (Hand.LH, lh)):
-        if len(part) == 0:
-            continue
-        res = decode_viterbi(model, part, hand=hand)
-        results[hand] = res
-        positions = [i for i, n in enumerate(piece.notes) if n.channel == hand.channel]
-        for pos, digit in zip(positions, res.fingers):
-            signed[pos] = FingerLabel(hand, digit).signed
-    return signed, results
 
 
 def sample_piece(

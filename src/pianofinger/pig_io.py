@@ -22,6 +22,7 @@ silently reordered.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -184,6 +185,8 @@ def _parse_line(line_no: int, fields: list[str]) -> Note:
         raise MalformedLine(line_no, str(exc)) from None
     if note_id < 0:
         raise MalformedLine(line_no, f"negative note id {note_id}")
+    if not (math.isfinite(onset) and math.isfinite(offset)):
+        raise MalformedLine(line_no, f"non-finite time in {fields[1]} {fields[2]}")
     if offset < onset:
         raise MalformedLine(line_no, f"offset {offset} before onset {onset}")
     for v in (onset_velocity, offset_velocity):
@@ -246,19 +249,22 @@ def serialize_fingering_file(piece: Piece) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def hand_positions(piece: Piece) -> dict:
+    """Hand -> indices into ``piece.notes`` of that hand's notes, in piece
+    order; the right hand comes first."""
+    positions = {}
+    for hand in Hand:
+        channel = hand.channel  # read once: an enum property costs per note
+        positions[hand] = [i for i, n in enumerate(piece.notes) if n.channel == channel]
+    return positions
+
+
 def split_hands(piece: Piece) -> tuple[Piece, Piece]:
     """Stable partition of a piece into its right- and left-hand parts."""
-    rh = tuple(n for n in piece.notes if n.channel == 0)
-    lh = tuple(n for n in piece.notes if n.channel == 1)
-    return (
-        replace(piece, notes=rh),
-        replace(piece, notes=lh),
+    return tuple(
+        replace(piece, notes=tuple(piece.notes[i] for i in positions))
+        for positions in hand_positions(piece).values()
     )
-
-
-def hand_part(piece: Piece, hand: Hand) -> Piece:
-    rh, lh = split_hands(piece)
-    return rh if hand is Hand.RH else lh
 
 
 def infer_hand(piece: Piece) -> Hand:

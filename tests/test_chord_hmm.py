@@ -16,11 +16,11 @@ from pianofinger.chord_hmm import (
     chord_path_log_score,
     cluster_chords,
     decode_chords,
-    decode_piece,
     enumerate_states,
     train_chord,
 )
 from pianofinger.errors import EmptyCorpus, EmptyInput, HandOverflow
+from pianofinger.estimate import estimate_piece
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
 from pianofinger.pig_io import Hand
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
@@ -332,6 +332,10 @@ def test_unsatisfiable_sustain_relaxes_single_boundary(rng):
     assert result.relaxed_boundaries == (1,)
     assert result.states[0] == (1, 2, 3, 4, 5)
     assert result.fingers_by_note[0] == 1  # the long C4 keeps its struck digit
+    oracle = chord_path_log_score(
+        model, chords, Hand.RH, result.states, relaxed=result.relaxed_boundaries
+    )
+    assert oracle.hex() == result.log_score.hex()
 
 
 def test_zeta_damps_large_chord_influence(rng):
@@ -405,7 +409,7 @@ def test_decode_piece_assigns_both_hands(rng):
         replace(n, note_id=i) for i, n in enumerate(notes)
     )
     piece = replace(rh, notes=notes)
-    signed, results = decode_piece(model, piece)
+    signed, results = estimate_piece(model, piece)
     assert len(signed) == 6 and all(v != 0 for v in signed)
     for note, value in zip(piece.notes, signed):
         assert (value > 0) == (note.channel == 0)

@@ -146,20 +146,17 @@ def test_evaluate_directory_mode(model_path, tmp_path, capsys):
     }
 
 
-def test_evaluate_jobs_parity(model_path, tmp_path):
-    est_dir = tmp_path / "estimates"
-    est_dir.mkdir()
-    for name in ("101-1_fingering.txt", "103-1_fingering.txt", "107-1_fingering.txt"):
-        out = est_dir / name
-        assert main(
-            ["estimate", str(CORPUS / name), "--model", str(model_path), "--out", str(out)]
-        ) == 0
-    serial = tmp_path / "serial.tsv"
-    parallel = tmp_path / "parallel.tsv"
-    base = ["evaluate", "--est", str(est_dir), "--gt", str(CORPUS), "--format", "table"]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_estimate_with_malformed_model_fails_cleanly(model_path, tmp_path, capsys):
+    doc = json.loads(model_path.read_text())
+    del doc["tables"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "est.txt"
+    args = ["estimate", str(CORPUS / "101-1_fingering.txt"), "--model", str(broken)]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "tables" in err
+    assert not out.exists()
 
 
 def test_evaluate_human_mode(capsys):

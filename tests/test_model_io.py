@@ -1,10 +1,14 @@
 """Model file round-trips and deterministic serialisation."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_piece
 from pianofinger.chord_hmm import ChordHmmParams, train_chord
+from pianofinger.errors import MalformedModel
 from pianofinger.model_io import dumps_model, load_model, loads_model, save_model
 from pianofinger.note_hmm import NoteHmmConfig, Symmetry, decode_viterbi, train
 from pianofinger.pig_io import FingerLabel, Hand
@@ -107,3 +111,32 @@ def test_rejects_foreign_documents():
             '{"format": "piano-fingering-model", "version": 1, '
             '"kind": "mystery", "tables": {}}'
         )
+
+
+def test_malformed_model_documents_raise_malformed_model(rng):
+    corpus = _training_corpus(rng)
+    note_doc = json.loads(dumps_model(train(corpus, NoteHmmConfig(order=1))))
+    chord_doc = json.loads(dumps_model(train_chord(corpus, ChordHmmParams())))
+    assert chord_doc["config"]["order"] == 1
+
+    def edited(doc, edit):
+        doc = copy.deepcopy(doc)
+        edit(doc)
+        return json.dumps(doc)
+
+    bad = [
+        edited(note_doc, lambda d: d.pop("tables")),
+        edited(note_doc, lambda d: d.pop("config")),
+        edited(note_doc, lambda d: d["config"].pop("alpha")),
+        edited(note_doc, lambda d: d["config"].update(symmetries=3)),
+        edited(note_doc, lambda d: d["config"].update(order="1")),
+        edited(note_doc, lambda d: d["tables"]["transition"]["1"].update({"2": "x"})),
+        edited(note_doc, lambda d: d["tables"].update(output=[])),
+        edited(chord_doc, lambda d: d["config"].update(order=2)),
+        edited(chord_doc, lambda d: d["config"].update(beta1="high")),
+        edited(chord_doc, lambda d: d["tables"]["initial_digit"].update({"3": "x"})),
+        edited(chord_doc, lambda d: d["tables"].pop("output_within")),
+    ]
+    for text in bad:
+        with pytest.raises(MalformedModel):
+            loads_model(text)
