@@ -1,4 +1,4 @@
-"""Small helpers shared by the table-based models."""
+"""Small helpers shared by the table-based models and the exact DPs."""
 
 import numpy as np
 
@@ -16,3 +16,21 @@ def safe_log(table: np.ndarray) -> np.ndarray:
     """Elementwise log with zeros mapping to -inf, silently."""
     with np.errstate(divide="ignore"):
         return np.log(table)
+
+
+def backtrack(parents, last) -> list:
+    """State indices of the path that ends in state ``last``, where
+    ``parents[t][i]`` is the predecessor of state i at step t + 1."""
+    path = [last]
+    for parent in reversed(parents):
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def prefix_ranks(rank, parent) -> list:
+    """Lexicographic ranks after one DP step in which state i extends the
+    best prefix of state ``parent[i]``: by (parent rank, own index), as
+    the sort is stable."""
+    order = sorted(range(len(parent)), key=lambda i: rank[parent[i]])
+    return sorted(range(len(parent)), key=order.__getitem__)  # invert the order

@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._tables import normalize_rows, safe_log
+from ._tables import backtrack, normalize_rows, prefix_ranks, safe_log
 from .errors import (
     EmptyCorpus,
     EmptyInput,
@@ -359,29 +359,25 @@ def chord_path_log_score(
     return acc
 
 
-def _path(parents, states_per, upto: int, idx: int):
-    states = []
-    for ci in range(upto, -1, -1):
-        states.append(states_per[ci][idx])
-        idx = parents[ci][idx]
-    states.reverse()
-    return tuple(states)
-
-
 def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
     """Exact Viterbi over chord states.
 
-    Ties resolve to the lexicographically smallest state path.  If the
-    sustain constraint leaves no feasible transition at some boundary,
-    that boundary alone is relaxed and recorded; a decode whose score is
-    still -inf raises NoFeasiblePath.
+    Ties resolve to the lexicographically smallest state path: ``rank[i]``
+    places state i's best prefix among all best prefixes, a tie goes to
+    the lower-ranked predecessor, and since ``enumerate_states`` lists
+    states in ascending order, prefixes re-rank by (parent rank, own
+    index), so ties cost O(states) per chord.  If the sustain constraint
+    leaves no feasible transition at some boundary, that boundary alone
+    is relaxed and recorded; a decode whose score is still -inf raises
+    NoFeasiblePath.
     """
     chords = list(chords)
     if not chords:
         raise EmptyInput("no chords to decode")
     states_per = [enumerate_states(ch, hand) for ch in chords]
     dp = [_edge_score(model, hand, None, None, chords[0], s) for s in states_per[0]]
-    parents = [[-1] * len(states_per[0])]
+    rank = list(range(len(dp)))
+    parents = []
     relaxed = []
     for ci in range(1, len(chords)):
         prev_chord, chord = chords[ci - 1], chords[ci]
@@ -400,11 +396,8 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
                     )
                     if cand > best:
                         best, best_pi = cand, pi
-                    elif cand == best and cand > NEG_INF:
-                        if _path(parents, states_per, ci - 1, pi) < _path(
-                            parents, states_per, ci - 1, best_pi
-                        ):
-                            best_pi = pi
+                    elif cand == best > NEG_INF and rank[pi] < rank[best_pi]:
+                        best_pi = pi
                 new_dp.append(best)
                 new_parents.append(best_pi)
             return new_dp, new_parents
@@ -415,13 +408,13 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
             relaxed.append(ci)
         dp = new_dp
         parents.append(new_parents)
+        rank = prefix_ranks(rank, new_parents)
 
     best = max(dp)
     if best == NEG_INF:
         raise NoFeasiblePath("all chord state paths have zero probability")
-    last = len(chords) - 1
-    candidates = [i for i, v in enumerate(dp) if v == best]
-    path = min(_path(parents, states_per, last, i) for i in candidates)
+    last = min((i for i, v in enumerate(dp) if v == best), key=rank.__getitem__)
+    path = tuple(states[i] for states, i in zip(states_per, backtrack(parents, last)))
 
     fingers_by_note = {}
     for chord, state in zip(chords, path):

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import agreement, dataset, experiments, model_io
-from .errors import AlignmentMismatch, EmptyPiece, FingeringError, LengthMismatch
+from .errors import AlignmentMismatch, EmptyPiece, FingeringError, LengthMismatch, MissingFinger
 from .estimate import annotate_piece
 from .eval_measures import (
     format_report_table,
@@ -155,6 +155,8 @@ def cmd_evaluate(args) -> int:
             _check_alignment(est_piece, gt_set)
             pairs = [(est_piece.piece_id, est_piece, gt_set)]
         for piece_id, est_piece, gt_set in pairs:
+            if None in est_piece.fingers:
+                raise MissingFinger(f"{piece_id}: the estimate has no finger column")
             est = [f.signed for f in est_piece.fingers]
             rows += hand_reports(piece_id, est_piece, gt_set.signed_fingerings, est)
     reports = dict(rows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from ._tables import backtrack, prefix_ranks
 from .errors import LengthMismatch
 from .pig_io import hand_positions
 
@@ -98,7 +99,10 @@ def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COS
 
     The path is the 0-based ground-truth index chosen at each note; exact
     cost ties resolve to the lexicographically smallest path, i.e. the
-    smallest ground-truth indices.
+    smallest ground-truth indices: ``rank[g]`` places the best prefix
+    ending in g among all best prefixes, a tie goes to the lower-ranked
+    predecessor, and prefixes re-rank by (parent rank, g) after each note,
+    so ties cost O(ground truths) per note.
     """
     n = _check(est, gts)
     n_g = len(gts)
@@ -112,29 +116,9 @@ def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COS
         return config.c_rec if gts[g][pos] == gts[g_prev][pos] else config.c_rec_prime
 
     dp = [sub(0, g) for g in range(n_g)]
-    parents = [[-1] * n_g]
-
-    def path_of(upto, g):
-        out = []
-        for pos in range(upto, -1, -1):
-            out.append(g)
-            g = parents[pos][g]
-        out.reverse()
-        return tuple(out)
-
-    def lex_smaller(pos, a, b):
-        # compare the prefix paths ending in a and b at pos; walk both
-        # parent chains back only until they join
-        tail_a, tail_b = [], []
-        while a != b and pos >= 0:
-            tail_a.append(a)
-            tail_b.append(b)
-            a, b = parents[pos][a], parents[pos][b]
-            pos -= 1
-        tail_a.reverse()
-        tail_b.reverse()
-        return tail_a < tail_b
-
+    identity = list(range(n_g))
+    rank = identity
+    parents = []
     for pos in range(1, n):
         new_dp, new_parents = [], []
         for g in range(n_g):
@@ -145,20 +129,20 @@ def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COS
                 cand = dp[g_prev] + switch(pos, g_prev, g)
                 if cand < best:
                     best, best_prev = cand, g_prev
-                elif cand == best and cand < INF and g_prev != best_prev:
-                    if lex_smaller(pos - 1, g_prev, best_prev):
-                        best_prev = g_prev
+                elif cand == best < INF and rank[g_prev] < rank[best_prev]:
+                    best_prev = g_prev
             new_dp.append(best + sub(pos, g) if best < INF else INF)
             new_parents.append(best_prev)
         dp = new_dp
         parents.append(new_parents)
+        if new_parents != identity:  # if each g keeps its parent, ranks hold
+            rank = prefix_ranks(rank, new_parents)
 
     e_rec = min(dp)
-    if e_rec == INF:
-        path = (0,) * n  # every path is equally infeasible
-    else:
-        candidates = [g for g, v in enumerate(dp) if v == e_rec]
-        path = min(path_of(n - 1, g) for g in candidates)
+    path = (0,) * n  # kept when every path is equally infeasible
+    if e_rec < INF:
+        last = min((g for g, v in enumerate(dp) if v == e_rec), key=rank.__getitem__)
+        path = tuple(backtrack(parents, last))
     return (n - e_rec) / n, e_rec, path
 
 

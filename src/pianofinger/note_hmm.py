@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import normalize_rows, safe_log
+from ._tables import backtrack, normalize_rows, safe_log
 from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
@@ -376,23 +376,19 @@ def _step_tables(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint)
     return steps
 
 
-def _backtrack(parents, state: int):
-    digits = []
-    for n in range(len(parents) - 1, -1, -1):
-        digits.append(int(state) % N_DIGITS + 1)
-        state = parents[n][state]
-    digits.reverse()
-    return tuple(digits)
-
-
 def _run_viterbi(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint):
     """Exact DP; returns (digits, log score) or None when every path has
     score -inf.  Exact score ties resolve to the lexicographically
-    smallest digit sequence, matching brute-force enumeration order."""
+    smallest digit sequence, matching brute-force enumeration order:
+    ``rank[s]`` places state s's best prefix among all best prefixes and
+    a tie goes to the lower-ranked parent.  Extensions of one prefix order
+    by their digit ``state % 5``, i.e. by state index, so one stable
+    argsort per step re-ranks and ties cost O(states) per note."""
     m = model.config.order
     steps = _step_tables(model, hand, midis, onsets, use_constraint)
     dp = steps[0].trans[0].copy()
-    parents = [np.full(N_DIGITS, -1, dtype=np.intp)]
+    parents = []
+    rank = np.arange(N_DIGITS)
     state_len = 1
     for n in range(1, len(steps)):
         step = steps[n]
@@ -410,33 +406,29 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint)
             scores = np.where(step.allowed[last], scores, NEG_INF)
         if state_len < m:
             dp = scores.reshape(-1)
-            parents.append(np.repeat(np.arange(n_prev), N_DIGITS))
+            parent = np.repeat(np.arange(n_prev), N_DIGITS)
             state_len += 1
-            continue
-        # merge: predecessors of state (r, d) differ only in the oldest digit g
-        base = N_DIGITS ** (m - 1)
-        grouped = scores.reshape(N_DIGITS, base, N_DIGITS)
-        best_g = grouped.argmax(axis=0)
-        dp_new = np.take_along_axis(grouped, best_g[None], axis=0)[0]
-        parent = best_g * base + np.arange(base)[:, None]
-        ties = (grouped == dp_new[None]).sum(axis=0) > 1
-        ties &= dp_new > NEG_INF
-        if ties.any():
-            for r, d in zip(*np.nonzero(ties)):
-                candidates = np.nonzero(grouped[:, r, d] == dp_new[r, d])[0]
-                _, g = min(
-                    (_backtrack(parents, int(g) * base + r), int(g))
-                    for g in candidates
-                )
-                parent[r, d] = g * base + r
-        dp = dp_new.reshape(-1)
-        parents.append(parent.reshape(-1))
+        else:
+            # merge: predecessors of state (r, d) differ only in the oldest
+            # digit g; among the best-scoring g take the lowest-ranked one
+            base = N_DIGITS ** (m - 1)
+            grouped = scores.reshape(N_DIGITS, base, N_DIGITS)
+            dp = grouped.max(axis=0)
+            tied_rank = np.where(
+                grouped == dp[None], rank.reshape(N_DIGITS, base, 1), n_prev
+            )
+            parent = tied_rank.argmin(axis=0) * base + np.arange(base)[:, None]
+            dp, parent = dp.reshape(-1), parent.reshape(-1)
+        parents.append(parent)
+        order = np.argsort(rank[parent], kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
     best = dp.max()
     if best == NEG_INF or math.isnan(best):
         return None
-    states = np.nonzero(dp == best)[0]
-    fingers = min(_backtrack(parents, int(s)) for s in states)
-    return fingers, float(best)
+    winner = np.nonzero(dp == best)[0]
+    states = backtrack(parents, winner[rank[winner].argmin()])
+    return tuple(int(s) % N_DIGITS + 1 for s in states), float(best)
 
 
 def decode_viterbi(

@@ -187,6 +187,8 @@ def _parse_line(line_no: int, fields: list[str]) -> Note:
         raise MalformedLine(line_no, f"negative note id {note_id}")
     if not (math.isfinite(onset) and math.isfinite(offset)):
         raise MalformedLine(line_no, f"non-finite time in {fields[1]} {fields[2]}")
+    if onset < 0:
+        raise MalformedLine(line_no, f"negative onset {onset}")
     if offset < onset:
         raise MalformedLine(line_no, f"offset {offset} before onset {onset}")
     for v in (onset_velocity, offset_velocity):

@@ -296,6 +296,21 @@ def test_uniform_tables_tie_stress_matches_brute_force(rng):
         assert result.log_score == score
 
 
+def test_long_all_tie_dyads_decode_to_smallest_states():
+    size = alphabet_size(LATTICE, 3)
+    model = ChordHmmModel(
+        params=ChordHmmParams(delta_p_max=3),
+        log_initial_digit=np.log(np.full(5, 0.2)),
+        log_trans_across=np.log(np.full((5, 5), 0.2)),
+        log_trans_within=np.log(np.full((5, 5), 0.2)),
+        log_out_across={h: np.log(np.full((5, 5, size), 1.0 / size)) for h in Hand},
+        log_out_within={h: np.log(np.full((5, 5, size), 1.0 / size)) for h in Hand},
+    )
+    chords = cluster_chords(chordal_piece([(60, 64)] * 500), model.params.delta)
+    result = decode_chords(model, chords, Hand.RH)
+    assert result.states == ((1, 2),) * 500
+
+
 def test_sustained_note_keeps_finger(rng):
     model = random_chord_model(rng)
     piece = make_piece(

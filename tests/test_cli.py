@@ -200,6 +200,19 @@ def test_evaluate_alignment_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_unannotated_estimate_fails_cleanly(tmp_path, capsys):
+    gt = CORPUS / "101-1_fingering.txt"
+    lines = [
+        l for l in gt.read_text().splitlines() if l and not l.startswith("//")
+    ]
+    bare = tmp_path / "bare.txt"
+    bare.write_text("".join("\t".join(l.split()[:7]) + "\n" for l in lines))
+    code = main(["evaluate", "--est", str(bare), "--gt", str(gt)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_evaluate_content_mismatch_reports_position(tmp_path, capsys):
     gt = CORPUS / "101-1_fingering.txt"
     lines = [

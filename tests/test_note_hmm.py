@@ -301,6 +301,21 @@ def test_uniform_tables_tie_stress_matches_brute_force(rng):
             assert result.log_score == score
 
 
+def test_long_all_tie_piece_decodes_to_smallest_digits(rng):
+    # every path ties for 5,000 notes: ties must cost linear time, and the
+    # lexicographically smallest fingering is all thumbs
+    piece = make_piece([60 + i % 12 for i in range(5000)])
+    for order in (1, 2, 3):
+        model = random_note_model(rng, order=order, representation=INTEGRAL)
+        size = model.log_output[Hand.RH][0].shape[2]
+        uniform_out = np.log(np.full((5, 5, size), 1.0 / size))
+        model.log_output = {h: [uniform_out.copy() for _ in range(order)] for h in Hand}
+        model.log_transition = np.log(np.full((5**order, 5), 0.2))
+        model.log_initial = [np.log(np.full((5**k, 5), 0.2)) for k in range(order)]
+        result = decode_viterbi(model, piece, hand=Hand.RH)
+        assert result.fingers == (1,) * len(piece)
+
+
 def test_matches_brute_force(rng):
     for _ in range(40):
         order = int(rng.integers(1, 4))

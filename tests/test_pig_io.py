@@ -105,7 +105,8 @@ def test_midi_to_pitch_round_trip():
 def test_parse_errors():
     with pytest.raises(MalformedLine):
         parse_fingering_file("0 0.0 0.5 C4 80 80\n")  # 6 fields
-    for bad_times in ("x 0.5", "nan 0.5", "0.0 nan", "0.0 inf", "nan inf", "-inf 0.5"):
+    for bad_times in ("x 0.5", "nan 0.5", "0.0 nan", "0.0 inf", "nan inf", "-inf 0.5",
+                      "-0.5 0.5", "-1.0 -0.5"):
         with pytest.raises(MalformedLine):
             parse_fingering_file(f"0 {bad_times} C4 80 80 0 1\n")
     with pytest.raises(MalformedLine):
