@@ -65,7 +65,8 @@ def load_piece(path, piece_id: str = "", annotator_id: str = "") -> Piece:
             path.read_text(encoding="utf-8"), piece_id=piece_id, annotator_id=annotator_id
         )
     except FingeringError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def load_corpus(directory, all_annotators: bool = False) -> list:

@@ -10,12 +10,21 @@ A model file is JSON with deterministic key ordering::
       "tables": { ... }
     }
 
-Every table is a nested object whose leaves are log probabilities keyed
-by explicit context strings: digit contexts are comma-joined digits
-(``"1,2"``), hands are ``"rh"``/``"lh"``, and displacements are ``"dx"``
-(integral) or ``"dx,dy"`` (lattice).  Zero-probability cells serialise as
-``-Infinity``, which the JSON module reads back exactly, so a reloaded
-model decodes bit-identically.
+Every table is rows x columns of keyed leaves, the log probabilities,
+written as ``{row: {column: leaf}}``; hands are ``"rh"``/``"lh"``:
+
+* digit tables: rows are the digit contexts as comma-joined digits
+  (``"1,2"``, ``""`` for the empty context), columns ``"1"``..``"5"``;
+* output tables: rows are the 25 ``"f_prev,f"`` digit pairs, columns the
+  displacement alphabet as ``"dx"`` (integral) or ``"dx,dy"`` (lattice);
+* the chord ``initial_digit`` is a single bare row ``{"1": ..}``.
+
+Zero-probability cells serialise as ``-Infinity``, which the JSON module
+reads back exactly, so a reloaded model decodes bit-identically.  The
+loader refuses, with ``MalformedModel``, any table whose rows or columns
+differ from the keys its config implies (a missing or extra row, or an
+edited ``delta_p_max``) and any leaf that is null, NaN, +Infinity or not
+a number.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
@@ -26,6 +35,7 @@ kind up here instead of branching on it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -38,113 +48,102 @@ from .chord_hmm import ChordHmmModel, ChordHmmParams
 from .errors import MalformedModel
 from .note_hmm import N_DIGITS, NoteHmmConfig, NoteHmmModel, Symmetry
 from .pig_io import Hand
-from .pitch_space import (
-    Displacement,
-    PitchRepresentation,
-    alphabet_size,
-    index_displacement,
-)
+from .pitch_space import PitchRepresentation, alphabet_size, index_displacement
 
 FORMAT = "piano-fingering-model"
 VERSION = 1
 
 _HAND_KEY = {Hand.RH: "rh", Hand.LH: "lh"}
-_KEY_HAND = {v: k for k, v in _HAND_KEY.items()}
+_DIGITS = [str(d + 1) for d in range(N_DIGITS)]
 
 
-def _digit_key(digits) -> str:
-    return ",".join(str(d) for d in digits)
+def _digit_rows(length: int) -> list:
+    """Keys of all digit contexts of the given length, in flat-index order."""
+    return [",".join(ctx) for ctx in itertools.product(_DIGITS, repeat=length)]
 
 
-def _disp_key(representation: PitchRepresentation, d: Displacement) -> str:
-    if representation is PitchRepresentation.INTEGRAL:
-        return str(d.dx)
-    return f"{d.dx},{d.dy}"
+def _disp_keys(representation: PitchRepresentation, delta_p_max: int) -> list:
+    """Keys of the displacement alphabet, in cell order."""
+    keys = []
+    for idx in range(alphabet_size(representation, delta_p_max)):
+        d = index_displacement(representation, delta_p_max, idx)
+        keys.append(str(d.dx) if d.dy is None else f"{d.dx},{d.dy}")
+    return keys
 
 
-def _contexts(length: int):
-    """All digit tuples of the given length, in flat-index order."""
-    if length == 0:
-        yield ()
-        return
-    for idx in range(N_DIGITS**length):
-        digits = []
-        for _ in range(length):
-            digits.append(idx % N_DIGITS + 1)
-            idx //= N_DIGITS
-        yield tuple(reversed(digits))
+def _encode(table: np.ndarray, rows, cols: list) -> dict:
+    """A table as ``{row: {col: leaf}}``, read in row-major cell order;
+    ``rows=None`` writes a one-row table as a bare ``{col: leaf}``."""
+    if rows is None:
+        return dict(zip(cols, table.tolist()))
+    values = table.reshape(len(rows), len(cols)).tolist()
+    return {row: dict(zip(cols, v)) for row, v in zip(rows, values)}
 
 
-def _digit_table_to_dict(table: np.ndarray, context_len: int) -> dict:
-    out = {}
-    for i, ctx in enumerate(_contexts(context_len)):
-        out[_digit_key(ctx)] = {
-            str(d + 1): float(table[i, d]) for d in range(N_DIGITS)
-        }
-    return out
+def _decode(data, rows, cols: list) -> np.ndarray:
+    """The inverse of _encode, as a ``(len(rows), len(cols))`` array.
+
+    Every object must hold exactly the expected keys, and every leaf must
+    be a number below +Infinity: a null or NaN leaf would load as NaN.
+    """
+    if rows is None:
+        values = _keyed(data, cols)
+    else:
+        values = [_keyed(row, cols) for row in _keyed(data, rows)]
+    table = np.array(values)
+    if (
+        table.ndim != (1 if rows is None else 2)
+        or table.dtype.kind not in "if"
+        or not (table < np.inf).all()
+    ):
+        raise ValueError("a leaf is null, NaN, +Infinity or not a number")
+    return table.astype(float)
 
 
-def _digit_table_from_dict(data: dict, context_len: int) -> np.ndarray:
-    table = np.empty((N_DIGITS**context_len, N_DIGITS))
-    for i, ctx in enumerate(_contexts(context_len)):
-        row = data[_digit_key(ctx)]
-        for d in range(N_DIGITS):
-            table[i, d] = row[str(d + 1)]
-    return table
-
-
-def _output_table_to_dict(table, representation, delta_p_max) -> dict:
-    size = alphabet_size(representation, delta_p_max)
-    out = {}
-    for f_prev in range(N_DIGITS):
-        for f in range(N_DIGITS):
-            cells = {}
-            for idx in range(size):
-                d = index_displacement(representation, delta_p_max, idx)
-                cells[_disp_key(representation, d)] = float(table[f_prev, f, idx])
-            out[f"{f_prev + 1},{f + 1}"] = cells
-    return out
-
-
-def _output_table_from_dict(data, representation, delta_p_max) -> np.ndarray:
-    size = alphabet_size(representation, delta_p_max)
-    table = np.empty((N_DIGITS, N_DIGITS, size))
-    for f_prev in range(N_DIGITS):
-        for f in range(N_DIGITS):
-            cells = data[f"{f_prev + 1},{f + 1}"]
-            for idx in range(size):
-                d = index_displacement(representation, delta_p_max, idx)
-                table[f_prev, f, idx] = cells[_disp_key(representation, d)]
-    return table
+def _keyed(data, keys: list) -> list:
+    """The values of a JSON object whose keys are exactly ``keys``, in order."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    try:
+        if len(data) == len(keys):
+            return [data[k] for k in keys]
+    except KeyError:
+        pass
+    missing = [k for k in keys if k not in data]
+    extra = sorted(data.keys() - set(keys))
+    raise ValueError(
+        f"keys differ from the config's: missing {missing[:3]}, extra {extra[:3]}"
+    )
 
 
 # --- note HMM ------------------------------------------------------------
 
 def _note_to_dict(model: NoteHmmModel) -> tuple:
     cfg = model.config
-    repr_, dpmax = cfg.pitch_representation, cfg.delta_p_max
     config = {
         "order": cfg.order,
-        "pitch_representation": repr_.value,
+        "pitch_representation": cfg.pitch_representation.value,
         "symmetries": sorted(s.value for s in cfg.symmetries),
-        "delta_p_max": dpmax,
+        "delta_p_max": cfg.delta_p_max,
         "chord_threshold": cfg.chord_threshold,
         "alpha": list(cfg.alpha),
         "lambda": list(cfg.lambda_),
         "smoothing_epsilon": cfg.smoothing_epsilon,
         "chord_constraint": cfg.chord_constraint,
     }
+    contexts = [_digit_rows(k) for k in range(cfg.order + 1)]
+    pairs = _digit_rows(2)
+    disps = _disp_keys(cfg.pitch_representation, cfg.delta_p_max)
     tables = {
         "initial": [
-            _digit_table_to_dict(model.log_initial[k], k) for k in range(cfg.order)
+            _encode(model.log_initial[k], contexts[k], _DIGITS)
+            for k in range(cfg.order)
         ],
-        "transition": _digit_table_to_dict(model.log_transition, cfg.order),
+        "transition": _encode(model.log_transition, contexts[cfg.order], _DIGITS),
         "output": {
             _HAND_KEY[hand]: {
-                str(lag + 1): _output_table_to_dict(
-                    model.log_output[hand][lag], repr_, dpmax
-                )
-                for lag in range(cfg.order)
+                str(lag + 1): _encode(table, pairs, disps)
+                for lag, table in enumerate(model.log_output[hand])
             }
             for hand in Hand
         },
@@ -164,19 +163,20 @@ def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
         smoothing_epsilon=data["smoothing_epsilon"],
         chord_constraint=data["chord_constraint"],
     )
-    repr_, dpmax = config.pitch_representation, config.delta_p_max
+    contexts = [_digit_rows(k) for k in range(config.order + 1)]
+    pairs = _digit_rows(2)
+    disps = _disp_keys(config.pitch_representation, config.delta_p_max)
     return NoteHmmModel(
         config=config,
         log_initial=[
-            _digit_table_from_dict(tables["initial"][k], k)
+            _decode(tables["initial"][k], contexts[k], _DIGITS)
             for k in range(config.order)
         ],
-        log_transition=_digit_table_from_dict(tables["transition"], config.order),
+        log_transition=_decode(tables["transition"], contexts[config.order], _DIGITS),
         log_output={
             hand: [
-                _output_table_from_dict(
-                    tables["output"][_HAND_KEY[hand]][str(lag + 1)], repr_, dpmax
-                )
+                _decode(tables["output"][_HAND_KEY[hand]][str(lag + 1)], pairs, disps)
+                .reshape(N_DIGITS, N_DIGITS, -1)
                 for lag in range(config.order)
             ]
             for hand in Hand
@@ -239,29 +239,21 @@ def _note_describe(config: NoteHmmConfig, args) -> str:
 # --- chord HMM -----------------------------------------------------------
 
 def _chord_to_dict(model: ChordHmmModel) -> tuple:
-    params = model.params
-    lattice = PitchRepresentation.LATTICE
+    digits, pairs = _digit_rows(1), _digit_rows(2)
+    disps = _disp_keys(PitchRepresentation.LATTICE, model.params.delta_p_max)
     tables = {
-        "initial_digit": {
-            str(d + 1): float(model.log_initial_digit[d]) for d in range(N_DIGITS)
-        },
-        "transition_across": _digit_table_to_dict(model.log_trans_across, 1),
-        "transition_within": _digit_table_to_dict(model.log_trans_within, 1),
+        "initial_digit": _encode(model.log_initial_digit, None, _DIGITS),
+        "transition_across": _encode(model.log_trans_across, digits, _DIGITS),
+        "transition_within": _encode(model.log_trans_within, digits, _DIGITS),
         "output_across": {
-            _HAND_KEY[h]: _output_table_to_dict(
-                model.log_out_across[h], lattice, params.delta_p_max
-            )
-            for h in Hand
+            _HAND_KEY[h]: _encode(model.log_out_across[h], pairs, disps) for h in Hand
         },
         "output_within": {
-            _HAND_KEY[h]: _output_table_to_dict(
-                model.log_out_within[h], lattice, params.delta_p_max
-            )
-            for h in Hand
+            _HAND_KEY[h]: _encode(model.log_out_within[h], pairs, disps) for h in Hand
         },
     }
     # v1 files carry the chord transition order, which is always 1
-    return {**asdict(params), "order": 1}, tables
+    return {**asdict(model.params), "order": 1}, tables
 
 
 def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
@@ -269,27 +261,24 @@ def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
     if data.pop("order", 1) != 1:
         raise MalformedModel("chord-hmm model: only order 1 is defined")
     params = ChordHmmParams(**data)
-    lattice = PitchRepresentation.LATTICE
+    digits, pairs = _digit_rows(1), _digit_rows(2)
+    disps = _disp_keys(PitchRepresentation.LATTICE, params.delta_p_max)
+
+    def output(name: str) -> dict:
+        return {
+            h: _decode(tables[name][_HAND_KEY[h]], pairs, disps).reshape(
+                N_DIGITS, N_DIGITS, -1
+            )
+            for h in Hand
+        }
+
     return ChordHmmModel(
         params=params,
-        log_initial_digit=np.array(
-            [tables["initial_digit"][str(d + 1)] for d in range(N_DIGITS)],
-            dtype=float,
-        ),
-        log_trans_across=_digit_table_from_dict(tables["transition_across"], 1),
-        log_trans_within=_digit_table_from_dict(tables["transition_within"], 1),
-        log_out_across={
-            h: _output_table_from_dict(
-                tables["output_across"][_HAND_KEY[h]], lattice, params.delta_p_max
-            )
-            for h in Hand
-        },
-        log_out_within={
-            h: _output_table_from_dict(
-                tables["output_within"][_HAND_KEY[h]], lattice, params.delta_p_max
-            )
-            for h in Hand
-        },
+        log_initial_digit=_decode(tables["initial_digit"], None, _DIGITS),
+        log_trans_across=_decode(tables["transition_across"], digits, _DIGITS),
+        log_trans_within=_decode(tables["transition_within"], digits, _DIGITS),
+        log_out_across=output("output_across"),
+        log_out_within=output("output_within"),
     )
 
 

@@ -90,6 +90,23 @@ def test_estimate_accepts_unannotated_input(model_path, tmp_path):
     assert all(len(line.split("\t")) == 8 for line in out.read_text().splitlines())
 
 
+def _with_bad_onset(source, dest):
+    """Copy of a fingering file whose line 2 has the onset "abc"."""
+    lines = source.read_text().splitlines()
+    fields = lines[1].split("\t")
+    fields[1] = "abc"
+    lines[1] = "\t".join(fields)
+    dest.write_text("".join(l + "\n" for l in lines))
+    return dest
+
+
+def test_estimate_malformed_line_fails_cleanly(model_path, tmp_path, capsys):
+    bad = _with_bad_onset(CORPUS / "101-1_fingering.txt", tmp_path / "bad.txt")
+    assert main(["estimate", str(bad), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
+
+
 def test_estimate_empty_piece_fails(model_path, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("//nothing\n")
@@ -164,6 +181,19 @@ def test_evaluate_human_mode(capsys):
     out = capsys.readouterr().out
     rows = {line.split("\t")[0] for line in out.strip().splitlines()[1:]}
     assert rows == {"107", "107/rh", "107/lh", "macro", "micro"}
+
+
+def test_evaluate_human_mode_skips_malformed_piece(tmp_path, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(CORPUS, gt)
+    for annot in ("1", "2"):
+        shutil.copy(gt / f"107-{annot}_fingering.txt", gt / f"109-{annot}_fingering.txt")
+    _with_bad_onset(CORPUS / "107-2_fingering.txt", gt / "107-2_fingering.txt")
+    assert main(["evaluate", "--human", "--gt", str(gt), "--format", "table"]) == 0
+    captured = capsys.readouterr()
+    rows = {line.split("\t")[0] for line in captured.out.strip().splitlines()[1:]}
+    assert rows == {"109", "109/rh", "109/lh", "macro", "micro"}
+    assert captured.err.startswith("skipping piece 107: ") and "line 2" in captured.err
 
 
 def test_evaluate_ordering_invariant_on_rows(model_path, tmp_path, capsys):

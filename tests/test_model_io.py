@@ -2,9 +2,12 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_piece
 from pianofinger.chord_hmm import ChordHmmParams, train_chord
@@ -13,6 +16,8 @@ from pianofinger.model_io import dumps_model, load_model, loads_model, save_mode
 from pianofinger.note_hmm import NoteHmmConfig, Symmetry, decode_viterbi, train
 from pianofinger.pig_io import FingerLabel, Hand
 from pianofinger.pitch_space import PitchRepresentation
+
+MODEL_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1"
 
 
 def _training_corpus(rng, n_pieces=5):
@@ -28,26 +33,72 @@ def _training_corpus(rng, n_pieces=5):
     return corpus
 
 
-def test_note_model_round_trip(rng):
-    corpus = _training_corpus(rng)
-    config = NoteHmmConfig(
-        order=2,
-        pitch_representation=PitchRepresentation.LATTICE,
-        symmetries={Symmetry.REFLECTION},
-        delta_p_max=7,
-        alpha=(0.5, 0.4),
-        lambda_=(0.3,),
+_CORPUS = _training_corpus(np.random.default_rng(5))
+
+
+@st.composite
+def note_configs(draw):
+    order = draw(st.integers(1, 3))
+    weights = st.floats(0.0, 1.0 / max(order - 1, 1))
+    return NoteHmmConfig(
+        order=order,
+        pitch_representation=draw(st.sampled_from(PitchRepresentation)),
+        symmetries=draw(st.frozensets(st.sampled_from(Symmetry))),
+        delta_p_max=draw(st.integers(1, 15)),
+        alpha=tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=order, max_size=order))),
+        lambda_=tuple(draw(st.lists(weights, min_size=order - 1, max_size=order - 1))),
+        smoothing_epsilon=draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0)),
     )
-    model = train(corpus, config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(note_configs())
+def test_note_model_round_trip(config):
+    model = train(_CORPUS, config)
     text = dumps_model(model)
     loaded = loads_model(text)
     assert loaded.config == model.config
-    assert (loaded.log_transition == model.log_transition).all()
+    assert dumps_model(loaded) == text
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert same(loaded.log_transition, model.log_transition)
     for k in range(config.order):
-        assert (loaded.log_initial[k] == model.log_initial[k]).all()
+        assert same(loaded.log_initial[k], model.log_initial[k])
     for hand in Hand:
         for lag in range(config.order):
-            assert (loaded.log_output[hand][lag] == model.log_output[hand][lag]).all()
+            assert same(loaded.log_output[hand][lag], model.log_output[hand][lag])
+
+
+@pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
+def test_v1_model_files_write_back_unchanged(name):
+    text = (MODEL_V1 / name).read_text(encoding="utf-8")
+    assert dumps_model(loads_model(text)) == text
+
+
+def test_v1_model_file_leaves_land_in_their_cells():
+    path = MODEL_V1 / "note_o2_integral.json"
+    tables = json.loads(path.read_text(encoding="utf-8"))["tables"]
+    model = load_model(path)
+    assert model.config.pitch_representation is PitchRepresentation.INTEGRAL
+    assert model.config.delta_p_max == 2
+    output = tables["output"]
+    assert output["lh"]["2"]["3,1"]["-1"] == model.log_output[Hand.LH][1][2, 0, 1]
+    assert output["rh"]["1"]["5,4"]["2"] == model.log_output[Hand.RH][0][4, 3, 4]
+    assert tables["transition"]["4,5"]["1"] == model.log_transition[3 * 5 + 4, 0]
+    assert tables["initial"][1]["2"]["3"] == model.log_initial[1][1, 2]
+    assert tables["initial"][0][""]["4"] == model.log_initial[0][0, 3]
+
+    path = MODEL_V1 / "chord.json"
+    tables = json.loads(path.read_text(encoding="utf-8"))["tables"]
+    model = load_model(path)
+    # lattice cell of "dx,dy" at delta_p_max 1: (dx + 2) * 3 + dy + 1
+    within, across = tables["output_within"], tables["output_across"]
+    assert within["rh"]["4,2"]["-1,1"] == model.log_out_within[Hand.RH][3, 1, 5]
+    assert across["lh"]["1,5"]["2,-1"] == model.log_out_across[Hand.LH][0, 4, 12]
+    assert tables["transition_across"]["2"]["5"] == model.log_trans_across[1, 4]
+    assert tables["initial_digit"]["3"] == model.log_initial_digit[2]
 
 
 def test_note_model_round_trip_preserves_zero_cells(rng):
@@ -136,7 +187,31 @@ def test_malformed_model_documents_raise_malformed_model(rng):
         edited(chord_doc, lambda d: d["config"].update(beta1="high")),
         edited(chord_doc, lambda d: d["tables"]["initial_digit"].update({"3": "x"})),
         edited(chord_doc, lambda d: d["tables"].pop("output_within")),
+        # rows and leaves must match what the config implies
+        edited(note_doc, lambda d: d["config"].update(delta_p_max=14)),
+        edited(chord_doc, lambda d: d["config"].update(delta_p_max=14)),
+        edited(note_doc, lambda d: d["tables"]["transition"]["2"].update({"6": -1.0})),
+        edited(note_doc, lambda d: d["tables"]["transition"].pop("3")),
+        edited(note_doc, lambda d: d["tables"]["transition"].update({"6": {}})),
+        edited(chord_doc, lambda d: d["tables"]["initial_digit"].update({"6": -1.0})),
+        edited(note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": None})),
+        edited(note_doc, lambda d: d["tables"]["output"]["rh"]["1"]["1,2"].update(
+            {"0,0": float("nan")})),
+        edited(note_doc, lambda d: d["tables"]["initial"][0][""].update(
+            {"1": float("inf")})),
+        edited(chord_doc, lambda d: d["tables"]["transition_across"]["4"].update(
+            {"2": None})),
+        edited(chord_doc, lambda d: d["tables"]["output_within"]["lh"]["5,5"].update(
+            {"0,0": float("nan")})),
+        edited(chord_doc, lambda d: d["tables"].update(
+            initial_digit={k: [v] for k, v in d["tables"]["initial_digit"].items()})),
     ]
     for text in bad:
         with pytest.raises(MalformedModel):
             loads_model(text)
+
+    # a zero-probability cell is a valid leaf
+    text = edited(
+        note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": -np.inf})
+    )
+    assert np.isneginf(loads_model(text).log_transition[1, 2])
