@@ -28,9 +28,17 @@ def backtrack(parents, last) -> list:
     return path
 
 
-def prefix_ranks(rank, parent) -> list:
+def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
     """Lexicographic ranks after one DP step in which state i extends the
     best prefix of state ``parent[i]``: by (parent rank, own index), as
     the sort is stable."""
+    order = np.argsort(rank[parent], kind="stable")
+    new_rank = np.empty_like(order)
+    new_rank[order] = np.arange(order.size)
+    return new_rank
+
+
+def prefix_ranks(rank, parent) -> list:
+    """``rerank`` on plain lists, for DPs whose steps are Python loops."""
     order = sorted(range(len(parent)), key=lambda i: rank[parent[i]])
     return sorted(range(len(parent)), key=order.__getitem__)  # invert the order

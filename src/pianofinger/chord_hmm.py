@@ -16,6 +16,14 @@ quadratic pair count of large chords.  Output factors are transposition
 invariant and always use the lattice pitch representation.  Sustained
 notes must keep their digit across every chord that contains them;
 decoding is exact Viterbi over the per-chord state lists.
+
+One edge kernel scores every chord: at each boundary it gathers the
+(previous states, current states) score matrix from the scaled tables
+in one fixed term order, and ``chord_path_log_score`` scores a single
+path through the same kernel, cell by cell, so the two agree bitwise.
+A zero exponent times a -inf factor (NaN) scores as -inf.  Where the
+sustain constraint leaves no finite transition, the decoder lifts it at
+that boundary alone; the path scorer finds such boundaries itself.
 """
 
 from __future__ import annotations
@@ -23,29 +31,30 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ._tables import backtrack, normalize_rows, prefix_ranks, safe_log
+from ._tables import backtrack, normalize_rows, rerank, safe_log
 from .errors import (
     EmptyCorpus,
     EmptyInput,
     HandOverflow,
     MissingFinger,
     NoFeasiblePath,
+    OutOfRange,
 )
 from .pig_io import Hand, Piece, infer_hand
 from .pitch_space import (
+    MIDI_MAX,
+    MIDI_MIN,
     PitchRepresentation,
     alphabet_size,
-    displacement,
-    displacement_index,
+    index_table,
 )
 
 N_DIGITS = 5
 NEG_INF = float("-inf")
-_LATTICE = PitchRepresentation.LATTICE
 
 
 @dataclass(frozen=True)
@@ -126,16 +135,6 @@ class ChordDecodeResult:
     relaxed_boundaries: tuple   # chord indices where the sustain filter was lifted
 
 
-@lru_cache(maxsize=65536)
-def _cached_didx(delta_p_max: int, from_midi: int, to_midi: int) -> int:
-    d = displacement(_LATTICE, from_midi, to_midi, delta_p_max)
-    return displacement_index(_LATTICE, delta_p_max, d)
-
-
-def _didx(params: ChordHmmParams, from_midi: int, to_midi: int) -> int:
-    return _cached_didx(params.delta_p_max, from_midi, to_midi)
-
-
 def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
     """Greedy onset clustering of one hand part, plus sustained membership.
 
@@ -194,6 +193,13 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     return chords
 
 
+@lru_cache(maxsize=None)
+def _states(size: int, hand: Hand) -> tuple:
+    """All crossing-free digit tuples of ``size`` pitches, ascending."""
+    combos = combinations(range(1, N_DIGITS + 1), size)
+    return tuple(sorted(c if hand is Hand.RH else c[::-1] for c in combos))
+
+
 def enumerate_states(chord: Chord, hand: Hand, carried: dict | None = None) -> list:
     """All crossing-free digit assignments of a chord, in ascending
     lexicographic order.
@@ -201,14 +207,10 @@ def enumerate_states(chord: Chord, hand: Hand, carried: dict | None = None) -> l
     Digits align with the pitch-ascending components; ``carried`` pins
     note id -> digit for sustained components and filters accordingly.
     """
-    states = []
-    for combo in combinations(range(1, N_DIGITS + 1), chord.size):
-        digits = combo if hand is Hand.RH else tuple(reversed(combo))
-        if carried is not None and not _matches_carried(chord, digits, carried):
-            continue
-        states.append(digits)
-    states.sort()
-    return states
+    states = _states(chord.size, hand)
+    if carried is None:
+        return list(states)
+    return [s for s in states if _matches_carried(chord, s, carried)]
 
 
 def _matches_carried(chord: Chord, digits, carried: dict) -> bool:
@@ -217,6 +219,15 @@ def _matches_carried(chord: Chord, digits, carried: dict) -> bool:
             if nid in carried and carried[nid] != digit:
                 return False
     return True
+
+
+def _pitches(chords) -> list:
+    """Each chord's pitches; OutOfRange off the 88 keys."""
+    pitches = [chord.midis for chord in chords]
+    for chord, midis in zip(chords, pitches):
+        if min(midis) < MIDI_MIN or max(midis) > MIDI_MAX:
+            raise OutOfRange(f"chord at {chord.onset:.6f}s leaves the 88-key range")
+    return pitches
 
 
 def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
@@ -231,12 +242,10 @@ def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
     pieces = [p for p in corpus if len(p) > 0]
     if not pieces:
         raise EmptyCorpus("training corpus is empty")
-    size = alphabet_size(_LATTICE, params.delta_p_max)
     init = np.zeros(N_DIGITS)
-    t_across = np.zeros((N_DIGITS, N_DIGITS))
-    t_within = np.zeros((N_DIGITS, N_DIGITS))
-    o_across = {h: np.zeros((N_DIGITS, N_DIGITS, size)) for h in Hand}
-    o_within = {h: np.zeros((N_DIGITS, N_DIGITS, size)) for h in Hand}
+    # per hand, one ((f_prev, from pitch), (f, to pitch)) per counted pair
+    within = {h: [] for h in Hand}
+    across = {h: [] for h in Hand}
 
     skipped = []
     for piece in pieces:
@@ -247,40 +256,40 @@ def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
                 raise MissingFinger(
                     f"note {note.note_id} of {piece.piece_id!r} has no finger"
                 )
-            digit_of[note.note_id] = note.finger.digit
+            digit_of[note.note_id] = note.finger.digit - 1
         try:
             chords = cluster_chords(piece, params.delta, params.truncate_overlaps)
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
-        prev_digits = prev_midis = None
-        for ci, chord in enumerate(chords):
-            digits = [digit_of[c.note_ids[0]] for c in chord.components]
-            midis = list(chord.midis)
-            if ci == 0:
-                for d in digits:
-                    init[d - 1] += 1.0
-            for i in range(len(digits)):
-                for j in range(len(digits)):
-                    if i == j:
-                        continue
-                    t_within[digits[i] - 1, digits[j] - 1] += 1.0
-                    o_within[hand][
-                        digits[i] - 1, digits[j] - 1, _didx(params, midis[i], midis[j])
-                    ] += 1.0
-            if ci > 0:
-                for i in range(len(prev_digits)):
-                    for j in range(len(digits)):
-                        t_across[prev_digits[i] - 1, digits[j] - 1] += 1.0
-                        o_across[hand][
-                            prev_digits[i] - 1,
-                            digits[j] - 1,
-                            _didx(params, prev_midis[i], midis[j]),
-                        ] += 1.0
-            prev_digits, prev_midis = digits, midis
+        prev = None
+        for chord, midis in zip(chords, _pitches(chords)):
+            cur = [(digit_of[c.note_ids[0]], m) for c, m in zip(chord.components, midis)]
+            if prev is None:
+                for d, _ in cur:
+                    init[d] += 1.0
+            else:
+                across[hand].extend(product(prev, cur))
+            within[hand].extend(permutations(cur, 2))
+            prev = cur
     if skipped:
         warnings.warn(f"hand overflow, excluded from chord training: {skipped}")
 
+    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
+    cell = index_table(params.delta_p_max)
+
+    def count(pairs: dict) -> tuple:
+        trans = np.zeros((N_DIGITS, N_DIGITS))
+        out = {h: np.zeros((N_DIGITS, N_DIGITS, size)) for h in Hand}
+        for hand, rows in pairs.items():
+            if rows:
+                (f_prev, a), (f, b) = np.array(rows, dtype=np.intp).transpose(1, 2, 0)
+                np.add.at(trans, (f_prev, f), 1.0)
+                np.add.at(out[hand], (f_prev, f, cell[a - MIDI_MIN, b - MIDI_MIN]), 1.0)
+        return trans, out
+
+    t_across, o_across = count(across)
+    t_within, o_within = count(within)
     eps = params.smoothing_epsilon
     return ChordHmmModel(
         params=params,
@@ -292,129 +301,220 @@ def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
     )
 
 
-def _edge_score(
-    model: ChordHmmModel,
-    hand: Hand,
-    prev_chord: Chord | None,
-    prev_state,
-    chord: Chord,
-    state,
-    check_sustain: bool = True,
-) -> float:
-    """Log contribution of one chord given its predecessor, scaled by
-    K**-zeta; -inf when a sustained note would change digit."""
-    p = model.params
-    if prev_chord is not None and check_sustain:
-        carried = {
-            nid: d
-            for component, d in zip(prev_chord.components, prev_state)
-            for nid in component.note_ids
-        }
-        if not _matches_carried(chord, state, carried):
-            return NEG_INF
-    total = 0.0
-    midis = chord.midis
-    if prev_chord is None:
-        for d in state:
-            total += model.log_initial_digit[d - 1]
-    else:
-        pmidis = prev_chord.midis
-        for pd in prev_state:
-            for d in state:
-                total += p.beta1 * model.log_trans_across[pd - 1, d - 1]
-        for i, pd in enumerate(prev_state):
-            for j, d in enumerate(state):
-                total += p.gamma1 * model.log_out_across[hand][
-                    pd - 1, d - 1, _didx(p, pmidis[i], midis[j])
-                ]
-    k = chord.size
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                total += p.beta2 * model.log_trans_within[state[i] - 1, state[j] - 1]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                total += p.gamma2 * model.log_out_within[hand][
-                    state[i] - 1, state[j] - 1, _didx(p, midis[i], midis[j])
-                ]
-    return k ** (-p.zeta) * total
+@lru_cache(maxsize=256)
+def _layout(k_prev: int, k: int, hand: Hand, size: int) -> tuple:
+    """Where the terms of one chord's score lie in ``_EdgeKernel.flat``, in
+    summation order, for a chord of ``k`` pitches after one of ``k_prev``
+    pitches (0: the first chord).
+
+    Returns ``(base, a, b, has_cell)``: term t of the score of current
+    state c after previous state r sits at ``base[t, r, c]``, plus, where
+    ``has_cell[t]``, the alphabet cell of the step from pitch ``a[t]`` to
+    pitch ``b[t]``, counted over the previous pitches and then the
+    current ones.  Term 0 is the 0.0 the sum starts from.
+    """
+    t_across = 1 + N_DIGITS  # after the 0.0 and the initial digits
+    o_across = t_across + N_DIGITS**2
+    t_within = o_across + N_DIGITS**2 * size
+    o_within = t_within + N_DIGITS**2
+    prev = _states_array(k_prev, hand)[:, :, None]  # one empty state if k_prev = 0
+    cur = _states_array(k, hand)[:, None, :]
+    across = list(product(range(k_prev), range(k)))
+    within = list(permutations(range(k), 2))
+    terms = [(0, 0, 0, 0)]  # (base, a, b, has_cell)
+    if k_prev == 0:
+        terms += [(1 + cur[i], 0, 0, 0) for i in range(k)]
+    terms += [(t_across + N_DIGITS * prev[i] + cur[j], 0, 0, 0) for i, j in across]
+    terms += [
+        (o_across + size * (N_DIGITS * prev[i] + cur[j]), i, k_prev + j, 1)
+        for i, j in across
+    ]
+    terms += [(t_within + N_DIGITS * cur[i] + cur[j], 0, 0, 0) for i, j in within]
+    terms += [
+        (o_within + size * (N_DIGITS * cur[i] + cur[j]), k_prev + i, k_prev + j, 1)
+        for i, j in within
+    ]
+    base, a, b, has_cell = zip(*terms)
+    shape = (prev.shape[1], cur.shape[2])
+    layout = (
+        np.stack([np.broadcast_to(t, shape) for t in base]),
+        np.array(a, dtype=np.intp),
+        np.array(b, dtype=np.intp),
+        np.array(has_cell, dtype=np.intp),
+    )
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
-def chord_path_log_score(
-    model: ChordHmmModel, chords, hand: Hand, path, *, relaxed=()
-) -> float:
+@lru_cache(maxsize=None)
+def _states_array(size: int, hand: Hand) -> np.ndarray:
+    """``_states`` as a (size, states) array of digit indices 0..4."""
+    return np.array(_states(size, hand), dtype=np.intp).T - 1
+
+
+class _EdgeKernel:
+    """Log scores of chord states under one model and hand, from the
+    factor tables raised to their exponents.
+
+    A chord's score given its predecessor sums, from 0.0 and in this
+    order: the across transitions of every (previous, current) component
+    pair, previous component outer; the across outputs in the same order;
+    the within transitions of every ordered component pair, row-major;
+    the within outputs likewise.  The sum is multiplied by K**-zeta.  The
+    first chord has its components' initial digits in place of the across
+    terms.  Each score is one elementwise float sequence, so a full
+    (previous states, current states) matrix and a single path cell agree
+    bitwise.  A NaN score (a zero exponent times a -inf factor) is -inf.
+    """
+
+    def __init__(self, model: ChordHmmModel, hand: Hand):
+        p = model.params
+        with np.errstate(invalid="ignore"):
+            # the layout _layout indexes
+            self.flat = np.concatenate([
+                [0.0],
+                model.log_initial_digit,
+                (p.beta1 * model.log_trans_across).ravel(),
+                (p.gamma1 * model.log_out_across[hand]).ravel(),
+                (p.beta2 * model.log_trans_within).ravel(),
+                (p.gamma2 * model.log_out_within[hand]).ravel(),
+            ])
+        self.hand = hand
+        self.size = alphabet_size(PitchRepresentation.LATTICE, p.delta_p_max)
+        self.cell = index_table(p.delta_p_max)
+        self.zeta = p.zeta
+
+    def scores(self, prev_midis: tuple, midis: tuple, rows=slice(None), cols=slice(None)):
+        """The (previous states, current states) scores of a chord with
+        pitches ``midis`` after one with ``prev_midis`` (empty for the
+        first chord, which has one row), restricted to the slices
+        ``rows`` and ``cols`` of the state lists."""
+        base, a, b, has_cell = _layout(len(prev_midis), len(midis), self.hand, self.size)
+        keys = np.array(prev_midis + midis, dtype=np.intp) - MIDI_MIN
+        terms = base[:, rows, cols] + (has_cell * self.cell[keys[a], keys[b]])[:, None, None]
+        total = np.add.accumulate(self.flat[terms])[-1]  # strictly in term order
+        return np.fmax(len(midis) ** -self.zeta * total, NEG_INF)
+
+
+def _shared(prev: Chord, chord: Chord) -> list:
+    """(previous, current) component index pairs that hold one note."""
+    where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
+    return sorted({
+        (where[nid], j)
+        for j, c in enumerate(chord.components)
+        for nid in c.note_ids
+        if nid in where
+    })
+
+
+def _keeps(shared: list, prev_states: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Which (previous, current) state pairs keep every shared note's digit,
+    for (K, states) digit arrays."""
+    keep = True
+    for i, j in shared:
+        keep = keep & (prev_states[i][:, None] == states[j])
+    return keep
+
+
+def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
+    """The Viterbi recursion: (final scores, final ranks, parents, relaxed
+    boundaries).  At each boundary the sustain mask applies unless it
+    leaves no finite score while the previous chord has one; then that
+    boundary alone is scored unmasked and recorded as relaxed."""
+    pitches = _pitches(chords)
+    states = [_states_array(len(m), hand) for m in pitches]
+    dp = kernel.scores((), pitches[0])[0]
+    rank = np.arange(dp.size)
+    parents, relaxed = [], []
+    for ci in range(1, len(chords)):
+        cand = dp[:, None] + kernel.scores(pitches[ci - 1], pitches[ci])
+        shared = _shared(chords[ci - 1], chords[ci])
+        if shared:
+            kept = np.where(_keeps(shared, states[ci - 1], states[ci]), cand, NEG_INF)
+            if kept.max() > NEG_INF or dp.max() == NEG_INF:
+                cand = kept
+            else:
+                relaxed.append(ci)
+        dp = cand.max(axis=0)
+        # among the rows that reach a column's best score, the lowest-ranked
+        parent = np.where(cand == dp, rank[:, None], rank.size).argmin(axis=0)
+        parents.append(parent)
+        rank = rerank(rank, parent)
+    return dp, rank, parents, relaxed
+
+
+def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
     the decoder assigns to it.
 
-    ``relaxed`` holds the chord indices whose incoming edge is scored
-    without the sustain filter: pass the decode's ``relaxed_boundaries``.
+    Each chord's cell comes from the decoder's edge kernel, restricted to
+    the path's states.  Where the path changes the digit of a sustained
+    note, the edge is -inf unless the decoder relaxes that boundary.
+    Finding that out needs the decoder's recursion, run at most once,
+    only when no sustain-keeping edge from the path's previous state is
+    finite: otherwise the boundary is not relaxed, or the path's prefix
+    already scores -inf.
     """
-    acc = _edge_score(model, hand, None, None, chords[0], path[0])
+    chords = list(chords)
+    kernel = _EdgeKernel(model, hand)
+    pitches = _pitches(chords)
+    states = [_states_array(len(m), hand) for m in pitches]
+    cells = [
+        slice(i, i + 1)
+        for i in (_states(len(m), hand).index(tuple(s)) for m, s in zip(pitches, path))
+    ]
+    relaxed = None  # the decoder's relaxed boundaries, found when first needed
+    score = kernel.scores((), pitches[0], cols=cells[0])[0, 0]
     for ci in range(1, len(chords)):
-        acc = acc + _edge_score(
-            model, hand, chords[ci - 1], path[ci - 1], chords[ci], path[ci],
-            ci not in relaxed,
-        )
-    return acc
+        prev, cur = cells[ci - 1], cells[ci]
+        edge = kernel.scores(pitches[ci - 1], pitches[ci], prev, cur)[0, 0]
+        shared = _shared(chords[ci - 1], chords[ci])
+        if shared and not _keeps(shared, states[ci - 1][:, prev], states[ci][:, cur]).all():
+            # a sustained note changes digit: -inf unless the decoder relaxes here
+            row = np.where(
+                _keeps(shared, states[ci - 1][:, prev], states[ci]),
+                kernel.scores(pitches[ci - 1], pitches[ci], prev),
+                NEG_INF,
+            )
+            if row.max() > NEG_INF:
+                edge = NEG_INF
+            else:
+                if relaxed is None:
+                    relaxed = _forward(kernel, chords, hand)[3]
+                if ci not in relaxed:
+                    edge = NEG_INF
+        score = score + edge
+    return float(score)
 
 
 def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
     """Exact Viterbi over chord states.
 
-    Ties resolve to the lexicographically smallest state path: ``rank[i]``
-    places state i's best prefix among all best prefixes, a tie goes to
-    the lower-ranked predecessor, and since ``enumerate_states`` lists
-    states in ascending order, prefixes re-rank by (parent rank, own
-    index), so ties cost O(states) per chord.  If the sustain constraint
-    leaves no feasible transition at some boundary, that boundary alone
-    is relaxed and recorded; a decode whose score is still -inf raises
-    NoFeasiblePath.
+    Each boundary is one (previous states, current states) score matrix
+    from the edge kernel, masked where a sustained note would change
+    digit.  Ties resolve to the lexicographically smallest state path:
+    ``rank[i]`` places state i's best prefix among all best prefixes, a
+    tie goes to the lower-ranked predecessor, and since
+    ``enumerate_states`` lists states in ascending order, prefixes re-rank
+    by (parent rank, own index), so ties cost O(states) per chord.  If the
+    sustain constraint leaves no feasible transition at some boundary,
+    that boundary alone is relaxed and recorded; a decode whose score is
+    still -inf raises NoFeasiblePath.
     """
     chords = list(chords)
     if not chords:
         raise EmptyInput("no chords to decode")
-    states_per = [enumerate_states(ch, hand) for ch in chords]
-    dp = [_edge_score(model, hand, None, None, chords[0], s) for s in states_per[0]]
-    rank = list(range(len(dp)))
-    parents = []
-    relaxed = []
-    for ci in range(1, len(chords)):
-        prev_chord, chord = chords[ci - 1], chords[ci]
-        prev_states, cur_states = states_per[ci - 1], states_per[ci]
-
-        def advance(check_sustain):
-            new_dp, new_parents = [], []
-            for state in cur_states:
-                best, best_pi = NEG_INF, 0
-                for pi, prev_state in enumerate(prev_states):
-                    if dp[pi] == NEG_INF:
-                        continue
-                    cand = dp[pi] + _edge_score(
-                        model, hand, prev_chord, prev_state, chord, state,
-                        check_sustain,
-                    )
-                    if cand > best:
-                        best, best_pi = cand, pi
-                    elif cand == best > NEG_INF and rank[pi] < rank[best_pi]:
-                        best_pi = pi
-                new_dp.append(best)
-                new_parents.append(best_pi)
-            return new_dp, new_parents
-
-        new_dp, new_parents = advance(True)
-        if all(v == NEG_INF for v in new_dp) and any(v > NEG_INF for v in dp):
-            new_dp, new_parents = advance(False)
-            relaxed.append(ci)
-        dp = new_dp
-        parents.append(new_parents)
-        rank = prefix_ranks(rank, new_parents)
-
-    best = max(dp)
+    dp, rank, parents, relaxed = _forward(_EdgeKernel(model, hand), chords, hand)
+    best = dp.max()
     if best == NEG_INF:
         raise NoFeasiblePath("all chord state paths have zero probability")
-    last = min((i for i, v in enumerate(dp) if v == best), key=rank.__getitem__)
-    path = tuple(states[i] for states, i in zip(states_per, backtrack(parents, last)))
+    winner = np.flatnonzero(dp == best)
+    last = winner[rank[winner].argmin()]
+    path = tuple(
+        _states(chord.size, hand)[i]
+        for chord, i in zip(chords, backtrack(parents, last))
+    )
 
     fingers_by_note = {}
     for chord, state in zip(chords, path):

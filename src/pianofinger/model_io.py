@@ -23,8 +23,8 @@ Zero-probability cells serialise as ``-Infinity``, which the JSON module
 reads back exactly, so a reloaded model decodes bit-identically.  The
 loader refuses, with ``MalformedModel``, any table whose rows or columns
 differ from the keys its config implies (a missing or extra row, or an
-edited ``delta_p_max``) and any leaf that is null, NaN, +Infinity or not
-a number.
+edited ``delta_p_max``), a missing or extra table, and any leaf that is
+not a number (true, false, null, a string or a list), NaN or +Infinity.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
@@ -55,6 +55,8 @@ VERSION = 1
 
 _HAND_KEY = {Hand.RH: "rh", Hand.LH: "lh"}
 _DIGITS = [str(d + 1) for d in range(N_DIGITS)]
+_HANDS = [_HAND_KEY[h] for h in Hand]
+_NUMBERS = {int, float}
 
 
 def _digit_rows(length: int) -> list:
@@ -84,20 +86,25 @@ def _decode(data, rows, cols: list) -> np.ndarray:
     """The inverse of _encode, as a ``(len(rows), len(cols))`` array.
 
     Every object must hold exactly the expected keys, and every leaf must
-    be a number below +Infinity: a null or NaN leaf would load as NaN.
+    be a number below +Infinity: numpy would read a true/false leaf as
+    1/0 and a null leaf as NaN.
     """
     if rows is None:
-        values = _keyed(data, cols)
+        values = _leaves(data, cols)
     else:
-        values = [_keyed(row, cols) for row in _keyed(data, rows)]
+        values = [_leaves(row, cols) for row in _keyed(data, rows)]
     table = np.array(values)
-    if (
-        table.ndim != (1 if rows is None else 2)
-        or table.dtype.kind not in "if"
-        or not (table < np.inf).all()
-    ):
-        raise ValueError("a leaf is null, NaN, +Infinity or not a number")
+    if table.dtype.kind not in "if" or not (table < np.inf).all():
+        raise ValueError("a leaf is NaN, +Infinity or out of range")
     return table.astype(float)
+
+
+def _leaves(data, keys: list) -> list:
+    """``_keyed`` for a row of leaves, which must all be JSON numbers."""
+    values = _keyed(data, keys)
+    if not set(map(type, values)) <= _NUMBERS:
+        raise ValueError("a leaf is not a number")
+    return values
 
 
 def _keyed(data, keys: list) -> list:
@@ -166,20 +173,20 @@ def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
     contexts = [_digit_rows(k) for k in range(config.order + 1)]
     pairs = _digit_rows(2)
     disps = _disp_keys(config.pitch_representation, config.delta_p_max)
+    initial, transition, output = _keyed(tables, ["initial", "transition", "output"])
+    if not isinstance(initial, list) or len(initial) != config.order:
+        raise ValueError(f"expected {config.order} initial tables")
+    lags = [str(lag + 1) for lag in range(config.order)]
     return NoteHmmModel(
         config=config,
-        log_initial=[
-            _decode(tables["initial"][k], contexts[k], _DIGITS)
-            for k in range(config.order)
-        ],
-        log_transition=_decode(tables["transition"], contexts[config.order], _DIGITS),
+        log_initial=[_decode(t, contexts[k], _DIGITS) for k, t in enumerate(initial)],
+        log_transition=_decode(transition, contexts[config.order], _DIGITS),
         log_output={
             hand: [
-                _decode(tables["output"][_HAND_KEY[hand]][str(lag + 1)], pairs, disps)
-                .reshape(N_DIGITS, N_DIGITS, -1)
-                for lag in range(config.order)
+                _decode(t, pairs, disps).reshape(N_DIGITS, N_DIGITS, -1)
+                for t in _keyed(by_lag, lags)
             ]
-            for hand in Hand
+            for hand, by_lag in zip(Hand, _keyed(output, _HANDS))
         },
     )
 
@@ -263,22 +270,24 @@ def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
     params = ChordHmmParams(**data)
     digits, pairs = _digit_rows(1), _digit_rows(2)
     disps = _disp_keys(PitchRepresentation.LATTICE, params.delta_p_max)
+    initial, t_across, t_within, o_across, o_within = _keyed(tables, [
+        "initial_digit", "transition_across", "transition_within",
+        "output_across", "output_within",
+    ])
 
-    def output(name: str) -> dict:
+    def output(by_hand) -> dict:
         return {
-            h: _decode(tables[name][_HAND_KEY[h]], pairs, disps).reshape(
-                N_DIGITS, N_DIGITS, -1
-            )
-            for h in Hand
+            h: _decode(t, pairs, disps).reshape(N_DIGITS, N_DIGITS, -1)
+            for h, t in zip(Hand, _keyed(by_hand, _HANDS))
         }
 
     return ChordHmmModel(
         params=params,
-        log_initial_digit=_decode(tables["initial_digit"], None, _DIGITS),
-        log_trans_across=_decode(tables["transition_across"], digits, _DIGITS),
-        log_trans_within=_decode(tables["transition_within"], digits, _DIGITS),
-        log_out_across=output("output_across"),
-        log_out_within=output("output_within"),
+        log_initial_digit=_decode(initial, None, _DIGITS),
+        log_trans_across=_decode(t_across, digits, _DIGITS),
+        log_trans_within=_decode(t_within, digits, _DIGITS),
+        log_out_across=output(o_across),
+        log_out_within=output(o_within),
     )
 
 

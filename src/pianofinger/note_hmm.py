@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import backtrack, normalize_rows, safe_log
+from ._tables import backtrack, normalize_rows, rerank, safe_log
 from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
@@ -420,9 +420,7 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint)
             parent = tied_rank.argmin(axis=0) * base + np.arange(base)[:, None]
             dp, parent = dp.reshape(-1), parent.reshape(-1)
         parents.append(parent)
-        order = np.argsort(rank[parent], kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
+        rank = rerank(rank, parent)
     best = dp.max()
     if best == NEG_INF or math.isnan(best):
         return None

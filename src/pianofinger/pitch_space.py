@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,6 +123,21 @@ def index_displacement(
         return Displacement(dx=index - delta_p_max)
     q, r = divmod(index, 3)
     return Displacement(dx=q - 2 * delta_p_max, dy=r - 1)
+
+
+@lru_cache(maxsize=16)
+def index_table(delta_p_max: int) -> np.ndarray:
+    """Read-only (88, 88) table of lattice alphabet cells:
+    ``index_table(d)[a - MIDI_MIN, b - MIDI_MIN]`` is the cell of
+    ``displacement(LATTICE, a, b, d)``.  Built on first use for each
+    ``delta_p_max``."""
+    octave, pc = np.divmod(np.arange(MIDI_MIN, MIDI_MAX + 1), 12)
+    x = _OCTAVE_X * octave + np.array(_X_OFFSET)[pc]
+    y = np.isin(pc, list(_BLACK)).astype(np.intp)
+    dx = np.clip(x[None, :] - x[:, None], -2 * delta_p_max, 2 * delta_p_max)
+    table = ((dx + 2 * delta_p_max) * 3 + (y[None, :] - y[:, None] + 1)).astype(np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def _permutation(representation, delta_p_max, transform) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,30 @@ def test_chord_model_pipeline(tmp_path):
     assert doc["kind"] == "chord-hmm"
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 25  # all notes annotated
+
+
+def test_estimate_zero_exponent_chord_model_fails_cleanly(tmp_path, capsys):
+    # with no smoothing, the dyad's wide within-chord step was never seen:
+    # its -inf factors times gamma2 = 0 are NaN, so no state scores finite
+    model = tmp_path / "chord.json"
+    assert main([
+        "train", str(CORPUS), "--out", str(model), "--model-kind", "chord-hmm",
+        "--epsilon", "0", "--gamma", "7.53,0",
+    ]) == 0
+    dyad = tmp_path / "dyad.txt"
+    dyad.write_text(
+        "0\t0.000000\t0.500000\tC4\t64\t80\t0\n"
+        "1\t0.000000\t0.500000\tB5\t64\t80\t0\n"
+    )
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(dyad), "--model", str(model)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: all chord state paths have zero probability\n"
+    )
+    assert not caught
 
 
 def test_nested_dataset_layout(tmp_path, capsys):

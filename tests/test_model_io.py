@@ -205,6 +205,17 @@ def test_malformed_model_documents_raise_malformed_model(rng):
             {"0,0": float("nan")})),
         edited(chord_doc, lambda d: d["tables"].update(
             initial_digit={k: [v] for k, v in d["tables"]["initial_digit"].items()})),
+        # true/false among numbers would load as 1.0/0.0
+        edited(note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": True})),
+        edited(chord_doc, lambda d: d["tables"]["output_across"]["rh"]["1,2"].update(
+            {"0,0": False})),
+        # tables the config does not imply
+        edited(note_doc, lambda d: d["tables"]["output"]["lh"].update(
+            {"2": d["tables"]["output"]["lh"]["1"]})),
+        edited(note_doc, lambda d: d["tables"]["initial"].append(
+            d["tables"]["initial"][0])),
+        edited(chord_doc, lambda d: d["tables"].update(
+            output_extra=d["tables"]["output_within"])),
     ]
     for text in bad:
         with pytest.raises(MalformedModel):

@@ -10,6 +10,7 @@ from pianofinger.pitch_space import (
     displacement,
     displacement_index,
     index_displacement,
+    index_table,
     negation_permutation,
     reflect_x,
     reflection_permutation,
@@ -107,3 +108,15 @@ def test_permutations_are_involutions():
         for perm_fn in (negation_permutation, reflection_permutation):
             perm = perm_fn(repr_, 4)
             assert (perm[perm] == range(len(perm))).all()
+
+
+@pytest.mark.parametrize("delta_p_max", [1, 2, 15])
+def test_index_table_matches_displacement(delta_p_max):
+    table = index_table(delta_p_max)
+    assert table.shape == (88, 88)
+    for a in range(21, 109):
+        for b in range(21, 109):
+            d = displacement(LATTICE, a, b, delta_p_max)
+            assert table[a - 21, b - 21] == displacement_index(LATTICE, delta_p_max, d)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
