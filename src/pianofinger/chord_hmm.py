@@ -276,7 +276,7 @@ def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
         warnings.warn(f"hand overflow, excluded from chord training: {skipped}")
 
     size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
-    cell = index_table(params.delta_p_max)
+    cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
 
     def count(pairs: dict) -> tuple:
         trans = np.zeros((N_DIGITS, N_DIGITS))
@@ -382,7 +382,7 @@ class _EdgeKernel:
             ])
         self.hand = hand
         self.size = alphabet_size(PitchRepresentation.LATTICE, p.delta_p_max)
-        self.cell = index_table(p.delta_p_max)
+        self.cell = index_table(PitchRepresentation.LATTICE, p.delta_p_max)
         self.zeta = p.zeta
 
     def scores(self, prev_midis: tuple, midis: tuple, rows=slice(None), cols=slice(None)):

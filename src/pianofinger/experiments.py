@@ -78,7 +78,7 @@ def hand_parts(pieces) -> list:
 
 def train_model(model_kind: str, config, train_pieces):
     """Train either model kind on whole pieces (hands split internally)."""
-    return model_io.KINDS[model_kind].train(hand_parts(train_pieces), config)
+    return model_io.kind(model_kind).train(hand_parts(train_pieces), config)
 
 
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
@@ -168,12 +168,13 @@ def tune(
     on coordinate-descent refinement.  Objective ties keep the earliest
     candidate.
     """
+    kind = model_io.kind(model_kind)
     train_pieces = list(train_pieces)
     valid_sets = list(valid_sets)
     if not train_pieces or not valid_sets:
         raise EmptyCorpus("tuning needs non-empty train and validation data")
     if base_config is None:
-        base_config = model_io.KINDS[model_kind].config()
+        base_config = kind.config()
     rng = np.random.default_rng(seed)
     names = sorted(spec.bounds)
     trace = []
@@ -267,6 +268,7 @@ def scaling_experiment(
     measure.  Fraction 1.0 is deterministic and evaluated once.  Fixed
     seeds reproduce bit-identical results.
     """
+    kind = model_io.kind(model_kind)
     train_pieces = list(train_pieces)
     test_sets = list(test_sets)
     if not train_pieces or not test_sets:
@@ -274,7 +276,7 @@ def scaling_experiment(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     if config is None:
-        config = model_io.KINDS[model_kind].config()
+        config = kind.config()
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside (0, 1]")

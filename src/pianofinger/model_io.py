@@ -381,6 +381,13 @@ KINDS = {
 }
 
 
+def kind(name) -> ModelKind:
+    """The ``KINDS`` entry of a kind name; ValueError for an unknown one."""
+    if not isinstance(name, str) or name not in KINDS:
+        raise ValueError(f"unknown model kind {name!r}; known kinds: {', '.join(KINDS)}")
+    return KINDS[name]
+
+
 def model_kind(obj) -> str:
     """Kind string of a trained model or of a model config."""
     for name, kind in KINDS.items():
@@ -414,13 +421,12 @@ def loads_model(text: str):
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    kind = doc.get("kind")
-    if not isinstance(kind, str) or kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    name = doc.get("kind")
+    entry = kind(name)
     try:
-        return KINDS[kind].from_dict(doc["config"], doc["tables"])
+        return entry.from_dict(doc["config"], doc["tables"])
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise MalformedModel(f"{kind} model: {type(exc).__name__}: {exc}") from None
+        raise MalformedModel(f"{name} model: {type(exc).__name__}: {exc}") from None
 
 
 def save_model(model, path) -> None:

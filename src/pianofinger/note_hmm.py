@@ -36,8 +36,8 @@ from .pitch_space import (
     MIDI_MIN,
     PitchRepresentation,
     alphabet_size,
-    displacement,
-    displacement_index,
+    index_table,
+    key_indices,
     negation_permutation,
     reflection_permutation,
 )
@@ -192,7 +192,7 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
                     f"note {note.note_id} of {piece.piece_id!r} has no finger"
                 )
             digits.append(note.finger.digit)
-        sequences.append((hand, [n.midi for n in piece.notes], digits))
+        sequences.append((hand, key_indices(n.midi for n in piece.notes), digits))
 
     # initial conditionals for the first m notes
     init_counts = [np.zeros((N_DIGITS**k, N_DIGITS)) for k in range(m)]
@@ -224,16 +224,15 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
         hand: [np.zeros((N_DIGITS, N_DIGITS, size)) for _ in range(m)]
         for hand in Hand
     }
-    for hand, midis, digits in sequences:
+    cell = index_table(repr_, dpmax)
+    for hand, keys, digits in sequences:
+        f = np.array(digits, dtype=np.intp) - 1
         for lag in range(1, m + 1):
-            table = counts[hand][lag - 1]
-            for n in range(lag, len(digits)):
-                d = displacement(repr_, midis[n - lag], midis[n], dpmax)
-                table[
-                    digits[n - lag] - 1,
-                    digits[n] - 1,
-                    displacement_index(repr_, dpmax, d),
-                ] += 1.0
+            np.add.at(
+                counts[hand][lag - 1],
+                (f[:-lag], f[lag:], cell[keys[:-lag], keys[lag:]]),
+                1.0,
+            )
 
     negperm = negation_permutation(repr_, dpmax)
     reflperm = reflection_permutation(repr_, dpmax)
@@ -292,12 +291,11 @@ def output_score(model: NoteHmmModel, pitches, fingers, hand: Hand = Hand.RH) ->
     if not 1 <= lags <= model.config.order:
         raise ValueError(f"got {lags} lags for an order-{model.config.order} model")
     cfg = model.config
+    cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
+    keys = key_indices(pitches)
     score = 1.0
     for lag in range(1, lags + 1):
-        d = displacement(
-            cfg.pitch_representation, pitches[-1 - lag], pitches[-1], cfg.delta_p_max
-        )
-        idx = displacement_index(cfg.pitch_representation, cfg.delta_p_max, d)
+        idx = cell[keys[-1 - lag], keys[-1]]
         factor = float(
             np.exp(model.log_output[hand][lag - 1][fingers[-1 - lag] - 1, fingers[-1] - 1, idx])
         )
@@ -334,49 +332,37 @@ def chord_crossing_allowed(prev, cur, hand: Hand, delta: float) -> bool:
     return digit_dir == required
 
 
-def _crossing_mask(hand: Hand, prev_midi: int, cur_midi: int):
-    """(5, 5) allowed matrix over (previous digit, current digit)."""
-    if prev_midi == cur_midi:
-        return None
-    up = cur_midi > prev_midi
-    if hand is Hand.RH:
-        return ALLOWED_ASCENDING_RH if up else ALLOWED_DESCENDING_RH
-    return ALLOWED_DESCENDING_RH if up else ALLOWED_ASCENDING_RH
-
-
 # --- decoding -------------------------------------------------------------
 
-@dataclass
-class _Step:
-    trans: np.ndarray   # (states_before, 5) log transition for this note
-    out_mats: list      # [(lag, (5, 5) alpha-weighted log factor)]
-    allowed: np.ndarray | None
-
-
-def _step_tables(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint):
+def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
+    """Per-piece score tables ``(slabs, allowed)`` of one hand part, shared
+    by the decoder and its oracle.  ``slabs`` lists ``(lag, slab)`` in lag
+    order; note n >= lag is scored by ``slab[n - lag]``, a (5, 5)
+    alpha-weighted log factor over (digit at note n - lag, digit at note
+    n).  ``allowed[n]`` is None or the (5, 5) allowed matrix over
+    (previous digit, digit) of note n."""
     cfg = model.config
-    m = cfg.order
-    log_out = model.log_output[hand]
-    steps = [_Step(model.log_initial[0], [], None)]
-    for n in range(1, len(midis)):
-        trans = model.log_initial[n] if n < m else model.log_transition
-        out_mats = []
-        for lag in range(1, min(m, n) + 1):
-            if cfg.alpha[lag - 1] == 0.0:
-                continue  # inert factor; also avoids -inf * 0 = nan
-            d = displacement(
-                cfg.pitch_representation, midis[n - lag], midis[n], cfg.delta_p_max
-            )
-            idx = displacement_index(cfg.pitch_representation, cfg.delta_p_max, d)
-            out_mats.append((lag, log_out[lag - 1][:, :, idx] * cfg.alpha[lag - 1]))
-        allowed = None
-        if use_constraint and abs(onsets[n] - onsets[n - 1]) <= cfg.chord_threshold:
-            allowed = _crossing_mask(hand, midis[n - 1], midis[n])
-        steps.append(_Step(trans, out_mats, allowed))
-    return steps
+    cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
+    slabs = []
+    for lag in range(1, cfg.order + 1):
+        if cfg.alpha[lag - 1] == 0.0:
+            continue  # inert factor; also avoids -inf * 0 = nan
+        by_cell = np.moveaxis(model.log_output[hand][lag - 1], 2, 0)
+        slab = by_cell[cell[keys[:-lag], keys[lag:]]]  # a fresh array
+        slab *= cfg.alpha[lag - 1]
+        slabs.append((lag, slab))
+    allowed = [None] * len(keys)
+    if use_constraint:
+        step = np.diff(keys)
+        chord = (np.abs(np.diff(onsets)) <= cfg.chord_threshold) & (step != 0)
+        # ascending digits: upward in the right hand, downward in the left
+        ascending = (step > 0) == (hand is Hand.RH)
+        for n in np.flatnonzero(chord).tolist():
+            allowed[n + 1] = ALLOWED_ASCENDING_RH if ascending[n] else ALLOWED_DESCENDING_RH
+    return slabs, allowed
 
 
-def _run_viterbi(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint):
+def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     """Exact DP; returns (digits, log score) or None when every path has
     score -inf.  Exact score ties resolve to the lexicographically
     smallest digit sequence, matching brute-force enumeration order:
@@ -385,39 +371,43 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, midis, onsets, use_constraint)
     by their digit ``state % 5``, i.e. by state index, so one stable
     argsort per step re-ranks and ties cost O(states) per note."""
     m = model.config.order
-    steps = _step_tables(model, hand, midis, onsets, use_constraint)
-    dp = steps[0].trans[0].copy()
+    slabs, allowed = _step_tables(model, hand, keys, onsets, use_constraint)
+    # digit[lag - 1][s]: the digit state s holds for the note lag steps
+    # back; warm-up states are a prefix of the full range
+    digit = [
+        (np.arange(N_DIGITS**m) // N_DIGITS ** (lag - 1)) % N_DIGITS
+        for lag in range(1, m + 1)
+    ]
+    base = N_DIGITS ** (m - 1)
+    columns = np.arange(base)[:, None]
+    dp = model.log_initial[0][0].copy()
     parents = []
     rank = np.arange(N_DIGITS)
-    state_len = 1
-    for n in range(1, len(steps)):
-        step = steps[n]
+    for n in range(1, len(keys)):
         n_prev = dp.shape[0]
-        scores = dp[:, None] + step.trans
+        trans = model.log_initial[n] if n < m else model.log_transition
+        scores = dp[:, None] + trans
         out = None
-        for lag, mat in step.out_mats:
-            idx = (np.arange(n_prev) // N_DIGITS ** (lag - 1)) % N_DIGITS
-            term = mat[idx]
-            out = term if out is None else out + term
+        for lag, slab in slabs:
+            if lag <= n:
+                term = slab[n - lag][digit[lag - 1][:n_prev]]
+                out = term if out is None else out + term
         if out is not None:
             scores = scores + out
-        if step.allowed is not None:
-            last = np.arange(n_prev) % N_DIGITS
-            scores = np.where(step.allowed[last], scores, NEG_INF)
-        if state_len < m:
+        if allowed[n] is not None:
+            scores = np.where(allowed[n][digit[0][:n_prev]], scores, NEG_INF)
+        if n < m:
             dp = scores.reshape(-1)
             parent = np.repeat(np.arange(n_prev), N_DIGITS)
-            state_len += 1
         else:
             # merge: predecessors of state (r, d) differ only in the oldest
             # digit g; among the best-scoring g take the lowest-ranked one
-            base = N_DIGITS ** (m - 1)
             grouped = scores.reshape(N_DIGITS, base, N_DIGITS)
             dp = grouped.max(axis=0)
             tied_rank = np.where(
                 grouped == dp[None], rank.reshape(N_DIGITS, base, 1), n_prev
             )
-            parent = tied_rank.argmin(axis=0) * base + np.arange(base)[:, None]
+            parent = tied_rank.argmin(axis=0) * base + columns
             dp, parent = dp.reshape(-1), parent.reshape(-1)
         parents.append(parent)
         rank = rerank(rank, parent)
@@ -445,12 +435,12 @@ def decode_viterbi(
         raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
     if hand is None:
         hand = infer_hand(piece)
-    midis = [n.midi for n in piece.notes]
+    keys = key_indices(n.midi for n in piece.notes)
     onsets = [n.onset for n in piece.notes]
-    result = _run_viterbi(model, hand, midis, onsets, model.config.chord_constraint)
+    result = _run_viterbi(model, hand, keys, onsets, model.config.chord_constraint)
     fallback = False
     if result is None and model.config.chord_constraint and crossing_fallback:
-        result = _run_viterbi(model, hand, midis, onsets, False)
+        result = _run_viterbi(model, hand, keys, onsets, False)
         fallback = True
     if result is None:
         raise NoFeasiblePath(f"piece {piece.piece_id!r}: all fingerings have zero probability")
@@ -473,22 +463,23 @@ def sequence_log_score(
         raise EmptyPiece("cannot score an empty piece")
     if hand is None:
         hand = infer_hand(piece)
-    midis = [n.midi for n in piece.notes]
+    keys = key_indices(n.midi for n in piece.notes)
     onsets = [n.onset for n in piece.notes]
     m = model.config.order
-    steps = _step_tables(model, hand, midis, onsets, model.config.chord_constraint)
-    acc = float(steps[0].trans[0][fingers[0] - 1])
-    for n in range(1, len(steps)):
-        step = steps[n]
+    slabs, allowed = _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+    acc = float(model.log_initial[0][0][fingers[0] - 1])
+    for n in range(1, len(keys)):
+        trans = model.log_initial[n] if n < m else model.log_transition
         ctx = _flat_index(fingers[max(0, n - m) : n])
-        acc = acc + step.trans[ctx, fingers[n] - 1]
+        acc = acc + trans[ctx, fingers[n] - 1]
         out = None
-        for lag, mat in step.out_mats:
-            term = mat[fingers[n - lag] - 1, fingers[n] - 1]
-            out = term if out is None else out + term
+        for lag, slab in slabs:
+            if lag <= n:
+                term = slab[n - lag][fingers[n - lag] - 1, fingers[n] - 1]
+                out = term if out is None else out + term
         if out is not None:
             acc = acc + out
-        if step.allowed is not None and not step.allowed[fingers[n - 1] - 1, fingers[n] - 1]:
+        if allowed[n] is not None and not allowed[n][fingers[n - 1] - 1, fingers[n] - 1]:
             acc = NEG_INF
     return float(acc)
 

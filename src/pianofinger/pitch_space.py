@@ -59,10 +59,6 @@ def to_lattice(midi: int) -> LatticePoint:
     return LatticePoint(x=_OCTAVE_X * octave + _X_OFFSET[pc], y=1 if pc in _BLACK else 0)
 
 
-def is_black_key(midi: int) -> bool:
-    return midi % 12 in _BLACK
-
-
 def _clamp(value: int, bound: int) -> int:
     return max(-bound, min(bound, value))
 
@@ -125,17 +121,33 @@ def index_displacement(
     return Displacement(dx=q - 2 * delta_p_max, dy=r - 1)
 
 
+def key_indices(midis) -> np.ndarray:
+    """``midis - MIDI_MIN`` as an ``intp`` array, the row and column
+    indices of ``index_table``; OutOfRange off the 88 keys."""
+    midis = list(midis)
+    if midis and (min(midis) < MIDI_MIN or max(midis) > MIDI_MAX):
+        bad = next(m for m in midis if not MIDI_MIN <= m <= MIDI_MAX)
+        raise OutOfRange(f"MIDI number {bad} outside {MIDI_MIN}..{MIDI_MAX}")
+    return np.array(midis, dtype=np.intp) - MIDI_MIN
+
+
 @lru_cache(maxsize=16)
-def index_table(delta_p_max: int) -> np.ndarray:
-    """Read-only (88, 88) table of lattice alphabet cells:
-    ``index_table(d)[a - MIDI_MIN, b - MIDI_MIN]`` is the cell of
-    ``displacement(LATTICE, a, b, d)``.  Built on first use for each
-    ``delta_p_max``."""
-    octave, pc = np.divmod(np.arange(MIDI_MIN, MIDI_MAX + 1), 12)
-    x = _OCTAVE_X * octave + np.array(_X_OFFSET)[pc]
-    y = np.isin(pc, list(_BLACK)).astype(np.intp)
-    dx = np.clip(x[None, :] - x[:, None], -2 * delta_p_max, 2 * delta_p_max)
-    table = ((dx + 2 * delta_p_max) * 3 + (y[None, :] - y[:, None] + 1)).astype(np.intp)
+def index_table(representation: PitchRepresentation, delta_p_max: int) -> np.ndarray:
+    """Read-only (88, 88) ``intp`` table of alphabet cells:
+    ``index_table(r, d)[a - MIDI_MIN, b - MIDI_MIN]`` is the cell of
+    ``displacement(r, a, b, d)``.  Built on first use for each
+    representation and ``delta_p_max``."""
+    midi = np.arange(MIDI_MIN, MIDI_MAX + 1)
+    if representation is PitchRepresentation.INTEGRAL:
+        dx = np.clip(midi[None, :] - midi[:, None], -delta_p_max, delta_p_max)
+        table = dx + delta_p_max
+    else:
+        octave, pc = np.divmod(midi, 12)
+        x = _OCTAVE_X * octave + np.array(_X_OFFSET)[pc]
+        y = np.isin(pc, list(_BLACK)).astype(np.intp)
+        dx = np.clip(x[None, :] - x[:, None], -2 * delta_p_max, 2 * delta_p_max)
+        table = (dx + 2 * delta_p_max) * 3 + (y[None, :] - y[:, None] + 1)
+    table = table.astype(np.intp)
     table.flags.writeable = False
     return table
 

@@ -40,6 +40,7 @@ from pianofinger.note_hmm import (
 from pianofinger.pig_io import FingerLabel, Hand, midi_to_pitch
 from pianofinger.pitch_space import (
     PitchRepresentation,
+    key_indices,
     negation_permutation,
     reflection_permutation,
 )
@@ -61,27 +62,28 @@ def _report(criterion, text):
 def all_fingering_scores(model, piece, hand):
     """Score of every one of the 5**N fingerings, in lexicographic order,
     with the decoder's exact floating-point arithmetic."""
-    midis = [n.midi for n in piece.notes]
+    keys = key_indices(n.midi for n in piece.notes)
     onsets = [n.onset for n in piece.notes]
-    steps = _step_tables(model, hand, midis, onsets, model.config.chord_constraint)
-    n = len(midis)
+    slabs, allowed = _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+    n = len(keys)
     m = model.config.order
     paths = np.array(list(product(range(5), repeat=n)), dtype=np.intp)
-    scores = steps[0].trans[0][paths[:, 0]].copy()
+    scores = model.log_initial[0][0][paths[:, 0]].copy()
     for i in range(1, n):
-        step = steps[i]
+        trans = model.log_initial[i] if i < m else model.log_transition
         ctx = np.zeros(len(paths), dtype=np.intp)
         for j in range(max(0, i - m), i):
             ctx = ctx * 5 + paths[:, j]
-        scores = scores + step.trans[ctx, paths[:, i]]
+        scores = scores + trans[ctx, paths[:, i]]
         out = None
-        for lag, mat in step.out_mats:
-            term = mat[paths[:, i - lag], paths[:, i]]
-            out = term if out is None else out + term
+        for lag, slab in slabs:
+            if lag <= i:
+                term = slab[i - lag][paths[:, i - lag], paths[:, i]]
+                out = term if out is None else out + term
         if out is not None:
             scores = scores + out
-        if step.allowed is not None:
-            scores[~step.allowed[paths[:, i - 1], paths[:, i]]] = NEG_INF
+        if allowed[i] is not None:
+            scores[~allowed[i][paths[:, i - 1], paths[:, i]]] = NEG_INF
     return paths, scores
 
 

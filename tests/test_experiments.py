@@ -155,3 +155,17 @@ def test_scaling_reproducible_and_deterministic_at_full_fraction(rng):
     partial = [p for p in first if p.fraction != 1.0][0]
     assert partial.repeats == 3
     assert 1 <= partial.n_pieces < len(train_pieces)
+
+
+def test_unknown_model_kind_raises_value_error_listing_kinds(rng):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    spec = TuningSpec(bounds={"alpha1": (0.0, 1.0)}, budget=2)
+    calls = (
+        lambda: train_model("note_hmm", BASE, train_pieces),
+        lambda: tune(spec, train_pieces, valid_sets, model_kind="note_hmm"),
+        lambda: tune(spec, train_pieces, valid_sets, model_kind="note_hmm", base_config=BASE),
+        lambda: scaling_experiment(train_pieces, valid_sets, [1.0], 1, model_kind="note_hmm"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="'note_hmm'; known kinds: note-hmm, chord-hmm"):
+            call()

@@ -11,13 +11,25 @@ from hypothesis import strategies as st
 
 from conftest import random_piece
 from pianofinger.chord_hmm import ChordHmmParams, train_chord
+from pianofinger.cli import main
 from pianofinger.errors import MalformedModel
 from pianofinger.model_io import dumps_model, load_model, loads_model, save_model
 from pianofinger.note_hmm import NoteHmmConfig, Symmetry, decode_viterbi, train
 from pianofinger.pig_io import FingerLabel, Hand
 from pianofinger.pitch_space import PitchRepresentation
 
-MODEL_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1"
+DATA = Path(__file__).resolve().parents[1] / "data"
+MODEL_V1 = DATA / "model_v1"
+
+# the `train` options each v1 fixture was written with, from data/sample_corpus
+V1_TRAIN_FLAGS = {
+    "note_o2_integral.json": [
+        "--order", "2", "--pitch", "integral", "--delta-p-max", "2",
+        "--symmetry", "time+reflect",
+    ],
+    "chord.json": ["--model-kind", "chord-hmm", "--delta-p-max", "1"],
+    "note_o3_lattice.json": ["--order", "3"],
+}
 
 
 def _training_corpus(rng, n_pieces=5):
@@ -71,10 +83,20 @@ def test_note_model_round_trip(config):
             assert same(loaded.log_output[hand][lag], model.log_output[hand][lag])
 
 
-@pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
+@pytest.mark.parametrize(
+    "name", ["note_o2_integral.json", "chord.json", "note_o3_lattice.json"]
+)
 def test_v1_model_files_write_back_unchanged(name):
     text = (MODEL_V1 / name).read_text(encoding="utf-8")
     assert dumps_model(loads_model(text)) == text
+
+
+@pytest.mark.parametrize("name", sorted(V1_TRAIN_FLAGS))
+def test_v1_model_files_retrain_byte_identical(tmp_path, name):
+    out = tmp_path / name
+    args = ["train", str(DATA / "sample_corpus"), "--out", str(out), *V1_TRAIN_FLAGS[name]]
+    assert main(args) == 0
+    assert out.read_bytes() == (MODEL_V1 / name).read_bytes()
 
 
 def test_v1_model_file_leaves_land_in_their_cells():

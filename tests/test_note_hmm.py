@@ -1,13 +1,24 @@
 """Training, symmetries and exact Viterbi decoding of the note HMM."""
 
+import math
+import sys
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_piece, random_note_model, random_piece
-from pianofinger.errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
+from pianofinger.errors import (
+    EmptyCorpus,
+    EmptyPiece,
+    FingeringError,
+    MissingFinger,
+    NoFeasiblePath,
+    OutOfRange,
+)
 from pianofinger.note_hmm import (
     NoteHmmConfig,
     NoteHmmModel,
@@ -461,3 +472,104 @@ def test_sampled_corpus_trains(rng):
         pieces, NoteHmmConfig(order=1, pitch_representation=INTEGRAL, delta_p_max=5)
     )
     assert np.allclose(trained.transition_matrix().sum(axis=1), 1.0, atol=1e-9)
+
+
+# --- the displacement index table -------------------------------------------
+
+@pytest.mark.parametrize("representation", [INTEGRAL, LATTICE])
+@pytest.mark.parametrize("midi", [-40, 0, 20, 109, 200])
+def test_off_keyboard_midi_raises_out_of_range(rng, representation, midi):
+    model = random_note_model(rng, order=2, representation=representation)
+    piece = annotated([60, 62, 64], [1, 2, 3])
+    notes = list(piece.notes)
+    notes[1] = replace(notes[1], midi=midi)
+    piece = replace(piece, notes=tuple(notes))
+    with pytest.raises(OutOfRange):
+        decode_viterbi(model, piece)
+    with pytest.raises(OutOfRange):
+        sequence_log_score(model, piece, [1, 2, 3])
+    with pytest.raises(OutOfRange):
+        train([piece], model.config)
+    with pytest.raises(OutOfRange):
+        output_score(model, [60, midi], [1, 2])
+    with pytest.raises(OutOfRange):
+        output_score(model, [midi, 60, 62], [1, 2, 3])
+
+
+def test_hot_paths_do_not_call_scalar_displacement(monkeypatch, rng):
+    """Training, decoding and scoring read the index table, never the
+    scalar ``displacement()`` it is defined by."""
+
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("displacement() called in a note-HMM hot path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pianofinger") and hasattr(module, "displacement"):
+            monkeypatch.setattr(module, "displacement", scalar_path)
+    n = 200
+    midis = np.clip(64 + np.cumsum(rng.integers(-5, 6, n)), 21, 108).tolist()
+    onsets = np.cumsum(rng.choice([0.0, 0.01, 0.25], n)).tolist()
+    digits = rng.integers(1, 6, n).tolist()
+    piece = annotated(midis, digits, onsets=onsets)
+    for representation in (INTEGRAL, LATTICE):
+        for order in (1, 2, 3):
+            config = NoteHmmConfig(
+                order=order,
+                pitch_representation=representation,
+                symmetries={Symmetry.TIME_INVERSION, Symmetry.REFLECTION},
+            )
+            model = train([piece], config)
+            result = decode_viterbi(model, piece)
+            assert sequence_log_score(model, piece, result.fingers) == result.log_score
+            assert 0.0 < output_score(model, midis[: order + 1], digits[: order + 1])
+
+
+@st.composite
+def note_pieces(draw):
+    """A random note model and hand part: unisons, 0 s and within-threshold
+    chord gaps, one-note hands, inert lags and zero-probability cells."""
+    order = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_note_model(
+        rng,
+        order=order,
+        representation=draw(st.sampled_from(PitchRepresentation)),
+        delta_p_max=draw(st.integers(1, 4)),
+        chord_constraint=draw(st.booleans()),
+        alpha=tuple(draw(st.lists(st.sampled_from([0.0, 0.4, 1.3]), min_size=order,
+                                  max_size=order))),
+    )
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    for tables in model.log_output.values():
+        for table in tables:
+            table[rng.random(table.shape) < zero_share] = -np.inf
+    groups = draw(st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.01, 0.25]),
+            st.lists(st.integers(40, 80), min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    midis, onsets, t = [], [], 0.0
+    for gap, pitches in groups:
+        t += gap
+        midis += pitches
+        onsets += [t] * len(pitches)
+    hand = draw(st.sampled_from(Hand))
+    return model, make_piece(midis, onsets, hand=hand), hand
+
+
+@settings(max_examples=50, deadline=None)
+@given(note_pieces())
+def test_random_pieces_decode_to_their_oracle_score_or_raise_fingering_error(case):
+    model, piece, hand = case
+    try:
+        result = decode_viterbi(model, piece, hand=hand)
+    except FingeringError:
+        return
+    assert len(result.fingers) == len(piece)
+    assert not math.isnan(result.log_score)
+    if result.crossing_fallback_used:
+        model = replace(model, config=replace(model.config, chord_constraint=False))
+    assert sequence_log_score(model, piece, result.fingers, hand) == result.log_score

@@ -1,5 +1,6 @@
 """Keyboard lattice geometry and displacement clamping."""
 
+import numpy as np
 import pytest
 
 from pianofinger.errors import OutOfRange
@@ -11,6 +12,7 @@ from pianofinger.pitch_space import (
     displacement_index,
     index_displacement,
     index_table,
+    key_indices,
     negation_permutation,
     reflect_x,
     reflection_permutation,
@@ -112,11 +114,21 @@ def test_permutations_are_involutions():
 
 @pytest.mark.parametrize("delta_p_max", [1, 2, 15])
 def test_index_table_matches_displacement(delta_p_max):
-    table = index_table(delta_p_max)
-    assert table.shape == (88, 88)
-    for a in range(21, 109):
-        for b in range(21, 109):
-            d = displacement(LATTICE, a, b, delta_p_max)
-            assert table[a - 21, b - 21] == displacement_index(LATTICE, delta_p_max, d)
-    with pytest.raises(ValueError):
-        table[0, 0] = 0
+    for repr_ in (INTEGRAL, LATTICE):
+        table = index_table(repr_, delta_p_max)
+        assert table.shape == (88, 88)
+        assert table.dtype == np.intp
+        for a in range(21, 109):
+            for b in range(21, 109):
+                d = displacement(repr_, a, b, delta_p_max)
+                assert table[a - 21, b - 21] == displacement_index(repr_, delta_p_max, d)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def test_key_indices_refuse_off_keyboard_midi():
+    assert key_indices([21, 60, 108]).tolist() == [0, 39, 87]
+    assert key_indices([]).shape == (0,)
+    for bad in ([20], [60, 109], [-1]):
+        with pytest.raises(OutOfRange):
+            key_indices(bad)
