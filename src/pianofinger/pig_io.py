@@ -25,6 +25,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import (
     AlignmentMismatch,
@@ -128,16 +129,27 @@ _ACCIDENTAL = {None: 0, "#": 1, "##": 2, "x": 2, "b": -1, "bb": -2}
 _SHARP_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 
+# Pitch and finger tokens come from a small set, so each distinct token is
+# resolved once per process.  The caches are bounded because spellings
+# such as ``C004`` or ``060`` make the set of valid tokens unbounded;
+# tokens that raise are not cached.
+_TOKEN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def pitch_to_midi(token: str) -> int:
     """Spelled pitch token (or bare MIDI number) to MIDI note number."""
-    if token.isdigit():
-        midi = int(token)
-    else:
-        m = _PITCH_RE.match(token)
-        if m is None:
-            raise InvalidPitchToken(f"bad pitch token {token!r}")
-        letter, accidental, octave = m.groups()
-        midi = 12 * (int(octave) + 1) + _BASE_SEMITONE[letter] + _ACCIDENTAL[accidental]
+    try:
+        if token.isdigit():
+            midi = int(token)
+        else:
+            m = _PITCH_RE.match(token)
+            if m is None:
+                raise InvalidPitchToken(f"bad pitch token {token!r}")
+            letter, accidental, octave = m.groups()
+            midi = 12 * (int(octave) + 1) + _BASE_SEMITONE[letter] + _ACCIDENTAL[accidental]
+    except ValueError:  # int() refuses digits such as '²', and over 4300 of them
+        raise InvalidPitchToken(f"bad pitch token {token!r}") from None
     if not MIDI_MIN <= midi <= MIDI_MAX:
         raise InvalidPitchToken(
             f"pitch {token!r} (MIDI {midi}) outside the 88-key range"
@@ -153,6 +165,7 @@ def midi_to_pitch(midi: int) -> str:
     return f"{_SHARP_NAMES[pc]}{octave - 1}"
 
 
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def resolve_substitution(finger_token: str) -> FingerLabel:
     """Signed finger token, possibly an ``a_b`` substitution pair, to the
     label of the finger first used."""
@@ -169,6 +182,32 @@ def resolve_substitution(finger_token: str) -> FingerLabel:
     if len(values) == 2 and (values[0] > 0) != (values[1] > 0):
         raise InvalidFinger(f"substitution {finger_token!r} changes hands")
     return FingerLabel.from_signed(values[0])
+
+
+_new_object = object.__new__
+
+
+def _parsed_note(note_id, onset, offset, pitch, midi, onset_velocity,
+                 offset_velocity, channel, finger) -> Note:
+    """A ``Note`` from fields the parser has already validated.
+
+    It fills the instance dict directly instead of running the frozen
+    dataclass ``__init__``, which pays one ``object.__setattr__`` call per
+    field.  The result is an ordinary frozen ``Note``, equal and
+    hash-equal to ``Note(...)`` of the same fields.
+    """
+    note = _new_object(Note)
+    fields = note.__dict__
+    fields["note_id"] = note_id
+    fields["onset"] = onset
+    fields["offset"] = offset
+    fields["pitch"] = pitch
+    fields["midi"] = midi
+    fields["onset_velocity"] = onset_velocity
+    fields["offset_velocity"] = offset_velocity
+    fields["channel"] = channel
+    fields["finger"] = finger
+    return note
 
 
 def _parse_line(line_no: int, fields: list[str]) -> Note:
@@ -196,19 +235,14 @@ def _parse_line(line_no: int, fields: list[str]) -> Note:
             raise MalformedLine(line_no, f"velocity {v} outside 0..127")
     if channel not in (0, 1):
         raise MalformedLine(line_no, f"channel {channel} is not 0 or 1")
-    midi = pitch_to_midi(fields[3])
-    finger = resolve_substitution(fields[7]) if len(fields) == 8 else None
-    return Note(
-        note_id=note_id,
-        onset=onset,
-        offset=offset,
-        pitch=fields[3],
-        midi=midi,
-        onset_velocity=onset_velocity,
-        offset_velocity=offset_velocity,
-        channel=channel,
-        finger=finger,
-    )
+    try:
+        midi = pitch_to_midi(fields[3])
+        finger = resolve_substitution(fields[7]) if len(fields) == 8 else None
+    except (InvalidPitchToken, InvalidFinger) as exc:
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
+    return _parsed_note(note_id, onset, offset, fields[3], midi, onset_velocity,
+                        offset_velocity, channel, finger)
 
 
 def parse_fingering_file(
@@ -220,17 +254,29 @@ def parse_fingering_file(
     such notes carry ``finger=None``.
     """
     notes: list[Note] = []
+    prev = None
+    backwards = None  # the first adjacent pair whose onset decreases
+    in_order = True   # already in (onset, midi) order: the sort is a no-op
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("//"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("//"):
             continue
-        notes.append(_parse_line(line_no, line.split()))
-    for prev, cur in zip(notes, notes[1:]):
-        if cur.onset < prev.onset:
-            raise NonMonotoneOnsets(
-                f"onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
-            )
-    notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only
+        note = _parse_line(line_no, fields)
+        if prev is not None:
+            if note.onset < prev.onset:
+                backwards = backwards or (prev, note)
+            elif note.onset == prev.onset and note.midi < prev.midi:
+                in_order = False
+        notes.append(note)
+        prev = note
+    # Raised only after every line parsed, so a malformed line anywhere wins.
+    if backwards is not None:
+        prev, cur = backwards
+        raise NonMonotoneOnsets(
+            f"onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
+        )
+    if not in_order:
+        notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only
     return Piece(notes=tuple(notes), piece_id=piece_id, annotator_id=annotator_id)
 
 

@@ -108,6 +108,18 @@ def test_estimate_malformed_line_fails_cleanly(model_path, tmp_path, capsys):
     assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "pitch,message", [("²", "bad pitch token '²'"), ("Q4", "bad pitch token 'Q4'")]
+)
+def test_train_bad_pitch_token_names_file_and_line(tmp_path, capsys, pitch, message):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / "bad.txt"
+    bad.write_text(f"//Version: x\n\n0 0.0 0.5 {pitch} 64 64 0 1\n", encoding="utf-8")
+    assert main(["train", str(corpus), "--out", str(tmp_path / "model.json")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
+
+
 def test_estimate_empty_piece_fails(model_path, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("//nothing\n")

@@ -1,9 +1,15 @@
 """Fingering-file parsing, serialisation and hand splitting."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pianofinger.errors import (
     AlignmentMismatch,
+    FingeringError,
     InvalidFinger,
     InvalidPitchToken,
     LengthMismatch,
@@ -15,6 +21,7 @@ from pianofinger.pig_io import (
     FingerLabel,
     GroundTruthSet,
     Hand,
+    Note,
     Piece,
     midi_to_pitch,
     parse_fingering_file,
@@ -23,6 +30,8 @@ from pianofinger.pig_io import (
     serialize_fingering_file,
     split_hands,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 SIMPLE = """\
 //Version: example
@@ -91,7 +100,11 @@ def test_pitch_tokens(token, midi):
     assert pitch_to_midi(token) == midi
 
 
-@pytest.mark.parametrize("token", ["H4", "C", "C#b4", "C-1", "G9", "20", "109", ""])
+@pytest.mark.parametrize(
+    "token",
+    ["H4", "C", "C#b4", "C-1", "G9", "20", "109", "", "²", "6²", "①",
+     pytest.param("6" * 5000, id="5000-digits")],
+)
 def test_pitch_token_rejects(token):
     with pytest.raises(InvalidPitchToken):
         pitch_to_midi(token)
@@ -223,3 +236,179 @@ def test_ground_truth_set_signed_fingerings():
     gt = GroundTruthSet.from_pieces([a, b])
     assert gt.signed_fingerings == ((1,), (2,))
     assert gt.annotator_ids == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "bad_line,error,message",
+    [
+        ("2 1.0 1.5 Q4 80 80 0 1", InvalidPitchToken, "bad pitch token 'Q4'"),
+        ("2 1.0 1.5 ² 80 80 0 1", InvalidPitchToken, "bad pitch token '²'"),
+        ("2 1.0 1.5 C4 80 80 0 6", InvalidFinger, "finger 6 outside 1..5 in '6'"),
+        ("2 1.0 1.5 C4 80 80 0 1_-2", InvalidFinger, "substitution '1_-2' changes hands"),
+    ],
+)
+def test_token_errors_name_their_line(bad_line, error, message):
+    text = f"0 0.0 0.5 C4 80 80 0 1\n//comment\n\n1 0.5 1.0 D4 80 80 0 2\n{bad_line}\n"
+    with pytest.raises(error) as parsed:
+        parse_fingering_file(text)
+    assert str(parsed.value) == f"line 5: {message}"
+    # called directly, the token functions keep their line-free messages
+    token = bad_line.split()[3 if error is InvalidPitchToken else 7]
+    resolve = pitch_to_midi if error is InvalidPitchToken else resolve_substitution
+    with pytest.raises(error) as direct:
+        resolve(token)
+    assert str(direct.value) == message
+
+
+def test_parsed_notes_keep_the_note_contract():
+    piece = parse_fingering_file(SIMPLE)
+    for n in piece.notes:
+        built = Note(**{f.name: getattr(n, f.name) for f in dataclasses.fields(Note)})
+        assert type(n) is Note
+        assert n == built and hash(n) == hash(built)
+        assert vars(n) == vars(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            n.onset = 9.0
+        moved = dataclasses.replace(n, onset=9.0)
+        assert moved.onset == 9.0 and n.onset != 9.0 and moved.pitch == n.pitch
+        relabelled = n.with_finger(FingerLabel(Hand.RH, 3))
+        assert relabelled.finger == FingerLabel(Hand.RH, 3)
+        assert relabelled == dataclasses.replace(built, finger=FingerLabel(Hand.RH, 3))
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((DATA / "sample_corpus").glob("*.txt")) + [DATA / "golden_estimate.txt"],
+    ids=lambda p: p.name,
+)
+def test_parse_serialize_is_byte_identical_on_data_files(path):
+    text = path.read_text(encoding="utf-8")
+    notes_only = "".join(
+        line + "\n" for line in text.splitlines() if not line.startswith("//")
+    )
+    assert serialize_fingering_file(parse_fingering_file(text)) == notes_only
+
+
+def test_canonical_order_keeps_file_order_for_equal_onset_and_pitch():
+    text = (
+        "0 0.0 0.5 C4 80 80 0 1\n"
+        "1 0.5 1.0 G4 80 80 0 4\n"
+        "2 0.5 1.0 E4 80 80 0 3\n"
+        "3 0.5 1.0 E4 80 80 0 2\n"
+        "4 1.0 1.5 C4 80 80 0 1\n"
+    )
+    piece = parse_fingering_file(text)
+    assert [n.note_id for n in piece.notes] == [0, 2, 3, 1, 4]
+
+
+def test_non_monotone_onsets_yield_to_a_later_malformed_line():
+    text = "0 1.0 1.5 C4 80 80 0 1\n1 0.5 1.0 D4 80 80 0 2\n2 x 1.0 D4 80 80 0 2\n"
+    with pytest.raises(MalformedLine) as info:
+        parse_fingering_file(text)
+    assert info.value.line_no == 3
+    # the message names the first decrease
+    with pytest.raises(NonMonotoneOnsets, match="^onset 0.5 of note 1 precedes 1.0$"):
+        parse_fingering_file(text.replace(" x ", " 0.2 "))
+
+
+# --- properties ------------------------------------------------------------
+
+_LETTER_SEMITONE = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
+_ACCIDENTAL_SHIFT = {"": 0, "#": 1, "##": 2, "x": 2, "b": -1, "bb": -2}
+
+spelled_pitches = st.tuples(
+    st.sampled_from(sorted(_LETTER_SEMITONE)),
+    st.sampled_from(sorted(_ACCIDENTAL_SHIFT)),
+    st.integers(0, 8),
+).filter(
+    lambda t: 21 <= 12 * (t[2] + 1) + _LETTER_SEMITONE[t[0]] + _ACCIDENTAL_SHIFT[t[1]] <= 108
+).map(lambda t: f"{t[0]}{t[1]}{t[2]}")
+pitch_tokens = st.one_of(spelled_pitches, st.integers(21, 108).map(str))
+signed_digits = st.integers(1, 5).flatmap(lambda d: st.sampled_from([d, -d]))
+finger_tokens = st.one_of(
+    signed_digits.map(str),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.booleans()).map(
+        lambda t: f"{t[0]}_{t[1]}" if t[2] else f"-{t[0]}_-{t[1]}"
+    ),
+)
+note_rows = st.tuples(
+    st.sampled_from([0, 0, 1, 137929, 2500000]),  # onset step in 1e-7 s
+    st.one_of(st.none(), pitch_tokens),             # None repeats the last pitch
+    st.integers(1, 10**7),                          # duration in 1e-7 s
+    st.integers(0, 127),
+    st.integers(0, 127),
+    st.sampled_from([0, 1]),
+    finger_tokens,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(note_rows, max_size=25))
+def test_serialize_parse_serialize_is_identity(rows):
+    lines, step_total, pitch = [], 0, "C4"
+    for i, (step, token, duration, v_on, v_off, channel, finger) in enumerate(rows):
+        step_total += step
+        pitch = token or pitch  # a step of 0 then makes a unison
+        onset = step_total / 10**7
+        lines.append(
+            f"{i} {onset:.7f} {onset + duration / 10**7:.7f} {pitch} "
+            f"{v_on} {v_off} {channel} {finger}"
+        )
+    piece = parse_fingering_file("".join(line + "\n" for line in lines))
+    text = serialize_fingering_file(piece)
+    again = parse_fingering_file(text)
+    assert again.notes == piece.notes
+    assert serialize_fingering_file(again) == text
+
+
+# Hostile tokens per kind of column.  Among the Unicode digits, int() takes
+# the decimal ones (Nd) but refuses the superscripts and circled digits
+# that str.isdigit() also accepts.
+_HOSTILE_NUMBERS = ["²", "①", "٣", "-0", "+1", "-1", "128", "1_0", "1e400", "nan",
+                    "-nan", "inf", "-inf", "+.5", "-0.5", "0.1234567"]
+_HOSTILE_PITCHES = ["²", "³", "6²", "①", "1①", "٦٠", "߃", "C٤", "Cx4", "Bb-1", "H4",
+                    "20", "109"]
+_HOSTILE_FINGERS = ["0", "-0", "6", "+1", "٣", "²", "_", "1_", "_2", "1__2", "0_0",
+                    "1_-2", "-1_-2", "nan"]
+# A plausible value and the hostile tokens of each column, so hostile
+# tokens also reach the checks that come after the field-count check.
+_COLUMNS = [
+    (st.integers(0, 99).map(str), _HOSTILE_NUMBERS),
+    (st.sampled_from(["0.0", "0.5", "1.25", "0.1234567"]), _HOSTILE_NUMBERS),
+    (st.sampled_from(["2.0", "2.5", "3.0000001"]), _HOSTILE_NUMBERS),
+    (pitch_tokens, _HOSTILE_PITCHES),
+    (st.integers(0, 127).map(str), _HOSTILE_NUMBERS),
+    (st.integers(0, 127).map(str), _HOSTILE_NUMBERS),
+    (st.sampled_from(["0", "1"]), _HOSTILE_NUMBERS),
+    (finger_tokens, _HOSTILE_FINGERS),
+    (st.just("0"), _HOSTILE_NUMBERS),
+]
+
+
+@st.composite
+def hostile_lines(draw):
+    """A line of 6-9 plausible fields, up to two of them swapped for hostile
+    tokens; or a blank or comment line."""
+    # sampled_from favours its first entries: common lines and the
+    # token columns come first
+    n = draw(st.sampled_from([8, 7, 8, 9, 8, 6, 0]))
+    if n == 0:
+        return draw(st.sampled_from(["", "//comment", "  ", "\t//x"]))
+    fields = [draw(plausible) for plausible, _ in _COLUMNS[:n]]
+    for _ in range(draw(st.sampled_from([1, 0, 1, 2]))):
+        i = draw(st.sampled_from([i for i in (3, 7, 1, 2, 0, 4, 5, 6, 8) if i < n]))
+        fields[i] = draw(st.sampled_from(_COLUMNS[i][1]))
+    return draw(st.sampled_from([" ", "\t"])).join(fields)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(hostile_lines(), min_size=1, max_size=8))
+def test_arbitrary_text_parses_or_raises_fingering_error(lines):
+    # The first bad line ends a parse, so each line is also parsed alone.
+    for text in ["\n".join(lines), *lines]:
+        try:
+            piece = parse_fingering_file(text)
+        except FingeringError:
+            continue
+        keys = [(n.onset, n.midi) for n in piece.notes]
+        assert keys == sorted(keys)
