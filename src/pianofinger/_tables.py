@@ -1,6 +1,63 @@
 """Small helpers shared by the table-based models and the exact DPs."""
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """Additive training counts of a model, held sparse: ``events`` maps
+    each table key to ``(shape, cells)``, the flat cell of every counted
+    event in a table of that shape, and ``tables`` tallies them, on first
+    use, into float64 tables of whole numbers.
+
+    Adding two counts joins their events and their ``skipped`` ids (the
+    parts left out), so the tables of a sum are exactly those of the
+    pooled parts, whatever the order of the sum.  ``parts`` is the number
+    of non-empty parts counted and ``settings`` the config fields the
+    events depend on.
+    """
+
+    settings: tuple
+    parts: int
+    events: dict
+    skipped: tuple = ()
+
+    def __add__(self, other: "Counts") -> "Counts":
+        if type(other) is not type(self) or other.settings != self.settings:
+            raise ValueError("cannot add counts taken under different settings")
+        return type(self)(
+            settings=self.settings,
+            parts=self.parts + other.parts,
+            events={
+                key: (shape, np.concatenate([cells, other.events[key][1]]))
+                for key, (shape, cells) in self.events.items()
+            },
+            skipped=self.skipped + other.skipped,
+        )
+
+    @classmethod
+    def collect(cls, settings, parts, shapes: dict, cells: dict, skipped=()):
+        """Counts whose events under each key of ``shapes`` are the
+        concatenated arrays listed under that key of ``cells``."""
+        empty = np.empty(0, dtype=np.intp)
+        return cls(
+            settings=settings,
+            parts=parts,
+            events={key: (shape, np.concatenate([empty, *cells[key]]))
+                    for key, shape in shapes.items()},
+            skipped=tuple(skipped),
+        )
+
+    @cached_property
+    def tables(self) -> dict:
+        return {
+            key: np.bincount(cells, minlength=math.prod(shape)).astype(float).reshape(shape)
+            for key, (shape, cells) in self.events.items()
+        }
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ._tables import backtrack, normalize_rows, rerank, safe_log
+from ._tables import Counts, backtrack, normalize_rows, rerank, safe_log
 from .errors import (
     EmptyCorpus,
     EmptyInput,
@@ -230,25 +230,54 @@ def _pitches(chords) -> list:
     return pitches
 
 
-def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
-    """Maximum-likelihood training of the pairwise factor tables.
+class ChordCounts(Counts):
+    """Additive training counts of the chord HMM; ``skipped`` holds the
+    piece ids of the parts left out for a hand overflow, in counting order.
 
-    Within-chord counts take all ordered component pairs of each chord;
-    across-chord counts take all ordered pairs between consecutive
-    chords.  Every table gets ``smoothing_epsilon`` additive counts per
-    cell before normalisation.  Pieces with a hand overflow are excluded
-    with a warning.
+    Table keys: ``"initial"``, the digits of each part's first chord,
+    (5,); ``"trans_across"`` and ``"trans_within"``, digit pairs pooled
+    over both hands, (5, 5); ``("out_across", hand)`` and ``("out_within",
+    hand)``, (digit, digit, lattice cell) in that hand, (5, 5, alphabet).
+    Within-chord events are the ordered component pairs of each chord,
+    across-chord events all pairs between consecutive chords, previous
+    component first.
     """
-    pieces = [p for p in corpus if len(p) > 0]
-    if not pieces:
-        raise EmptyCorpus("training corpus is empty")
-    init = np.zeros(N_DIGITS)
-    # per hand, one ((f_prev, from pitch), (f, to pitch)) per counted pair
-    within = {h: [] for h in Hand}
-    across = {h: [] for h in Hand}
 
+
+def _count_settings(params: ChordHmmParams) -> tuple:
+    return (params.delta, params.truncate_overlaps, params.delta_p_max)
+
+
+def _pairs(first_a, size_a, first_b, size_b) -> tuple:
+    """Flat indices ``(first_a[g] + i, first_b[g] + j)`` of every pair
+    ``i < size_a[g]``, ``j < size_b[g]`` of every group g."""
+    n = size_a * size_b
+    group = np.repeat(np.arange(n.size), n)
+    t = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return first_a[group] + t // size_b[group], first_b[group] + t % size_b[group]
+
+
+def count(corpus, params: ChordHmmParams) -> ChordCounts:
+    """Training counts of annotated single-hand pieces.  Empty pieces are
+    skipped, and so are pieces with a hand overflow, whose ids are
+    recorded.  Only ``delta``, ``truncate_overlaps`` and ``delta_p_max``
+    matter here."""
+    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
+    cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
+    shapes = {
+        "initial": (N_DIGITS,),
+        "trans_across": (N_DIGITS, N_DIGITS),
+        "trans_within": (N_DIGITS, N_DIGITS),
+    }
+    for name in ("out_across", "out_within"):
+        shapes.update({(name, hand): (N_DIGITS, N_DIGITS, size) for hand in Hand})
+    cells = {key: [] for key in shapes}
+    parts = 0
     skipped = []
-    for piece in pieces:
+    for piece in corpus:
+        if len(piece) == 0:
+            continue
+        parts += 1
         hand = infer_hand(piece)
         digit_of = {}
         for note in piece.notes:
@@ -262,43 +291,60 @@ def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
-        prev = None
-        for chord, midis in zip(chords, _pitches(chords)):
-            cur = [(digit_of[c.note_ids[0]], m) for c, m in zip(chord.components, midis)]
-            if prev is None:
-                for d, _ in cur:
-                    init[d] += 1.0
-            else:
-                across[hand].extend(product(prev, cur))
-            within[hand].extend(permutations(cur, 2))
-            prev = cur
+        # every component of every chord, flat: its key index and digit
+        keys = np.array([m for midis in _pitches(chords) for m in midis]) - MIDI_MIN
+        digits = np.array(
+            [digit_of[c.note_ids[0]] for chord in chords for c in chord.components]
+        )
+        sizes = np.array([chord.size for chord in chords])
+        first = np.cumsum(sizes) - sizes
+        cells["initial"].append(digits[: sizes[0]])
+        i, j = _pairs(first, sizes, first, sizes)
+        for (a, b), name in (
+            (_pairs(first[:-1], sizes[:-1], first[1:], sizes[1:]), "across"),
+            ((i[i != j], j[i != j]), "within"),
+        ):
+            pair = digits[a] * N_DIGITS + digits[b]
+            cells["trans_" + name].append(pair)
+            cells["out_" + name, hand].append(pair * size + cell[keys[a], keys[b]])
+    return ChordCounts.collect(_count_settings(params), parts, shapes, cells, skipped)
+
+
+def fit(counts: ChordCounts, params: ChordHmmParams) -> ChordHmmModel:
+    """Maximum-likelihood factor tables from training counts.
+
+    Every table gets ``smoothing_epsilon`` additive counts per cell
+    before normalisation.  Warns about the parts excluded for a hand
+    overflow.
+    """
+    if counts.parts == 0:
+        raise EmptyCorpus("training corpus is empty")
+    if counts.settings != _count_settings(params):
+        raise ValueError("counts were taken under a different delta, "
+                         "truncate_overlaps or delta_p_max")
+    skipped = list(counts.skipped)
     if skipped:
         warnings.warn(f"hand overflow, excluded from chord training: {skipped}")
-
-    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
-    cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
-
-    def count(pairs: dict) -> tuple:
-        trans = np.zeros((N_DIGITS, N_DIGITS))
-        out = {h: np.zeros((N_DIGITS, N_DIGITS, size)) for h in Hand}
-        for hand, rows in pairs.items():
-            if rows:
-                (f_prev, a), (f, b) = np.array(rows, dtype=np.intp).transpose(1, 2, 0)
-                np.add.at(trans, (f_prev, f), 1.0)
-                np.add.at(out[hand], (f_prev, f, cell[a - MIDI_MIN, b - MIDI_MIN]), 1.0)
-        return trans, out
-
-    t_across, o_across = count(across)
-    t_within, o_within = count(within)
     eps = params.smoothing_epsilon
+
+    def log_table(key):
+        return safe_log(normalize_rows(counts.tables[key] + eps))
+
     return ChordHmmModel(
         params=params,
-        log_initial_digit=safe_log(normalize_rows(init + eps)),
-        log_trans_across=safe_log(normalize_rows(t_across + eps)),
-        log_trans_within=safe_log(normalize_rows(t_within + eps)),
-        log_out_across={h: safe_log(normalize_rows(o_across[h] + eps)) for h in Hand},
-        log_out_within={h: safe_log(normalize_rows(o_within[h] + eps)) for h in Hand},
+        log_initial_digit=log_table("initial"),
+        log_trans_across=log_table("trans_across"),
+        log_trans_within=log_table("trans_within"),
+        log_out_across={h: log_table(("out_across", h)) for h in Hand},
+        log_out_within={h: log_table(("out_within", h)) for h in Hand},
     )
+
+
+def train_chord(corpus, params: ChordHmmParams) -> ChordHmmModel:
+    """Maximum-likelihood training on annotated single-hand pieces:
+    ``fit(count(corpus, params), params)``.  Pieces with a hand overflow
+    are excluded with a warning."""
+    return fit(count(corpus, params), params)
 
 
 @lru_cache(maxsize=256)

@@ -2,10 +2,12 @@
 
 Tuning is a derivative-free box search: a seeded random-search stage
 (warm-started from the base configuration) followed by coordinate-descent
-refinement around the incumbent, with every candidate evaluated by
-training a model and scoring decoded fingerings on a validation set.
-The scaling experiment retrains on random piece subsets of growing size;
-its match-rate curve is summarised by the two-parameter law
+refinement around the incumbent.  Every tuned coefficient acts after
+counting, so the training pieces are counted once and each candidate
+fits a model from those counts and scores its decoded fingerings on a
+validation set.  The scaling experiment counts each training piece once
+and fits a model to the summed counts of random piece subsets of
+growing size; its match-rate curve is summarised by the two-parameter law
 A(N) = a - b / sqrt(N), whose intercept ``a`` extrapolates to unlimited
 training data.
 """
@@ -13,14 +15,21 @@ training data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import model_io
 from .errors import DegenerateFit, EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
-from .eval_measures import match_rate_report
+from .eval_measures import (
+    general_match_rate,
+    highest_match_rate,
+    recombination_match_rate,
+    soft_match_rate,
+)
 from .pig_io import split_hands
 
 
@@ -78,7 +87,16 @@ def hand_parts(pieces) -> list:
 
 def train_model(model_kind: str, config, train_pieces):
     """Train either model kind on whole pieces (hands split internally)."""
-    return model_io.kind(model_kind).train(hand_parts(train_pieces), config)
+    kind = model_io.kind(model_kind)
+    return kind.fit(kind.count(hand_parts(train_pieces), config), config)
+
+
+MEASURES = {
+    "m_gen": general_match_rate,
+    "m_high": highest_match_rate,
+    "m_soft": soft_match_rate,
+    "m_rec": lambda est, gts: recombination_match_rate(est, gts)[0],
+}
 
 
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
@@ -86,14 +104,18 @@ def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
 
     Pieces a chord model cannot decode (hand overflow) are excluded.
     """
+    if measure not in MEASURES:
+        raise ValueError(
+            f"unknown measure {measure!r}; known measures: {', '.join(MEASURES)}"
+        )
+    match_rate = MEASURES[measure]
     values = []
     for gt_set in gt_sets:
         try:
             signed, _ = estimate_piece(model, gt_set.piece)
         except HandOverflow:
             continue
-        report = match_rate_report(signed, gt_set.signed_fingerings)
-        values.append(getattr(report, measure))
+        values.append(match_rate(signed, gt_set.signed_fingerings))
     if not values:
         raise EmptyCorpus("no piece could be evaluated")
     return sum(values) / len(values)
@@ -178,11 +200,13 @@ def tune(
     rng = np.random.default_rng(seed)
     names = sorted(spec.bounds)
     trace = []
-    state = {"best": None}  # (objective, index, params)
+    state = {"best": None, "counts": None}  # best: (objective, index, params)
 
     def evaluate(params: dict) -> float:
         config = apply_params(base_config, params)
-        model = train_model(model_kind, config, train_pieces)
+        if state["counts"] is None:  # on first use, so a bad candidate fails first
+            state["counts"] = kind.count(hand_parts(train_pieces), base_config)
+        model = kind.fit(state["counts"], config)
         value = evaluate_model(model, valid_sets, spec.objective)
         index = len(trace)
         trace.append((index, dict(params), value))
@@ -263,7 +287,9 @@ def scaling_experiment(
     """Match rate as a function of training-set size.
 
     For each fraction, ``repeats`` random piece subsets are drawn, a
-    model is trained on each and scored on the test sets; the point
+    model is fitted to the summed counts of each subset's pieces (each
+    piece is counted once, when a subset first holds it) and scored on
+    the test sets; the point
     records the mean subset note count and the mean and spread of the
     measure.  Fraction 1.0 is deterministic and evaluated once.  Fixed
     seeds reproduce bit-identical results.
@@ -282,6 +308,13 @@ def scaling_experiment(
             raise ValueError(f"fraction {fraction} outside (0, 1]")
     rng = np.random.default_rng(seed)
     n_total = len(train_pieces)
+    counts = [None] * n_total
+
+    def counts_of(i: int):
+        if counts[i] is None:
+            counts[i] = kind.count(hand_parts([train_pieces[i]]), config)
+        return counts[i]
+
     points = []
     for fraction in fractions:
         n_pieces = max(1, round(fraction * n_total))
@@ -289,10 +322,9 @@ def scaling_experiment(
         rates, note_counts = [], []
         for _ in range(reps):
             chosen = sorted(rng.choice(n_total, size=n_pieces, replace=False))
-            subset = [train_pieces[i] for i in chosen]
-            model = train_model(model_kind, config, subset)
+            model = kind.fit(reduce(operator.add, map(counts_of, chosen)), config)
             rates.append(evaluate_model(model, test_sets, measure))
-            note_counts.append(sum(len(p) for p in subset))
+            note_counts.append(sum(len(train_pieces[i]) for i in chosen))
         mean_rate = sum(rates) / len(rates)
         std = math.sqrt(sum((r - mean_rate) ** 2 for r in rates) / len(rates))
         points.append(

@@ -28,9 +28,9 @@ not a number (true, false, null, a string or a list), NaN or +Infinity.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
-config and model classes, trainer, per-hand decoder, dict codec,
-tunable coefficients and command-line options.  Everything else looks a
-kind up here instead of branching on it.
+config and model classes, training counts and fit, per-hand decoder,
+dict codec, tunable coefficients and command-line options.  Everything
+else looks a kind up here instead of branching on it.
 """
 
 from __future__ import annotations
@@ -335,7 +335,8 @@ class ModelKind:
 
     config: type
     model: type
-    train: Callable          # (single-hand parts, config) -> model
+    count: Callable          # (single-hand parts, config) -> additive counts
+    fit: Callable            # (counts, config) -> model
     decode_part: Callable    # (model, part, hand) -> (digits per note, result)
     to_dict: Callable        # model -> (config dict, tables dict), format v1
     from_dict: Callable      # (config dict, tables dict) -> model
@@ -349,7 +350,8 @@ KINDS = {
     "note-hmm": ModelKind(
         config=NoteHmmConfig,
         model=NoteHmmModel,
-        train=lambda parts, config: note_hmm.train(parts, config),
+        count=lambda parts, config: note_hmm.count(parts, config),
+        fit=lambda counts, config: note_hmm.fit(counts, config),
         decode_part=_decode_note_part,
         to_dict=_note_to_dict,
         from_dict=_note_from_dict,
@@ -361,7 +363,8 @@ KINDS = {
     "chord-hmm": ModelKind(
         config=ChordHmmParams,
         model=ChordHmmModel,
-        train=lambda parts, config: chord_hmm.train_chord(parts, config),
+        count=lambda parts, config: chord_hmm.count(parts, config),
+        fit=lambda counts, config: chord_hmm.fit(counts, config),
         decode_part=_decode_chord_part,
         to_dict=_chord_to_dict,
         from_dict=_chord_from_dict,

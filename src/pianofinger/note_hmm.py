@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import backtrack, normalize_rows, rerank, safe_log
+from ._tables import Counts, backtrack, normalize_rows, rerank, safe_log
 from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
@@ -165,25 +165,48 @@ def _timeinv_partner_counts(counts: np.ndarray, negperm: np.ndarray) -> np.ndarr
     return counts.transpose(1, 0, 2)[:, :, negperm]
 
 
-def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
-    """Maximum-likelihood training on annotated single-hand pieces.
+class NoteCounts(Counts):
+    """Additive training counts of the note HMM.
 
-    Digit transition and initial tables are pooled over both hands; the
-    pairwise output tables are per hand and lag.  Output cells receive
-    ``smoothing_epsilon`` additive counts before row normalisation;
-    transition tables rely on interpolation instead, with unseen contexts
-    falling back to a uniform row so every distribution stays normalised.
+    Table keys: ``("initial", k)``, the (k+1)-th digit of a part after
+    its first k digits, (5**k, 5); ``("ngram", o)``, the digit after every
+    o-digit context, (5**o, 5); ``(hand, lag)``, (digit at note n - lag,
+    digit at note n, alphabet cell) in that hand, (5, 5, alphabet).
     """
-    pieces = [p for p in corpus if len(p) > 0]
-    if not pieces:
-        raise EmptyCorpus("training corpus is empty")
-    m = config.order
-    repr_ = config.pitch_representation
-    dpmax = config.delta_p_max
-    eps = config.smoothing_epsilon
 
-    sequences = []
-    for piece in pieces:
+
+def _count_settings(config: NoteHmmConfig) -> tuple:
+    return (config.order, config.pitch_representation, config.delta_p_max)
+
+
+def _window_codes(f: np.ndarray, width: int) -> np.ndarray:
+    """Base-5 value of every run of ``width`` consecutive digits (0..4):
+    the flat (context, next digit) cell of its (width - 1)-digit context."""
+    n = max(0, len(f) - width + 1)
+    code = np.zeros(n, dtype=np.intp)
+    for j in range(width):
+        code = code * N_DIGITS + f[j : j + n]
+    return code
+
+
+def count(corpus, config: NoteHmmConfig) -> NoteCounts:
+    """Training counts of annotated single-hand pieces; empty pieces are
+    skipped.  Only ``order``, ``pitch_representation`` and
+    ``delta_p_max`` of the config matter here."""
+    m = config.order
+    cell = index_table(config.pitch_representation, config.delta_p_max)
+    size = alphabet_size(config.pitch_representation, config.delta_p_max)
+    shapes = {("initial", k): (N_DIGITS**k, N_DIGITS) for k in range(m)}
+    shapes.update({("ngram", o): (N_DIGITS**o, N_DIGITS) for o in range(1, m + 1)})
+    shapes.update({
+        (hand, lag): (N_DIGITS, N_DIGITS, size) for hand in Hand for lag in range(1, m + 1)
+    })
+    cells = {key: [] for key in shapes}
+    parts = 0
+    for piece in corpus:
+        if len(piece) == 0:
+            continue
+        parts += 1
         hand = infer_hand(piece)
         digits = []
         for note in piece.notes:
@@ -192,23 +215,44 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
                     f"note {note.note_id} of {piece.piece_id!r} has no finger"
                 )
             digits.append(note.finger.digit)
-        sequences.append((hand, key_indices(n.midi for n in piece.notes), digits))
+        keys = key_indices(n.midi for n in piece.notes)
+        f = np.array(digits, dtype=np.intp) - 1
+        for width in range(1, m + 2):
+            windows = _window_codes(f, width)
+            if width <= m:  # the first width - 1 digits, then one more
+                cells["initial", width - 1].append(windows[:1])
+            if width > 1:
+                cells["ngram", width - 1].append(windows)
+        for lag in range(1, m + 1):
+            pair = f[:-lag] * N_DIGITS + f[lag:]
+            cells[hand, lag].append(pair * size + cell[keys[:-lag], keys[lag:]])
+    return NoteCounts.collect(_count_settings(config), parts, shapes, cells)
 
-    # initial conditionals for the first m notes
-    init_counts = [np.zeros((N_DIGITS**k, N_DIGITS)) for k in range(m)]
-    for _, _, digits in sequences:
-        for k in range(min(m, len(digits))):
-            init_counts[k][_flat_index(digits[:k]), digits[k] - 1] += 1.0
-    log_initial = [safe_log(normalize_rows(c + eps)) for c in init_counts]
+
+def fit(counts: NoteCounts, config: NoteHmmConfig) -> NoteHmmModel:
+    """Maximum-likelihood tables from training counts.
+
+    Digit transition and initial tables are pooled over both hands; the
+    pairwise output tables are per hand and lag.  Output cells receive
+    ``smoothing_epsilon`` additive counts before row normalisation;
+    transition tables rely on interpolation instead, with unseen contexts
+    falling back to a uniform row so every distribution stays normalised.
+    """
+    if counts.parts == 0:
+        raise EmptyCorpus("training corpus is empty")
+    if counts.settings != _count_settings(config):
+        raise ValueError("counts were taken under a different order, pitch "
+                         "representation or delta_p_max")
+    m = config.order
+    repr_ = config.pitch_representation
+    dpmax = config.delta_p_max
+    eps = config.smoothing_epsilon
+
+    tables = counts.tables
+    log_initial = [safe_log(normalize_rows(tables["initial", k] + eps)) for k in range(m)]
 
     # per-order ML digit transitions, then linear interpolation
-    ml = []
-    for order in range(1, m + 1):
-        counts = np.zeros((N_DIGITS**order, N_DIGITS))
-        for _, _, digits in sequences:
-            for n in range(order, len(digits)):
-                counts[_flat_index(digits[n - order : n]), digits[n] - 1] += 1.0
-        ml.append(normalize_rows(counts))
+    ml = [normalize_rows(tables["ngram", o]) for o in range(1, m + 1)]
     weights_full = 1.0 - sum(config.lambda_)
     trans = weights_full * ml[m - 1]
     contexts = np.arange(N_DIGITS**m)
@@ -219,21 +263,6 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
     log_transition = safe_log(trans)
 
     # pairwise output factors per hand and lag
-    size = alphabet_size(repr_, dpmax)
-    counts = {
-        hand: [np.zeros((N_DIGITS, N_DIGITS, size)) for _ in range(m)]
-        for hand in Hand
-    }
-    cell = index_table(repr_, dpmax)
-    for hand, keys, digits in sequences:
-        f = np.array(digits, dtype=np.intp) - 1
-        for lag in range(1, m + 1):
-            np.add.at(
-                counts[hand][lag - 1],
-                (f[:-lag], f[lag:], cell[keys[:-lag], keys[lag:]]),
-                1.0,
-            )
-
     negperm = negation_permutation(repr_, dpmax)
     reflperm = reflection_permutation(repr_, dpmax)
     tie_time = Symmetry.TIME_INVERSION in config.symmetries
@@ -241,7 +270,7 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
     log_output = {Hand.RH: [], Hand.LH: []}
     for lag in range(m):
         if tie_reflect:
-            pooled = counts[Hand.RH][lag] + counts[Hand.LH][lag][:, :, reflperm]
+            pooled = tables[Hand.RH, lag + 1] + tables[Hand.LH, lag + 1][:, :, reflperm]
             if tie_time:
                 pooled = pooled + _timeinv_partner_counts(pooled, negperm)
             table = normalize_rows(pooled + eps)
@@ -251,7 +280,7 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
             log_output[Hand.LH].append(safe_log(table[:, :, reflperm]))
         else:
             for hand in Hand:
-                c = counts[hand][lag]
+                c = tables[hand, lag + 1]
                 if tie_time:
                     c = c + _timeinv_partner_counts(c, negperm)
                 table = normalize_rows(c + eps)
@@ -265,6 +294,12 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
         log_transition=log_transition,
         log_output=log_output,
     )
+
+
+def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
+    """Maximum-likelihood training on annotated single-hand pieces:
+    ``fit(count(corpus, config), config)``."""
+    return fit(count(corpus, config), config)
 
 
 def transition_prob(model: NoteHmmModel, context, next_digit: int) -> float:

@@ -255,7 +255,7 @@ def parse_fingering_file(
     """
     notes: list[Note] = []
     prev = None
-    backwards = None  # the first adjacent pair whose onset decreases
+    backwards = None  # the first adjacent pair whose onset decreases, and its line
     in_order = True   # already in (onset, midi) order: the sort is a no-op
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
@@ -264,16 +264,16 @@ def parse_fingering_file(
         note = _parse_line(line_no, fields)
         if prev is not None:
             if note.onset < prev.onset:
-                backwards = backwards or (prev, note)
+                backwards = backwards or (prev, note, line_no)
             elif note.onset == prev.onset and note.midi < prev.midi:
                 in_order = False
         notes.append(note)
         prev = note
     # Raised only after every line parsed, so a malformed line anywhere wins.
     if backwards is not None:
-        prev, cur = backwards
+        prev, cur, line_no = backwards
         raise NonMonotoneOnsets(
-            f"onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
+            f"line {line_no}: onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
         )
     if not in_order:
         notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only

@@ -152,24 +152,31 @@ def index_table(representation: PitchRepresentation, delta_p_max: int) -> np.nda
     return table
 
 
-def _permutation(representation, delta_p_max, transform) -> np.ndarray:
-    size = alphabet_size(representation, delta_p_max)
-    perm = np.empty(size, dtype=np.intp)
-    for i in range(size):
-        d = index_displacement(representation, delta_p_max, i)
-        perm[i] = displacement_index(representation, delta_p_max, transform(d))
-    return perm
-
-
+@lru_cache(maxsize=16)
 def negation_permutation(
     representation: PitchRepresentation, delta_p_max: int
 ) -> np.ndarray:
-    """Index permutation realising d -> -d on the displacement alphabet."""
-    return _permutation(representation, delta_p_max, negate)
+    """Read-only index permutation realising d -> -d on the displacement
+    alphabet.  In both cell orderings the cell of -d is the last cell
+    minus the cell of d, so it reverses the alphabet."""
+    size = alphabet_size(representation, delta_p_max)
+    return _read_only(np.arange(size - 1, -1, -1))
 
 
+@lru_cache(maxsize=16)
 def reflection_permutation(
     representation: PitchRepresentation, delta_p_max: int
 ) -> np.ndarray:
-    """Index permutation realising the x-mirror on the displacement alphabet."""
-    return _permutation(representation, delta_p_max, reflect_x)
+    """Read-only index permutation realising the x-mirror on the
+    displacement alphabet: ``dx`` reverses, ``dy`` stays."""
+    if representation is PitchRepresentation.INTEGRAL:
+        return negation_permutation(representation, delta_p_max)
+    # cell = (dx + 2 * delta_p_max) * 3 + (dy + 1)
+    x, y = np.divmod(np.arange(alphabet_size(representation, delta_p_max)), 3)
+    return _read_only((4 * delta_p_max - x) * 3 + y)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = array.astype(np.intp)
+    array.flags.writeable = False
+    return array

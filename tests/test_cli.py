@@ -12,6 +12,38 @@ from pianofinger.cli import main
 DATA = Path(__file__).resolve().parents[1] / "data"
 CORPUS = DATA / "sample_corpus"
 GOLDEN = DATA / "golden_estimate.txt"
+GOLDEN_EXPERIMENTS = DATA / "golden_experiments"
+
+# the options each file in data/golden_experiments was written with, on
+# data/sample_corpus for both the training and the validation/test data,
+# by the code that retrained every candidate and repeat from raw notes
+GOLDEN_EXPERIMENT_FLAGS = {
+    "tune_note_m_gen.tsv": ["--budget", "8", "--seed", "3"],
+    "tune_note_m_rec.tsv": ["--budget", "8", "--seed", "4", "--objective", "m_rec"],
+    "tune_note_o3_time_reflect.tsv": [
+        "--budget", "8", "--seed", "5", "--order", "3", "--symmetry", "time+reflect",
+    ],
+    "tune_note_m_soft.tsv": [
+        "--budget", "5", "--seed", "11", "--objective", "m_soft", "--pitch", "integral",
+        "--symmetry", "reflect",
+    ],
+    "tune_chord_m_gen.tsv": ["--budget", "6", "--seed", "6", "--model-kind", "chord-hmm"],
+    "tune_chord_m_rec.tsv": [
+        "--budget", "6", "--seed", "7", "--model-kind", "chord-hmm", "--objective", "m_rec",
+    ],
+    "tune_chord_m_high.tsv": [
+        "--budget", "5", "--seed", "12", "--model-kind", "chord-hmm", "--objective", "m_high",
+    ],
+    "scaling_note.tsv": ["--fractions", "0.25,0.5,1.0", "--repeats", "3", "--seed", "8"],
+    "scaling_note_o3_time_reflect.tsv": [
+        "--fractions", "0.25,0.5,1.0", "--repeats", "3", "--seed", "9", "--order", "3",
+        "--symmetry", "time+reflect",
+    ],
+    "scaling_chord.tsv": [
+        "--fractions", "0.25,0.5,1.0", "--repeats", "3", "--seed", "10",
+        "--model-kind", "chord-hmm",
+    ],
+}
 
 
 @pytest.fixture
@@ -118,6 +150,21 @@ def test_train_bad_pitch_token_names_file_and_line(tmp_path, capsys, pitch, mess
     bad.write_text(f"//Version: x\n\n0 0.0 0.5 {pitch} 64 64 0 1\n", encoding="utf-8")
     assert main(["train", str(corpus), "--out", str(tmp_path / "model.json")]) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
+
+
+def test_estimate_decreasing_onset_names_file_and_line(model_path, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(
+        "//Version: x\n0 1.0 1.5 C4 64 64 0 1\n\n1 0.5 1.0 D4 64 64 0 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "est.txt"
+    code = main(["estimate", str(bad), "--model", str(model_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 4: onset 0.5 of note 1 precedes 1.0\n"
+    )
+    assert not out.exists()
 
 
 def test_estimate_empty_piece_fails(model_path, tmp_path, capsys):
@@ -384,3 +431,14 @@ def test_nested_dataset_layout(tmp_path, capsys):
     out = tmp_path / "model.json"
     assert main(["train", str(nested), "--out", str(out)]) == 0
     assert "8 pieces (146 notes)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENT_FLAGS))
+def test_tune_and_scaling_match_golden_outputs(tmp_path, capsys, name):
+    command = name.split("_")[0]
+    held_out = "--valid" if command == "tune" else "--test"
+    out = tmp_path / name
+    args = [command, str(CORPUS), held_out, str(CORPUS), *GOLDEN_EXPERIMENT_FLAGS[name]]
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_EXPERIMENTS / name).read_bytes()
+    assert capsys.readouterr().err == ""

@@ -1,25 +1,32 @@
 """Coefficient search, scaling experiment and the sqrt-law fit."""
 
 import math
+import warnings
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from conftest import random_note_model
-from pianofinger.errors import DegenerateFit, EmptyCorpus
+from conftest import make_piece, random_note_model, random_piece
+from pianofinger import chord_hmm, note_hmm
+from pianofinger.chord_hmm import ChordHmmParams
+from pianofinger.errors import DegenerateFit, EmptyCorpus, HandOverflow
+from pianofinger.estimate import estimate_piece
+from pianofinger.eval_measures import match_rate_report
 from pianofinger.experiments import (
     ScalingFit,
     TuningSpec,
     apply_params,
     evaluate_model,
     fit_sqrt,
+    hand_parts,
     scaling_experiment,
     train_model,
     tune,
 )
-from pianofinger.note_hmm import NoteHmmConfig, sample_piece
-from pianofinger.pig_io import GroundTruthSet, Hand
-from pianofinger.pitch_space import PitchRepresentation
+from pianofinger.note_hmm import NoteHmmConfig, Symmetry, sample_piece
+from pianofinger.pig_io import FingerLabel, GroundTruthSet, Hand, Piece, infer_hand
+from pianofinger.pitch_space import PitchRepresentation, alphabet_size, index_table
 
 INTEGRAL = PitchRepresentation.INTEGRAL
 
@@ -169,3 +176,225 @@ def test_unknown_model_kind_raises_value_error_listing_kinds(rng):
     for call in calls:
         with pytest.raises(ValueError, match="'note_hmm'; known kinds: note-hmm, chord-hmm"):
             call()
+
+
+def test_evaluate_model_averages_the_requested_measure(rng):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=4, n_valid=3, n_notes=20)
+    model = train_model("note-hmm", BASE, train_pieces)
+    # two annotators: one agrees with the estimate up to the middle note,
+    # the other from it on, so the four measures differ
+    multi = []
+    for s in valid_sets:
+        est = estimate_piece(model, s.piece)[0]
+        middle = len(est) // 2
+        multi.append(GroundTruthSet.from_pieces([
+            s.piece.with_fingers([
+                FingerLabel(Hand.RH, d if keep(i) else d % 5 + 1) for i, d in enumerate(est)
+            ])
+            for keep in (lambda i: i <= middle, lambda i: i >= middle)
+        ]))
+    reports = [
+        match_rate_report(estimate_piece(model, s.piece)[0], s.signed_fingerings)
+        for s in multi
+    ]
+    values = set()
+    for measure in ("m_gen", "m_high", "m_soft", "m_rec"):
+        expected = sum(getattr(r, measure) for r in reports) / len(reports)
+        assert evaluate_model(model, multi, measure) == expected
+        values.add(expected)
+    assert len(values) == 4
+
+
+def test_evaluate_model_refuses_an_unknown_measure(rng):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    model = train_model("note-hmm", BASE, train_pieces)
+    with pytest.raises(ValueError, match="'e_rec'; known measures: m_gen, m_high, m_soft, m_rec"):
+        evaluate_model(model, valid_sets, "e_rec")
+
+
+# --- training counts: count once, fit many --------------------------------
+
+def _annotated(piece, rng):
+    hand = Hand.RH if piece.notes[0].channel == 0 else Hand.LH
+    digits = rng.integers(1, 6, len(piece))
+    return piece.with_fingers([FingerLabel(hand, int(d)) for d in digits])
+
+
+def _training_parts(rng):
+    """Annotated single-hand parts with chords and sustained notes (each
+    note sounds 0.4 s, onsets step 0.2 s), two chord-HMM hand overflows,
+    an empty part and a whole piece whose left hand is empty."""
+    parts = []
+    for i in range(8):
+        hand = Hand.RH if i % 3 else Hand.LH
+        piece = random_piece(rng, n_max=14, midi_lo=40, midi_hi=90, hand=hand)
+        parts.append(_annotated(Piece(piece.notes, f"p{i}", "1"), rng))
+    for i, hand in ((2, Hand.RH), (6, Hand.LH)):
+        cluster = make_piece([60, 62, 64, 65, 67, 69, 72], [0.0] * 6 + [0.5],
+                             hand=hand, piece_id=f"overflow{i}")
+        parts.insert(i, _annotated(cluster, rng))
+    parts.insert(4, Piece(notes=(), piece_id="empty"))
+    right_only = _annotated(make_piece([60, 64, 67, 72], piece_id="right-only"), rng)
+    parts += hand_parts([right_only])
+    return parts
+
+
+def _table_bytes(model) -> list:
+    """Every table of a model as (name, shape, bytes)."""
+    found = []
+
+    def visit(name, value):
+        if isinstance(value, np.ndarray):
+            found.append((name, value.shape, value.tobytes()))
+        elif isinstance(value, dict):
+            for key in sorted(value, key=str):
+                visit(f"{name}[{key}]", value[key])
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                visit(f"{name}[{i}]", item)
+
+    for name, value in vars(model).items():
+        visit(name, value)
+    return found
+
+
+def _with_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("module, train, config", [
+    (note_hmm, note_hmm.train, NoteHmmConfig(order=1, pitch_representation=INTEGRAL,
+                                             delta_p_max=3)),
+    (note_hmm, note_hmm.train, NoteHmmConfig(order=2, symmetries={Symmetry.REFLECTION})),
+    (note_hmm, note_hmm.train, NoteHmmConfig(order=3, symmetries=frozenset(Symmetry),
+                                             delta_p_max=4)),
+    (chord_hmm, chord_hmm.train_chord, ChordHmmParams(delta_p_max=4)),
+    (chord_hmm, chord_hmm.train_chord, ChordHmmParams(truncate_overlaps=True)),
+])
+def test_fit_of_summed_counts_is_training_on_pooled_parts(rng, module, train, config):
+    parts = _training_parts(rng)
+    pooled, pooled_warnings = _with_warnings(lambda: train(parts, config))
+    tables = _table_bytes(pooled)
+    for cut in (1, 5, len(parts) // 2, len(parts) - 1):
+        a, b = parts[:cut], parts[cut:]
+        summed, summed_warnings = _with_warnings(
+            lambda: module.fit(module.count(a, config) + module.count(b, config), config)
+        )
+        assert _table_bytes(summed) == tables
+        assert summed_warnings == pooled_warnings  # same text, same skipped-id order
+        swapped, _ = _with_warnings(
+            lambda: module.fit(module.count(b, config) + module.count(a, config), config)
+        )
+        assert _table_bytes(swapped) == tables
+    if module is chord_hmm:
+        (message,) = pooled_warnings
+        assert message.startswith("hand overflow, excluded from chord training: [")
+        assert 0 < message.index("'overflow2'") < message.index("'overflow6'")
+    else:
+        assert pooled_warnings == []
+
+
+def test_counts_refuse_other_settings(rng):
+    parts = _training_parts(rng)
+    config = NoteHmmConfig(order=2)
+    counts = note_hmm.count(parts, config)
+    with pytest.raises(ValueError, match="different"):
+        counts + note_hmm.count(parts, NoteHmmConfig(order=2, delta_p_max=4))
+    with pytest.raises(ValueError, match="different"):
+        note_hmm.fit(counts, NoteHmmConfig(order=3))
+    # coefficients, symmetries and smoothing act in the fit
+    note_hmm.fit(counts, NoteHmmConfig(order=2, alpha=(1.0, 0.0), lambda_=(0.2,),
+                                       symmetries=frozenset(Symmetry), smoothing_epsilon=2.0))
+    chord_counts = chord_hmm.count(parts, ChordHmmParams())
+    with pytest.raises(ValueError, match="different"):
+        chord_hmm.fit(chord_counts, ChordHmmParams(delta=0.05))
+    with pytest.raises(EmptyCorpus):
+        note_hmm.fit(note_hmm.count([Piece(notes=())], config), config)
+    with pytest.raises(EmptyCorpus):
+        chord_hmm.fit(chord_hmm.count([], ChordHmmParams()), ChordHmmParams())
+
+
+def test_tuning_a_counting_setting_is_refused(rng):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=3, n_valid=1, n_notes=8)
+    spec = TuningSpec(bounds={"delta": (0.01, 0.05)}, budget=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="counts were taken under a different delta"):
+            tune(spec, train_pieces, valid_sets, model_kind="chord-hmm", seed=1)
+
+
+def _reference_note_tables(parts, config) -> dict:
+    """Note counts by per-note loops, the way they were first written."""
+    m = config.order
+    cell = index_table(config.pitch_representation, config.delta_p_max)
+    size = alphabet_size(config.pitch_representation, config.delta_p_max)
+    tables = {("initial", k): np.zeros((5**k, 5)) for k in range(m)}
+    tables.update({("ngram", o): np.zeros((5**o, 5)) for o in range(1, m + 1)})
+    tables.update({(h, lag): np.zeros((5, 5, size)) for h in Hand for lag in range(1, m + 1)})
+    for piece in parts:
+        if len(piece) == 0:
+            continue
+        hand = infer_hand(piece)
+        d = [n.finger.digit for n in piece.notes]
+        key = [n.midi - 21 for n in piece.notes]
+        for k in range(min(m, len(d))):
+            tables["initial", k][note_hmm._flat_index(d[:k]), d[k] - 1] += 1.0
+        for o in range(1, m + 1):
+            for n in range(o, len(d)):
+                tables["ngram", o][note_hmm._flat_index(d[n - o : n]), d[n] - 1] += 1.0
+        for lag in range(1, m + 1):
+            for n in range(lag, len(d)):
+                x = cell[key[n - lag], key[n]]
+                tables[hand, lag][d[n - lag] - 1, d[n] - 1, x] += 1.0
+    return tables
+
+
+def _reference_chord_tables(parts, params) -> dict:
+    """Chord counts by loops over component pairs."""
+    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
+    cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
+    tables = {"initial": np.zeros(5), "trans_across": np.zeros((5, 5)),
+              "trans_within": np.zeros((5, 5))}
+    tables.update({(name, h): np.zeros((5, 5, size))
+                   for name in ("out_across", "out_within") for h in Hand})
+    for piece in parts:
+        if len(piece) == 0:
+            continue
+        hand = infer_hand(piece)
+        digit_of = {n.note_id: n.finger.digit - 1 for n in piece.notes}
+        try:
+            chords = chord_hmm.cluster_chords(piece, params.delta, params.truncate_overlaps)
+        except HandOverflow:
+            continue
+        prev = None
+        for chord in chords:
+            cur = [(digit_of[c.note_ids[0]], c.midi - 21) for c in chord.components]
+            if prev is None:
+                for d, _ in cur:
+                    tables["initial"][d] += 1.0
+            for name, pairs in (("across", product(prev or [], cur)),
+                                ("within", permutations(cur, 2))):
+                for (f1, k1), (f2, k2) in pairs:
+                    tables["trans_" + name][f1, f2] += 1.0
+                    tables["out_" + name, hand][f1, f2, cell[k1, k2]] += 1.0
+            prev = cur
+    return tables
+
+
+@pytest.mark.parametrize("module, reference, config", [
+    (note_hmm, _reference_note_tables, NoteHmmConfig(order=1, delta_p_max=2)),
+    (note_hmm, _reference_note_tables,
+     NoteHmmConfig(order=3, pitch_representation=INTEGRAL, delta_p_max=4)),
+    (chord_hmm, _reference_chord_tables, ChordHmmParams(delta_p_max=3)),
+    (chord_hmm, _reference_chord_tables, ChordHmmParams(truncate_overlaps=True)),
+])
+def test_counts_match_the_per_event_loops(rng, module, reference, config):
+    parts = _training_parts(rng)
+    tables = module.count(parts, config).tables
+    expected = reference(parts, config)
+    assert tables.keys() == expected.keys()
+    for key, table in expected.items():
+        assert tables[key].tobytes() == table.tobytes(), key

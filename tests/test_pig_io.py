@@ -307,7 +307,7 @@ def test_non_monotone_onsets_yield_to_a_later_malformed_line():
         parse_fingering_file(text)
     assert info.value.line_no == 3
     # the message names the first decrease
-    with pytest.raises(NonMonotoneOnsets, match="^onset 0.5 of note 1 precedes 1.0$"):
+    with pytest.raises(NonMonotoneOnsets, match="^line 2: onset 0.5 of note 1 precedes 1.0$"):
         parse_fingering_file(text.replace(" x ", " 0.2 "))
 
 

@@ -13,6 +13,7 @@ from pianofinger.pitch_space import (
     index_displacement,
     index_table,
     key_indices,
+    negate,
     negation_permutation,
     reflect_x,
     reflection_permutation,
@@ -110,6 +111,23 @@ def test_permutations_are_involutions():
         for perm_fn in (negation_permutation, reflection_permutation):
             perm = perm_fn(repr_, 4)
             assert (perm[perm] == range(len(perm))).all()
+
+
+@pytest.mark.parametrize("delta_p_max", [1, 2, 15])
+def test_permutations_match_their_displacement_maps(delta_p_max):
+    for repr_ in (INTEGRAL, LATTICE):
+        for perm_fn, transform in (
+            (negation_permutation, negate),
+            (reflection_permutation, reflect_x),
+        ):
+            perm = perm_fn(repr_, delta_p_max)
+            assert perm.dtype == np.intp
+            for idx in range(alphabet_size(repr_, delta_p_max)):
+                d = index_displacement(repr_, delta_p_max, idx)
+                assert perm[idx] == displacement_index(repr_, delta_p_max, transform(d))
+            assert perm_fn(repr_, delta_p_max) is perm  # cached
+            with pytest.raises(ValueError):
+                perm[0] = 0
 
 
 @pytest.mark.parametrize("delta_p_max", [1, 2, 15])
