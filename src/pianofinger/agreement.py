@@ -1,21 +1,29 @@
 """Individual-difference statistics over multi-annotator fingerings.
 
-Covers subset match rates among j annotators, the two-symbol independent
-random reference model, finger-choice multiplicity histograms per note
-and per consecutive same-hand note pair, and a power-function fit of the
-match-rate decay against the number of compared players.
+Every statistic counts choices per note in one table of signed fingers
+(one row per annotator).  The j-way match rate is the fraction of (note,
+j annotators) combinations in which all j chose the same finger: a note
+on which c of G annotators chose one finger holds C(c, j) of them, so
+M_j = sum over notes and fingers of C(c, j), over n * C(G, j) for n
+notes.  Also covered: the two-symbol independent random reference model,
+finger-choice multiplicity histograms per note and per consecutive
+same-hand note pair (pooled over pieces as raw counts), and a power fit
+of M_j against j.  A value with no definition is NaN in
+``AgreementReport`` and an empty cell, or ``# power fit: undefined``,
+in the formatted tables.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateFit, InsufficientAnnotators, OutOfDomain
+from .errors import DegenerateFit, InsufficientAnnotators, LengthMismatch, OutOfDomain
 from .pig_io import GroundTruthSet, hand_positions
 
 
@@ -24,25 +32,54 @@ class MultiplicityUnit(enum.Enum):
     NOTE_PAIR = "note-pair"
 
 
+def _label_counts(gt_set: GroundTruthSet, unit: MultiplicityUnit) -> list:
+    """Per distinct column of choices (the annotators' signed fingers on
+    a note, or their (finger, next finger) pairs on a consecutive
+    same-hand note pair): how many notes or pairs received it, and how
+    many annotators made each distinct choice in it."""
+    notes = list(zip(*gt_set.signed_fingerings))
+    if unit is MultiplicityUnit.NOTE:
+        columns = Counter(notes)
+    else:
+        pairs = Counter()
+        for positions in hand_positions(gt_set.piece).values():
+            hand = [notes[i] for i in positions]
+            pairs.update(zip(hand, hand[1:]))
+        columns = {tuple(zip(*pair)): times for pair, times in pairs.items()}
+    return [(times, Counter(column).values()) for column, times in columns.items()]
+
+
+def _match_rate(label_counts: list, n_g: int, j: int) -> float:
+    n = sum(times for times, _ in label_counts)
+    if n == 0:
+        raise LengthMismatch("sequences must be non-empty")
+    agreeing = sum(
+        times * math.comb(c, j) for times, counts in label_counts for c in counts
+    )
+    return agreeing / (n * math.comb(n_g, j))
+
+
+def _histogram(label_counts) -> dict:
+    """Proportion of notes (or note pairs) by their number of distinct
+    choices, from raw counts."""
+    counts = Counter()
+    for times, labels in label_counts:
+        counts[len(labels)] += times
+    total = sum(counts.values())
+    return {k: v / total for k, v in sorted(counts.items())} if total else {}
+
+
 def multi_match_rate(gts, j: int) -> float:
-    """Average over all j-subsets of annotators of the fraction of notes
-    on which the whole subset agrees."""
+    """Fraction of (note, j-subset of annotators) combinations on which
+    the whole subset agrees, counted per note as C(c, j) for each finger
+    chosen by c annotators."""
     n_g = len(gts)
     if not 2 <= j <= n_g:
         raise InsufficientAnnotators(f"j={j} with {n_g} fingerings")
     lengths = {len(g) for g in gts}
     if len(lengths) != 1:
         raise InsufficientAnnotators(f"unequal sequence lengths {sorted(lengths)}")
-    n = lengths.pop()
-    total = 0.0
-    count = 0
-    for subset in combinations(range(n_g), j):
-        agree = sum(
-            len({gts[g][i] for g in subset}) == 1 for i in range(n)
-        )
-        total += agree / n
-        count += 1
-    return total / count
+    return _match_rate([(1, Counter(column).values()) for column in zip(*gts)], n_g, j)
 
 
 def random_model_match(m2: float, j: int) -> float:
@@ -59,29 +96,12 @@ def random_model_match(m2: float, j: int) -> float:
     return omega**j + (1.0 - omega) ** j
 
 
-def multiplicity_distribution(
-    gt_set: GroundTruthSet, unit: MultiplicityUnit
-) -> dict:
+def multiplicity_distribution(gt_set: GroundTruthSet, unit: MultiplicityUnit) -> dict:
     """Proportion of notes (or consecutive same-hand note pairs) by the
     number of distinct finger choices the annotators used."""
-    n_g = len(gt_set)
-    if n_g < 2:
+    if len(gt_set) < 2:
         raise InsufficientAnnotators("multiplicities need at least two annotators")
-    fingerings = gt_set.signed_fingerings
-    counts: dict = {}
-    if unit is MultiplicityUnit.NOTE:
-        for i in range(len(gt_set.piece)):
-            k = len({seq[i] for seq in fingerings})
-            counts[k] = counts.get(k, 0) + 1
-    else:
-        for positions in hand_positions(gt_set.piece).values():
-            for a, b in zip(positions, positions[1:]):
-                k = len({(seq[a], seq[b]) for seq in fingerings})
-                counts[k] = counts.get(k, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
-        return {}
-    return {k: v / total for k, v in sorted(counts.items())}
+    return _histogram(_label_counts(gt_set, unit))
 
 
 def fit_power(points) -> tuple:
@@ -111,7 +131,8 @@ class AgreementReport:
     ``match_rates`` maps j -> mean over pieces (with at least j
     annotators) of the j-way match rate; ``random_reference`` maps j to
     the two-symbol model prediction calibrated on the measured pairwise
-    rate.  Histograms pool raw counts over all pieces.
+    rate, NaN below 0.5; ``power_fit`` is NaN when a rate is zero.
+    Histograms pool raw counts over all pieces.
     """
 
     match_rates: dict
@@ -128,19 +149,16 @@ def analyze_sets(gt_sets) -> AgreementReport:
     if not gt_sets:
         raise InsufficientAnnotators("no piece has two or more annotators")
     max_j = max(len(s) for s in gt_sets)
+    note_counts = [_label_counts(s, MultiplicityUnit.NOTE) for s in gt_sets]
     match_rates = {}
     for j in range(2, max_j + 1):
-        values = [
-            multi_match_rate(s.signed_fingerings, j) for s in gt_sets if len(s) >= j
-        ]
+        values = [_match_rate(counts, len(s), j)
+                  for s, counts in zip(gt_sets, note_counts) if len(s) >= j]
         match_rates[j] = sum(values) / len(values)
-    # the two-symbol reference has no real solution below 0.5
-    if match_rates[2] >= 0.5:
-        random_reference = {
-            j: random_model_match(match_rates[2], j) for j in match_rates
-        }
-    else:
-        random_reference = {j: math.nan for j in match_rates}
+    m2 = match_rates[2]  # the two-symbol reference has no real solution below 0.5
+    random_reference = {
+        j: random_model_match(m2, j) if m2 >= 0.5 else math.nan for j in match_rates
+    }
     if len(match_rates) >= 2:
         try:
             power_fit = fit_power(match_rates.items())
@@ -149,29 +167,13 @@ def analyze_sets(gt_sets) -> AgreementReport:
     else:
         power_fit = (match_rates[2], 0.0)
 
-    def pooled(unit):
-        counts: dict = {}
-        for s in gt_sets:
-            piece_counts = multiplicity_distribution(s, unit)
-            # histogram values are proportions; pool by unit count
-            if unit is MultiplicityUnit.NOTE:
-                n_units = len(s.piece)
-            else:
-                n_units = sum(
-                    max(0, len(positions) - 1)
-                    for positions in hand_positions(s.piece).values()
-                )
-            for k, proportion in piece_counts.items():
-                counts[k] = counts.get(k, 0.0) + proportion * n_units
-        total = sum(counts.values())
-        return {k: v / total for k, v in sorted(counts.items())} if total else {}
-
+    pair_counts = (_label_counts(s, MultiplicityUnit.NOTE_PAIR) for s in gt_sets)
     return AgreementReport(
         match_rates=match_rates,
         random_reference=random_reference,
         power_fit=power_fit,
-        note_multiplicity=pooled(MultiplicityUnit.NOTE),
-        pair_multiplicity=pooled(MultiplicityUnit.NOTE_PAIR),
+        note_multiplicity=_histogram(chain.from_iterable(note_counts)),
+        pair_multiplicity=_histogram(chain.from_iterable(pair_counts)),
         n_pieces=len(gt_sets),
     )
 
@@ -180,11 +182,14 @@ def format_match_rate_table(report: AgreementReport) -> str:
     """Delimited (j, M_j, M_j_random) table for plotting."""
     lines = ["j\tmatch_rate\trandom_model"]
     for j in sorted(report.match_rates):
-        lines.append(
-            f"{j}\t{report.match_rates[j]!r}\t{report.random_reference[j]!r}"
-        )
+        reference = report.random_reference[j]
+        cell = "" if math.isnan(reference) else repr(reference)
+        lines.append(f"{j}\t{report.match_rates[j]!r}\t{cell}")
     c, gamma = report.power_fit
-    lines.append(f"# power fit: c={c!r} gamma={gamma!r}")
+    if math.isnan(c) or math.isnan(gamma):
+        lines.append("# power fit: undefined")
+    else:
+        lines.append(f"# power fit: c={c!r} gamma={gamma!r}")
     return "".join(line + "\n" for line in lines)
 
 

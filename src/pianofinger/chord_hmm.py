@@ -28,6 +28,7 @@ that boundary alone; the path scorer finds such boundaries itself.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,13 +101,13 @@ class ChordHmmParams:
     truncate_overlaps: bool = False
 
     def __post_init__(self):
-        for name in ("beta1", "beta2", "gamma1", "gamma2", "zeta", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for name in ("beta1", "beta2", "gamma1", "gamma2", "zeta", "delta",
+                     "smoothing_epsilon"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
         if self.delta_p_max < 1:
             raise ValueError("delta_p_max must be positive")
-        if self.smoothing_epsilon < 0:
-            raise ValueError("smoothing_epsilon must be non-negative")
 
 
 @dataclass
@@ -314,15 +315,15 @@ def fit(counts: ChordCounts, params: ChordHmmParams) -> ChordHmmModel:
     """Maximum-likelihood factor tables from training counts.
 
     Every table gets ``smoothing_epsilon`` additive counts per cell
-    before normalisation.  Warns about the parts excluded for a hand
-    overflow.
+    before normalisation.  Warns once about the pieces with parts
+    excluded for a hand overflow, each id once, in counting order.
     """
     if counts.parts == 0:
         raise EmptyCorpus("training corpus is empty")
     if counts.settings != _count_settings(params):
         raise ValueError("counts were taken under a different delta, "
                          "truncate_overlaps or delta_p_max")
-    skipped = list(counts.skipped)
+    skipped = list(dict.fromkeys(counts.skipped))  # both hands of a piece can overflow
     if skipped:
         warnings.warn(f"hand overflow, excluded from chord training: {skipped}")
     eps = params.smoothing_epsilon

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import agreement, dataset, experiments, model_io
-from .errors import AlignmentMismatch, EmptyPiece, FingeringError, LengthMismatch, MissingFinger
+from .errors import EmptyPiece, FingeringError, MissingFinger
 from .estimate import annotate_piece
 from .eval_measures import (
     format_report_table,
@@ -24,7 +25,7 @@ from .eval_measures import (
     hand_reports,
     summarize,
 )
-from .pig_io import GroundTruthSet, serialize_fingering_file
+from .pig_io import GroundTruthSet, check_alignment, serialize_fingering_file
 
 
 def _csv_floats(text: str) -> tuple:
@@ -107,21 +108,6 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _check_alignment(est_piece, gt_set) -> None:
-    if len(est_piece) != len(gt_set.piece):
-        raise LengthMismatch(
-            f"{est_piece.piece_id}: {len(est_piece)} notes vs "
-            f"{len(gt_set.piece)} in the ground truth"
-        )
-    for i, (a, b) in enumerate(zip(est_piece.notes, gt_set.piece.notes)):
-        if (a.onset, a.midi) != (b.onset, b.midi):
-            raise AlignmentMismatch(
-                f"{est_piece.piece_id}: note content differs from the "
-                f"ground truth at position {i} ({a.pitch}@{a.onset} vs "
-                f"{b.pitch}@{b.onset})"
-            )
-
-
 def cmd_evaluate(args) -> int:
     rows = []
     if args.human:
@@ -145,14 +131,14 @@ def cmd_evaluate(args) -> int:
                     print(f"no ground truth for {piece_id}", file=sys.stderr)
                     continue
                 est_piece = dataset.load_piece(next(iter(entries.values())))
-                _check_alignment(est_piece, gt_sets[piece_id])
+                check_alignment(est_piece, gt_sets[piece_id].piece, f"estimate {piece_id}")
                 pairs.append((piece_id, est_piece, gt_sets[piece_id]))
         else:
             est_piece = dataset.load_piece(est_path)
             gt_set = GroundTruthSet.from_pieces(
                 [dataset.load_piece(p) for p in args.gt]
             )
-            _check_alignment(est_piece, gt_set)
+            check_alignment(est_piece, gt_set.piece, f"estimate {est_piece.piece_id}")
             pairs = [(est_piece.piece_id, est_piece, gt_set)]
         for piece_id, est_piece, gt_set in pairs:
             if None in est_piece.fingers:
@@ -299,11 +285,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (FingeringError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    shown = set()
+
+    def show_warning(message, *_):
+        if str(message) not in shown:  # e.g. raised by every tuning candidate's fit
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except (FingeringError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

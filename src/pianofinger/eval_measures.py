@@ -57,7 +57,6 @@ class MatchRateReport:
     m_soft: float
     m_rec: float
     e_rec: float
-    recombination_path: tuple  # ground-truth index per note
     n_notes: int
     n_ground_truths: int
 
@@ -150,14 +149,13 @@ def match_rate_report(
     est, gts, config: RecombinationConfig = DEFAULT_COSTS
 ) -> MatchRateReport:
     """All four measures at once."""
-    m_rec, e_rec, path = recombination_match_rate(est, gts, config)
+    m_rec, e_rec, _ = recombination_match_rate(est, gts, config)
     return MatchRateReport(
         m_gen=general_match_rate(est, gts),
         m_high=highest_match_rate(est, gts),
         m_soft=soft_match_rate(est, gts),
         m_rec=m_rec,
         e_rec=e_rec,
-        recombination_path=path,
         n_notes=len(est),
         n_ground_truths=len(gts),
     )
@@ -174,7 +172,7 @@ def hand_reports(piece_id, piece, gts, est=None) -> list:
     ``piece.notes``.  Without ``est`` the rows are leave-one-out: each
     ground truth in turn is scored against the others and every row is
     the mean over annotators, with ``n_ground_truths`` counting all of
-    them and an empty recombination path.
+    them.
     """
     if est is None:
         per_annotator = [
@@ -188,9 +186,7 @@ def hand_reports(piece_id, piece, gts, est=None) -> list:
                 m: sum(getattr(r, m) for r in reports) / len(reports)
                 for m in _MEASURES + ("e_rec",)
             }
-            mean = replace(
-                reports[0], **means, recombination_path=(), n_ground_truths=len(gts)
-            )
+            mean = replace(reports[0], **means, n_ground_truths=len(gts))
             rows.append((row[0][0], mean))
         return rows
     rows = [(piece_id, match_rate_report(est, gts))]
@@ -225,11 +221,9 @@ def summarize(piece_reports: dict) -> dict:
     return out
 
 
-def format_report_text(piece_reports: dict, summary: dict | None = None) -> str:
-    """Human-readable report: one record per piece plus corpus summary,
-    match rates as one-decimal percentages."""
-    if summary is None:
-        summary = summarize(piece_reports)
+def format_report_text(piece_reports: dict, summary: dict) -> str:
+    """Human-readable report: one record per piece plus the corpus
+    summary from ``summarize``, match rates as one-decimal percentages."""
     width = max([len("piece")] + [len(str(p)) for p in piece_reports] + [5])
     header = f"{'piece':>{width}}  notes  gts   M_gen  M_high  M_soft   M_rec"
     lines = [header]
@@ -252,14 +246,13 @@ def format_report_text(piece_reports: dict, summary: dict | None = None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def format_report_table(piece_reports: dict, summary: dict | None = None) -> str:
-    """Tab-separated table: one row per piece plus corpus summary rows.
+def format_report_table(piece_reports: dict, summary: dict) -> str:
+    """Tab-separated table: one row per piece plus the corpus summary
+    rows from ``summarize``.
 
     Match rates appear twice: fixed one-decimal percent columns for
     reading, full-precision fractions for machines.
     """
-    if summary is None:
-        summary = summarize(piece_reports)
     header = ["piece", "notes", "gts"]
     header += [f"{m}_pct" for m in _MEASURES]
     header += [f"{m}_frac" for m in _MEASURES]

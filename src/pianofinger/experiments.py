@@ -123,6 +123,9 @@ def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
 
 # --- coefficient tuning ---------------------------------------------------
 
+RANDOM_FRACTION = 0.7  # share of a tuning budget spent on random candidates
+
+
 @dataclass(frozen=True)
 class TuningSpec:
     """Search box and objective of a tuning run.
@@ -136,7 +139,6 @@ class TuningSpec:
     bounds: dict
     objective: str = "m_gen"
     budget: int = 200
-    random_fraction: float = 0.7
 
     def __post_init__(self):
         if self.budget < 1:
@@ -184,7 +186,7 @@ def tune(
 ) -> TuneResult:
     """Derivative-free search of the coefficient box.
 
-    Spends ``random_fraction`` of the budget on seeded random candidates
+    Spends ``RANDOM_FRACTION`` of the budget on seeded random candidates
     (the first candidate is the base configuration clipped into the box,
     so the result never scores below the shipped defaults) and the rest
     on coordinate-descent refinement.  Objective ties keep the earliest
@@ -218,7 +220,7 @@ def tune(
         lo, hi = spec.bounds[name]
         return min(hi, max(lo, value))
 
-    n_random = min(spec.budget, max(1, round(spec.budget * spec.random_fraction)))
+    n_random = min(spec.budget, max(1, round(spec.budget * RANDOM_FRACTION)))
     warm = {name: clip(name, _param_value(base_config, name)) for name in names}
     evaluate(warm)
     while len(trace) < n_random:
@@ -282,17 +284,16 @@ def scaling_experiment(
     model_kind: str = "note-hmm",
     config=None,
     seed: int = 0,
-    measure: str = "m_gen",
 ) -> list:
     """Match rate as a function of training-set size.
 
     For each fraction, ``repeats`` random piece subsets are drawn, a
     model is fitted to the summed counts of each subset's pieces (each
     piece is counted once, when a subset first holds it) and scored on
-    the test sets; the point
-    records the mean subset note count and the mean and spread of the
-    measure.  Fraction 1.0 is deterministic and evaluated once.  Fixed
-    seeds reproduce bit-identical results.
+    the test sets; the point records the mean subset note count and the
+    mean and spread of the general match rate.  Fraction 1.0 is
+    deterministic and evaluated once.  Fixed seeds reproduce
+    bit-identical results.
     """
     kind = model_io.kind(model_kind)
     train_pieces = list(train_pieces)
@@ -323,7 +324,7 @@ def scaling_experiment(
         for _ in range(reps):
             chosen = sorted(rng.choice(n_total, size=n_pieces, replace=False))
             model = kind.fit(reduce(operator.add, map(counts_of, chosen)), config)
-            rates.append(evaluate_model(model, test_sets, measure))
+            rates.append(evaluate_model(model, test_sets))
             note_counts.append(sum(len(train_pieces[i]) for i in chosen))
         mean_rate = sum(rates) / len(rates)
         std = math.sqrt(sum((r - mean_rate) ** 2 for r in rates) / len(rates))

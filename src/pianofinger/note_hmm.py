@@ -92,8 +92,8 @@ class NoteHmmConfig:
         object.__setattr__(self, "lambda_", lambda_)
         if len(alpha) != self.order:
             raise ValueError(f"alpha needs {self.order} weights, got {len(alpha)}")
-        if any(a < 0 for a in alpha):
-            raise ValueError("alpha weights must be non-negative")
+        if not all(0 <= a < math.inf for a in alpha):  # NaN fails too
+            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
         if len(lambda_) != self.order - 1:
             raise ValueError(
                 f"lambda needs {self.order - 1} coefficients, got {len(lambda_)}"
@@ -104,10 +104,10 @@ class NoteHmmConfig:
             raise ValueError("lambda coefficients must sum to at most 1")
         if self.delta_p_max < 1:
             raise ValueError("delta_p_max must be positive")
-        if self.smoothing_epsilon < 0:
-            raise ValueError("smoothing_epsilon must be non-negative")
-        if self.chord_threshold < 0:
-            raise ValueError("chord_threshold must be non-negative")
+        for name in ("smoothing_epsilon", "chord_threshold"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass

@@ -323,12 +323,26 @@ def infer_hand(piece: Piece) -> Hand:
     return Hand(channels.pop())
 
 
+def check_alignment(piece: Piece, reference: Piece, name: str) -> None:
+    """Raise unless ``piece`` holds the notes of ``reference``: the same
+    number of notes and the same (onset, MIDI pitch) at every position.
+    ``name`` labels ``piece`` in the message."""
+    if len(piece) != len(reference):
+        raise LengthMismatch(f"{name}: {len(piece)} notes, expected {len(reference)}")
+    for i, (a, b) in enumerate(zip(piece.notes, reference.notes)):
+        if (a.onset, a.midi) != (b.onset, b.midi):
+            raise AlignmentMismatch(
+                f"{name}: note content differs at position {i} "
+                f"({a.pitch}@{a.onset} vs {b.pitch}@{b.onset})"
+            )
+
+
 @dataclass(frozen=True)
 class GroundTruthSet:
-    """Aligned fingerings of one piece by one or more annotators."""
+    """Aligned signed fingerings of one piece by one or more annotators."""
 
     piece: Piece                                  # reference note content
-    fingerings: tuple[tuple[FingerLabel, ...], ...]
+    signed_fingerings: tuple[tuple[int, ...], ...]
     annotator_ids: tuple[str, ...]
 
     @property
@@ -336,36 +350,23 @@ class GroundTruthSet:
         return self.piece.piece_id
 
     def __len__(self) -> int:
-        return len(self.fingerings)
-
-    @property
-    def signed_fingerings(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(f.signed for f in seq) for seq in self.fingerings)
+        return len(self.signed_fingerings)
 
     @classmethod
     def from_pieces(cls, pieces: list[Piece]) -> "GroundTruthSet":
         if not pieces:
             raise LengthMismatch("a ground-truth set needs at least one fingering")
         reference = pieces[0]
-        n = len(reference)
         fingerings = []
         for p in pieces:
-            if len(p) != n:
-                raise LengthMismatch(
-                    f"{p.piece_id}/{p.annotator_id}: {len(p)} notes, expected {n}"
-                )
-            for a, b in zip(reference.notes, p.notes):
-                if (a.onset, a.midi) != (b.onset, b.midi):
-                    raise AlignmentMismatch(
-                        f"{p.piece_id}/{p.annotator_id}: note content differs "
-                        f"at id {b.note_id}"
-                    )
+            name = f"{p.piece_id}/{p.annotator_id}"
+            check_alignment(p, reference, name)
             fingers = p.fingers
             if any(f is None for f in fingers):
-                raise MissingFinger(f"{p.piece_id}/{p.annotator_id} is unannotated")
-            fingerings.append(tuple(fingers))
+                raise MissingFinger(f"{name} is unannotated")
+            fingerings.append(tuple(f.signed for f in fingers))
         return cls(
             piece=reference,
-            fingerings=tuple(fingerings),
+            signed_fingerings=tuple(fingerings),
             annotator_ids=tuple(p.annotator_id for p in pieces),
         )

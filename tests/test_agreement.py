@@ -1,6 +1,7 @@
 """Annotator agreement statistics and the power-law fit."""
 
 import math
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,13 @@ from pianofinger.agreement import (
     multiplicity_distribution,
     random_model_match,
 )
-from pianofinger.errors import DegenerateFit, InsufficientAnnotators, OutOfDomain
-from pianofinger.pig_io import GroundTruthSet, Hand
+from pianofinger.errors import (
+    DegenerateFit,
+    InsufficientAnnotators,
+    LengthMismatch,
+    OutOfDomain,
+)
+from pianofinger.pig_io import FingerLabel, GroundTruthSet, Hand, Note, Piece, midi_to_pitch
 
 
 def gt_set(finger_rows, hand=Hand.RH, piece_id="p"):
@@ -56,6 +62,29 @@ def test_multi_match_rate_domain():
         multi_match_rate([[1, 2]], 2)
     with pytest.raises(InsufficientAnnotators):
         multi_match_rate([[1], [2]], 3)
+    with pytest.raises(LengthMismatch):
+        multi_match_rate([[], []], 2)
+
+
+def _agreeing_subsets(gts, j) -> int:
+    """(note, j-subset of annotators) combinations on which the whole
+    subset agrees, by enumerating every subset."""
+    return sum(
+        len({gts[g][i] for g in subset}) == 1
+        for subset in combinations(range(len(gts)), j)
+        for i in range(len(gts[0]))
+    )
+
+
+def test_multi_match_rate_is_the_ratio_of_subset_counts(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        n_g = int(rng.integers(2, 8))
+        labels = [-5, -2, 1, 2, 3, 4, 5][: int(rng.integers(1, 8))]
+        gts = [[labels[k] for k in rng.integers(0, len(labels), size=n)] for _ in range(n_g)]
+        for j in range(2, n_g + 1):
+            expected = _agreeing_subsets(gts, j) / (n * math.comb(n_g, j))
+            assert multi_match_rate(gts, j) == expected
 
 
 def test_random_model_reference_point():
@@ -164,6 +193,65 @@ def test_analyze_sets_end_to_end(rng):
     assert sum(report.note_multiplicity.values()) == pytest.approx(1.0, abs=1e-9)
     values = [report.match_rates[j] for j in js]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def _choice_count_histogram(gt_sets, unit) -> dict:
+    """Pooled counts of notes (or same-hand note pairs) by their number of
+    distinct choices, as ratios of whole numbers."""
+    counts: dict = {}
+    for s in gt_sets:
+        rows = s.signed_fingerings
+        if unit is MultiplicityUnit.NOTE:
+            units = [[(i,) for i in range(len(s.piece))]]
+        else:
+            hands = {}
+            for i, note in enumerate(s.piece.notes):
+                hands.setdefault(note.channel, []).append(i)
+            units = [list(zip(p, p[1:])) for p in hands.values()]
+        for indices in (u for hand in units for u in hand):
+            k = len({tuple(row[i] for i in indices) for row in rows})
+            counts[k] = counts.get(k, 0) + 1
+    total = sum(counts.values())
+    return {k: counts[k] / total for k in sorted(counts)}
+
+
+def test_analyze_sets_pools_raw_counts(rng):
+    sets = []
+    for p in range(30):
+        n = int(rng.integers(1, 60))
+        n_g = int(rng.integers(2, 7))
+        rows = [[int(d) for d in rng.integers(1, 4, size=n)] for _ in range(n_g)]
+        hands = [Hand(int(c)) for c in rng.integers(0, 2, size=n)]
+        pieces = [
+            Piece(
+                tuple(
+                    Note(i, 0.5 * i, 0.5 * i + 0.4, midi_to_pitch(40 + i), 40 + i, 64, 64,
+                         hand.channel, FingerLabel(hand, d))
+                    for i, (hand, d) in enumerate(zip(hands, row))
+                ),
+                f"p{p}",
+                str(a),
+            )
+            for a, row in enumerate(rows)
+        ]
+        sets.append(GroundTruthSet.from_pieces(pieces))
+    # 1 of 2 and 13 of 23 notes agree: pooling the proportions 1/2 and
+    # 13/23 back into counts gives 14/25 plus a rounding error
+    small = [gt_set([[1, 1], [1, 2]], piece_id="a"),
+             gt_set([[1] * 23, [1] * 13 + [2] * 10], piece_id="b")]
+    assert analyze_sets(small).note_multiplicity == {1: 14 / 25, 2: 11 / 25}
+    report = analyze_sets(sets)
+    assert report.note_multiplicity == _choice_count_histogram(sets, MultiplicityUnit.NOTE)
+    assert report.pair_multiplicity == _choice_count_histogram(
+        sets, MultiplicityUnit.NOTE_PAIR
+    )
+    for j, rate in report.match_rates.items():
+        values = [
+            _agreeing_subsets(s.signed_fingerings, j) / (len(s.piece) * math.comb(len(s), j))
+            for s in sets
+            if len(s) >= j
+        ]
+        assert rate == sum(values) / len(values)
 
 
 def test_analyze_sets_low_agreement_has_no_random_reference():

@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from pianofinger.chord_hmm import ChordHmmParams
 from pianofinger.cli import main
+from pianofinger.dataset import load_piece
+from pianofinger.errors import AlignmentMismatch, LengthMismatch
+from pianofinger.experiments import train_model
+from pianofinger.pig_io import GroundTruthSet, midi_to_pitch
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CORPUS = DATA / "sample_corpus"
@@ -324,6 +329,94 @@ def test_analyze_outputs_tables(capsys):
     out = capsys.readouterr().out
     assert out.startswith("j\tmatch_rate\trandom_model")
     assert "note-pair" in out
+
+
+def test_one_alignment_message_for_estimates_and_ground_truth_sets(tmp_path, capsys):
+    gt = CORPUS / "101-1_fingering.txt"
+    text = gt.read_text()
+    bad = tmp_path / "101-2_fingering.txt"
+    cases = (
+        (text.replace("\tF4\t", "\tF#4\t"), AlignmentMismatch,
+         "note content differs at position 5 (F#4@0.75 vs F4@0.75)"),
+        (text[: text.rindex("\n", 0, -1) + 1], LengthMismatch, "22 notes, expected 23"),
+    )
+    for bad_text, error, tail in cases:
+        bad.write_text(bad_text)
+        assert main(["evaluate", "--est", str(bad), "--gt", str(gt)]) == 1
+        assert capsys.readouterr().err == f"error: estimate 101: {tail}\n"
+        with pytest.raises(error) as raised:
+            GroundTruthSet.from_pieces([load_piece(gt), load_piece(bad)])
+        assert str(raised.value) == f"101/2: {tail}"
+
+
+def test_analyze_marks_undefined_values_without_nan(tmp_path, capsys):
+    # three annotators who never agree: M_2 = M_3 = 0
+    for annotator, digits in enumerate(
+        ([1, 2, 3, 4, 5, 1], [2, 3, 4, 5, 1, 2], [3, 4, 5, 1, 2, 3]), start=1
+    ):
+        (tmp_path / f"p-{annotator}_fingering.txt").write_text("".join(
+            f"{i}\t{0.5 * i:.6f}\t{0.5 * i + 0.4:.6f}\t{midi_to_pitch(60 + i)}\t64\t64\t0\t{d}\n"
+            for i, d in enumerate(digits)
+        ))
+    assert main(["analyze", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert out.splitlines()[:4] == [
+        "j\tmatch_rate\trandom_model", "2\t0.0\t", "3\t0.0\t", "# power fit: undefined",
+    ]
+
+
+def test_analyze_refuses_an_empty_piece(tmp_path, capsys):
+    for annotator in (1, 2):
+        (tmp_path / f"p-{annotator}_fingering.txt").write_text("//no notes\n")
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: sequences must be non-empty\n"
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--epsilon", "inf"], "smoothing_epsilon"),
+    (["--epsilon", "nan"], "smoothing_epsilon"),
+    (["--alpha", "nan,nan"], "alpha"),
+    (["--alpha", "0.5,-inf"], "alpha"),
+    (["--delta-ms", "nan"], "chord_threshold"),
+    (["--model-kind", "chord-hmm", "--epsilon", "inf"], "smoothing_epsilon"),
+    (["--model-kind", "chord-hmm", "--beta", "nan,1"], "beta1"),
+    (["--model-kind", "chord-hmm", "--gamma", "1,inf"], "gamma2"),
+    (["--model-kind", "chord-hmm", "--delta-ms", "nan"], "delta"),
+])
+def test_train_refuses_non_finite_values(tmp_path, capsys, flags, name):
+    out = tmp_path / "model.json"
+    assert main(["train", str(CORPUS), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be finite and non-negative, got ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_chord_overflow_warning_is_one_line_per_command(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(CORPUS / "101-1_fingering.txt", data)
+    # six simultaneous notes in each hand
+    big = data / "big-1_fingering.txt"
+    big.write_text("".join(
+        f"{i}\t0.000000\t0.500000\t{midi_to_pitch(36 + 2 * i)}\t64\t64\t{i // 6}\t"
+        f"{(1 - 2 * (i // 6)) * (i % 5 + 1)}\n"
+        for i in range(12)
+    ))
+    message = "hand overflow, excluded from chord training: ['big']"
+    out = tmp_path / "model.json"
+    assert main(["train", str(data), "--model-kind", "chord-hmm", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {message}\ntrained chord-hmm on 2 pieces (35 notes)\n"
+    )
+    # every candidate's fit warns; the command prints it once
+    assert main(["tune", str(data), "--valid", str(CORPUS), "--model-kind", "chord-hmm",
+                 "--budget", "3", "--out", str(tmp_path / "trace.tsv")]) == 0
+    assert capsys.readouterr().err == f"warning: {message}\n"
+    with pytest.warns(UserWarning) as caught:
+        train_model("chord-hmm", ChordHmmParams(), [load_piece(big)])
+    assert [str(w.message) for w in caught] == [message]
 
 
 def test_tune_writes_trace(tmp_path):

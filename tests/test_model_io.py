@@ -243,6 +243,18 @@ def test_malformed_model_documents_raise_malformed_model(rng):
         with pytest.raises(MalformedModel):
             loads_model(text)
 
+    # non-finite coefficients and settings in the config
+    for doc, key, value in (
+        (note_doc, "smoothing_epsilon", float("inf")),
+        (note_doc, "chord_threshold", float("nan")),
+        (note_doc, "alpha", [float("nan")]),
+        (chord_doc, "beta2", float("nan")),
+        (chord_doc, "delta", float("inf")),
+        (chord_doc, "smoothing_epsilon", float("nan")),
+    ):
+        with pytest.raises(MalformedModel, match="must be finite and non-negative"):
+            loads_model(edited(doc, lambda d: d["config"].update({key: value})))
+
     # a zero-probability cell is a valid leaf
     text = edited(
         note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": -np.inf})
