@@ -11,6 +11,7 @@ written only after a command fully succeeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -66,8 +67,13 @@ def _write_output(text: str, out: str | None) -> None:
         return
     path = Path(out)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the write's own error
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- commands ---------------------------------------------------------------

@@ -19,12 +19,20 @@ written as ``{row: {column: leaf}}``; hands are ``"rh"``/``"lh"``:
   displacement alphabet as ``"dx"`` (integral) or ``"dx,dy"`` (lattice);
 * the chord ``initial_digit`` is a single bare row ``{"1": ..}``.
 
-Zero-probability cells serialise as ``-Infinity``, which the JSON module
-reads back exactly, so a reloaded model decodes bit-identically.  The
-loader refuses, with ``MalformedModel``, any table whose rows or columns
-differ from the keys its config implies (a missing or extra row, or an
-edited ``delta_p_max``), a missing or extra table, and any leaf that is
-not a number (true, false, null, a string or a list), NaN or +Infinity.
+The bytes are those ``json.dumps(doc, sort_keys=True, indent=1)`` writes,
+though the writer renders them itself, straight from the table arrays:
+keys sorted at every level, each item on its own line indented one space
+per nesting level, ``,`` ending every item but the last, ``": "`` after
+each key, a leaf written as ``float.__repr__`` writes it (``-0.0``,
+``5e-324``, ``1e+16``), and no trailing newline.  Zero-probability cells
+serialise as ``-Infinity``, which the JSON module reads back exactly, so
+a reloaded model decodes bit-identically.
+
+The loader refuses, with ``MalformedModel``, any table whose rows or
+columns differ from the keys its config implies (a missing or extra row,
+or an edited ``delta_p_max``), a missing or extra table, any leaf that is
+not a number (true, false, null, a string or a list), NaN or +Infinity,
+and a file nested too deeply for the JSON parser.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
@@ -57,6 +65,8 @@ _HAND_KEY = {Hand.RH: "rh", Hand.LH: "lh"}
 _DIGITS = [str(d + 1) for d in range(N_DIGITS)]
 _HANDS = [_HAND_KEY[h] for h in Hand]
 _NUMBERS = {int, float}
+# how the JSON module spells the floats that repr() writes as inf and nan
+_NON_FINITE = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN"}
 
 
 def _digit_rows(length: int) -> list:
@@ -73,17 +83,85 @@ def _disp_keys(representation: PitchRepresentation, delta_p_max: int) -> list:
     return keys
 
 
-def _encode(table: np.ndarray, rows, cols: list) -> dict:
-    """A table as ``{row: {col: leaf}}``, read in row-major cell order;
+@dataclass(frozen=True)
+class _Axis:
+    """One table axis as the writer lays it out: ``order`` lists the cell
+    positions in sorted-key order and ``keys`` the matching JSON-quoted
+    keys, so each key list is sorted once per model."""
+
+    order: list
+    keys: list
+
+
+def _axis(keys: list) -> _Axis:
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return _Axis(order, [json.dumps(keys[i]) for i in order])
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A table to write as ``{row: {col: leaf}}`` in row-major cell order;
     ``rows=None`` writes a one-row table as a bare ``{col: leaf}``."""
-    if rows is None:
-        return dict(zip(cols, table.tolist()))
-    values = table.reshape(len(rows), len(cols)).tolist()
-    return {row: dict(zip(cols, v)) for row, v in zip(rows, values)}
+
+    values: np.ndarray
+    rows: _Axis | None
+    cols: _Axis
+
+    def render(self, depth: int, out: list) -> None:
+        """Append the table's text at nesting ``depth`` to ``out``, rendered
+        from the array: each distinct leaf (by its float64 bits, so 0.0 and
+        -0.0 stay apart) is formatted once and gathered into its cells."""
+        cols = self.cols
+        grid = self.values.reshape(-1, len(cols.keys))
+        if self.rows is not None:
+            grid = grid[self.rows.order]
+        grid = np.ascontiguousarray(grid[:, cols.order], dtype=np.float64)
+        bits, where = np.unique(grid.view(np.int64).ravel(), return_inverse=True)
+        leaves = np.array(
+            [_NON_FINITE.get(s, s) for s in map(repr, bits.view(np.float64).tolist())],
+            dtype=object,
+        )
+        cell_depth = depth + (1 if self.rows is None else 2)
+        prefixes = np.array(
+            [f"\n{' ' * cell_depth}{key}: " for key in cols.keys], dtype=object
+        )
+        close = "\n" + " " * (cell_depth - 1) + "}"
+        lines = (prefixes + leaves[where.reshape(grid.shape)]).tolist()
+        if self.rows is None:
+            out += ("{", ",".join(lines[0]), close)
+            return
+        indent = "\n" + " " * (depth + 1)
+        for i, (key, line) in enumerate(zip(self.rows.keys, lines)):
+            out += (f"{',' if i else '{'}{indent}{key}: {{", ",".join(line), close)
+        out.append("\n" + " " * depth + "}")
+
+
+def _render(value, depth: int, out: list) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=1)`` writes it at nesting ``depth``; each ``_Table`` is rendered
+    from its array."""
+    if isinstance(value, _Table):
+        value.render(depth, out)
+        return
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # a scalar, {} or []
+        return
+    indent = "\n" + " " * (depth + 1)
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [(f"{indent}{json.dumps(k)}: ", v) for k, v in sorted(value.items())]
+    else:
+        brackets = "[]"
+        items = [(indent, v) for v in value]
+    out.append(brackets[0])
+    for i, (head, item) in enumerate(items):
+        out.append("," + head if i else head)
+        _render(item, depth + 1, out)
+    out.append("\n" + " " * depth + brackets[1])
 
 
 def _decode(data, rows, cols: list) -> np.ndarray:
-    """The inverse of _encode, as a ``(len(rows), len(cols))`` array.
+    """The inverse of writing a ``_Table``, as a ``(len(rows), len(cols))`` array.
 
     Every object must hold exactly the expected keys, and every leaf must
     be a number below +Infinity: numpy would read a true/false leaf as
@@ -138,18 +216,18 @@ def _note_to_dict(model: NoteHmmModel) -> tuple:
         "smoothing_epsilon": cfg.smoothing_epsilon,
         "chord_constraint": cfg.chord_constraint,
     }
-    contexts = [_digit_rows(k) for k in range(cfg.order + 1)]
-    pairs = _digit_rows(2)
-    disps = _disp_keys(cfg.pitch_representation, cfg.delta_p_max)
+    contexts = [_axis(_digit_rows(k)) for k in range(cfg.order + 1)]
+    digits, pairs = _axis(_DIGITS), _axis(_digit_rows(2))
+    disps = _axis(_disp_keys(cfg.pitch_representation, cfg.delta_p_max))
     tables = {
         "initial": [
-            _encode(model.log_initial[k], contexts[k], _DIGITS)
+            _Table(model.log_initial[k], contexts[k], digits)
             for k in range(cfg.order)
         ],
-        "transition": _encode(model.log_transition, contexts[cfg.order], _DIGITS),
+        "transition": _Table(model.log_transition, contexts[cfg.order], digits),
         "output": {
             _HAND_KEY[hand]: {
-                str(lag + 1): _encode(table, pairs, disps)
+                str(lag + 1): _Table(table, pairs, disps)
                 for lag, table in enumerate(model.log_output[hand])
             }
             for hand in Hand
@@ -246,17 +324,17 @@ def _note_describe(config: NoteHmmConfig, args) -> str:
 # --- chord HMM -----------------------------------------------------------
 
 def _chord_to_dict(model: ChordHmmModel) -> tuple:
-    digits, pairs = _digit_rows(1), _digit_rows(2)
-    disps = _disp_keys(PitchRepresentation.LATTICE, model.params.delta_p_max)
+    digits, pairs = _axis(_DIGITS), _axis(_digit_rows(2))
+    disps = _axis(_disp_keys(PitchRepresentation.LATTICE, model.params.delta_p_max))
     tables = {
-        "initial_digit": _encode(model.log_initial_digit, None, _DIGITS),
-        "transition_across": _encode(model.log_trans_across, digits, _DIGITS),
-        "transition_within": _encode(model.log_trans_within, digits, _DIGITS),
+        "initial_digit": _Table(model.log_initial_digit, None, digits),
+        "transition_across": _Table(model.log_trans_across, digits, digits),
+        "transition_within": _Table(model.log_trans_within, digits, digits),
         "output_across": {
-            _HAND_KEY[h]: _encode(model.log_out_across[h], pairs, disps) for h in Hand
+            _HAND_KEY[h]: _Table(model.log_out_across[h], pairs, disps) for h in Hand
         },
         "output_within": {
-            _HAND_KEY[h]: _encode(model.log_out_within[h], pairs, disps) for h in Hand
+            _HAND_KEY[h]: _Table(model.log_out_within[h], pairs, disps) for h in Hand
         },
     }
     # v1 files carry the chord transition order, which is always 1
@@ -338,7 +416,7 @@ class ModelKind:
     count: Callable          # (single-hand parts, config) -> additive counts
     fit: Callable            # (counts, config) -> model
     decode_part: Callable    # (model, part, hand) -> (digits per note, result)
-    to_dict: Callable        # model -> (config dict, tables dict), format v1
+    to_dict: Callable        # model -> (config dict, tables dict of _Table), format v1
     from_dict: Callable      # (config dict, tables dict) -> model
     with_coefficients: Callable  # (config, {name: value}) -> config
     tune_bounds: Callable    # config -> {coefficient name: (low, high)}
@@ -400,7 +478,8 @@ def model_kind(obj) -> str:
 
 
 def dumps_model(model) -> str:
-    """Serialise a trained model to deterministic JSON text."""
+    """Serialise a trained model to deterministic JSON text, byte for byte
+    what ``json.dumps(doc, sort_keys=True, indent=1)`` writes for it."""
     kind = model_kind(model)
     config, tables = KINDS[kind].to_dict(model)
     doc = {
@@ -410,16 +489,22 @@ def dumps_model(model) -> str:
         "config": config,
         "tables": tables,
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    out = []
+    _render(doc, 0, out)
+    return "".join(out)
 
 
 def loads_model(text: str):
     """Parse a model file; the inverse of dumps_model.
 
     A foreign document raises ValueError; a model document with a missing
-    key or a value of the wrong type raises MalformedModel.
+    key or a value of the wrong type, and a document nested too deeply for
+    the JSON parser, raise MalformedModel.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise MalformedModel("model file is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     if doc.get("version") != VERSION:

@@ -241,6 +241,26 @@ def test_estimate_with_malformed_model_fails_cleanly(model_path, tmp_path, capsy
     assert not out.exists()
 
 
+def test_estimate_with_deeply_nested_model_fails_cleanly(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    out = tmp_path / "est.txt"
+    args = ["estimate", str(CORPUS / "101-1_fingering.txt"), "--model", str(deep)]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: model file is nested too deeply\n"
+    assert not out.exists()
+
+
+def test_failed_output_write_leaves_no_temp_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["train", str(CORPUS), "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
 def test_evaluate_human_mode(capsys):
     assert main(["evaluate", "--human", "--gt", str(CORPUS), "--format", "table"]) == 0
     out = capsys.readouterr().out

@@ -13,8 +13,15 @@ from conftest import random_piece
 from pianofinger.chord_hmm import ChordHmmParams, train_chord
 from pianofinger.cli import main
 from pianofinger.errors import MalformedModel
-from pianofinger.model_io import dumps_model, load_model, loads_model, save_model
-from pianofinger.note_hmm import NoteHmmConfig, Symmetry, decode_viterbi, train
+from pianofinger.model_io import (
+    _digit_rows,
+    _disp_keys,
+    dumps_model,
+    load_model,
+    loads_model,
+    save_model,
+)
+from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, Symmetry, decode_viterbi, train
 from pianofinger.pig_io import FingerLabel, Hand
 from pianofinger.pitch_space import PitchRepresentation
 
@@ -48,6 +55,52 @@ def _training_corpus(rng, n_pieces=5):
 _CORPUS = _training_corpus(np.random.default_rng(5))
 
 
+def _json_reference(model, text: str) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1)``, the v1 writer's
+    reference, for ``model``'s document: the tables are built here from
+    the model's arrays, the header and config are read back from ``text``."""
+
+    def table(values, rows, cols):
+        cells = np.asarray(values).reshape(-1, len(cols)).tolist()
+        if rows is None:
+            return dict(zip(cols, cells[0]))
+        return {row: dict(zip(cols, line)) for row, line in zip(rows, cells)}
+
+    digits, pairs = _digit_rows(1), _digit_rows(2)
+    doc = json.loads(text)
+    if isinstance(model, NoteHmmModel):
+        cfg = model.config
+        disps = _disp_keys(cfg.pitch_representation, cfg.delta_p_max)
+        doc["tables"] = {
+            "initial": [
+                table(model.log_initial[k], _digit_rows(k), digits)
+                for k in range(cfg.order)
+            ],
+            "transition": table(model.log_transition, _digit_rows(cfg.order), digits),
+            "output": {
+                hand.name.lower(): {
+                    str(lag + 1): table(t, pairs, disps)
+                    for lag, t in enumerate(model.log_output[hand])
+                }
+                for hand in Hand
+            },
+        }
+    else:
+        disps = _disp_keys(PitchRepresentation.LATTICE, model.params.delta_p_max)
+        doc["tables"] = {
+            "initial_digit": table(model.log_initial_digit, None, digits),
+            "transition_across": table(model.log_trans_across, digits, digits),
+            "transition_within": table(model.log_trans_within, digits, digits),
+            "output_across": {
+                h.name.lower(): table(model.log_out_across[h], pairs, disps) for h in Hand
+            },
+            "output_within": {
+                h.name.lower(): table(model.log_out_within[h], pairs, disps) for h in Hand
+            },
+        }
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
 @st.composite
 def note_configs(draw):
     order = draw(st.integers(1, 3))
@@ -68,6 +121,7 @@ def note_configs(draw):
 def test_note_model_round_trip(config):
     model = train(_CORPUS, config)
     text = dumps_model(model)
+    assert text == _json_reference(model, text)
     loaded = loads_model(text)
     assert loaded.config == model.config
     assert dumps_model(loaded) == text
@@ -97,6 +151,19 @@ def test_v1_model_files_retrain_byte_identical(tmp_path, name):
     args = ["train", str(DATA / "sample_corpus"), "--out", str(out), *V1_TRAIN_FLAGS[name]]
     assert main(args) == 0
     assert out.read_bytes() == (MODEL_V1 / name).read_bytes()
+
+
+def test_edited_leaves_write_back_as_the_json_module_writes_them():
+    doc = json.loads((MODEL_V1 / "note_o2_integral.json").read_text(encoding="utf-8"))
+    row = doc["tables"]["output"]["rh"]["1"]["2,3"]
+    row.update({"-2": -0.0, "-1": 5e-324, "0": 1e16, "1": 0})
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    assert '"1": 0,' in text and '"0": 1e+16' in text
+    model = loads_model(text)
+    written = dumps_model(model)
+    assert written == _json_reference(model, written)
+    assert written == text.replace('"1": 0,', '"1": 0.0,')
+    assert (MODEL_V1 / "note_o2_integral.json").read_text(encoding="utf-8") != text
 
 
 def test_v1_model_file_leaves_land_in_their_cells():
@@ -152,16 +219,22 @@ def test_reloaded_model_decodes_identically(rng, tmp_path):
 
 def test_chord_model_round_trip(rng):
     corpus = _training_corpus(rng)
-    params = ChordHmmParams(delta_p_max=9, zeta=0.25)
-    model = train_chord(corpus, params)
-    loaded = loads_model(dumps_model(model))
-    assert loaded.params == params
-    assert (loaded.log_initial_digit == model.log_initial_digit).all()
-    assert (loaded.log_trans_across == model.log_trans_across).all()
-    assert (loaded.log_trans_within == model.log_trans_within).all()
-    for hand in Hand:
-        assert (loaded.log_out_across[hand] == model.log_out_across[hand]).all()
-        assert (loaded.log_out_within[hand] == model.log_out_within[hand]).all()
+    for params in (
+        ChordHmmParams(delta_p_max=9, zeta=0.25),
+        ChordHmmParams(smoothing_epsilon=0.0),  # -Infinity cells
+    ):
+        model = train_chord(corpus, params)
+        text = dumps_model(model)
+        assert text == _json_reference(model, text)
+        assert ("-Infinity" in text) == (params.smoothing_epsilon == 0.0)
+        loaded = loads_model(text)
+        assert loaded.params == params
+        assert (loaded.log_initial_digit == model.log_initial_digit).all()
+        assert (loaded.log_trans_across == model.log_trans_across).all()
+        assert (loaded.log_trans_within == model.log_trans_within).all()
+        for hand in Hand:
+            assert (loaded.log_out_across[hand] == model.log_out_across[hand]).all()
+            assert (loaded.log_out_within[hand] == model.log_out_within[hand]).all()
 
 
 def test_serialisation_is_deterministic(rng):
@@ -238,6 +311,9 @@ def test_malformed_model_documents_raise_malformed_model(rng):
             d["tables"]["initial"][0])),
         edited(chord_doc, lambda d: d["tables"].update(
             output_extra=d["tables"]["output_within"])),
+        # nested past the JSON parser's recursion limit
+        "[" * 200000,
+        '{"format": ' * 200000,
     ]
     for text in bad:
         with pytest.raises(MalformedModel):
