@@ -106,8 +106,10 @@ class ChordHmmParams:
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
-        if self.delta_p_max < 1:
-            raise ValueError("delta_p_max must be positive")
+        # the widest interval on the keyboard; a larger cutoff clamps nothing
+        if not 1 <= self.delta_p_max <= MIDI_MAX - MIDI_MIN:
+            raise ValueError(f"delta_p_max must lie in 1..{MIDI_MAX - MIDI_MIN}, "
+                             f"got {self.delta_p_max}")
 
 
 @dataclass

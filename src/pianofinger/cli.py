@@ -21,6 +21,7 @@ from . import agreement, dataset, experiments, model_io
 from .errors import EmptyPiece, FingeringError, MissingFinger
 from .estimate import annotate_piece
 from .eval_measures import (
+    MEASURES,
     format_report_table,
     format_report_text,
     hand_reports,
@@ -175,9 +176,8 @@ def cmd_tune(args) -> int:
     valid_sets = dataset.load_ground_truth_sets(args.valid, on_error="skip")
     kind = model_io.KINDS[args.model_kind]
     config = kind.from_args(args)
-    spec = experiments.TuningSpec(
-        bounds=kind.tune_bounds(config), objective=args.objective, budget=args.budget
-    )
+    bounds = {name: b for name, (_, b) in kind.coefficients(config).items()}
+    spec = experiments.TuningSpec(bounds, objective=args.objective, budget=args.budget)
     result = experiments.tune(
         spec,
         train_pieces,
@@ -266,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="search model coefficients on a validation set")
     p.add_argument("data", help="training dataset directory")
     p.add_argument("--valid", required=True, help="validation dataset directory")
-    p.add_argument("--objective", default="m_gen",
-                   choices=("m_gen", "m_high", "m_soft", "m_rec"))
+    p.add_argument("--objective", default="m_gen", choices=tuple(MEASURES))
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--all-annotators", action="store_true")

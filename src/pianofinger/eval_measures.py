@@ -145,6 +145,15 @@ def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COS
     return (n - e_rec) / n, e_rec, path
 
 
+# match-rate function of each measure, in report-column order
+MEASURES = {
+    "m_gen": general_match_rate,
+    "m_high": highest_match_rate,
+    "m_soft": soft_match_rate,
+    "m_rec": lambda est, gts: recombination_match_rate(est, gts)[0],
+}
+
+
 def match_rate_report(
     est, gts, config: RecombinationConfig = DEFAULT_COSTS
 ) -> MatchRateReport:
@@ -159,9 +168,6 @@ def match_rate_report(
         n_notes=len(est),
         n_ground_truths=len(gts),
     )
-
-
-_MEASURES = ("m_gen", "m_high", "m_soft", "m_rec")
 
 
 def hand_reports(piece_id, piece, gts, est=None) -> list:
@@ -184,7 +190,7 @@ def hand_reports(piece_id, piece, gts, est=None) -> list:
             reports = [report for _, report in row]
             means = {
                 m: sum(getattr(r, m) for r in reports) / len(reports)
-                for m in _MEASURES + ("e_rec",)
+                for m in (*MEASURES, "e_rec")
             }
             mean = replace(reports[0], **means, n_ground_truths=len(gts))
             rows.append((row[0][0], mean))
@@ -212,7 +218,7 @@ def summarize(piece_reports: dict) -> dict:
     reports = list(piece_reports.values())
     total_notes = sum(r.n_notes for r in reports)
     out = {"n_pieces": len(reports), "n_notes": total_notes}
-    for measure in _MEASURES:
+    for measure in MEASURES:
         values = [getattr(r, measure) for r in reports]
         out[f"macro_{measure}"] = sum(values) / len(values)
         out[f"micro_{measure}"] = (
@@ -225,8 +231,8 @@ def format_report_text(piece_reports: dict, summary: dict) -> str:
     """Human-readable report: one record per piece plus the corpus
     summary from ``summarize``, match rates as one-decimal percentages."""
     width = max([len("piece")] + [len(str(p)) for p in piece_reports] + [5])
-    header = f"{'piece':>{width}}  notes  gts   M_gen  M_high  M_soft   M_rec"
-    lines = [header]
+    columns = "  ".join(f"{'M' + m[1:]:>6}" for m in MEASURES)
+    lines = [f"{'piece':>{width}}  notes  gts  {columns}"]
 
     def row(label, notes, gts, values):
         cells = "  ".join(f"{100.0 * v:6.1f}" for v in values)
@@ -236,12 +242,12 @@ def format_report_text(piece_reports: dict, summary: dict) -> str:
         r = piece_reports[piece_id]
         lines.append(
             row(str(piece_id), r.n_notes, r.n_ground_truths,
-                [r.m_gen, r.m_high, r.m_soft, r.m_rec])
+                [getattr(r, m) for m in MEASURES])
         )
     for kind in ("macro", "micro"):
         lines.append(
             row(kind, summary["n_notes"], summary["n_pieces"],
-                [summary[f"{kind}_{m}"] for m in _MEASURES])
+                [summary[f"{kind}_{m}"] for m in MEASURES])
         )
     return "".join(line + "\n" for line in lines)
 
@@ -254,18 +260,18 @@ def format_report_table(piece_reports: dict, summary: dict) -> str:
     reading, full-precision fractions for machines.
     """
     header = ["piece", "notes", "gts"]
-    header += [f"{m}_pct" for m in _MEASURES]
-    header += [f"{m}_frac" for m in _MEASURES]
+    header += [f"{m}_pct" for m in MEASURES]
+    header += [f"{m}_frac" for m in MEASURES]
     lines = ["\t".join(header)]
     for piece_id in sorted(piece_reports):
         r = piece_reports[piece_id]
         row = [str(piece_id), str(r.n_notes), str(r.n_ground_truths)]
-        row += [f"{100.0 * getattr(r, m):.1f}" for m in _MEASURES]
-        row += [repr(getattr(r, m)) for m in _MEASURES]
+        row += [f"{100.0 * getattr(r, m):.1f}" for m in MEASURES]
+        row += [repr(getattr(r, m)) for m in MEASURES]
         lines.append("\t".join(row))
     for kind in ("macro", "micro"):
         row = [kind, str(summary["n_notes"]), str(summary["n_pieces"])]
-        row += [f"{100.0 * summary[f'{kind}_{m}']:.1f}" for m in _MEASURES]
-        row += [repr(summary[f"{kind}_{m}"]) for m in _MEASURES]
+        row += [f"{100.0 * summary[f'{kind}_{m}']:.1f}" for m in MEASURES]
+        row += [repr(summary[f"{kind}_{m}"]) for m in MEASURES]
         lines.append("\t".join(row))
     return "".join(line + "\n" for line in lines)

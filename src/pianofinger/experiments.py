@@ -24,12 +24,7 @@ import numpy as np
 from . import model_io
 from .errors import DegenerateFit, EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
-from .eval_measures import (
-    general_match_rate,
-    highest_match_rate,
-    recombination_match_rate,
-    soft_match_rate,
-)
+from .eval_measures import MEASURES
 from .pig_io import split_hands
 
 
@@ -91,14 +86,6 @@ def train_model(model_kind: str, config, train_pieces):
     return kind.fit(kind.count(hand_parts(train_pieces), config), config)
 
 
-MEASURES = {
-    "m_gen": general_match_rate,
-    "m_high": highest_match_rate,
-    "m_soft": soft_match_rate,
-    "m_rec": lambda est, gts: recombination_match_rate(est, gts)[0],
-}
-
-
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
     """Macro average of one match-rate measure over ground-truth sets.
 
@@ -130,10 +117,10 @@ RANDOM_FRACTION = 0.7  # share of a tuning budget spent on random candidates
 class TuningSpec:
     """Search box and objective of a tuning run.
 
-    ``bounds`` maps coefficient names (``alpha1``.., ``lambda1``..,
-    ``beta1``, ``beta2``, ``gamma1``, ``gamma2``, ``zeta``) to (low,
-    high); ``budget`` is the total number of model evaluations, split
-    between random search and coordinate refinement.
+    ``bounds`` maps names from the model kind's coefficient table,
+    ``model_io.KINDS[kind].coefficients``, to (low, high); ``budget`` is
+    the total number of model evaluations, split between random search
+    and coordinate refinement.
     """
 
     bounds: dict
@@ -158,24 +145,6 @@ class TuneResult:
     trace: tuple             # (index, params, objective)
 
 
-def _param_value(config, name: str) -> float:
-    if name.startswith("alpha"):
-        return config.alpha[int(name[5:]) - 1]
-    if name.startswith("lambda"):
-        return config.lambda_[int(name[6:]) - 1]
-    return getattr(config, name)
-
-
-def apply_params(config, params: dict):
-    """New config with the named coefficients replaced.
-
-    For note models the lambda vector is projected back onto the
-    sum <= 1 simplex by scaling when a candidate overshoots.
-    """
-    kind = model_io.KINDS[model_io.model_kind(config)]
-    return kind.with_coefficients(config, params)
-
-
 def tune(
     spec: TuningSpec,
     train_pieces,
@@ -190,7 +159,8 @@ def tune(
     (the first candidate is the base configuration clipped into the box,
     so the result never scores below the shipped defaults) and the rest
     on coordinate-descent refinement.  Objective ties keep the earliest
-    candidate.
+    candidate.  A bound on a name that is not one of the kind's
+    coefficients raises ValueError before any piece is counted.
     """
     kind = model_io.kind(model_kind)
     train_pieces = list(train_pieces)
@@ -205,7 +175,7 @@ def tune(
     state = {"best": None, "counts": None}  # best: (objective, index, params)
 
     def evaluate(params: dict) -> float:
-        config = apply_params(base_config, params)
+        config = kind.with_coefficients(base_config, params)
         if state["counts"] is None:  # on first use, so a bad candidate fails first
             state["counts"] = kind.count(hand_parts(train_pieces), base_config)
         model = kind.fit(state["counts"], config)
@@ -221,7 +191,8 @@ def tune(
         return min(hi, max(lo, value))
 
     n_random = min(spec.budget, max(1, round(spec.budget * RANDOM_FRACTION)))
-    warm = {name: clip(name, _param_value(base_config, name)) for name in names}
+    start = kind.coefficients(base_config)  # evaluate refuses an unknown name
+    warm = {n: clip(n, start[n][0] if n in start else spec.bounds[n][0]) for n in names}
     evaluate(warm)
     while len(trace) < n_random:
         evaluate(

@@ -274,26 +274,20 @@ def _decode_note_part(model: NoteHmmModel, part, hand: Hand) -> tuple:
     return result.fingers, result
 
 
-def _note_with_coefficients(config: NoteHmmConfig, params: dict) -> NoteHmmConfig:
-    alpha = list(config.alpha)
-    lam = list(config.lambda_)
-    for name, value in params.items():
-        if name.startswith("alpha"):
-            alpha[int(name[5:]) - 1] = float(value)
-        elif name.startswith("lambda"):
-            lam[int(name[6:]) - 1] = float(value)
-        else:
-            raise ValueError(f"unknown note-model coefficient {name!r}")
+def _note_coefficients(config: NoteHmmConfig) -> dict:
+    alpha = {f"alpha{i + 1}": (a, (0.0, 2.0)) for i, a in enumerate(config.alpha)}
+    lam = {f"lambda{i + 1}": (v, (0.0, 1.0)) for i, v in enumerate(config.lambda_)}
+    return {**alpha, **lam}
+
+
+def _note_set_coefficients(config: NoteHmmConfig, values: dict) -> NoteHmmConfig:
+    """Lambdas that sum above 1 are scaled back onto the simplex."""
+    values = list(values.values())
+    alpha, lam = values[: config.order], values[config.order :]
     total = sum(lam)
     if total > 1.0:
         lam = [v / total for v in lam]
     return replace(config, alpha=tuple(alpha), lambda_=tuple(lam))
-
-
-def _note_bounds(config: NoteHmmConfig) -> dict:
-    bounds = {f"alpha{i + 1}": (0.0, 2.0) for i in range(config.order)}
-    bounds.update({f"lambda{i + 1}": (0.0, 1.0) for i in range(config.order - 1)})
-    return bounds
 
 
 def _note_from_args(args) -> NoteHmmConfig:
@@ -377,10 +371,25 @@ def _decode_chord_part(model: ChordHmmModel, part, hand: Hand) -> tuple:
     return [result.fingers_by_note[n.note_id] for n in part.notes], result
 
 
+def _chord_coefficients(config: ChordHmmParams) -> dict:
+    bounds = dict.fromkeys(("beta1", "beta2", "gamma1", "gamma2"), (0.0, 10.0))
+    bounds["zeta"] = (0.0, 2.0)
+    return {name: (getattr(config, name), b) for name, b in bounds.items()}
+
+
+def _pair(name: str, values, default: tuple) -> tuple:
+    """A two-value option (across, within), or ``default`` when not given."""
+    if values is None:
+        return default
+    if len(values) != 2:
+        raise ValueError(f"{name} needs 2 values (across,within), got {len(values)}")
+    return values
+
+
 def _chord_from_args(args) -> ChordHmmParams:
     defaults = ChordHmmParams()
-    beta = args.beta or (defaults.beta1, defaults.beta2)
-    gamma = args.gamma or (defaults.gamma1, defaults.gamma2)
+    beta = _pair("beta", args.beta, (defaults.beta1, defaults.beta2))
+    gamma = _pair("gamma", args.gamma, (defaults.gamma1, defaults.gamma2))
     return ChordHmmParams(
         beta1=beta[0],
         beta2=beta[1],
@@ -418,10 +427,23 @@ class ModelKind:
     decode_part: Callable    # (model, part, hand) -> (digits per note, result)
     to_dict: Callable        # model -> (config dict, tables dict of _Table), format v1
     from_dict: Callable      # (config dict, tables dict) -> model
-    with_coefficients: Callable  # (config, {name: value}) -> config
-    tune_bounds: Callable    # config -> {coefficient name: (low, high)}
+    coefficients: Callable   # config -> {name: (value, (low, high))}, tunable ones
+    set_coefficients: Callable  # (config, every coefficient's value by name) -> config
     from_args: Callable      # command-line options -> config
     describe: Callable       # (config, command-line options) -> echo string
+
+    def with_coefficients(self, config, values: dict):
+        """``config`` with the named coefficients replaced; a name that is
+        not in ``coefficients(config)`` raises ValueError."""
+        table = self.coefficients(config)
+        unknown = sorted(values.keys() - table.keys())
+        if unknown:
+            raise ValueError(f"unknown coefficient {unknown[0]!r}; "
+                             f"known coefficients: {', '.join(table)}")
+        return self.set_coefficients(config, {
+            name: float(values[name]) if name in values else value
+            for name, (value, _) in table.items()
+        })
 
 
 KINDS = {
@@ -433,8 +455,8 @@ KINDS = {
         decode_part=_decode_note_part,
         to_dict=_note_to_dict,
         from_dict=_note_from_dict,
-        with_coefficients=_note_with_coefficients,
-        tune_bounds=_note_bounds,
+        coefficients=_note_coefficients,
+        set_coefficients=_note_set_coefficients,
         from_args=_note_from_args,
         describe=_note_describe,
     ),
@@ -446,16 +468,8 @@ KINDS = {
         decode_part=_decode_chord_part,
         to_dict=_chord_to_dict,
         from_dict=_chord_from_dict,
-        with_coefficients=lambda config, params: replace(
-            config, **{k: float(v) for k, v in params.items()}
-        ),
-        tune_bounds=lambda config: {
-            "beta1": (0.0, 10.0),
-            "beta2": (0.0, 10.0),
-            "gamma1": (0.0, 10.0),
-            "gamma2": (0.0, 10.0),
-            "zeta": (0.0, 2.0),
-        },
+        coefficients=_chord_coefficients,
+        set_coefficients=lambda config, values: replace(config, **values),
         from_args=_chord_from_args,
         describe=_chord_describe,
     ),

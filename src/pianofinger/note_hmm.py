@@ -102,8 +102,10 @@ class NoteHmmConfig:
             raise ValueError("lambda coefficients must lie in [0, 1]")
         if sum(lambda_) > 1.0 + 1e-12:
             raise ValueError("lambda coefficients must sum to at most 1")
-        if self.delta_p_max < 1:
-            raise ValueError("delta_p_max must be positive")
+        # the widest interval on the keyboard; a larger cutoff clamps nothing
+        if not 1 <= self.delta_p_max <= MIDI_MAX - MIDI_MIN:
+            raise ValueError(f"delta_p_max must lie in 1..{MIDI_MAX - MIDI_MIN}, "
+                             f"got {self.delta_p_max}")
         for name in ("smoothing_epsilon", "chord_threshold"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
@@ -159,10 +161,6 @@ def _enforce_time_inversion(table: np.ndarray, negperm: np.ndarray) -> np.ndarra
     k = np.arange(table.shape[2])[None, None, :]
     canonical = (i < j) | ((i == j) & (k <= negperm[k]))
     return np.where(canonical, table, partner)
-
-
-def _timeinv_partner_counts(counts: np.ndarray, negperm: np.ndarray) -> np.ndarray:
-    return counts.transpose(1, 0, 2)[:, :, negperm]
 
 
 class NoteCounts(Counts):
@@ -267,26 +265,26 @@ def fit(counts: NoteCounts, config: NoteHmmConfig) -> NoteHmmModel:
     reflperm = reflection_permutation(repr_, dpmax)
     tie_time = Symmetry.TIME_INVERSION in config.symmetries
     tie_reflect = Symmetry.REFLECTION in config.symmetries
+
+    def output_table(c: np.ndarray) -> np.ndarray:
+        """Smoothed, row-normalised output factors of counts ``c``, tied
+        under time inversion when the config asks for it."""
+        if tie_time:
+            c = c + c.transpose(1, 0, 2)[:, :, negperm]
+        table = normalize_rows(c + eps)
+        return _enforce_time_inversion(table, negperm) if tie_time else table
+
     log_output = {Hand.RH: [], Hand.LH: []}
     for lag in range(m):
         if tie_reflect:
-            pooled = tables[Hand.RH, lag + 1] + tables[Hand.LH, lag + 1][:, :, reflperm]
-            if tie_time:
-                pooled = pooled + _timeinv_partner_counts(pooled, negperm)
-            table = normalize_rows(pooled + eps)
-            if tie_time:
-                table = _enforce_time_inversion(table, negperm)
+            table = output_table(
+                tables[Hand.RH, lag + 1] + tables[Hand.LH, lag + 1][:, :, reflperm]
+            )
             log_output[Hand.RH].append(safe_log(table))
             log_output[Hand.LH].append(safe_log(table[:, :, reflperm]))
         else:
             for hand in Hand:
-                c = tables[hand, lag + 1]
-                if tie_time:
-                    c = c + _timeinv_partner_counts(c, negperm)
-                table = normalize_rows(c + eps)
-                if tie_time:
-                    table = _enforce_time_inversion(table, negperm)
-                log_output[hand].append(safe_log(table))
+                log_output[hand].append(safe_log(output_table(tables[hand, lag + 1])))
 
     return NoteHmmModel(
         config=config,

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from pianofinger.chord_hmm import ChordHmmParams
-from pianofinger.cli import main
+from pianofinger.cli import build_parser, main
 from pianofinger.dataset import load_piece
 from pianofinger.errors import AlignmentMismatch, LengthMismatch
+from pianofinger.eval_measures import MEASURES
 from pianofinger.experiments import train_model
 from pianofinger.pig_io import GroundTruthSet, midi_to_pitch
 
@@ -79,6 +80,36 @@ def test_train_bad_coefficient_arity_fails(tmp_path, capsys):
     assert code == 1  # order-2 model needs two alpha weights
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--beta", "1"], "beta needs 2 values (across,within), got 1"),
+    (["--gamma", "1,2,3"], "gamma needs 2 values (across,within), got 3"),
+    (["--beta", ""], "beta needs 2 values (across,within), got 0"),
+])
+def test_train_chord_exponent_pairs_need_two_values(tmp_path, capsys, flags, message):
+    out = tmp_path / "model.json"
+    code = main(["train", str(CORPUS), "--model-kind", "chord-hmm", *flags, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["note-hmm", "chord-hmm"])
+def test_train_refuses_delta_p_max_beyond_the_keyboard(tmp_path, capsys, kind):
+    out = tmp_path / "model.json"
+    code = main(["train", str(CORPUS), "--model-kind", kind, "--delta-p-max", "88",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: delta_p_max must lie in 1..87, got 88\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tune_objectives_are_the_measure_table():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    tune = commands.choices["tune"]
+    objective = next(a for a in tune._actions if a.dest == "objective")
+    assert objective.choices == tuple(MEASURES)
 
 
 def test_train_empty_dir_fails(tmp_path, capsys):

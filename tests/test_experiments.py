@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_piece, random_note_model, random_piece
 from pianofinger import chord_hmm, note_hmm
+from pianofinger.model_io import KINDS
 from pianofinger.chord_hmm import ChordHmmParams
 from pianofinger.errors import DegenerateFit, EmptyCorpus, HandOverflow
 from pianofinger.estimate import estimate_piece
@@ -16,7 +17,6 @@ from pianofinger.eval_measures import match_rate_report
 from pianofinger.experiments import (
     ScalingFit,
     TuningSpec,
-    apply_params,
     evaluate_model,
     fit_sqrt,
     hand_parts,
@@ -135,11 +135,49 @@ def test_tune_rejects_empty(rng):
         tune(spec, [], [], base_config=BASE)
 
 
-def test_apply_params_projects_lambda_simplex():
+def test_with_coefficients_projects_lambda_simplex():
     config = NoteHmmConfig(order=3)
-    tuned = apply_params(config, {"lambda1": 0.8, "lambda2": 0.6})
+    tuned = KINDS["note-hmm"].with_coefficients(config, {"lambda1": 0.8, "lambda2": 0.6})
     assert sum(tuned.lambda_) <= 1.0 + 1e-12
     assert tuned.lambda_[0] / tuned.lambda_[1] == pytest.approx(0.8 / 0.6)
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("note-hmm", NoteHmmConfig(order=1)),
+    ("note-hmm", NoteHmmConfig(order=2, alpha=(1, 0), lambda_=(1,))),
+    ("note-hmm", NoteHmmConfig(order=3)),
+    ("chord-hmm", ChordHmmParams()),
+    ("chord-hmm", ChordHmmParams(beta1=1, zeta=0, delta_p_max=4)),
+], ids=["note-o1", "note-o2", "note-o3", "chord", "chord-edited"])
+def test_coefficient_table_round_trips(kind, config):
+    table = KINDS[kind].coefficients(config)
+    values = {name: value for name, (value, _) in table.items()}
+    assert KINDS[kind].with_coefficients(config, values) == config
+    assert KINDS[kind].with_coefficients(config, {}) == config
+    for value, (lo, hi) in table.values():
+        assert 0.0 == lo < hi
+
+
+@pytest.mark.parametrize("kind, config, name, known", [
+    ("note-hmm", NoteHmmConfig(order=2), "alpha3", "alpha1, alpha2, lambda1"),
+    ("note-hmm", NoteHmmConfig(order=2), "lambda2", "alpha1, alpha2, lambda1"),
+    ("chord-hmm", ChordHmmParams(), "beta9", "beta1, beta2, gamma1, gamma2, zeta"),
+], ids=["alpha3", "lambda2", "beta9"])
+def test_tuning_an_unknown_coefficient_fails_before_counting(
+    rng, monkeypatch, kind, config, name, known
+):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+
+    def refuse(*_):
+        raise AssertionError("counted before the bounds were checked")
+
+    monkeypatch.setattr(note_hmm, "count", refuse)
+    monkeypatch.setattr(chord_hmm, "count", refuse)
+    first_known = known.split(", ")[0]
+    spec = TuningSpec(bounds={first_known: (0.0, 1.0), name: (0.0, 1.0)}, budget=3)
+    message = f"unknown coefficient '{name}'; known coefficients: {known}$"
+    with pytest.raises(ValueError, match=message):
+        tune(spec, train_pieces, valid_sets, model_kind=kind, base_config=config)
 
 
 def test_scaling_reproducible_and_deterministic_at_full_fraction(rng):
@@ -322,7 +360,7 @@ def test_tuning_a_counting_setting_is_refused(rng):
     spec = TuningSpec(bounds={"delta": (0.01, 0.05)}, budget=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="counts were taken under a different delta"):
+        with pytest.raises(ValueError, match="unknown coefficient 'delta'; known coefficients"):
             tune(spec, train_pieces, valid_sets, model_kind="chord-hmm", seed=1)
 
 

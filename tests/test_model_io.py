@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,16 @@ def test_rejects_foreign_documents():
             '{"format": "piano-fingering-model", "version": 1, '
             '"kind": "mystery", "tables": {}}'
         )
+
+
+@pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
+def test_huge_delta_p_max_is_refused_before_building_keys(name):
+    doc = json.loads((MODEL_V1 / name).read_text())
+    doc["config"]["delta_p_max"] = 10**9
+    start = time.perf_counter()
+    with pytest.raises(MalformedModel, match=r"delta_p_max must lie in 1\.\.87, got 1000000000"):
+        loads_model(json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_malformed_model_documents_raise_malformed_model(rng):
