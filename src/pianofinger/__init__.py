@@ -27,6 +27,7 @@ from .eval_measures import (
     highest_match_rate,
     match_rate_report,
     recombination_match_rate,
+    recombination_match_rates,
     soft_match_rate,
     summarize,
 )

@@ -94,8 +94,3 @@ def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
     new_rank[order] = np.arange(order.size)
     return new_rank
 
-
-def prefix_ranks(rank, parent) -> list:
-    """``rerank`` on plain lists, for DPs whose steps are Python loops."""
-    order = sorted(range(len(parent)), key=lambda i: rank[parent[i]])
-    return sorted(range(len(parent)), key=order.__getitem__)  # invert the order

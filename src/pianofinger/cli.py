@@ -116,13 +116,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    rows = []
     if args.human:
         gt_sets = dataset.load_ground_truth_sets(
             args.gt[0], min_annotators=2, on_error="skip"
         )
-        for s in gt_sets:
-            rows += hand_reports(s.piece_id, s.piece, s.signed_fingerings)
+        pieces = [(s.piece_id, s.piece, s.signed_fingerings, None) for s in gt_sets]
     else:
         if args.est is None:
             raise FingeringError("evaluate needs --est (or --human)")
@@ -147,12 +145,13 @@ def cmd_evaluate(args) -> int:
             )
             check_alignment(est_piece, gt_set.piece, f"estimate {est_piece.piece_id}")
             pairs = [(est_piece.piece_id, est_piece, gt_set)]
+        pieces = []
         for piece_id, est_piece, gt_set in pairs:
             if None in est_piece.fingers:
                 raise MissingFinger(f"{piece_id}: the estimate has no finger column")
             est = [f.signed for f in est_piece.fingers]
-            rows += hand_reports(piece_id, est_piece, gt_set.signed_fingerings, est)
-    reports = dict(rows)
+            pieces.append((piece_id, est_piece, gt_set.signed_fingerings, est))
+    reports = dict(hand_reports(pieces))
     # corpus summary over the combined (whole-piece) rows only
     summary = summarize({k: r for k, r in reports.items() if "/" not in str(k)})
     formatter = format_report_text if args.format == "text" else format_report_table

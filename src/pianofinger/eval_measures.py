@@ -11,8 +11,24 @@ Four measures are computed over aligned sequences of finger labels:
   each residual mismatch costing ``c_sub``; the minimum total edit cost
   E over all switching paths gives M_rec = (N - E) / N.
 
-Labels can be any hashables; the library passes signed finger integers.
-Infinite costs use ``math.inf`` so that path feasibility is exact.
+Labels are scalars compared with ``==`` (numbers or strings); the library
+passes signed finger integers.  Infinite costs use ``math.inf`` so that
+path feasibility is exact.
+
+The recombination DP runs in lock step: ``recombination_match_rates``,
+``match_rates`` and ``hand_reports`` group their rows by ground-truth
+count G, sort each group longest first, and advance every unfinished row
+of a group by one note per numpy step, dropping rows as they end.  A
+G = 1 row needs no DP: its one path stays on ground truth 0 and E is the
+running sum (``np.add.accumulate``) of its substitution costs.  Batch at
+the caller: ``cli.cmd_evaluate`` scores every piece, hand and
+leave-one-out row of an ``evaluate`` call in one ``hand_reports`` call,
+and ``experiments.evaluate_model`` every validation piece in one
+``match_rates`` call.  A lone ``recombination_match_rate`` call is a
+batch of one, which pays numpy's per-step overhead for a single row:
+about 30 us per note at G = 2 and at G = 5, against 3 and 13 us for the
+plain loop it replaced, and 0.2-0.9 us per note at G = 1 (Xeon vCPU,
+Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -20,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ._tables import backtrack, prefix_ranks
+import numpy as np
+
 from .errors import LengthMismatch
 from .pig_io import hand_positions
 
@@ -32,7 +49,8 @@ class RecombinationConfig:
     """Edit costs of the recombination measure.
 
     The defaults (switch 1 where fingers agree, forbidden elsewhere,
-    mismatch 1) are the standard measure definition.
+    mismatch 1) are the standard measure definition.  A cost is a
+    non-negative float, ``math.inf`` included; NaN is refused.
     """
 
     c_rec: float = 1.0
@@ -41,8 +59,12 @@ class RecombinationConfig:
 
     def __post_init__(self):
         for name in ("c_rec", "c_rec_prime", "c_sub"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {value}")
+            # -0.0 is kept as 0.0: the DP adds a 0.0 stay cost that the
+            # G = 1 running sum does not, and the two agree only without it
+            object.__setattr__(self, name, float(value) + 0.0)
 
 
 DEFAULT_COSTS = RecombinationConfig()
@@ -62,7 +84,7 @@ class MatchRateReport:
 
 
 def _check(est, gts):
-    if not gts:
+    if not len(gts):
         raise LengthMismatch("need at least one ground truth")
     n = len(est)
     if n == 0:
@@ -73,24 +95,55 @@ def _check(est, gts):
     return n
 
 
+def _row(est, gts) -> tuple:
+    """One scored row: the (G, n) ground-truth labels and the (G, n)
+    agreement table, true where ground truth g matches the estimate at
+    note i."""
+    _check(est, gts)
+    labels = np.asarray(gts)
+    return labels, labels == np.asarray(est)
+
+
+def _codes(labels):
+    """Each label as the index of the first ground truth (row) that shares
+    it, in the smallest integer type that holds the indices."""
+    return (labels[:, None] == labels).argmax(axis=1).astype(np.min_scalar_type(len(labels)))
+
+
+# each measure over a batch of ``_row`` rows, in report-column order
+MEASURES = {
+    "m_gen": lambda rows: [int(agree.sum()) / agree.size for _, agree in rows],
+    "m_high": lambda rows: [int(agree.sum(axis=1).max()) / agree.shape[1] for _, agree in rows],
+    "m_soft": lambda rows: [int(agree.any(axis=0).sum()) / agree.shape[1] for _, agree in rows],
+    "m_rec": lambda rows: [m_rec for m_rec, _, _ in _recombine(rows, DEFAULT_COSTS)],
+}
+
+
+def match_rates(measure: str, pairs) -> list:
+    """One measure of every ``(est, gts)`` pair; m_rec in one lock-step
+    batch."""
+    return MEASURES[measure]([_row(est, gts) for est, gts in pairs])
+
+
 def general_match_rate(est, gts) -> float:
     """Mean over ground truths of the per-ground-truth match rate."""
-    n = _check(est, gts)
-    total = sum(sum(e == g for e, g in zip(est, gt)) for gt in gts)
-    return total / (n * len(gts))
+    return match_rates("m_gen", [(est, gts)])[0]
 
 
 def highest_match_rate(est, gts) -> float:
     """Match rate against the closest single ground truth."""
-    n = _check(est, gts)
-    return max(sum(e == g for e, g in zip(est, gt)) for gt in gts) / n
+    return match_rates("m_high", [(est, gts)])[0]
 
 
 def soft_match_rate(est, gts) -> float:
     """Fraction of notes matching at least one ground truth."""
-    n = _check(est, gts)
-    hits = sum(any(est[i] == gt[i] for gt in gts) for i in range(n))
-    return hits / n
+    return match_rates("m_soft", [(est, gts)])[0]
+
+
+def recombination_match_rates(pairs, config: RecombinationConfig = DEFAULT_COSTS) -> list:
+    """``recombination_match_rate`` of every ``(est, gts)`` pair, in one
+    lock-step batch."""
+    return _recombine([_row(est, gts) for est, gts in pairs], config, paths=True)
 
 
 def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COSTS):
@@ -98,112 +151,162 @@ def recombination_match_rate(est, gts, config: RecombinationConfig = DEFAULT_COS
 
     The path is the 0-based ground-truth index chosen at each note; exact
     cost ties resolve to the lexicographically smallest path, i.e. the
-    smallest ground-truth indices: ``rank[g]`` places the best prefix
-    ending in g among all best prefixes, a tie goes to the lower-ranked
-    predecessor, and prefixes re-rank by (parent rank, g) after each note,
-    so ties cost O(ground truths) per note.
+    smallest ground-truth indices.  If every path costs infinity the path
+    is all zeros.  A batch of one ``recombination_match_rates`` call.
     """
-    n = _check(est, gts)
-    n_g = len(gts)
-
-    def sub(pos, g):
-        return 0.0 if gts[g][pos] == est[pos] else config.c_sub
-
-    def switch(pos, g_prev, g):
-        if g_prev == g:
-            return 0.0
-        return config.c_rec if gts[g][pos] == gts[g_prev][pos] else config.c_rec_prime
-
-    dp = [sub(0, g) for g in range(n_g)]
-    identity = list(range(n_g))
-    rank = identity
-    parents = []
-    for pos in range(1, n):
-        new_dp, new_parents = [], []
-        for g in range(n_g):
-            best, best_prev = INF, 0
-            for g_prev in range(n_g):
-                if dp[g_prev] == INF:
-                    continue
-                cand = dp[g_prev] + switch(pos, g_prev, g)
-                if cand < best:
-                    best, best_prev = cand, g_prev
-                elif cand == best < INF and rank[g_prev] < rank[best_prev]:
-                    best_prev = g_prev
-            new_dp.append(best + sub(pos, g) if best < INF else INF)
-            new_parents.append(best_prev)
-        dp = new_dp
-        parents.append(new_parents)
-        if new_parents != identity:  # if each g keeps its parent, ranks hold
-            rank = prefix_ranks(rank, new_parents)
-
-    e_rec = min(dp)
-    path = (0,) * n  # kept when every path is equally infeasible
-    if e_rec < INF:
-        last = min((g for g, v in enumerate(dp) if v == e_rec), key=rank.__getitem__)
-        path = tuple(backtrack(parents, last))
-    return (n - e_rec) / n, e_rec, path
+    return recombination_match_rates([(est, gts)], config)[0]
 
 
-# match-rate function of each measure, in report-column order
-MEASURES = {
-    "m_gen": general_match_rate,
-    "m_high": highest_match_rate,
-    "m_soft": soft_match_rate,
-    "m_rec": lambda est, gts: recombination_match_rate(est, gts)[0],
-}
+def _recombine(rows, config, paths=False) -> list:
+    """(M_rec, E_rec, path) of every ``_row``, one lock-step DP per
+    ground-truth count G over its rows, longest first; the path is None
+    unless ``paths``, as only the path needs the DP's parents."""
+    out = [None] * len(rows)
+    by_count = {}
+    for i, (labels, _) in enumerate(rows):
+        by_count.setdefault(len(labels), []).append(i)
+    for n_g, group in by_count.items():
+        group.sort(key=lambda i: -rows[i][1].shape[1])
+        step = _running_sum if n_g == 1 else _lockstep
+        for i, e, path in zip(group, *step([rows[i] for i in group], config, paths)):
+            n = rows[i][1].shape[1]
+            out[i] = ((n - e) / n, e, path)
+    return out
+
+
+def _running_sum(batch, config, paths) -> tuple:
+    """E_rec and paths of G = 1 rows: the one path stays on ground truth 0
+    and costs the running sum of the substitution costs."""
+    e_rec = [float(np.add.accumulate(np.where(agree[0], 0.0, config.c_sub))[-1])
+             for _, agree in batch]
+    return e_rec, [(0,) * agree.shape[1] if paths else None for _, agree in batch]
+
+
+def _lockstep(batch, config, paths) -> tuple:
+    """E_rec and, if ``paths``, the paths of G >= 2 rows sorted longest
+    first, one note of every unfinished row per step.
+
+    ``dp`` holds each row's best prefix cost per ground truth g and
+    ``perm[r]`` the g whose best prefix ranks r-th.  A step builds the
+    (rows, G, G) candidate costs from the note's (rows, G) columns and
+    reads them in rank order, so ``argmin`` over the predecessors takes
+    the lowest-ranked of equal-cost ones, and the stable ``argsort`` of the
+    chosen parents' positions re-ranks by (parent rank, g).
+    """
+    lengths = [agree.shape[1] for _, agree in batch]
+    n_steps, n_rows, n_g = lengths[0], len(batch), len(batch[0][0])
+    # rows still running at each note; they stay a prefix, longest first
+    active = np.searchsorted(-np.array(lengths), -np.arange(n_steps))
+    # each note's (running rows, G) columns, note after note in one flat array
+    starts = np.concatenate([[0], np.cumsum(active)]) * n_g
+    codes, miss = np.empty(starts[-1], np.min_scalar_type(n_g)), np.empty(starts[-1], np.int8)
+    for j, (labels, agree) in enumerate(batch):
+        at = (starts[: lengths[j]] + j * n_g)[:, None] + np.arange(n_g)
+        codes[at], miss[at] = _codes(labels).T, ~agree.T
+    active, starts = active.tolist(), starts.tolist()
+
+    switch = np.array([config.c_rec_prime, config.c_rec, 0.0])  # by same label + same g
+    stay = np.eye(n_g, dtype=np.int8)
+    sub = np.array([0.0, config.c_sub])
+    offsets = np.arange(n_rows)[:, None] * n_g  # of each row in a flat (rows, G) array
+    if paths:  # parent of each ground truth per step; a row that has ended stays put
+        parents = np.empty((max(n_steps - 1, 0), n_rows, n_g), codes.dtype)
+        parents[:] = np.arange(n_g)
+    e_rec, last = np.empty(n_rows), np.empty(n_rows, np.intp)
+    dp = sub.take(miss[: starts[1]]).reshape(n_rows, n_g)
+    perm, flat = np.tile(np.arange(n_g), (n_rows, 1)), offsets
+
+    def finish(b):
+        """Record rows b.. of the running batch, which end here."""
+        ranked = dp.take(perm + flat)[b:]
+        at = np.arange(len(ranked)), ranked.argmin(axis=1)
+        e_rec[b : len(dp)], last[b : len(dp)] = ranked[at], perm[b:][at]
+
+    for pos in range(1, n_steps):
+        b, note = active[pos], slice(starts[pos], starts[pos + 1])
+        if b < len(dp):
+            finish(b)
+            dp, perm, flat = dp[:b], perm[:b], flat[:b]
+        col = codes[note].reshape(b, n_g)
+        same = (col[:, :, None] == col[:, None, :]).view(np.int8)
+        cand = dp[:, :, None] + switch.take(same + stay)
+        choice = cand.reshape(-1, n_g).take(perm + flat, axis=0).argmin(axis=1)
+        dp = np.minimum.reduce(cand, axis=1) + sub.take(miss[note]).reshape(b, n_g)
+        if paths:
+            parents[pos - 1, :b] = perm.take(choice + flat)
+        perm = choice.argsort(axis=1, kind="stable")
+    finish(0)
+    if not paths:
+        return e_rec.tolist(), [None] * n_rows
+
+    tracks = np.empty((n_steps, n_rows), codes.dtype)
+    tracks[-1] = last
+    for t in range(n_steps - 2, -1, -1):
+        tracks[t] = parents[t].take(tracks[t + 1] + offsets[:, 0])
+    tracks[:, e_rec == INF] = 0
+    return e_rec.tolist(), [tuple(tracks[:n, j].tolist()) for j, n in enumerate(lengths)]
+
+
+def _reports(rows, config) -> list:
+    rates = zip(*(MEASURES[m](rows) for m in ("m_gen", "m_high", "m_soft")))
+    return [
+        MatchRateReport(*simple, m_rec, e_rec, n_notes=agree.shape[1], n_ground_truths=len(agree))
+        for (_, agree), simple, (m_rec, e_rec, _) in zip(rows, rates, _recombine(rows, config))
+    ]
 
 
 def match_rate_report(
     est, gts, config: RecombinationConfig = DEFAULT_COSTS
 ) -> MatchRateReport:
     """All four measures at once."""
-    m_rec, e_rec, _ = recombination_match_rate(est, gts, config)
-    return MatchRateReport(
-        m_gen=general_match_rate(est, gts),
-        m_high=highest_match_rate(est, gts),
-        m_soft=soft_match_rate(est, gts),
-        m_rec=m_rec,
-        e_rec=e_rec,
-        n_notes=len(est),
-        n_ground_truths=len(gts),
-    )
+    return _reports([_row(est, gts)], config)[0]
 
 
-def hand_reports(piece_id, piece, gts, est=None) -> list:
-    """Reports for a whole piece and for each of its hands that has notes.
+def hand_reports(pieces, config: RecombinationConfig = DEFAULT_COSTS) -> list:
+    """Reports for whole pieces and for each of their hands that has notes.
 
-    Returns (row key, report) pairs keyed ``piece_id``, ``piece_id/rh``
-    and ``piece_id/lh``; ``est`` and ``gts`` are aligned with
-    ``piece.notes``.  Without ``est`` the rows are leave-one-out: each
-    ground truth in turn is scored against the others and every row is
-    the mean over annotators, with ``n_ground_truths`` counting all of
-    them.
+    ``pieces`` holds ``(piece_id, piece, gts, est)`` entries, ``est`` and
+    ``gts`` aligned with ``piece.notes``.  Returns (row key, report) pairs
+    keyed ``piece_id``, ``piece_id/rh`` and ``piece_id/lh``, piece by
+    piece.  With ``est`` None the rows are leave-one-out: each ground
+    truth in turn is scored against the others and every row is the mean
+    over annotators, with ``n_ground_truths`` counting all of them.  The
+    rows of all pieces are scored in one lock-step batch.
     """
-    if est is None:
-        per_annotator = [
-            hand_reports(piece_id, piece, gts[:i] + gts[i + 1 :], own)
-            for i, own in enumerate(gts)
+    rows, spans = [], []  # spans: (key, first row, end row, leave-one-out)
+    for piece_id, piece, gts, est in pieces:
+        if est is None and len(gts) < 2:
+            raise LengthMismatch("leave-one-out needs at least two ground truths")
+        _check(gts[0] if est is None else est, gts)
+        labels = np.asarray(gts)
+        codes = _codes(labels)
+        columns = [(piece_id, slice(None))] + [
+            (f"{piece_id}/{hand.name.lower()}", positions)
+            for hand, positions in hand_positions(piece).items()
+            if positions
         ]
-        rows = []
-        for row in zip(*per_annotator):
-            reports = [report for _, report in row]
+        for key, cols in columns:
+            start = len(rows)
+            if est is None:
+                for i, own in enumerate(codes[:, cols]):
+                    others = np.delete(codes, i, axis=0)[:, cols]
+                    rows.append((others, others == own))
+            else:
+                rows.append((codes[:, cols], labels[:, cols] == np.asarray(est)[cols]))
+            spans.append((key, start, len(rows), est is None))
+    reports = _reports(rows, config)
+    out = []
+    for key, start, stop, pooled in spans:
+        report = reports[start]
+        if pooled:
+            group = reports[start:stop]
             means = {
-                m: sum(getattr(r, m) for r in reports) / len(reports)
+                m: sum(getattr(r, m) for r in group) / len(group)
                 for m in (*MEASURES, "e_rec")
             }
-            mean = replace(reports[0], **means, n_ground_truths=len(gts))
-            rows.append((row[0][0], mean))
-        return rows
-    rows = [(piece_id, match_rate_report(est, gts))]
-    for hand, positions in hand_positions(piece).items():
-        if positions:
-            sub_est = [est[i] for i in positions]
-            sub_gts = [[gt[i] for i in positions] for gt in gts]
-            rows.append(
-                (f"{piece_id}/{hand.name.lower()}", match_rate_report(sub_est, sub_gts))
-            )
-    return rows
+            report = replace(report, **means, n_ground_truths=len(group))
+        out.append((key, report))
+    return out
 
 
 def summarize(piece_reports: dict) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from . import model_io
 from .errors import DegenerateFit, EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
-from .eval_measures import MEASURES
+from .eval_measures import MEASURES, match_rates
 from .pig_io import split_hands
 
 
@@ -95,16 +95,16 @@ def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
         raise ValueError(
             f"unknown measure {measure!r}; known measures: {', '.join(MEASURES)}"
         )
-    match_rate = MEASURES[measure]
-    values = []
+    pairs = []
     for gt_set in gt_sets:
         try:
             signed, _ = estimate_piece(model, gt_set.piece)
         except HandOverflow:
             continue
-        values.append(match_rate(signed, gt_set.signed_fingerings))
-    if not values:
+        pairs.append((signed, gt_set.signed_fingerings))
+    if not pairs:
         raise EmptyCorpus("no piece could be evaluated")
+    values = match_rates(measure, pairs)
     return sum(values) / len(values)
 
 

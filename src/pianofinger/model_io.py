@@ -28,9 +28,10 @@ each key, a leaf written as ``float.__repr__`` writes it (``-0.0``,
 serialise as ``-Infinity``, which the JSON module reads back exactly, so
 a reloaded model decodes bit-identically.
 
-The loader refuses, with ``MalformedModel``, any table whose rows or
-columns differ from the keys its config implies (a missing or extra row,
-or an edited ``delta_p_max``), a missing or extra table, any leaf that is
+The loader refuses, with ``MalformedModel``, a missing or extra key in
+the document or in its config, any table whose rows or columns differ
+from the keys its config implies (a missing or extra row, or an edited
+``delta_p_max``), a missing or extra table, any leaf that is
 not a number (true, false, null, a string or a list), NaN or +Infinity,
 and a file nested too deeply for the JSON parser.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -65,6 +66,12 @@ _HAND_KEY = {Hand.RH: "rh", Hand.LH: "lh"}
 _DIGITS = [str(d + 1) for d in range(N_DIGITS)]
 _HANDS = [_HAND_KEY[h] for h in Hand]
 _NUMBERS = {int, float}
+_DOCUMENT = ["format", "version", "kind", "config", "tables"]
+# the v1 config keys of each kind; a config object holds exactly these
+_NOTE_CONFIG = ["order", "pitch_representation", "symmetries", "delta_p_max",
+                "chord_threshold", "alpha", "lambda", "smoothing_epsilon",
+                "chord_constraint"]
+_CHORD_CONFIG = [f.name for f in fields(ChordHmmParams)] + ["order"]
 # how the JSON module spells the floats that repr() writes as inf and nan
 _NON_FINITE = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN"}
 
@@ -185,6 +192,11 @@ def _leaves(data, keys: list) -> list:
     return values
 
 
+def _config(data, keys: list) -> dict:
+    """A v1 config object, which must hold exactly ``keys``, as a dict."""
+    return dict(zip(keys, _keyed(data, keys)))
+
+
 def _keyed(data, keys: list) -> list:
     """The values of a JSON object whose keys are exactly ``keys``, in order."""
     if not isinstance(data, dict):
@@ -197,7 +209,7 @@ def _keyed(data, keys: list) -> list:
     missing = [k for k in keys if k not in data]
     extra = sorted(data.keys() - set(keys))
     raise ValueError(
-        f"keys differ from the config's: missing {missing[:3]}, extra {extra[:3]}"
+        f"keys differ from the format's: missing {missing[:3]}, extra {extra[:3]}"
     )
 
 
@@ -237,6 +249,7 @@ def _note_to_dict(model: NoteHmmModel) -> tuple:
 
 
 def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
+    data = _config(data, _NOTE_CONFIG)
     config = NoteHmmConfig(
         order=data["order"],
         pitch_representation=PitchRepresentation(data["pitch_representation"]),
@@ -336,8 +349,8 @@ def _chord_to_dict(model: ChordHmmModel) -> tuple:
 
 
 def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
-    data = dict(data)
-    if data.pop("order", 1) != 1:
+    data = _config(data, _CHORD_CONFIG)
+    if data.pop("order") != 1:
         raise MalformedModel("chord-hmm model: only order 1 is defined")
     params = ChordHmmParams(**data)
     digits, pairs = _digit_rows(1), _digit_rows(2)
@@ -526,7 +539,8 @@ def loads_model(text: str):
     name = doc.get("kind")
     entry = kind(name)
     try:
-        return entry.from_dict(doc["config"], doc["tables"])
+        _, _, _, config, tables = _keyed(doc, _DOCUMENT)
+        return entry.from_dict(config, tables)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
         raise MalformedModel(f"{name} model: {type(exc).__name__}: {exc}") from None
 

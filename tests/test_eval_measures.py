@@ -4,6 +4,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pianofinger.errors import LengthMismatch
 from pianofinger.eval_measures import (
@@ -15,6 +17,7 @@ from pianofinger.eval_measures import (
     highest_match_rate,
     match_rate_report,
     recombination_match_rate,
+    recombination_match_rates,
     soft_match_rate,
     summarize,
 )
@@ -40,6 +43,51 @@ def brute_force_recombination(est, gts, config):
         if best_cost is None or cost < best_cost:
             best_cost, best_path = cost, path
     return best_cost, best_path
+
+
+def reference_recombination(est, gts, config):
+    """The plain per-note loop the lock-step batch replaced: ``rank[g]``
+    places the best prefix ending in g among all best prefixes, a tie goes
+    to the lower-ranked predecessor, and prefixes re-rank by (parent rank,
+    g) after each note."""
+    n, n_g = len(est), len(gts)
+
+    def sub(pos, g):
+        return 0.0 if gts[g][pos] == est[pos] else config.c_sub
+
+    def switch(pos, g_prev, g):
+        if g_prev == g:
+            return 0.0
+        return config.c_rec if gts[g][pos] == gts[g_prev][pos] else config.c_rec_prime
+
+    dp = [sub(0, g) for g in range(n_g)]
+    rank = list(range(n_g))
+    parents = []
+    for pos in range(1, n):
+        new_dp, new_parents = [], []
+        for g in range(n_g):
+            best, best_prev = INF, 0
+            for g_prev in range(n_g):
+                if dp[g_prev] == INF:
+                    continue
+                cand = dp[g_prev] + switch(pos, g_prev, g)
+                if cand < best:
+                    best, best_prev = cand, g_prev
+                elif cand == best < INF and rank[g_prev] < rank[best_prev]:
+                    best_prev = g_prev
+            new_dp.append(best + sub(pos, g) if best < INF else INF)
+            new_parents.append(best_prev)
+        dp = new_dp
+        parents.append(new_parents)
+        order = sorted(range(n_g), key=lambda g: rank[new_parents[g]])
+        rank = sorted(range(n_g), key=order.__getitem__)
+    e_rec = min(dp)
+    path = [0] * n
+    if e_rec < INF:
+        path[-1] = min((g for g, v in enumerate(dp) if v == e_rec), key=rank.__getitem__)
+        for pos in range(n - 1, 0, -1):
+            path[pos - 1] = parents[pos - 1][path[pos]]
+    return (n - e_rec) / n, e_rec, tuple(path)
 
 
 def test_simple_rates():
@@ -157,6 +205,60 @@ def test_infinity_is_a_sentinel():
     config = RecombinationConfig(c_rec=INF, c_rec_prime=INF, c_sub=INF)
     m_rec, e_rec, _ = recombination_match_rate([9, 9], [[1, 2], [2, 1]], config)
     assert e_rec == INF and m_rec == -INF
+
+
+@pytest.mark.parametrize("name", ["c_rec", "c_rec_prime", "c_sub"])
+def test_nan_costs_are_refused(name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got nan"):
+        RecombinationConfig(**{name: math.nan})
+    RecombinationConfig(**{name: INF})  # the forbidden-switch sentinel stays
+
+
+def _bitwise(result):
+    m_rec, e_rec, path = result
+    return type(m_rec), repr(m_rec), repr(e_rec), path
+
+
+_COSTS = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0, INF])
+
+
+@st.composite
+def recombination_batches(draw):
+    """Mixed batches: G 1-6, lengths from 1, signed fingers from a small or
+    a tiny alphabet (heavy ties), and all-infeasible rows when c_sub or
+    the switch costs are infinite."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 12))
+        n_g = draw(st.integers(1, 6))
+        fingers = draw(st.sampled_from([(1, -1), (1, 2, -3), (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)]))
+        finger_lists = st.lists(st.sampled_from(fingers), min_size=n, max_size=n)
+        pairs.append((draw(finger_lists), [draw(finger_lists) for _ in range(n_g)]))
+    config = RecombinationConfig(c_rec=draw(_COSTS), c_rec_prime=draw(_COSTS), c_sub=draw(_COSTS))
+    return pairs, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(recombination_batches())
+def test_batch_equals_reference_loop_bitwise(batch):
+    pairs, config = batch
+    results = recombination_match_rates(pairs, config)
+    assert len(results) == len(pairs)
+    for (est, gts), result in zip(pairs, results):
+        expected = _bitwise(reference_recombination(est, gts, config))
+        assert _bitwise(result) == expected
+        assert _bitwise(recombination_match_rates([(est, gts)], config)[0]) == expected
+        report = match_rate_report(est, gts, config)  # the DP without its parents
+        assert _bitwise((report.m_rec, report.e_rec, expected[3])) == expected
+
+
+def test_all_infeasible_rows_take_the_zero_path():
+    config = RecombinationConfig(c_sub=INF)
+    pairs = [([1, 2, 3], [[2, 2, 3], [1, 3, 3]]), ([1, 2], [[1, 2], [3, 2]]), ([4], [[5]])]
+    results = recombination_match_rates(pairs, config)
+    assert results[0] == (-INF, INF, (0, 0, 0))
+    assert results[1] == (1.0, 0.0, (0, 0))
+    assert results[2] == (-INF, INF, (0,))
 
 
 def test_report_formatting():

@@ -260,6 +260,22 @@ def test_rejects_foreign_documents():
         )
 
 
+@pytest.mark.parametrize("name", ["note_o2_integral.json", "note_o3_lattice.json", "chord.json"])
+@pytest.mark.parametrize("edit", [
+    lambda d: d["config"].pop(sorted(d["config"])[0]),
+    lambda d: d["config"].pop("order"),
+    lambda d: d["config"].update(bogus=1),
+    lambda d: d.update(bogus=1),
+    lambda d: d.pop("tables"),
+], ids=["config-missing", "config-missing-order", "config-extra", "document-extra",
+        "document-missing"])
+def test_v1_documents_hold_exactly_their_keys(name, edit):
+    doc = json.loads((MODEL_V1 / name).read_text())
+    edit(doc)
+    with pytest.raises(MalformedModel, match="keys differ"):
+        loads_model(json.dumps(doc))
+
+
 @pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
 def test_huge_delta_p_max_is_refused_before_building_keys(name):
     doc = json.loads((MODEL_V1 / name).read_text())
