@@ -1,7 +1,8 @@
 """Small helpers shared by the table-based models and the exact DPs."""
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +59,31 @@ class Counts:
             key: np.bincount(cells, minlength=math.prod(shape)).astype(float).reshape(shape)
             for key, (shape, cells) in self.events.items()
         }
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# what a config field annotated with each type must hold; numpy scalars count
+_FIELD_TYPES = {
+    "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a real number", _real),
+    "tuple | None": ("None or real numbers", lambda v: v is None or all(map(_real, v))),
+}
+
+
+def check_field_types(config) -> None:
+    """TypeError for a field of the dataclass ``config`` whose value does
+    not fit its annotation: ``bool`` takes a bool, ``int`` an integer,
+    ``float`` a real number, ``tuple | None`` None or real numbers, and a
+    bool is never a number."""
+    for f in fields(config):
+        what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
+        value = getattr(config, f.name)
+        if fits is not None and not fits(value):
+            raise TypeError(f"{f.name} must be {what}, got {value!r}")
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:

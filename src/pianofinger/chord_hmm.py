@@ -36,7 +36,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ._tables import Counts, backtrack, normalize_rows, rerank, safe_log
+from ._tables import Counts, backtrack, check_field_types, normalize_rows, rerank, safe_log
 from .errors import (
     EmptyCorpus,
     EmptyInput,
@@ -44,6 +44,7 @@ from .errors import (
     MissingFinger,
     NoFeasiblePath,
     OutOfRange,
+    RepeatedNoteId,
 )
 from .pig_io import Hand, Piece, infer_hand
 from .pitch_space import (
@@ -87,7 +88,9 @@ class ChordHmmParams:
 
     ``truncate_overlaps`` optionally clips each note's offset at the next
     onset in its hand before clustering, a guard for synthetic input with
-    unphysically long durations.
+    unphysically long durations.  A flag that is not a bool, or an
+    integer or coefficient that is not a number or is a bool, raises
+    TypeError.
     """
 
     beta1: float = 0.94
@@ -101,6 +104,7 @@ class ChordHmmParams:
     truncate_overlaps: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("beta1", "beta2", "gamma1", "gamma2", "zeta", "delta",
                      "smoothing_epsilon"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
@@ -144,12 +148,20 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     A note joins the current chord when its onset is within ``delta`` of
     the chord's latest member onset; afterwards every note whose offset
     exceeds a later chord's onset is added there as sustained.  A pitch
-    that is re-struck displaces its sustained copy.
+    that is re-struck displaces its sustained copy.  Chords identify
+    notes by ``note_id``, so a repeated id raises RepeatedNoteId.
     """
     if len(piece) == 0:
         return []
     infer_hand(piece)
     notes = list(piece.notes)
+    seen = set()
+    for note in notes:
+        if note.note_id in seen:
+            raise RepeatedNoteId(
+                f"piece {piece.piece_id!r}: note id {note.note_id} occurs twice"
+            )
+        seen.add(note.note_id)
     next_onset = {}
     if truncate_overlaps:
         onsets = sorted({n.onset for n in notes})
@@ -165,6 +177,10 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     chord_onsets = [g[0].onset for g in groups]
 
     members: list = [{} for _ in groups]  # midi -> [ids, sustained]
+    # midi -> the last chord an earlier note of that pitch already sustains
+    # into; chord onsets never descend, so each walk may start after it,
+    # and the walks of one pitch visit each chord at most once
+    reach: dict = {}
     for gi, group in enumerate(groups):
         for note in group:
             entry = members[gi].get(note.midi)
@@ -175,11 +191,11 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
             offset = note.offset
             if truncate_overlaps and note.onset in next_onset:
                 offset = min(offset, next_onset[note.onset])
-            for gj in range(gi + 1, len(groups)):
-                if chord_onsets[gj] >= offset:
-                    break
-                if note.midi not in members[gj]:
-                    members[gj][note.midi] = [[note.note_id], True]
+            gj = max(gi, reach.get(note.midi, gi)) + 1
+            while gj < len(groups) and chord_onsets[gj] < offset:
+                members[gj][note.midi] = [[note.note_id], True]
+                gj += 1
+            reach[note.midi] = gj - 1
 
     chords = []
     for gi, table in enumerate(members):

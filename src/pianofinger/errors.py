@@ -49,6 +49,10 @@ class EmptyCorpus(FingeringError):
     """Training or tuning was given no data."""
 
 
+class RepeatedNoteId(FingeringError):
+    """Two notes of one hand part share a note id."""
+
+
 class EmptyPiece(FingeringError):
     """Decoding was asked for an empty note sequence."""
 

@@ -19,6 +19,14 @@ written as ``{row: {column: leaf}}``; hands are ``"rh"``/``"lh"``:
   displacement alphabet as ``"dx"`` (integral) or ``"dx,dy"`` (lattice);
 * the chord ``initial_digit`` is a single bare row ``{"1": ..}``.
 
+The config object holds one key per field of the kind's config class,
+named without a trailing ``_`` (``lambda_`` is ``"lambda"``): enums as
+their values, the symmetry set as a sorted list, tuples as lists.  The
+chord kind adds ``"order": 1``.  The loader passes the values to the
+config class, whose checks apply: a flag must be a bool, ``order`` and
+``delta_p_max`` integers, coefficients and thresholds real numbers, and
+none of the numbers a bool.
+
 The bytes are those ``json.dumps(doc, sort_keys=True, indent=1)`` writes,
 though the writer renders them itself, straight from the table arrays:
 keys sorted at every level, each item on its own line indented one space
@@ -29,11 +37,12 @@ serialise as ``-Infinity``, which the JSON module reads back exactly, so
 a reloaded model decodes bit-identically.
 
 The loader refuses, with ``MalformedModel``, a missing or extra key in
-the document or in its config, any table whose rows or columns differ
-from the keys its config implies (a missing or extra row, or an edited
-``delta_p_max``), a missing or extra table, any leaf that is
-not a number (true, false, null, a string or a list), NaN or +Infinity,
-and a file nested too deeply for the JSON parser.
+the document or in its config, a config value of the wrong type or out
+of range, any table whose rows or columns differ from the keys its
+config implies (a missing or extra row, or an edited ``delta_p_max``), a
+missing or extra table, any leaf that is not a number (true, false,
+null, a string or a list), NaN or +Infinity, and a file nested too
+deeply for the JSON parser.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
@@ -44,9 +53,10 @@ else looks a kind up here instead of branching on it.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -55,7 +65,7 @@ import numpy as np
 from . import chord_hmm, note_hmm
 from .chord_hmm import ChordHmmModel, ChordHmmParams
 from .errors import MalformedModel
-from .note_hmm import N_DIGITS, NoteHmmConfig, NoteHmmModel, Symmetry
+from .note_hmm import N_DIGITS, NoteHmmConfig, NoteHmmModel
 from .pig_io import Hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_displacement
 
@@ -67,11 +77,6 @@ _DIGITS = [str(d + 1) for d in range(N_DIGITS)]
 _HANDS = [_HAND_KEY[h] for h in Hand]
 _NUMBERS = {int, float}
 _DOCUMENT = ["format", "version", "kind", "config", "tables"]
-# the v1 config keys of each kind; a config object holds exactly these
-_NOTE_CONFIG = ["order", "pitch_representation", "symmetries", "delta_p_max",
-                "chord_threshold", "alpha", "lambda", "smoothing_epsilon",
-                "chord_constraint"]
-_CHORD_CONFIG = [f.name for f in fields(ChordHmmParams)] + ["order"]
 # how the JSON module spells the floats that repr() writes as inf and nan
 _NON_FINITE = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN"}
 
@@ -192,11 +197,6 @@ def _leaves(data, keys: list) -> list:
     return values
 
 
-def _config(data, keys: list) -> dict:
-    """A v1 config object, which must hold exactly ``keys``, as a dict."""
-    return dict(zip(keys, _keyed(data, keys)))
-
-
 def _keyed(data, keys: list) -> list:
     """The values of a JSON object whose keys are exactly ``keys``, in order."""
     if not isinstance(data, dict):
@@ -213,21 +213,39 @@ def _keyed(data, keys: list) -> list:
     )
 
 
+def _json_value(value):
+    """A config field's value as v1 files hold it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.generic):  # a numpy scalar, which configs accept
+        return value.item()
+    if isinstance(value, frozenset):
+        return sorted(_json_value(v) for v in value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _config_to_dict(config) -> dict:
+    """A config object as a v1 config object: one key per field, named
+    without a trailing ``_`` (``lambda_`` -> ``"lambda"``)."""
+    return {f.name.rstrip("_"): _json_value(getattr(config, f.name)) for f in fields(config)}
+
+
+def _config_from_dict(cls, data, **constants):
+    """The inverse of ``_config_to_dict``: ``data`` must hold exactly the
+    keys it writes for ``cls`` plus those of ``constants``, each with its
+    value (and type)."""
+    names = [f.name for f in fields(cls)]
+    values = _keyed(data, [name.rstrip("_") for name in names] + list(constants))
+    for (key, expected), value in zip(constants.items(), values[len(names):]):
+        if type(value) is not type(expected) or value != expected:
+            raise ValueError(f"{key} must be {expected!r}, got {value!r}")
+    return cls(**dict(zip(names, values)))
+
+
 # --- note HMM ------------------------------------------------------------
 
 def _note_to_dict(model: NoteHmmModel) -> tuple:
     cfg = model.config
-    config = {
-        "order": cfg.order,
-        "pitch_representation": cfg.pitch_representation.value,
-        "symmetries": sorted(s.value for s in cfg.symmetries),
-        "delta_p_max": cfg.delta_p_max,
-        "chord_threshold": cfg.chord_threshold,
-        "alpha": list(cfg.alpha),
-        "lambda": list(cfg.lambda_),
-        "smoothing_epsilon": cfg.smoothing_epsilon,
-        "chord_constraint": cfg.chord_constraint,
-    }
     contexts = [_axis(_digit_rows(k)) for k in range(cfg.order + 1)]
     digits, pairs = _axis(_DIGITS), _axis(_digit_rows(2))
     disps = _axis(_disp_keys(cfg.pitch_representation, cfg.delta_p_max))
@@ -245,22 +263,11 @@ def _note_to_dict(model: NoteHmmModel) -> tuple:
             for hand in Hand
         },
     }
-    return config, tables
+    return _config_to_dict(cfg), tables
 
 
 def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
-    data = _config(data, _NOTE_CONFIG)
-    config = NoteHmmConfig(
-        order=data["order"],
-        pitch_representation=PitchRepresentation(data["pitch_representation"]),
-        symmetries=frozenset(Symmetry(s) for s in data["symmetries"]),
-        delta_p_max=data["delta_p_max"],
-        chord_threshold=data["chord_threshold"],
-        alpha=tuple(data["alpha"]),
-        lambda_=tuple(data["lambda"]),
-        smoothing_epsilon=data["smoothing_epsilon"],
-        chord_constraint=data["chord_constraint"],
-    )
+    config = _config_from_dict(NoteHmmConfig, data)
     contexts = [_digit_rows(k) for k in range(config.order + 1)]
     pairs = _digit_rows(2)
     disps = _disp_keys(config.pitch_representation, config.delta_p_max)
@@ -306,10 +313,8 @@ def _note_set_coefficients(config: NoteHmmConfig, values: dict) -> NoteHmmConfig
 def _note_from_args(args) -> NoteHmmConfig:
     return NoteHmmConfig(
         order=args.order,
-        pitch_representation=PitchRepresentation(args.pitch),
-        symmetries=frozenset(
-            Symmetry(s) for s in args.symmetry.split("+") if s != "none"
-        ),
+        pitch_representation=args.pitch,
+        symmetries=[s for s in args.symmetry.split("+") if s != "none"],
         delta_p_max=args.delta_p_max,
         chord_threshold=args.delta_ms / 1000.0,
         alpha=args.alpha,
@@ -345,14 +350,11 @@ def _chord_to_dict(model: ChordHmmModel) -> tuple:
         },
     }
     # v1 files carry the chord transition order, which is always 1
-    return {**asdict(model.params), "order": 1}, tables
+    return {**_config_to_dict(model.params), "order": 1}, tables
 
 
 def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
-    data = _config(data, _CHORD_CONFIG)
-    if data.pop("order") != 1:
-        raise MalformedModel("chord-hmm model: only order 1 is defined")
-    params = ChordHmmParams(**data)
+    params = _config_from_dict(ChordHmmParams, data, order=1)
     digits, pairs = _digit_rows(1), _digit_rows(2)
     disps = _disp_keys(PitchRepresentation.LATTICE, params.delta_p_max)
     initial, t_across, t_within, o_across, o_within = _keyed(tables, [

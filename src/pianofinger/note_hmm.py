@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import Counts, backtrack, normalize_rows, rerank, safe_log
+from ._tables import Counts, backtrack, check_field_types, normalize_rows, rerank, safe_log
 from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
@@ -65,7 +65,10 @@ class NoteHmmConfig:
     ``alpha`` has one exponent per lag (length = order); ``lambda_`` has
     one interpolation weight per lower order (length = order - 1, summing
     to at most 1).  Leaving either as None selects the shipped defaults
-    for the chosen order.
+    for the chosen order.  ``pitch_representation`` and ``symmetries`` may
+    be given by their enum values (``"lattice"``, ``["time"]``).  A flag
+    that is not a bool, or an integer or coefficient that is not a number
+    or is a bool, raises TypeError.
     """
 
     order: int = 2
@@ -79,9 +82,14 @@ class NoteHmmConfig:
     chord_constraint: bool = True
 
     def __post_init__(self):
+        # enum fields may be given by their values, as model files hold them
+        object.__setattr__(
+            self, "pitch_representation", PitchRepresentation(self.pitch_representation)
+        )
+        object.__setattr__(self, "symmetries", frozenset(map(Symmetry, self.symmetries)))
+        check_field_types(self)
         if self.order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2 or 3, got {self.order}")
-        object.__setattr__(self, "symmetries", frozenset(self.symmetries))
         alpha = DEFAULT_ALPHA[self.order] if self.alpha is None else tuple(
             float(a) for a in self.alpha
         )
@@ -452,17 +460,12 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     return tuple(int(s) % N_DIGITS + 1 for s in states), float(best)
 
 
-def decode_viterbi(
-    model: NoteHmmModel,
-    piece: Piece,
-    hand: Hand | None = None,
-    crossing_fallback: bool = True,
-) -> DecodeResult:
+def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
     """Most probable fingering of one hand part by exact Viterbi.
 
     When the within-chord constraint leaves no feasible path (e.g. an
-    unplayable cluster) and ``crossing_fallback`` is set, decoding is
-    retried without the constraint and the result is flagged.
+    unplayable cluster), decoding is retried without the constraint and
+    the result is flagged.
     """
     if len(piece) == 0:
         raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
@@ -472,7 +475,7 @@ def decode_viterbi(
     onsets = [n.onset for n in piece.notes]
     result = _run_viterbi(model, hand, keys, onsets, model.config.chord_constraint)
     fallback = False
-    if result is None and model.config.chord_constraint and crossing_fallback:
+    if result is None and model.config.chord_constraint:
         result = _run_viterbi(model, hand, keys, onsets, False)
         fallback = True
     if result is None:

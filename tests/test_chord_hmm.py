@@ -3,9 +3,12 @@
 from dataclasses import replace
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_piece, random_rows
 from pianofinger.chord_hmm import (
@@ -15,16 +18,19 @@ from pianofinger.chord_hmm import (
     ChordHmmParams,
     chord_path_log_score,
     cluster_chords,
+    count,
     decode_chords,
     enumerate_states,
     train_chord,
 )
-from pianofinger.errors import EmptyCorpus, EmptyInput, HandOverflow
+from pianofinger.errors import EmptyCorpus, EmptyInput, HandOverflow, RepeatedNoteId
 from pianofinger.estimate import estimate_piece
+from pianofinger.model_io import load_model
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
 from pianofinger.pig_io import Hand
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
 
+CHORD_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1" / "chord.json"
 LATTICE = PitchRepresentation.LATTICE
 DELTA = 0.030
 
@@ -123,6 +129,104 @@ def test_cluster_hand_overflow():
     piece = make_piece([60, 62, 64, 65, 67, 69], onsets=[0.0] * 6)
     with pytest.raises(HandOverflow):
         cluster_chords(piece, DELTA)
+
+
+def reference_cluster_chords(piece, delta, truncate_overlaps=False):
+    """``cluster_chords`` as a plain loop in which every note walks each
+    later chord until its offset: quadratic, and the reference."""
+    if len(piece) == 0:
+        return []
+    notes = list(piece.notes)
+    next_onset = {}
+    if truncate_overlaps:
+        onsets = sorted({n.onset for n in notes})
+        for i, t in enumerate(onsets[:-1]):
+            next_onset[t] = onsets[i + 1]
+    groups = []
+    for note in notes:
+        if groups and note.onset - groups[-1][-1].onset <= delta:
+            groups[-1].append(note)
+        else:
+            groups.append([note])
+    chord_onsets = [g[0].onset for g in groups]
+    members = [{} for _ in groups]
+    for gi, group in enumerate(groups):
+        for note in group:
+            entry = members[gi].get(note.midi)
+            if entry is None or entry[1]:
+                members[gi][note.midi] = [[note.note_id], False]
+            else:
+                entry[0].append(note.note_id)
+            offset = note.offset
+            if truncate_overlaps and note.onset in next_onset:
+                offset = min(offset, next_onset[note.onset])
+            for gj in range(gi + 1, len(groups)):
+                if chord_onsets[gj] >= offset:
+                    break
+                if note.midi not in members[gj]:
+                    members[gj][note.midi] = [[note.note_id], True]
+    chords = []
+    for gi, table in enumerate(members):
+        if len(table) > 5:
+            raise HandOverflow(
+                f"piece {piece.piece_id!r}: chord at {chord_onsets[gi]:.6f}s "
+                f"needs {len(table)} pitches in one hand"
+            )
+        components = tuple(
+            ChordComponent(midi=midi, note_ids=tuple(ids), sustained=sustained)
+            for midi, (ids, sustained) in sorted(table.items())
+        )
+        chords.append(Chord(onset=chord_onsets[gi], components=components))
+    return chords
+
+
+@st.composite
+def clustering_cases(draw):
+    """Pieces on a coarse time grid: shared onsets, unisons, re-struck
+    pitches, notes that sound to the end, and, with more than five
+    pitches in play, hand overflows."""
+    n = draw(st.integers(1, 30))
+    top = draw(st.integers(60, 68))
+    steps = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n, max_size=n))
+    onsets = [0.02 * t for t in np.cumsum(steps)]
+    midis = draw(st.lists(st.integers(60, top), min_size=n, max_size=n))
+    durations = st.sampled_from([0.01, 0.02, 0.05, 0.2, 1.0, 100.0, 100.0])
+    lengths = draw(st.lists(durations, min_size=n, max_size=n))
+    offsets = [t + d for t, d in zip(onsets, lengths)]
+    return (
+        make_piece(midis, onsets=onsets, offsets=offsets, hand=draw(st.sampled_from(Hand))),
+        draw(st.sampled_from([0.0, DELTA, 0.05])),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustering_cases())
+def test_cluster_matches_the_walk_over_every_later_chord(case):
+    piece, delta, truncate = case
+    try:
+        expected = reference_cluster_chords(piece, delta, truncate)
+    except HandOverflow as exc:
+        with pytest.raises(HandOverflow) as raised:
+            cluster_chords(piece, delta, truncate)
+        assert str(raised.value) == str(exc)
+    else:
+        assert cluster_chords(piece, delta, truncate) == expected
+
+
+def test_repeated_note_ids_are_refused():
+    piece = make_piece([60, 62, 64, 67], hand=Hand.RH, digits=[1, 2, 3, 5])
+    model = load_model(CHORD_V1)
+    assert estimate_piece(model, piece)[0] == [1, 2, 3, 5]
+    for ids in ([0, 0, 1, 1], [7, 7, 7, 7]):
+        repeated = replace(
+            piece, notes=tuple(replace(n, note_id=i) for n, i in zip(piece.notes, ids))
+        )
+        message = rf"piece 'piece': note id {ids[1]} occurs twice"
+        with pytest.raises(RepeatedNoteId, match=message):
+            estimate_piece(model, repeated)
+        with pytest.raises(RepeatedNoteId, match=message):
+            count([repeated], model.params)
 
 
 # --- state enumeration --------------------------------------------------------

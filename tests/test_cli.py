@@ -1,7 +1,10 @@
 """End-to-end command-line workflows on the bundled sample corpus."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -167,6 +170,28 @@ def _with_bad_onset(source, dest):
     lines[1] = "\t".join(fields)
     dest.write_text("".join(l + "\n" for l in lines))
     return dest
+
+
+def test_exit_status_is_2_for_usage_errors_and_1_for_input_errors(tmp_path):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "pianofinger.cli", *args],
+            env=dict(os.environ, PYTHONPATH=str(DATA.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    usage = run("train", str(CORPUS), "--out", str(tmp_path / "m.json"), "--order", "9")
+    assert usage.returncode == 2
+    assert usage.stderr.startswith("usage: pianofinger train ")
+    assert "train: error: argument --order: invalid choice: 9" in usage.stderr
+    missing = tmp_path / "missing.txt"
+    data = run("estimate", str(missing), "--model", str(DATA / "model_v1" / "chord.json"))
+    assert data.returncode == 1
+    assert data.stderr.startswith("error: ") and data.stderr.count("\n") == 1
+    assert str(missing) in data.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_estimate_malformed_line_fails_cleanly(model_path, tmp_path, capsys):

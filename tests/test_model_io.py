@@ -276,6 +276,54 @@ def test_v1_documents_hold_exactly_their_keys(name, edit):
         loads_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("note_o3_lattice.json", "alpha", "123"),
+    ("note_o2_integral.json", "lambda", ["0.4"]),
+    ("note_o2_integral.json", "chord_constraint", "no"),
+    ("note_o2_integral.json", "smoothing_epsilon", True),
+    ("note_o2_integral.json", "order", 2.0),
+    ("note_o3_lattice.json", "delta_p_max", 15.0),
+    ("note_o3_lattice.json", "chord_threshold", False),
+    ("chord.json", "truncate_overlaps", "yes"),
+    ("chord.json", "beta1", True),
+    ("chord.json", "delta_p_max", True),
+    ("chord.json", "order", True),
+    ("chord.json", "order", 1.0),
+])
+def test_v1_config_values_of_the_wrong_type_are_refused(name, key, value):
+    doc = json.loads((MODEL_V1 / name).read_text())
+    doc["config"][key] = value
+    with pytest.raises(MalformedModel, match=rf"\b{key}_? must be"):
+        loads_model(json.dumps(doc))
+
+
+def test_config_classes_check_value_types():
+    assert NoteHmmConfig(pitch_representation="integral", symmetries=["time"]) == (
+        NoteHmmConfig(pitch_representation=PitchRepresentation.INTEGRAL,
+                      symmetries={Symmetry.TIME_INVERSION})
+    )
+    for bad in ({"order": 2.0}, {"delta_p_max": True}, {"chord_constraint": 1},
+                {"alpha": (True, 0.5)}, {"lambda_": "0"}, {"chord_threshold": "0.03"}):
+        with pytest.raises(TypeError):
+            NoteHmmConfig(**bad)
+    for bad in ({"zeta": False}, {"delta_p_max": 3.0}, {"truncate_overlaps": 0},
+                {"delta": None}):
+        with pytest.raises(TypeError):
+            ChordHmmParams(**bad)
+
+
+def test_numpy_scalar_config_values_write_as_plain_ones():
+    note = NoteHmmConfig(order=np.int64(1), delta_p_max=np.int64(3), alpha=np.array([0.5]),
+                         chord_constraint=np.bool_(False), smoothing_epsilon=np.float64(0.25))
+    plain = NoteHmmConfig(order=1, delta_p_max=3, alpha=[0.5], chord_constraint=False,
+                          smoothing_epsilon=0.25)
+    assert dumps_model(train(_CORPUS, note)) == dumps_model(train(_CORPUS, plain))
+    chord = ChordHmmParams(delta_p_max=np.int32(2), truncate_overlaps=np.bool_(True),
+                           zeta=np.float32(0.5))
+    plain = ChordHmmParams(delta_p_max=2, truncate_overlaps=True, zeta=0.5)
+    assert dumps_model(train_chord(_CORPUS, chord)) == dumps_model(train_chord(_CORPUS, plain))
+
+
 @pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
 def test_huge_delta_p_max_is_refused_before_building_keys(name):
     doc = json.loads((MODEL_V1 / name).read_text())

@@ -16,7 +16,6 @@ from pianofinger.errors import (
     EmptyPiece,
     FingeringError,
     MissingFinger,
-    NoFeasiblePath,
     OutOfRange,
 )
 from pianofinger.note_hmm import (
@@ -453,8 +452,6 @@ def test_infeasible_cluster_falls_back(rng):
     result = decode_viterbi(model, piece, hand=Hand.RH)
     assert result.crossing_fallback_used
     assert len(result.fingers) == 6
-    with pytest.raises(NoFeasiblePath):
-        decode_viterbi(model, piece, hand=Hand.RH, crossing_fallback=False)
 
 
 def test_empty_piece_raises(rng):
