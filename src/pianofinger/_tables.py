@@ -1,4 +1,5 @@
-"""Small helpers shared by the table-based models and the exact DPs."""
+"""What the note and chord HMMs share: digit states, config value rules,
+annotated training parts, additive counts, the exact-DP tie rule."""
 
 import math
 import numbers
@@ -6,6 +7,28 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+
+from .errors import DegenerateFit, EmptyCorpus, MissingFinger
+from .pig_io import infer_hand
+from .pitch_space import MIDI_MAX, MIDI_MIN
+
+N_DIGITS = 5
+NEG_INF = float("-inf")
+
+
+def annotated_parts(corpus) -> list:
+    """``(part, hand, digits)`` of each non-empty single-hand part of
+    ``corpus``: its hand and its fingers as 0-based digits, an ``intp``
+    array in note order.  MissingFinger for a note without a finger."""
+    parts = []
+    for piece in filter(len, corpus):
+        hand = infer_hand(piece)
+        missing = [note.note_id for note in piece.notes if note.finger is None]
+        if missing:
+            raise MissingFinger(f"note {missing[0]} of {piece.piece_id!r} has no finger")
+        digits = np.array([note.finger.digit for note in piece.notes], dtype=np.intp) - 1
+        parts.append((piece, hand, digits))
+    return parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -18,11 +41,12 @@ class Counts:
     Adding two counts joins their events and their ``skipped`` ids (the
     parts left out), so the tables of a sum are exactly those of the
     pooled parts, whatever the order of the sum.  ``parts`` is the number
-    of non-empty parts counted and ``settings`` the config fields the
-    events depend on.
+    of non-empty parts counted and ``settings`` maps the config fields
+    the events depend on, which a subclass names in ``SETTINGS``, to
+    their values.
     """
 
-    settings: tuple
+    settings: dict
     parts: int
     events: dict
     skipped: tuple = ()
@@ -41,17 +65,26 @@ class Counts:
         )
 
     @classmethod
-    def collect(cls, settings, parts, shapes: dict, cells: dict, skipped=()):
-        """Counts whose events under each key of ``shapes`` are the
-        concatenated arrays listed under that key of ``cells``."""
+    def collect(cls, config, parts, shapes: dict, cells: dict, skipped=()):
+        """Counts taken under ``config`` whose events under each key of
+        ``shapes`` are the arrays listed under that key of ``cells``."""
         empty = np.empty(0, dtype=np.intp)
         return cls(
-            settings=settings,
+            settings={name: getattr(config, name) for name in cls.SETTINGS},
             parts=parts,
             events={key: (shape, np.concatenate([empty, *cells[key]]))
                     for key, shape in shapes.items()},
             skipped=tuple(skipped),
         )
+
+    def check(self, config) -> None:
+        """EmptyCorpus for counts of no parts; ValueError naming the
+        settings in which ``config`` differs from the counts'."""
+        if self.parts == 0:
+            raise EmptyCorpus("training corpus is empty")
+        differ = [k for k, v in self.settings.items() if getattr(config, k) != v]
+        if differ:
+            raise ValueError(f"counts were taken under a different {' and '.join(differ)}")
 
     @cached_property
     def tables(self) -> dict:
@@ -74,16 +107,31 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(config) -> None:
-    """TypeError for a field of the dataclass ``config`` whose value does
-    not fit its annotation: ``bool`` takes a bool, ``int`` an integer,
-    ``float`` a real number, ``tuple | None`` None or real numbers, and a
-    bool is never a number."""
+def check_fields(config) -> None:
+    """The value rules of both model configs, by the fields of dataclass
+    ``config``.  TypeError for a value that does not fit its annotation:
+    ``bool`` takes a bool, ``int`` an integer, ``float`` a real number,
+    ``tuple | None`` None or real numbers, and a bool is never a number.
+    ValueError for a ``float`` not finite and non-negative (NaN fails
+    too) or a ``delta_p_max`` outside 1..87."""
     for f in fields(config):
-        what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
+        kind = getattr(f.type, "__name__", f.type)
+        what, fits = _FIELD_TYPES.get(kind, (None, None))
         value = getattr(config, f.name)
         if fits is not None and not fits(value):
             raise TypeError(f"{f.name} must be {what}, got {value!r}")
+        if kind == "float":
+            check_non_negative(f.name, value)
+        # the widest interval on the keyboard; a larger cutoff clamps nothing
+        if f.name == "delta_p_max" and not 1 <= value <= MIDI_MAX - MIDI_MIN:
+            raise ValueError(f"delta_p_max must lie in 1..{MIDI_MAX - MIDI_MIN}, got {value}")
+
+
+def check_non_negative(name: str, value) -> None:
+    """ValueError unless ``value``, a number or a tuple of them, is finite
+    and non-negative throughout."""
+    if not all(0 <= v < math.inf for v in (value if isinstance(value, tuple) else (value,))):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -101,14 +149,30 @@ def safe_log(table: np.ndarray) -> np.ndarray:
         return np.log(table)
 
 
-def backtrack(parents, last) -> list:
-    """State indices of the path that ends in state ``last``, where
-    ``parents[t][i]`` is the predecessor of state i at step t + 1."""
-    path = [last]
+# The exact-DP tie rule: score ties go to the lexicographically smallest
+# state path, as enumeration finds it.  ``rank[s]`` places the best prefix
+# ending in state s among all best prefixes; a tie takes the lowest rank.
+
+def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
+    """``(best, parent)`` of one DP step: the best of ``scores`` over axis
+    0, the candidate parents, and the lowest-ranked candidate that reaches
+    it; ``rank`` ranks the candidates, shaped to broadcast to ``scores``."""
+    best = scores.max(axis=0)
+    return best, np.where(scores == best, rank, rank.size).argmin(axis=0)
+
+
+def best_path(dp: np.ndarray, rank: np.ndarray, parents: list) -> tuple:
+    """``(best, path)`` after the last DP step: the best final score and the
+    states of the lowest-ranked path to it, where ``parents[t][i]`` is the
+    predecessor of state i at step t + 1; None if every score is -inf."""
+    best = dp.max()
+    if not best > NEG_INF:
+        return best, None
+    winner = np.flatnonzero(dp == best)
+    path = [winner[rank[winner].argmin()]]
     for parent in reversed(parents):
         path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return best, path[::-1]
 
 
 def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
@@ -120,3 +184,19 @@ def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
     new_rank[order] = np.arange(order.size)
     return new_rank
 
+
+def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:
+    """Least-squares ``(c0, c1)`` of ``y = c0 + c1 * g(x)`` (``log y`` if
+    ``log_y``) over (x, y) ``points``; DegenerateFit for fewer than two,
+    a non-positive x or log-y (``positive``), or one distinct x (``distinct``)."""
+    points = list(points)
+    if len(points) < 2:
+        raise DegenerateFit("need at least two points")
+    xs, ys = np.array(points, dtype=float).T
+    if np.any(xs <= 0) or (log_y and np.any(ys <= 0)):
+        raise DegenerateFit(positive)
+    if np.unique(xs).size < 2:
+        raise DegenerateFit(distinct)
+    design = np.column_stack([np.ones_like(xs), g(xs)])
+    coef, *_ = np.linalg.lstsq(design, np.log(ys) if log_y else ys, rcond=None)
+    return coef

@@ -23,6 +23,7 @@ from itertools import chain
 
 import numpy as np
 
+from ._tables import fit_line
 from .errors import DegenerateFit, InsufficientAnnotators, LengthMismatch, OutOfDomain
 from .pig_io import GroundTruthSet, hand_positions
 
@@ -110,18 +111,9 @@ def fit_power(points) -> tuple:
     ``points`` are (j, M) pairs with positive coordinates; returns
     (c, gamma).
     """
-    points = list(points)
-    if len(points) < 2:
-        raise DegenerateFit("need at least two points")
-    js = np.array([float(j) for j, _ in points])
-    ms = np.array([float(m) for _, m in points])
-    if np.any(js <= 0) or np.any(ms <= 0):
-        raise DegenerateFit("power fit needs positive coordinates")
-    if np.unique(js).size < 2:
-        raise DegenerateFit("need at least two distinct j values")
-    design = np.column_stack([np.ones_like(js), np.log(js)])
-    coef, *_ = np.linalg.lstsq(design, np.log(ms), rcond=None)
-    return float(np.exp(coef[0])), float(-coef[1])
+    log_c, minus_gamma = fit_line(points, np.log, "power fit needs positive coordinates",
+                                  "need at least two distinct j values", log_y=True)
+    return float(np.exp(log_c)), float(-minus_gamma)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ that boundary alone; the path scorer finds such boundaries itself.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,27 +35,21 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from ._tables import Counts, backtrack, check_field_types, normalize_rows, rerank, safe_log
-from .errors import (
-    EmptyCorpus,
-    EmptyInput,
-    HandOverflow,
-    MissingFinger,
-    NoFeasiblePath,
-    OutOfRange,
-    RepeatedNoteId,
+from ._tables import (
+    N_DIGITS,
+    NEG_INF,
+    Counts,
+    annotated_parts,
+    best_parents,
+    best_path,
+    check_fields,
+    normalize_rows,
+    rerank,
+    safe_log,
 )
+from .errors import EmptyInput, HandOverflow, NoFeasiblePath, RepeatedNoteId
 from .pig_io import Hand, Piece, infer_hand
-from .pitch_space import (
-    MIDI_MAX,
-    MIDI_MIN,
-    PitchRepresentation,
-    alphabet_size,
-    index_table,
-)
-
-N_DIGITS = 5
-NEG_INF = float("-inf")
+from .pitch_space import PitchRepresentation, alphabet_size, index_table, key_indices
 
 
 @dataclass(frozen=True)
@@ -88,9 +81,8 @@ class ChordHmmParams:
 
     ``truncate_overlaps`` optionally clips each note's offset at the next
     onset in its hand before clustering, a guard for synthetic input with
-    unphysically long durations.  A flag that is not a bool, or an
-    integer or coefficient that is not a number or is a bool, raises
-    TypeError.
+    unphysically long durations.  Its values follow the rules both model
+    configs share, ``_tables.check_fields``.
     """
 
     beta1: float = 0.94
@@ -104,16 +96,7 @@ class ChordHmmParams:
     truncate_overlaps: bool = False
 
     def __post_init__(self):
-        check_field_types(self)
-        for name in ("beta1", "beta2", "gamma1", "gamma2", "zeta", "delta",
-                     "smoothing_epsilon"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
-        # the widest interval on the keyboard; a larger cutoff clamps nothing
-        if not 1 <= self.delta_p_max <= MIDI_MAX - MIDI_MIN:
-            raise ValueError(f"delta_p_max must lie in 1..{MIDI_MAX - MIDI_MIN}, "
-                             f"got {self.delta_p_max}")
+        check_fields(self)
 
 
 @dataclass
@@ -240,15 +223,6 @@ def _matches_carried(chord: Chord, digits, carried: dict) -> bool:
     return True
 
 
-def _pitches(chords) -> list:
-    """Each chord's pitches; OutOfRange off the 88 keys."""
-    pitches = [chord.midis for chord in chords]
-    for chord, midis in zip(chords, pitches):
-        if min(midis) < MIDI_MIN or max(midis) > MIDI_MAX:
-            raise OutOfRange(f"chord at {chord.onset:.6f}s leaves the 88-key range")
-    return pitches
-
-
 class ChordCounts(Counts):
     """Additive training counts of the chord HMM; ``skipped`` holds the
     piece ids of the parts left out for a hand overflow, in counting order.
@@ -262,9 +236,7 @@ class ChordCounts(Counts):
     component first.
     """
 
-
-def _count_settings(params: ChordHmmParams) -> tuple:
-    return (params.delta, params.truncate_overlaps, params.delta_p_max)
+    SETTINGS = ("delta", "truncate_overlaps", "delta_p_max")
 
 
 def _pairs(first_a, size_a, first_b, size_b) -> tuple:
@@ -279,8 +251,7 @@ def _pairs(first_a, size_a, first_b, size_b) -> tuple:
 def count(corpus, params: ChordHmmParams) -> ChordCounts:
     """Training counts of annotated single-hand pieces.  Empty pieces are
     skipped, and so are pieces with a hand overflow, whose ids are
-    recorded.  Only ``delta``, ``truncate_overlaps`` and ``delta_p_max``
-    matter here."""
+    recorded.  Only the ``ChordCounts.SETTINGS`` fields matter here."""
     size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
     cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
     shapes = {
@@ -291,30 +262,19 @@ def count(corpus, params: ChordHmmParams) -> ChordCounts:
     for name in ("out_across", "out_within"):
         shapes.update({(name, hand): (N_DIGITS, N_DIGITS, size) for hand in Hand})
     cells = {key: [] for key in shapes}
-    parts = 0
+    parts = annotated_parts(corpus)
     skipped = []
-    for piece in corpus:
-        if len(piece) == 0:
-            continue
-        parts += 1
-        hand = infer_hand(piece)
-        digit_of = {}
-        for note in piece.notes:
-            if note.finger is None:
-                raise MissingFinger(
-                    f"note {note.note_id} of {piece.piece_id!r} has no finger"
-                )
-            digit_of[note.note_id] = note.finger.digit - 1
+    for piece, hand, note_digits in parts:
         try:
             chords = cluster_chords(piece, params.delta, params.truncate_overlaps)
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
         # every component of every chord, flat: its key index and digit
-        keys = np.array([m for midis in _pitches(chords) for m in midis]) - MIDI_MIN
-        digits = np.array(
-            [digit_of[c.note_ids[0]] for chord in chords for c in chord.components]
-        )
+        flat = [c for chord in chords for c in chord.components]
+        position = {note.note_id: i for i, note in enumerate(piece.notes)}
+        keys = key_indices(c.midi for c in flat)
+        digits = note_digits[[position[c.note_ids[0]] for c in flat]]
         sizes = np.array([chord.size for chord in chords])
         first = np.cumsum(sizes) - sizes
         cells["initial"].append(digits[: sizes[0]])
@@ -326,7 +286,7 @@ def count(corpus, params: ChordHmmParams) -> ChordCounts:
             pair = digits[a] * N_DIGITS + digits[b]
             cells["trans_" + name].append(pair)
             cells["out_" + name, hand].append(pair * size + cell[keys[a], keys[b]])
-    return ChordCounts.collect(_count_settings(params), parts, shapes, cells, skipped)
+    return ChordCounts.collect(params, len(parts), shapes, cells, skipped)
 
 
 def fit(counts: ChordCounts, params: ChordHmmParams) -> ChordHmmModel:
@@ -336,11 +296,7 @@ def fit(counts: ChordCounts, params: ChordHmmParams) -> ChordHmmModel:
     before normalisation.  Warns once about the pieces with parts
     excluded for a hand overflow, each id once, in counting order.
     """
-    if counts.parts == 0:
-        raise EmptyCorpus("training corpus is empty")
-    if counts.settings != _count_settings(params):
-        raise ValueError("counts were taken under a different delta, "
-                         "truncate_overlaps or delta_p_max")
+    counts.check(params)
     skipped = list(dict.fromkeys(counts.skipped))  # both hands of a piece can overflow
     if skipped:
         warnings.warn(f"hand overflow, excluded from chord training: {skipped}")
@@ -456,7 +412,7 @@ class _EdgeKernel:
         first chord, which has one row), restricted to the slices
         ``rows`` and ``cols`` of the state lists."""
         base, a, b, has_cell = _layout(len(prev_midis), len(midis), self.hand, self.size)
-        keys = np.array(prev_midis + midis, dtype=np.intp) - MIDI_MIN
+        keys = key_indices(prev_midis + midis)
         terms = base[:, rows, cols] + (has_cell * self.cell[keys[a], keys[b]])[:, None, None]
         total = np.add.accumulate(self.flat[terms])[-1]  # strictly in term order
         return np.fmax(len(midis) ** -self.zeta * total, NEG_INF)
@@ -487,7 +443,7 @@ def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
     boundaries).  At each boundary the sustain mask applies unless it
     leaves no finite score while the previous chord has one; then that
     boundary alone is scored unmasked and recorded as relaxed."""
-    pitches = _pitches(chords)
+    pitches = [chord.midis for chord in chords]
     states = [_states_array(len(m), hand) for m in pitches]
     dp = kernel.scores((), pitches[0])[0]
     rank = np.arange(dp.size)
@@ -501,9 +457,7 @@ def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
                 cand = kept
             else:
                 relaxed.append(ci)
-        dp = cand.max(axis=0)
-        # among the rows that reach a column's best score, the lowest-ranked
-        parent = np.where(cand == dp, rank[:, None], rank.size).argmin(axis=0)
+        dp, parent = best_parents(cand, rank[:, None])
         parents.append(parent)
         rank = rerank(rank, parent)
     return dp, rank, parents, relaxed
@@ -523,7 +477,7 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     """
     chords = list(chords)
     kernel = _EdgeKernel(model, hand)
-    pitches = _pitches(chords)
+    pitches = [chord.midis for chord in chords]
     states = [_states_array(len(m), hand) for m in pitches]
     cells = [
         slice(i, i + 1)
@@ -558,11 +512,10 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
 
     Each boundary is one (previous states, current states) score matrix
     from the edge kernel, masked where a sustained note would change
-    digit.  Ties resolve to the lexicographically smallest state path:
-    ``rank[i]`` places state i's best prefix among all best prefixes, a
-    tie goes to the lower-ranked predecessor, and since
-    ``enumerate_states`` lists states in ascending order, prefixes re-rank
-    by (parent rank, own index), so ties cost O(states) per chord.  If the
+    digit.  Ties resolve to the lexicographically smallest state path by
+    the tie rule of ``_tables``; since ``enumerate_states`` lists states in
+    ascending order, prefixes re-rank by (parent rank, own index), so ties
+    cost O(states) per chord.  If the
     sustain constraint leaves no feasible transition at some boundary,
     that boundary alone is relaxed and recorded; a decode whose score is
     still -inf raises NoFeasiblePath.
@@ -571,15 +524,10 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     if not chords:
         raise EmptyInput("no chords to decode")
     dp, rank, parents, relaxed = _forward(_EdgeKernel(model, hand), chords, hand)
-    best = dp.max()
-    if best == NEG_INF:
+    best, indices = best_path(dp, rank, parents)
+    if indices is None:
         raise NoFeasiblePath("all chord state paths have zero probability")
-    winner = np.flatnonzero(dp == best)
-    last = winner[rank[winner].argmin()]
-    path = tuple(
-        _states(chord.size, hand)[i]
-        for chord, i in zip(chords, backtrack(parents, last))
-    )
+    path = tuple(_states(chord.size, hand)[i] for chord, i in zip(chords, indices))
 
     fingers_by_note = {}
     for chord, state in zip(chords, path):

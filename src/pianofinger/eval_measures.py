@@ -330,28 +330,25 @@ def summarize(piece_reports: dict) -> dict:
     return out
 
 
+def _report_rows(piece_reports: dict, summary: dict) -> list:
+    """``(label, notes, gts, match rates in MEASURES order)`` of each piece,
+    by piece id, then of the macro and micro averages from ``summarize``."""
+    rows = [(str(p), r.n_notes, r.n_ground_truths, [getattr(r, m) for m in MEASURES])
+            for p, r in sorted(piece_reports.items())]
+    return rows + [(k, summary["n_notes"], summary["n_pieces"],
+                    [summary[f"{k}_{m}"] for m in MEASURES]) for k in ("macro", "micro")]
+
+
 def format_report_text(piece_reports: dict, summary: dict) -> str:
     """Human-readable report: one record per piece plus the corpus
     summary from ``summarize``, match rates as one-decimal percentages."""
-    width = max([len("piece")] + [len(str(p)) for p in piece_reports] + [5])
+    rows = _report_rows(piece_reports, summary)
+    width = max(len(label) for label, *_ in rows)  # "macro" is as wide as "piece"
     columns = "  ".join(f"{'M' + m[1:]:>6}" for m in MEASURES)
     lines = [f"{'piece':>{width}}  notes  gts  {columns}"]
-
-    def row(label, notes, gts, values):
-        cells = "  ".join(f"{100.0 * v:6.1f}" for v in values)
-        return f"{label:>{width}}  {notes:5d}  {gts:3d}  {cells}"
-
-    for piece_id in sorted(piece_reports):
-        r = piece_reports[piece_id]
-        lines.append(
-            row(str(piece_id), r.n_notes, r.n_ground_truths,
-                [getattr(r, m) for m in MEASURES])
-        )
-    for kind in ("macro", "micro"):
-        lines.append(
-            row(kind, summary["n_notes"], summary["n_pieces"],
-                [summary[f"{kind}_{m}"] for m in MEASURES])
-        )
+    for label, notes, gts, rates in rows:
+        cells = "  ".join(f"{100.0 * v:6.1f}" for v in rates)
+        lines.append(f"{label:>{width}}  {notes:5d}  {gts:3d}  {cells}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -366,15 +363,7 @@ def format_report_table(piece_reports: dict, summary: dict) -> str:
     header += [f"{m}_pct" for m in MEASURES]
     header += [f"{m}_frac" for m in MEASURES]
     lines = ["\t".join(header)]
-    for piece_id in sorted(piece_reports):
-        r = piece_reports[piece_id]
-        row = [str(piece_id), str(r.n_notes), str(r.n_ground_truths)]
-        row += [f"{100.0 * getattr(r, m):.1f}" for m in MEASURES]
-        row += [repr(getattr(r, m)) for m in MEASURES]
-        lines.append("\t".join(row))
-    for kind in ("macro", "micro"):
-        row = [kind, str(summary["n_notes"]), str(summary["n_pieces"])]
-        row += [f"{100.0 * summary[f'{kind}_{m}']:.1f}" for m in MEASURES]
-        row += [repr(summary[f"{kind}_{m}"]) for m in MEASURES]
-        lines.append("\t".join(row))
+    for label, notes, gts, rates in _report_rows(piece_reports, summary):
+        pct = [f"{100.0 * v:.1f}" for v in rates]
+        lines.append("\t".join([label, str(notes), str(gts), *pct, *map(repr, rates)]))
     return "".join(line + "\n" for line in lines)

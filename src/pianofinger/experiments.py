@@ -22,7 +22,8 @@ from functools import reduce
 import numpy as np
 
 from . import model_io
-from .errors import DegenerateFit, EmptyCorpus, HandOverflow
+from ._tables import fit_line
+from .errors import EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
 from .eval_measures import MEASURES, match_rates
 from .pig_io import split_hands
@@ -34,18 +35,9 @@ def fit_sqrt(points) -> tuple:
     ``points`` are (N, value) pairs with positive N; at least two
     distinct N are required.
     """
-    points = list(points)
-    if len(points) < 2:
-        raise DegenerateFit("need at least two points")
-    ns = np.array([float(n) for n, _ in points])
-    ys = np.array([float(y) for _, y in points])
-    if np.any(ns <= 0):
-        raise DegenerateFit("sample sizes must be positive")
-    if np.unique(ns).size < 2:
-        raise DegenerateFit("need at least two distinct sample sizes")
-    design = np.column_stack([np.ones_like(ns), 1.0 / np.sqrt(ns)])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return float(coef[0]), float(-coef[1])
+    a, minus_b = fit_line(points, lambda ns: 1.0 / np.sqrt(ns), "sample sizes must be positive",
+                          "need at least two distinct sample sizes")
+    return float(a), float(-minus_b)
 
 
 @dataclass(frozen=True)
@@ -217,7 +209,7 @@ def tune(
                 if len(trace) >= spec.budget:
                     break
                 candidate = dict(current)
-                candidate[name] = clip(name, current.get(name, warm[name]) + direction * step)
+                candidate[name] = clip(name, current[name] + direction * step)
                 if candidate == current:
                     continue
                 before = state["best"][0]
@@ -275,6 +267,9 @@ def scaling_experiment(
         raise ValueError("repeats must be at least 1")
     if config is None:
         config = kind.config()
+    fractions = list(fractions)
+    if not fractions:
+        raise ValueError("fractions must hold at least one fraction")
     for fraction in fractions:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside (0, 1]")

@@ -23,9 +23,7 @@ The config object holds one key per field of the kind's config class,
 named without a trailing ``_`` (``lambda_`` is ``"lambda"``): enums as
 their values, the symmetry set as a sorted list, tuples as lists.  The
 chord kind adds ``"order": 1``.  The loader passes the values to the
-config class, whose checks apply: a flag must be a bool, ``order`` and
-``delta_p_max`` integers, coefficients and thresholds real numbers, and
-none of the numbers a bool.
+config class, whose checks, ``_tables.check_fields``, apply.
 
 The bytes are those ``json.dumps(doc, sort_keys=True, indent=1)`` writes,
 though the writer renders them itself, straight from the table arrays:
@@ -63,9 +61,10 @@ from typing import Callable
 import numpy as np
 
 from . import chord_hmm, note_hmm
+from ._tables import N_DIGITS
 from .chord_hmm import ChordHmmModel, ChordHmmParams
 from .errors import MalformedModel
-from .note_hmm import N_DIGITS, NoteHmmConfig, NoteHmmModel
+from .note_hmm import NoteHmmConfig, NoteHmmModel
 from .pig_io import Hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_displacement
 

@@ -23,13 +23,24 @@ operations, so exhaustive enumeration can be compared bitwise.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._tables import Counts, backtrack, check_field_types, normalize_rows, rerank, safe_log
-from .errors import EmptyCorpus, EmptyPiece, MissingFinger, NoFeasiblePath
+from ._tables import (
+    N_DIGITS,
+    NEG_INF,
+    Counts,
+    annotated_parts,
+    best_parents,
+    best_path,
+    check_fields,
+    check_non_negative,
+    normalize_rows,
+    rerank,
+    safe_log,
+)
+from .errors import EmptyPiece, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
     MIDI_MAX,
@@ -41,9 +52,6 @@ from .pitch_space import (
     negation_permutation,
     reflection_permutation,
 )
-
-N_DIGITS = 5
-NEG_INF = float("-inf")
 
 
 class Symmetry(enum.Enum):
@@ -66,9 +74,9 @@ class NoteHmmConfig:
     one interpolation weight per lower order (length = order - 1, summing
     to at most 1).  Leaving either as None selects the shipped defaults
     for the chosen order.  ``pitch_representation`` and ``symmetries`` may
-    be given by their enum values (``"lattice"``, ``["time"]``).  A flag
-    that is not a bool, or an integer or coefficient that is not a number
-    or is a bool, raises TypeError.
+    be given by their enum values (``"lattice"``, ``["time"]``).  The
+    value rules both model configs share, ``_tables.check_fields``, apply
+    first; ``alpha`` follows its float rule.
     """
 
     order: int = 2
@@ -87,7 +95,7 @@ class NoteHmmConfig:
             self, "pitch_representation", PitchRepresentation(self.pitch_representation)
         )
         object.__setattr__(self, "symmetries", frozenset(map(Symmetry, self.symmetries)))
-        check_field_types(self)
+        check_fields(self)
         if self.order not in (1, 2, 3):
             raise ValueError(f"order must be 1, 2 or 3, got {self.order}")
         alpha = DEFAULT_ALPHA[self.order] if self.alpha is None else tuple(
@@ -100,8 +108,7 @@ class NoteHmmConfig:
         object.__setattr__(self, "lambda_", lambda_)
         if len(alpha) != self.order:
             raise ValueError(f"alpha needs {self.order} weights, got {len(alpha)}")
-        if not all(0 <= a < math.inf for a in alpha):  # NaN fails too
-            raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+        check_non_negative("alpha", alpha)
         if len(lambda_) != self.order - 1:
             raise ValueError(
                 f"lambda needs {self.order - 1} coefficients, got {len(lambda_)}"
@@ -110,14 +117,6 @@ class NoteHmmConfig:
             raise ValueError("lambda coefficients must lie in [0, 1]")
         if sum(lambda_) > 1.0 + 1e-12:
             raise ValueError("lambda coefficients must sum to at most 1")
-        # the widest interval on the keyboard; a larger cutoff clamps nothing
-        if not 1 <= self.delta_p_max <= MIDI_MAX - MIDI_MIN:
-            raise ValueError(f"delta_p_max must lie in 1..{MIDI_MAX - MIDI_MIN}, "
-                             f"got {self.delta_p_max}")
-        for name in ("smoothing_epsilon", "chord_threshold"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -180,9 +179,7 @@ class NoteCounts(Counts):
     digit at note n, alphabet cell) in that hand, (5, 5, alphabet).
     """
 
-
-def _count_settings(config: NoteHmmConfig) -> tuple:
-    return (config.order, config.pitch_representation, config.delta_p_max)
+    SETTINGS = ("order", "pitch_representation", "delta_p_max")
 
 
 def _window_codes(f: np.ndarray, width: int) -> np.ndarray:
@@ -197,8 +194,7 @@ def _window_codes(f: np.ndarray, width: int) -> np.ndarray:
 
 def count(corpus, config: NoteHmmConfig) -> NoteCounts:
     """Training counts of annotated single-hand pieces; empty pieces are
-    skipped.  Only ``order``, ``pitch_representation`` and
-    ``delta_p_max`` of the config matter here."""
+    skipped.  Only the ``NoteCounts.SETTINGS`` fields of the config matter."""
     m = config.order
     cell = index_table(config.pitch_representation, config.delta_p_max)
     size = alphabet_size(config.pitch_representation, config.delta_p_max)
@@ -208,21 +204,9 @@ def count(corpus, config: NoteHmmConfig) -> NoteCounts:
         (hand, lag): (N_DIGITS, N_DIGITS, size) for hand in Hand for lag in range(1, m + 1)
     })
     cells = {key: [] for key in shapes}
-    parts = 0
-    for piece in corpus:
-        if len(piece) == 0:
-            continue
-        parts += 1
-        hand = infer_hand(piece)
-        digits = []
-        for note in piece.notes:
-            if note.finger is None:
-                raise MissingFinger(
-                    f"note {note.note_id} of {piece.piece_id!r} has no finger"
-                )
-            digits.append(note.finger.digit)
+    parts = annotated_parts(corpus)
+    for piece, hand, f in parts:
         keys = key_indices(n.midi for n in piece.notes)
-        f = np.array(digits, dtype=np.intp) - 1
         for width in range(1, m + 2):
             windows = _window_codes(f, width)
             if width <= m:  # the first width - 1 digits, then one more
@@ -232,7 +216,7 @@ def count(corpus, config: NoteHmmConfig) -> NoteCounts:
         for lag in range(1, m + 1):
             pair = f[:-lag] * N_DIGITS + f[lag:]
             cells[hand, lag].append(pair * size + cell[keys[:-lag], keys[lag:]])
-    return NoteCounts.collect(_count_settings(config), parts, shapes, cells)
+    return NoteCounts.collect(config, len(parts), shapes, cells)
 
 
 def fit(counts: NoteCounts, config: NoteHmmConfig) -> NoteHmmModel:
@@ -244,11 +228,7 @@ def fit(counts: NoteCounts, config: NoteHmmConfig) -> NoteHmmModel:
     transition tables rely on interpolation instead, with unseen contexts
     falling back to a uniform row so every distribution stays normalised.
     """
-    if counts.parts == 0:
-        raise EmptyCorpus("training corpus is empty")
-    if counts.settings != _count_settings(config):
-        raise ValueError("counts were taken under a different order, pitch "
-                         "representation or delta_p_max")
+    counts.check(config)
     m = config.order
     repr_ = config.pitch_representation
     dpmax = config.delta_p_max
@@ -406,11 +386,10 @@ def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
 def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     """Exact DP; returns (digits, log score) or None when every path has
     score -inf.  Exact score ties resolve to the lexicographically
-    smallest digit sequence, matching brute-force enumeration order:
-    ``rank[s]`` places state s's best prefix among all best prefixes and
-    a tie goes to the lower-ranked parent.  Extensions of one prefix order
-    by their digit ``state % 5``, i.e. by state index, so one stable
-    argsort per step re-ranks and ties cost O(states) per note."""
+    smallest digit sequence by the tie rule of ``_tables``.  Extensions of
+    one prefix order by their digit ``state % 5``, i.e. by state index, so
+    one stable argsort per step re-ranks and ties cost O(states) per
+    note."""
     m = model.config.order
     slabs, allowed = _step_tables(model, hand, keys, onsets, use_constraint)
     # digit[lag - 1][s]: the digit state s holds for the note lag steps
@@ -441,22 +420,16 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
             dp = scores.reshape(-1)
             parent = np.repeat(np.arange(n_prev), N_DIGITS)
         else:
-            # merge: predecessors of state (r, d) differ only in the oldest
-            # digit g; among the best-scoring g take the lowest-ranked one
-            grouped = scores.reshape(N_DIGITS, base, N_DIGITS)
-            dp = grouped.max(axis=0)
-            tied_rank = np.where(
-                grouped == dp[None], rank.reshape(N_DIGITS, base, 1), n_prev
+            # merge: the predecessors of state (r, d) differ in their oldest digit g
+            dp, g = best_parents(
+                scores.reshape(N_DIGITS, base, N_DIGITS), rank.reshape(N_DIGITS, base, 1)
             )
-            parent = tied_rank.argmin(axis=0) * base + columns
-            dp, parent = dp.reshape(-1), parent.reshape(-1)
+            dp, parent = dp.reshape(-1), (g * base + columns).reshape(-1)
         parents.append(parent)
         rank = rerank(rank, parent)
-    best = dp.max()
-    if best == NEG_INF or math.isnan(best):
+    best, states = best_path(dp, rank, parents)
+    if states is None:
         return None
-    winner = np.nonzero(dp == best)[0]
-    states = backtrack(parents, winner[rank[winner].argmin()])
     return tuple(int(s) % N_DIGITS + 1 for s in states), float(best)
 
 
@@ -525,10 +498,9 @@ def sample_piece(
     hand: Hand,
     n_notes: int,
     rng: np.random.Generator,
-    start_midi: int = 60,
-    onset_step: float = 0.5,
 ) -> Piece:
-    """Draw an annotated monophonic piece from the generative model.
+    """Draw an annotated monophonic piece from the generative model: its
+    notes start half a second apart, the first on middle C.
 
     Pitches are sampled from the lag-1 output factor only, so this is the
     exact generative process for order 1 and an approximation above.
@@ -544,7 +516,7 @@ def sample_piece(
         else:
             row = np.exp(model.log_transition[_flat_index(digits[-cfg.order :])])
         digits.append(int(rng.choice(N_DIGITS, p=row / row.sum())) + 1)
-    midis = [start_midi]
+    midis = [60]
     out = np.exp(model.log_output[hand][0])
     for n in range(1, n_notes):
         row = out[digits[n - 1] - 1, digits[n] - 1]
@@ -556,8 +528,8 @@ def sample_piece(
     notes = tuple(
         Note(
             note_id=i,
-            onset=round(i * onset_step, 6),
-            offset=round(i * onset_step + 0.9 * onset_step, 6),
+            onset=round(i * 0.5, 6),
+            offset=round(i * 0.5 + 0.45, 6),
             pitch=midi_to_pitch(midi),
             midi=midi,
             onset_velocity=64,

@@ -23,7 +23,13 @@ from pianofinger.chord_hmm import (
     enumerate_states,
     train_chord,
 )
-from pianofinger.errors import EmptyCorpus, EmptyInput, HandOverflow, RepeatedNoteId
+from pianofinger.errors import (
+    EmptyCorpus,
+    EmptyInput,
+    HandOverflow,
+    OutOfRange,
+    RepeatedNoteId,
+)
 from pianofinger.estimate import estimate_piece
 from pianofinger.model_io import load_model
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
@@ -520,6 +526,15 @@ def test_decode_empty_input(rng):
     model = random_chord_model(rng)
     with pytest.raises(EmptyInput):
         decode_chords(model, [], Hand.RH)
+
+
+def test_chords_off_the_keyboard_are_refused_as_note_pitches_are(rng):
+    model = random_chord_model(rng)
+    low = Chord(onset=0.0, components=(ChordComponent(midi=20, note_ids=(0,), sustained=False),))
+    for call in (lambda: decode_chords(model, [low], Hand.RH),
+                 lambda: chord_path_log_score(model, [low], Hand.RH, [(1,)])):
+        with pytest.raises(OutOfRange, match=r"^MIDI number 20 outside 21\.\.108$"):
+            call()
 
 
 def test_monophonic_reduction_matches_note_hmm(rng):

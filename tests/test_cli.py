@@ -543,6 +543,14 @@ def test_scaling_is_seed_reproducible(tmp_path):
     assert "seed=7" in a.read_text().splitlines()[0]
 
 
+def test_scaling_refuses_an_empty_fraction_list(tmp_path, capsys):
+    out = tmp_path / "scaling.tsv"
+    args = ["scaling", str(CORPUS), "--test", str(CORPUS), "--fractions", ",", "--repeats", "1"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: fractions must hold at least one fraction\n"
+    assert not out.exists()
+
+
 def test_chord_model_pipeline(tmp_path):
     model = tmp_path / "chord.json"
     assert main(

@@ -81,7 +81,7 @@ def _synthetic_data(rng, n_train=6, n_valid=3, n_notes=25):
     source = random_note_model(rng, order=1, representation=INTEGRAL, delta_p_max=5)
     train_pieces, valid_sets = [], []
     for i in range(n_train + n_valid):
-        piece = sample_piece(source, Hand.RH, n_notes, rng, start_midi=60)
+        piece = sample_piece(source, Hand.RH, n_notes, rng)
         piece = piece.__class__(
             notes=piece.notes, piece_id=f"s{i}", annotator_id="1"
         )
@@ -200,6 +200,16 @@ def test_scaling_reproducible_and_deterministic_at_full_fraction(rng):
     partial = [p for p in first if p.fraction != 1.0][0]
     assert partial.repeats == 3
     assert 1 <= partial.n_pieces < len(train_pieces)
+
+
+def test_scaling_refuses_an_empty_fraction_list(rng):
+    train_pieces, test_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    for fractions in ([], iter(())):
+        with pytest.raises(ValueError, match="^fractions must hold at least one fraction$"):
+            scaling_experiment(train_pieces, test_sets, fractions, 1, config=BASE)
+    # checking the fractions must not use up a one-pass iterable
+    (point,) = scaling_experiment(train_pieces, test_sets, iter([1.0]), 1, config=BASE)
+    assert point.fraction == 1.0
 
 
 def test_unknown_model_kind_raises_value_error_listing_kinds(rng):
@@ -353,6 +363,22 @@ def test_counts_refuse_other_settings(rng):
         note_hmm.fit(note_hmm.count([Piece(notes=())], config), config)
     with pytest.raises(EmptyCorpus):
         chord_hmm.fit(chord_hmm.count([], ChordHmmParams()), ChordHmmParams())
+
+
+def test_fit_names_the_settings_the_counts_differ_in(rng):
+    parts = _training_parts(rng)
+    counts = note_hmm.count(parts, NoteHmmConfig(order=2))
+    with pytest.raises(ValueError, match="^counts were taken under a different delta_p_max$"):
+        note_hmm.fit(counts, NoteHmmConfig(order=2, delta_p_max=4))
+    with pytest.raises(
+        ValueError, match="^counts were taken under a different order and pitch_representation$"
+    ):
+        note_hmm.fit(counts, NoteHmmConfig(order=3, pitch_representation=INTEGRAL))
+    chord_counts = chord_hmm.count(parts, ChordHmmParams())
+    with pytest.raises(
+        ValueError, match="^counts were taken under a different delta and truncate_overlaps$"
+    ):
+        chord_hmm.fit(chord_counts, ChordHmmParams(delta=0.05, truncate_overlaps=True))
 
 
 def test_tuning_a_counting_setting_is_refused(rng):

@@ -463,7 +463,7 @@ def test_empty_piece_raises(rng):
 def test_sampled_corpus_trains(rng):
     model = random_note_model(rng, order=1, representation=INTEGRAL, delta_p_max=5)
     pieces = [
-        sample_piece(model, Hand.RH, 30, rng, start_midi=60) for _ in range(4)
+        sample_piece(model, Hand.RH, 30, rng) for _ in range(4)
     ]
     trained = train(
         pieces, NoteHmmConfig(order=1, pitch_representation=INTEGRAL, delta_p_max=5)
