@@ -36,30 +36,50 @@ def _csv_floats(text: str) -> tuple:
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model-kind", choices=tuple(model_io.KINDS), default="note-hmm")
-    parser.add_argument("--order", type=int, choices=(1, 2, 3), default=2,
-                        help="note-HMM order")
-    parser.add_argument("--pitch", choices=("lattice", "integral"), default="lattice")
-    parser.add_argument("--symmetry", choices=("none", "reflect", "time", "time+reflect"),
-                        default="none")
     parser.add_argument("--delta-ms", type=float, default=30.0,
                         help="chord clustering threshold in milliseconds")
     parser.add_argument("--delta-p-max", type=int, default=15)
-    parser.add_argument("--alpha", type=_csv_floats, default=None,
-                        help="comma-separated output exponents (one per lag)")
-    parser.add_argument("--lambda", dest="lambda_", type=_csv_floats, default=None,
-                        help="comma-separated transition interpolation weights")
-    parser.add_argument("--beta", type=_csv_floats, default=None,
-                        help="chord-HMM transition exponents: across,within")
-    parser.add_argument("--gamma", type=_csv_floats, default=None,
-                        help="chord-HMM output exponents: across,within")
-    parser.add_argument("--zeta", type=float, default=None,
-                        help="chord-size damping exponent")
     parser.add_argument("--epsilon", type=float, default=0.5,
                         help="additive smoothing count per table cell")
-    parser.add_argument("--no-chord-constraint", action="store_true",
-                        help="note-HMM: drop the within-chord crossing constraint")
-    parser.add_argument("--truncate-overlaps", action="store_true",
-                        help="chord-HMM: clip offsets at the next onset")
+    note = parser.add_argument_group("note-hmm options")
+    chord = parser.add_argument_group("chord-hmm options")
+    parser.set_defaults(kind_options={
+        "note-hmm": [
+            note.add_argument("--order", type=int, choices=(1, 2, 3), default=2),
+            note.add_argument("--pitch", choices=("lattice", "integral"), default="lattice"),
+            note.add_argument("--symmetry", default="none",
+                              choices=("none", "reflect", "time", "time+reflect")),
+            note.add_argument("--alpha", type=_csv_floats, default=None,
+                              help="comma-separated output exponents (one per lag)"),
+            note.add_argument("--lambda", dest="lambda_", type=_csv_floats, default=None,
+                              help="comma-separated transition interpolation weights"),
+            note.add_argument("--no-chord-constraint", action="store_true",
+                              help="drop the within-chord crossing constraint"),
+        ],
+        "chord-hmm": [
+            chord.add_argument("--beta", type=_csv_floats, default=None,
+                               help="transition exponents: across,within"),
+            chord.add_argument("--gamma", type=_csv_floats, default=None,
+                               help="output exponents: across,within"),
+            chord.add_argument("--zeta", type=float, default=None,
+                               help="chord-size damping exponent"),
+            chord.add_argument("--truncate-overlaps", action="store_true",
+                               help="clip offsets at the next onset"),
+        ],
+    })
+
+
+def _model_config(args) -> tuple:
+    """The chosen model kind and its config from the command line; an
+    option only another kind reads, set away from its default, raises
+    ValueError."""
+    for name, options in args.kind_options.items():
+        for action in options:
+            if name != args.model_kind and getattr(args, action.dest) != action.default:
+                raise ValueError(f"{action.option_strings[0]} does not apply to "
+                                 f"--model-kind {args.model_kind}")
+    kind = model_io.KINDS[args.model_kind]
+    return kind, kind.from_args(args)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -81,7 +101,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 def cmd_train(args) -> int:
     corpus = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
-    config = model_io.KINDS[args.model_kind].from_args(args)
+    _, config = _model_config(args)
     model = experiments.train_model(args.model_kind, config, corpus)
     _write_output(model_io.dumps_model(model), args.out)
     n_notes = sum(len(p) for p in corpus)
@@ -116,14 +136,15 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.human or Path(args.est).is_dir()) and len(args.gt) > 1:
+        raise ValueError("--human and a directory --est take one --gt dataset directory, "
+                         f"got {len(args.gt)} paths")
     if args.human:
         gt_sets = dataset.load_ground_truth_sets(
             args.gt[0], min_annotators=2, on_error="skip"
         )
         pieces = [(s.piece_id, s.piece, s.signed_fingerings, None) for s in gt_sets]
     else:
-        if args.est is None:
-            raise FingeringError("evaluate needs --est (or --human)")
         est_path = Path(args.est)
         if est_path.is_dir():
             gt_sets = {
@@ -173,8 +194,7 @@ def cmd_analyze(args) -> int:
 def cmd_tune(args) -> int:
     train_pieces = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
     valid_sets = dataset.load_ground_truth_sets(args.valid, on_error="skip")
-    kind = model_io.KINDS[args.model_kind]
-    config = kind.from_args(args)
+    kind, config = _model_config(args)
     bounds = {name: b for name, (_, b) in kind.coefficients(config).items()}
     spec = experiments.TuningSpec(bounds, objective=args.objective, budget=args.budget)
     result = experiments.tune(
@@ -199,8 +219,7 @@ def cmd_tune(args) -> int:
 def cmd_scaling(args) -> int:
     train_pieces = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
     test_sets = dataset.load_ground_truth_sets(args.test, on_error="skip")
-    kind = model_io.KINDS[args.model_kind]
-    config = kind.from_args(args)
+    kind, config = _model_config(args)
     points = experiments.scaling_experiment(
         train_pieces,
         test_sets,
@@ -247,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="match rates of estimates vs ground truths")
-    p.add_argument("--est", default=None,
-                   help="estimated fingering file, or a directory of them")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--est", help="estimated fingering file, or a directory of them")
+    mode.add_argument("--human", action="store_true",
+                      help="leave-one-annotator-out agreement instead of --est")
     p.add_argument("--gt", nargs="+", required=True,
                    help="ground-truth files, or one dataset directory")
-    p.add_argument("--human", action="store_true",
-                   help="leave-one-annotator-out agreement instead of --est")
     p.add_argument("--format", choices=("text", "table"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)

@@ -262,7 +262,7 @@ def match_rate_report(
     return _reports([_row(est, gts)], config)[0]
 
 
-def hand_reports(pieces, config: RecombinationConfig = DEFAULT_COSTS) -> list:
+def hand_reports(pieces) -> list:
     """Reports for whole pieces and for each of their hands that has notes.
 
     ``pieces`` holds ``(piece_id, piece, gts, est)`` entries, ``est`` and
@@ -294,7 +294,7 @@ def hand_reports(pieces, config: RecombinationConfig = DEFAULT_COSTS) -> list:
             else:
                 rows.append((codes[:, cols], labels[:, cols] == np.asarray(est)[cols]))
             spans.append((key, start, len(rows), est is None))
-    reports = _reports(rows, config)
+    reports = _reports(rows, DEFAULT_COSTS)
     out = []
     for key, start, stop, pooled in spans:
         report = reports[start]

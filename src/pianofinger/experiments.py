@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -162,68 +163,48 @@ def tune(
     if base_config is None:
         base_config = kind.config()
     rng = np.random.default_rng(seed)
-    names = sorted(spec.bounds)
+    box = sorted(spec.bounds.items())  # (name, (low, high)) by name
     trace = []
-    state = {"best": None, "counts": None}  # best: (objective, index, params)
 
-    def evaluate(params: dict) -> float:
+    def incumbent() -> tuple:
+        return max(trace, key=operator.itemgetter(2))  # the earliest of tied maxima
+
+    def candidates():
+        """The warm start, the random draws, then coordinate proposals; each
+        proposal reads the incumbent after the previous candidate is in ``trace``."""
+        start = kind.coefficients(base_config)
+        yield {n: min(hi, max(lo, start[n][0] if n in start else lo)) for n, (lo, hi) in box}
+        for _ in range(round(spec.budget * RANDOM_FRACTION) - 1):
+            yield {n: lo + rng.random() * (hi - lo) for n, (lo, hi) in box}
+        scale = 0.25
+        while True:
+            proposed = improved = False
+            for name, (lo, hi) in box:
+                step = scale * (hi - lo)
+                for direction in (1.0, -1.0):
+                    _, current, value = incumbent()
+                    moved = min(hi, max(lo, current[name] + direction * step))
+                    if moved == current[name]:
+                        continue
+                    yield {**current, name: moved}
+                    proposed = True
+                    if trace[-1][2] > value:  # the candidate became the incumbent
+                        improved = True
+                        break
+            if not proposed:
+                return  # every proposal clipped onto the incumbent
+            if not improved:
+                scale /= 2.0
+
+    # counted on first use, so an unknown coefficient fails before anything is counted
+    counts = cache(lambda: kind.count(hand_parts(train_pieces), base_config))
+    for params in islice(candidates(), spec.budget):
         config = kind.with_coefficients(base_config, params)
-        if state["counts"] is None:  # on first use, so a bad candidate fails first
-            state["counts"] = kind.count(hand_parts(train_pieces), base_config)
-        model = kind.fit(state["counts"], config)
-        value = evaluate_model(model, valid_sets, spec.objective)
-        index = len(trace)
-        trace.append((index, dict(params), value))
-        if state["best"] is None or value > state["best"][0]:
-            state["best"] = (value, index, dict(params))
-        return value
-
-    def clip(name, value):
-        lo, hi = spec.bounds[name]
-        return min(hi, max(lo, value))
-
-    n_random = min(spec.budget, max(1, round(spec.budget * RANDOM_FRACTION)))
-    start = kind.coefficients(base_config)  # evaluate refuses an unknown name
-    warm = {n: clip(n, start[n][0] if n in start else spec.bounds[n][0]) for n in names}
-    evaluate(warm)
-    while len(trace) < n_random:
-        evaluate(
-            {
-                name: spec.bounds[name][0]
-                + rng.random() * (spec.bounds[name][1] - spec.bounds[name][0])
-                for name in names
-            }
-        )
-
-    scale = 0.25
-    while len(trace) < spec.budget:
-        evaluations_before = len(trace)
-        improved = False
-        for name in names:
-            if len(trace) >= spec.budget:
-                break
-            lo, hi = spec.bounds[name]
-            step = scale * (hi - lo)
-            current = state["best"][2]
-            for direction in (1.0, -1.0):
-                if len(trace) >= spec.budget:
-                    break
-                candidate = dict(current)
-                candidate[name] = clip(name, current[name] + direction * step)
-                if candidate == current:
-                    continue
-                before = state["best"][0]
-                if evaluate(candidate) > before:
-                    improved = True
-                    break
-        if not improved:
-            scale /= 2.0
-        if len(trace) == evaluations_before:
-            break  # every proposal clipped onto the incumbent
-
-    value, index, params = state["best"]
+        model = kind.fit(counts(), config)
+        trace.append((len(trace), params, evaluate_model(model, valid_sets, spec.objective)))
+    index, params, value = incumbent()
     return TuneResult(
-        best_params=params, best_objective=value, best_index=index, trace=tuple(trace)
+        best_params=dict(params), best_objective=value, best_index=index, trace=tuple(trace)
     )
 
 
@@ -275,12 +256,7 @@ def scaling_experiment(
             raise ValueError(f"fraction {fraction} outside (0, 1]")
     rng = np.random.default_rng(seed)
     n_total = len(train_pieces)
-    counts = [None] * n_total
-
-    def counts_of(i: int):
-        if counts[i] is None:
-            counts[i] = kind.count(hand_parts([train_pieces[i]]), config)
-        return counts[i]
+    counts_of = cache(lambda i: kind.count(hand_parts([train_pieces[i]]), config))
 
     points = []
     for fraction in fractions:

@@ -343,7 +343,6 @@ class GroundTruthSet:
 
     piece: Piece                                  # reference note content
     signed_fingerings: tuple[tuple[int, ...], ...]
-    annotator_ids: tuple[str, ...]
 
     @property
     def piece_id(self) -> str:
@@ -365,8 +364,4 @@ class GroundTruthSet:
             if any(f is None for f in fingers):
                 raise MissingFinger(f"{name} is unannotated")
             fingerings.append(tuple(f.signed for f in fingers))
-        return cls(
-            piece=reference,
-            signed_fingerings=tuple(fingerings),
-            annotator_ids=tuple(p.annotator_id for p in pieces),
-        )
+        return cls(piece=reference, signed_fingerings=tuple(fingerings))

@@ -1,5 +1,6 @@
 """Chord clustering, state enumeration, training and chord Viterbi."""
 
+import math
 from dataclasses import replace
 from itertools import product
 from math import comb
@@ -26,6 +27,7 @@ from pianofinger.chord_hmm import (
 from pianofinger.errors import (
     EmptyCorpus,
     EmptyInput,
+    FingeringError,
     HandOverflow,
     OutOfRange,
     RepeatedNoteId,
@@ -589,3 +591,58 @@ def test_decode_piece_assigns_both_hands(rng):
     assert len(signed) == 6 and all(v != 0 for v in signed)
     for note, value in zip(piece.notes, signed):
         assert (value > 0) == (note.channel == 0)
+
+
+@st.composite
+def chord_pieces(draw):
+    """A random chord model and hand part: clusters of up to six pitches,
+    unisons, 0 s and within-threshold chord gaps, notes sustained into
+    later chords (optionally clipped at the next onset), one-note hands,
+    zero exponents and zero-probability cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = {
+        name: draw(st.sampled_from([0.0, 0.4, 1.3]))
+        for name in ("beta1", "beta2", "gamma1", "gamma2")
+    }
+    model = random_chord_model(
+        rng,
+        delta_p_max=draw(st.integers(1, 4)),
+        truncate_overlaps=draw(st.booleans()),
+        **exponents,
+    )
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    for table in (model.log_initial_digit, model.log_trans_across, model.log_trans_within,
+                  *model.log_out_across.values(), *model.log_out_within.values()):
+        table[rng.random(table.shape) < zero_share] = -np.inf
+    width = draw(st.sampled_from([2, 3, 6]))  # most pitches one group may strike
+    groups = draw(st.lists(
+        st.tuples(
+            st.sampled_from([0.05, 0.25, 0.0, 0.01]),  # gap to the previous group
+            st.sampled_from([0.3, 0.08, 0.005]),  # duration
+            st.lists(st.integers(40, 80), min_size=1, max_size=width),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    midis, onsets, offsets, t = [], [], [], 0.0
+    for gap, duration, pitches in groups:
+        t += gap
+        midis += pitches
+        onsets += [t] * len(pitches)
+        offsets += [t + duration] * len(pitches)
+    hand = draw(st.sampled_from(Hand))
+    return model, make_piece(midis, onsets, hand=hand, offsets=offsets), hand
+
+
+@settings(max_examples=50, deadline=None)
+@given(chord_pieces())
+def test_random_pieces_decode_to_their_oracle_score_or_raise_fingering_error(case):
+    model, piece, hand = case
+    try:
+        chords = cluster_chords(piece, model.params.delta, model.params.truncate_overlaps)
+        result = decode_chords(model, chords, hand)
+    except FingeringError:
+        return
+    assert sorted(result.fingers_by_note) == [note.note_id for note in piece.notes]
+    assert not math.isnan(result.log_score)
+    assert chord_path_log_score(model, chords, hand, result.states) == result.log_score

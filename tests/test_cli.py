@@ -186,12 +186,48 @@ def test_exit_status_is_2_for_usage_errors_and_1_for_input_errors(tmp_path):
     assert usage.returncode == 2
     assert usage.stderr.startswith("usage: pianofinger train ")
     assert "train: error: argument --order: invalid choice: 9" in usage.stderr
+    estimate = str(CORPUS / "101-1_fingering.txt")
+    for flags, message in [
+        ([], "one of the arguments --est --human is required"),
+        (["--human", "--est", estimate], "argument --est: not allowed with argument --human"),
+    ]:
+        usage = run("evaluate", *flags, "--gt", str(CORPUS))
+        assert usage.returncode == 2
+        assert usage.stderr.startswith("usage: pianofinger evaluate ")
+        assert f"evaluate: error: {message}" in usage.stderr
     missing = tmp_path / "missing.txt"
     data = run("estimate", str(missing), "--model", str(DATA / "model_v1" / "chord.json"))
     assert data.returncode == 1
     assert data.stderr.startswith("error: ") and data.stderr.count("\n") == 1
     assert str(missing) in data.stderr
+    for mode in (["--human"], ["--est", str(CORPUS)]):
+        data = run("evaluate", *mode, "--gt", str(CORPUS), str(DATA / "model_v1"))
+        assert data.returncode == 1
+        assert data.stderr == ("error: --human and a directory --est take one --gt dataset "
+                               "directory, got 2 paths\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("chord-hmm", ["--order", "3"]),
+    ("chord-hmm", ["--pitch", "integral"]),
+    ("chord-hmm", ["--symmetry", "time"]),
+    ("chord-hmm", ["--alpha", "9,9,9"]),
+    ("chord-hmm", ["--lambda", "0.5"]),
+    ("chord-hmm", ["--no-chord-constraint"]),
+    ("note-hmm", ["--beta", "1,2"]),
+    ("note-hmm", ["--gamma", "1,2"]),
+    ("note-hmm", ["--zeta", "5"]),
+    ("note-hmm", ["--truncate-overlaps"]),
+])
+@pytest.mark.parametrize("command", ["train", "tune", "scaling"])
+def test_options_of_the_other_model_kind_are_refused(tmp_path, capsys, command, kind, flags):
+    out = tmp_path / "out.txt"
+    data = {"train": [], "tune": ["--valid", str(CORPUS)], "scaling": ["--test", str(CORPUS)]}
+    argv = [command, str(CORPUS), *data[command], "--model-kind", kind, *flags]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {flags[0]} does not apply to --model-kind {kind}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_estimate_malformed_line_fails_cleanly(model_path, tmp_path, capsys):

@@ -235,7 +235,6 @@ def test_ground_truth_set_signed_fingerings():
     b = parse_fingering_file("0 0.0 0.5 C4 80 80 0 2\n", annotator_id="b")
     gt = GroundTruthSet.from_pieces([a, b])
     assert gt.signed_fingerings == ((1,), (2,))
-    assert gt.annotator_ids == ("a", "b")
 
 
 @pytest.mark.parametrize(
