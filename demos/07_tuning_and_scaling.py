@@ -13,12 +13,7 @@ the script is self-contained and finishes in seconds.
 import numpy as np
 
 from pianofinger import GroundTruthSet, Hand, NoteHmmConfig, sample_piece
-from pianofinger.experiments import (
-    ScalingFit,
-    TuningSpec,
-    scaling_experiment,
-    tune,
-)
+from pianofinger.experiments import ScalingFit, scaling_experiment, tune
 from pianofinger.note_hmm import NoteHmmModel
 from pianofinger.pitch_space import PitchRepresentation
 
@@ -47,9 +42,9 @@ pieces = [sample_piece(source, Hand.RH, 30, rng) for _ in range(14)]
 train_pieces, valid_pieces = pieces[:10], pieces[10:]
 valid_sets = [GroundTruthSet.from_pieces([p]) for p in valid_pieces]
 
+# An order-1 note HMM has one tunable coefficient, alpha1, searched in [0, 2].
 print("tuning the output exponent alpha1 on the validation match rate...")
-spec = TuningSpec(bounds={"alpha1": (0.0, 2.0)}, budget=10)
-result = tune(spec, train_pieces, valid_sets, base_config=config, seed=1)
+result = tune(train_pieces, valid_sets, base_config=config, budget=10, seed=1)
 for index, params, objective in result.trace:
     marker = " <- best" if index == result.best_index else ""
     print(f"  eval {index}: alpha1={params['alpha1']:.3f}"

@@ -38,9 +38,9 @@ class Counts:
     event in a table of that shape, and ``tables`` tallies them, on first
     use, into float64 tables of whole numbers.
 
-    Adding two counts joins their events and their ``skipped`` ids (the
-    parts left out), so the tables of a sum are exactly those of the
-    pooled parts, whatever the order of the sum.  ``parts`` is the number
+    Pooling counts joins their events and their ``skipped`` ids (the
+    parts left out), in order, so the tables of a pool are exactly those
+    of the pooled parts, whatever their order.  ``parts`` is the number
     of non-empty parts counted and ``settings`` maps the config fields
     the events depend on, which a subclass names in ``SETTINGS``, to
     their values.
@@ -51,17 +51,18 @@ class Counts:
     events: dict
     skipped: tuple = ()
 
-    def __add__(self, other: "Counts") -> "Counts":
-        if type(other) is not type(self) or other.settings != self.settings:
-            raise ValueError("cannot add counts taken under different settings")
-        return type(self)(
-            settings=self.settings,
-            parts=self.parts + other.parts,
-            events={
-                key: (shape, np.concatenate([cells, other.events[key][1]]))
-                for key, (shape, cells) in self.events.items()
-            },
-            skipped=self.skipped + other.skipped,
+    @staticmethod
+    def pool(counts: list) -> "Counts":
+        """The counts of the parts behind a list of counts of one type and settings."""
+        first = counts[0]
+        if any(type(c) is not type(first) or c.settings != first.settings for c in counts):
+            raise ValueError("cannot pool counts taken under different settings")
+        return type(first)(
+            settings=first.settings,
+            parts=sum(c.parts for c in counts),
+            events={key: (shape, np.concatenate([c.events[key][1] for c in counts]))
+                    for key, (shape, _) in first.events.items()},
+            skipped=tuple(part for c in counts for part in c.skipped),
         )
 
     @classmethod

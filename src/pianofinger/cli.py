@@ -195,14 +195,13 @@ def cmd_tune(args) -> int:
     train_pieces = dataset.load_corpus(args.data, all_annotators=args.all_annotators)
     valid_sets = dataset.load_ground_truth_sets(args.valid, on_error="skip")
     kind, config = _model_config(args)
-    bounds = {name: b for name, (_, b) in kind.coefficients(config).items()}
-    spec = experiments.TuningSpec(bounds, objective=args.objective, budget=args.budget)
     result = experiments.tune(
-        spec,
         train_pieces,
         valid_sets,
         model_kind=args.model_kind,
         base_config=config,
+        objective=args.objective,
+        budget=args.budget,
         seed=args.seed,
     )
     meta = {

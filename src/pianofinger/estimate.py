@@ -1,7 +1,9 @@
 """Whole-piece fingering estimation with a model of either kind."""
 
+from dataclasses import replace
+
 from . import model_io
-from .pig_io import FingerLabel, Piece, hand_positions, split_hands
+from .pig_io import FingerLabel, Piece, hand_positions
 
 
 def estimate_piece(model, piece: Piece):
@@ -15,9 +17,10 @@ def estimate_piece(model, piece: Piece):
     decode_part = model_io.KINDS[model_io.model_kind(model)].decode_part
     signed = [0] * len(piece)
     results = {}
-    for (hand, positions), part in zip(hand_positions(piece).items(), split_hands(piece)):
+    for hand, positions in hand_positions(piece).items():
         if not positions:
             continue
+        part = replace(piece, notes=tuple(piece.notes[i] for i in positions))
         digits, results[hand] = decode_part(model, part, hand)
         for i, digit in zip(positions, digits):
             signed[i] = FingerLabel(hand, digit).signed

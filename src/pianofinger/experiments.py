@@ -1,15 +1,15 @@
 """Coefficient tuning, training-size scaling, and the asymptotic fit.
 
-Tuning is a derivative-free box search: a seeded random-search stage
-(warm-started from the base configuration) followed by coordinate-descent
-refinement around the incumbent.  Every tuned coefficient acts after
-counting, so the training pieces are counted once and each candidate
-fits a model from those counts and scores its decoded fingerings on a
-validation set.  The scaling experiment counts each training piece once
-and fits a model to the summed counts of random piece subsets of
-growing size; its match-rate curve is summarised by the two-parameter law
-A(N) = a - b / sqrt(N), whose intercept ``a`` extrapolates to unlimited
-training data.
+Tuning is a derivative-free search of the model kind's coefficient box,
+``model_io.KINDS[kind].coefficients``: seeded random candidates, the
+first the base configuration, then coordinate-descent refinement around
+the incumbent.  Every tuned coefficient acts after counting, so the
+training pieces are counted once and each candidate fits a model from
+those counts and scores its decoded fingerings on a validation set.  The scaling experiment counts each
+training piece once and fits a model to the pooled counts of random
+piece subsets of growing size; its match-rate curve is summarised by the
+two-parameter law A(N) = a - b / sqrt(N), whose intercept ``a``
+extrapolates to unlimited training data.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import islice
 
 import numpy as np
 
 from . import model_io
-from ._tables import fit_line
+from ._tables import Counts, fit_line
 from .errors import EmptyCorpus, HandOverflow
 from .estimate import estimate_piece
 from .eval_measures import MEASURES, match_rates
@@ -107,30 +107,6 @@ RANDOM_FRACTION = 0.7  # share of a tuning budget spent on random candidates
 
 
 @dataclass(frozen=True)
-class TuningSpec:
-    """Search box and objective of a tuning run.
-
-    ``bounds`` maps names from the model kind's coefficient table,
-    ``model_io.KINDS[kind].coefficients``, to (low, high); ``budget`` is
-    the total number of model evaluations, split between random search
-    and coordinate refinement.
-    """
-
-    bounds: dict
-    objective: str = "m_gen"
-    budget: int = 200
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if not self.bounds:
-            raise ValueError("bounds must name at least one coefficient")
-        for name, (lo, hi) in self.bounds.items():
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bad bounds for {name}: ({lo}, {hi})")
-
-
-@dataclass(frozen=True)
 class TuneResult:
     best_params: dict
     best_objective: float
@@ -139,31 +115,34 @@ class TuneResult:
 
 
 def tune(
-    spec: TuningSpec,
     train_pieces,
     valid_sets,
     model_kind: str = "note-hmm",
     base_config=None,
+    objective: str = "m_gen",
+    budget: int = 200,
     seed: int = 0,
 ) -> TuneResult:
-    """Derivative-free search of the coefficient box.
+    """Derivative-free search of the box ``kind.coefficients(base_config)``
+    spans: each tunable coefficient within its range, in the table's order.
 
-    Spends ``RANDOM_FRACTION`` of the budget on seeded random candidates
-    (the first candidate is the base configuration clipped into the box,
-    so the result never scores below the shipped defaults) and the rest
-    on coordinate-descent refinement.  Objective ties keep the earliest
-    candidate.  A bound on a name that is not one of the kind's
-    coefficients raises ValueError before any piece is counted.
+    At most ``budget`` candidates are scored on ``objective``, the first
+    ``RANDOM_FRACTION`` of them seeded random draws (the first of all is
+    the base configuration clipped into the box, so the result never
+    scores below it), the rest coordinate-descent refinement.  Objective
+    ties keep the earliest candidate.
     """
     kind = model_io.kind(model_kind)
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     train_pieces = list(train_pieces)
     valid_sets = list(valid_sets)
     if not train_pieces or not valid_sets:
         raise EmptyCorpus("tuning needs non-empty train and validation data")
     if base_config is None:
         base_config = kind.config()
+    table = kind.coefficients(base_config)
     rng = np.random.default_rng(seed)
-    box = sorted(spec.bounds.items())  # (name, (low, high)) by name
     trace = []
 
     def incumbent() -> tuple:
@@ -172,14 +151,13 @@ def tune(
     def candidates():
         """The warm start, the random draws, then coordinate proposals; each
         proposal reads the incumbent after the previous candidate is in ``trace``."""
-        start = kind.coefficients(base_config)
-        yield {n: min(hi, max(lo, start[n][0] if n in start else lo)) for n, (lo, hi) in box}
-        for _ in range(round(spec.budget * RANDOM_FRACTION) - 1):
-            yield {n: lo + rng.random() * (hi - lo) for n, (lo, hi) in box}
+        yield {n: min(hi, max(lo, value)) for n, (value, (lo, hi)) in table.items()}
+        for _ in range(round(budget * RANDOM_FRACTION) - 1):
+            yield {n: lo + rng.random() * (hi - lo) for n, (_, (lo, hi)) in table.items()}
         scale = 0.25
         while True:
             proposed = improved = False
-            for name, (lo, hi) in box:
+            for name, (_, (lo, hi)) in table.items():
                 step = scale * (hi - lo)
                 for direction in (1.0, -1.0):
                     _, current, value = incumbent()
@@ -196,12 +174,10 @@ def tune(
             if not improved:
                 scale /= 2.0
 
-    # counted on first use, so an unknown coefficient fails before anything is counted
-    counts = cache(lambda: kind.count(hand_parts(train_pieces), base_config))
-    for params in islice(candidates(), spec.budget):
-        config = kind.with_coefficients(base_config, params)
-        model = kind.fit(counts(), config)
-        trace.append((len(trace), params, evaluate_model(model, valid_sets, spec.objective)))
+    counts = kind.count(hand_parts(train_pieces), base_config)
+    for params in islice(candidates(), budget):
+        model = kind.fit(counts, kind.set_coefficients(base_config, params))
+        trace.append((len(trace), params, evaluate_model(model, valid_sets, objective)))
     index, params, value = incumbent()
     return TuneResult(
         best_params=dict(params), best_objective=value, best_index=index, trace=tuple(trace)
@@ -232,7 +208,7 @@ def scaling_experiment(
     """Match rate as a function of training-set size.
 
     For each fraction, ``repeats`` random piece subsets are drawn, a
-    model is fitted to the summed counts of each subset's pieces (each
+    model is fitted to the pooled counts of each subset's pieces (each
     piece is counted once, when a subset first holds it) and scored on
     the test sets; the point records the mean subset note count and the
     mean and spread of the general match rate.  Fraction 1.0 is
@@ -265,7 +241,7 @@ def scaling_experiment(
         rates, note_counts = [], []
         for _ in range(reps):
             chosen = sorted(rng.choice(n_total, size=n_pieces, replace=False))
-            model = kind.fit(reduce(operator.add, map(counts_of, chosen)), config)
+            model = kind.fit(Counts.pool([counts_of(i) for i in chosen]), config)
             rates.append(evaluate_model(model, test_sets))
             note_counts.append(sum(len(train_pieces[i]) for i in chosen))
         mean_rate = sum(rates) / len(rates)

@@ -45,8 +45,8 @@ deeply for the JSON parser.
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
 config and model classes, training counts and fit, per-hand decoder,
-dict codec, tunable coefficients and command-line options.  Everything
-else looks a kind up here instead of branching on it.
+dict codec, command-line options and coefficient table, the whole search
+box of ``experiments.tune``.  Everything else looks a kind up here.
 """
 
 from __future__ import annotations
@@ -294,15 +294,15 @@ def _decode_note_part(model: NoteHmmModel, part, hand: Hand) -> tuple:
 
 
 def _note_coefficients(config: NoteHmmConfig) -> dict:
-    alpha = {f"alpha{i + 1}": (a, (0.0, 2.0)) for i, a in enumerate(config.alpha)}
-    lam = {f"lambda{i + 1}": (v, (0.0, 1.0)) for i, v in enumerate(config.lambda_)}
+    alpha = {f"alpha{i}": (a, (0.0, 2.0)) for i, a in enumerate(config.alpha, 1)}
+    lam = {f"lambda{i}": (v, (0.0, 1.0)) for i, v in enumerate(config.lambda_, 1)}
     return {**alpha, **lam}
 
 
 def _note_set_coefficients(config: NoteHmmConfig, values: dict) -> NoteHmmConfig:
     """Lambdas that sum above 1 are scaled back onto the simplex."""
-    values = list(values.values())
-    alpha, lam = values[: config.order], values[config.order :]
+    alpha = [values[f"alpha{i}"] for i in range(1, config.order + 1)]
+    lam = [values[f"lambda{i}"] for i in range(1, config.order)]
     total = sum(lam)
     if total > 1.0:
         lam = [v / total for v in lam]
@@ -441,23 +441,10 @@ class ModelKind:
     decode_part: Callable    # (model, part, hand) -> (digits per note, result)
     to_dict: Callable        # model -> (config dict, tables dict of _Table), format v1
     from_dict: Callable      # (config dict, tables dict) -> model
-    coefficients: Callable   # config -> {name: (value, (low, high))}, tunable ones
+    coefficients: Callable   # config -> {name: (value, (low, high))}, the tuning box
     set_coefficients: Callable  # (config, every coefficient's value by name) -> config
     from_args: Callable      # command-line options -> config
     describe: Callable       # (config, command-line options) -> echo string
-
-    def with_coefficients(self, config, values: dict):
-        """``config`` with the named coefficients replaced; a name that is
-        not in ``coefficients(config)`` raises ValueError."""
-        table = self.coefficients(config)
-        unknown = sorted(values.keys() - table.keys())
-        if unknown:
-            raise ValueError(f"unknown coefficient {unknown[0]!r}; "
-                             f"known coefficients: {', '.join(table)}")
-        return self.set_coefficients(config, {
-            name: float(values[name]) if name in values else value
-            for name, (value, _) in table.items()
-        })
 
 
 KINDS = {

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import make_piece, random_note_model, random_piece
-from pianofinger import chord_hmm, note_hmm
+from pianofinger import chord_hmm, experiments, note_hmm
+from pianofinger._tables import Counts
 from pianofinger.model_io import KINDS
 from pianofinger.chord_hmm import ChordHmmParams
 from pianofinger.errors import DegenerateFit, EmptyCorpus, HandOverflow
@@ -16,7 +17,6 @@ from pianofinger.estimate import estimate_piece
 from pianofinger.eval_measures import match_rate_report
 from pianofinger.experiments import (
     ScalingFit,
-    TuningSpec,
     evaluate_model,
     fit_sqrt,
     hand_parts,
@@ -102,44 +102,81 @@ BASE = NoteHmmConfig(
 
 def test_tune_budget_one_returns_warm_start(rng):
     train_pieces, valid_sets = _synthetic_data(rng)
-    spec = TuningSpec(bounds={"alpha1": (0.0, 2.0)}, budget=1)
-    result = tune(spec, train_pieces, valid_sets, base_config=BASE, seed=3)
+    result = tune(train_pieces, valid_sets, base_config=BASE, budget=1, seed=3)
     assert len(result.trace) == 1
     assert result.best_params == {"alpha1": 0.964}
 
 
 def test_tune_improves_on_defaults_and_stays_in_bounds(rng):
     train_pieces, valid_sets = _synthetic_data(rng)
-    spec = TuningSpec(bounds={"alpha1": (0.0, 2.0)}, budget=8)
-    result = tune(spec, train_pieces, valid_sets, base_config=BASE, seed=5)
+    result = tune(train_pieces, valid_sets, base_config=BASE, budget=8, seed=5)
     default_model = train_model("note-hmm", BASE, train_pieces)
     default_objective = evaluate_model(default_model, valid_sets, "m_gen")
     assert result.best_objective >= default_objective
     for _, params, _ in result.trace:
         assert 0.0 <= params["alpha1"] <= 2.0
-    assert len(result.trace) <= spec.budget
+    assert len(result.trace) <= 8
 
 
-def test_tune_plateau_keeps_first_candidate(rng):
+def test_tune_plateau_keeps_first_candidate(rng, monkeypatch):
     train_pieces, valid_sets = _synthetic_data(rng, n_notes=6)
-    # alpha has no effect when every output row is uniform over one cell
-    # bucket; instead force a plateau by bounding alpha to a single value
-    spec = TuningSpec(bounds={"alpha1": (0.5, 0.5)}, budget=4)
-    result = tune(spec, train_pieces, valid_sets, base_config=BASE, seed=0)
+    monkeypatch.setattr(experiments, "evaluate_model", lambda *_: 0.5)
+    result = tune(train_pieces, valid_sets, base_config=BASE, budget=12, seed=0)
+    assert len(result.trace) == 12
     assert result.best_index == 0
+    assert result.best_params == {"alpha1": 0.964}
 
 
 def test_tune_rejects_empty(rng):
-    spec = TuningSpec(bounds={"alpha1": (0.0, 1.0)}, budget=2)
     with pytest.raises(EmptyCorpus):
-        tune(spec, [], [], base_config=BASE)
+        tune([], [], base_config=BASE, budget=2)
 
 
-def test_with_coefficients_projects_lambda_simplex():
+def test_tune_refuses_a_budget_below_one(rng):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    with pytest.raises(ValueError, match="^budget must be at least 1$"):
+        tune(train_pieces, valid_sets, base_config=BASE, budget=0)
+
+
+@pytest.mark.parametrize("kind, config, start", [
+    ("note-hmm", NoteHmmConfig(order=1, pitch_representation=INTEGRAL, delta_p_max=5,
+                               alpha=(2.5,)), {"alpha1": 2.0}),
+    ("note-hmm", NoteHmmConfig(order=2, alpha=(0.5, 3.0), lambda_=(0.25,)),
+     {"alpha1": 0.5, "alpha2": 2.0, "lambda1": 0.25}),
+    ("note-hmm", NoteHmmConfig(order=3, alpha=(0.5, 0.5, 0.5), lambda_=(0.5, 0.25)),
+     {"alpha1": 0.5, "alpha2": 0.5, "alpha3": 0.5, "lambda1": 0.5, "lambda2": 0.25}),
+    ("chord-hmm", ChordHmmParams(beta1=12.0, zeta=2.5, delta_p_max=5),
+     {"beta1": 10.0, "beta2": ChordHmmParams().beta2, "gamma1": ChordHmmParams().gamma1,
+      "gamma2": ChordHmmParams().gamma2, "zeta": 2.0}),
+], ids=["note-o1", "note-o2", "note-o3", "chord"])
+def test_tune_searches_the_kinds_coefficient_box(rng, monkeypatch, kind, config, start):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=3, n_valid=2, n_notes=12)
+    module = note_hmm if kind == "note-hmm" else chord_hmm
+    fit, fitted = module.fit, []
+    monkeypatch.setattr(module, "fit", lambda counts, c: fitted.append(c) or fit(counts, c))
+    table = KINDS[kind].coefficients(config)
+    result = tune(train_pieces, valid_sets, model_kind=kind, base_config=config,
+                  budget=20, seed=2)
+    assert len(result.trace) == len(fitted) == 20
+    assert result.trace[0][1] == start
+    for (_, params, _), used in zip(result.trace, fitted):
+        assert list(params) == list(table)
+        for name, (_, (lo, hi)) in table.items():
+            assert lo <= params[name] <= hi, name
+        if kind == "note-hmm":
+            assert used.alpha == tuple(params[f"alpha{i}"] for i in range(1, config.order + 1))
+            assert sum(used.lambda_) <= 1.0 + 1e-12
+        else:
+            assert all(getattr(used, name) == value for name, value in params.items())
+
+
+def test_set_coefficients_projects_lambda_simplex():
     config = NoteHmmConfig(order=3)
-    tuned = KINDS["note-hmm"].with_coefficients(config, {"lambda1": 0.8, "lambda2": 0.6})
+    values = {name: value for name, (value, _) in KINDS["note-hmm"].coefficients(config).items()}
+    tuned = KINDS["note-hmm"].set_coefficients(config, {**values, "lambda1": 0.8, "lambda2": 0.6})
     assert sum(tuned.lambda_) <= 1.0 + 1e-12
     assert tuned.lambda_[0] / tuned.lambda_[1] == pytest.approx(0.8 / 0.6)
+    assert tuned.alpha == config.alpha
 
 
 @pytest.mark.parametrize("kind, config", [
@@ -152,32 +189,11 @@ def test_with_coefficients_projects_lambda_simplex():
 def test_coefficient_table_round_trips(kind, config):
     table = KINDS[kind].coefficients(config)
     values = {name: value for name, (value, _) in table.items()}
-    assert KINDS[kind].with_coefficients(config, values) == config
-    assert KINDS[kind].with_coefficients(config, {}) == config
+    assert KINDS[kind].set_coefficients(config, values) == config
+    # values are read by name, not by position
+    assert KINDS[kind].set_coefficients(config, dict(reversed(values.items()))) == config
     for value, (lo, hi) in table.values():
         assert 0.0 == lo < hi
-
-
-@pytest.mark.parametrize("kind, config, name, known", [
-    ("note-hmm", NoteHmmConfig(order=2), "alpha3", "alpha1, alpha2, lambda1"),
-    ("note-hmm", NoteHmmConfig(order=2), "lambda2", "alpha1, alpha2, lambda1"),
-    ("chord-hmm", ChordHmmParams(), "beta9", "beta1, beta2, gamma1, gamma2, zeta"),
-], ids=["alpha3", "lambda2", "beta9"])
-def test_tuning_an_unknown_coefficient_fails_before_counting(
-    rng, monkeypatch, kind, config, name, known
-):
-    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
-
-    def refuse(*_):
-        raise AssertionError("counted before the bounds were checked")
-
-    monkeypatch.setattr(note_hmm, "count", refuse)
-    monkeypatch.setattr(chord_hmm, "count", refuse)
-    first_known = known.split(", ")[0]
-    spec = TuningSpec(bounds={first_known: (0.0, 1.0), name: (0.0, 1.0)}, budget=3)
-    message = f"unknown coefficient '{name}'; known coefficients: {known}$"
-    with pytest.raises(ValueError, match=message):
-        tune(spec, train_pieces, valid_sets, model_kind=kind, base_config=config)
 
 
 def test_scaling_reproducible_and_deterministic_at_full_fraction(rng):
@@ -214,11 +230,11 @@ def test_scaling_refuses_an_empty_fraction_list(rng):
 
 def test_unknown_model_kind_raises_value_error_listing_kinds(rng):
     train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
-    spec = TuningSpec(bounds={"alpha1": (0.0, 1.0)}, budget=2)
     calls = (
         lambda: train_model("note_hmm", BASE, train_pieces),
-        lambda: tune(spec, train_pieces, valid_sets, model_kind="note_hmm"),
-        lambda: tune(spec, train_pieces, valid_sets, model_kind="note_hmm", base_config=BASE),
+        lambda: tune(train_pieces, valid_sets, model_kind="note_hmm", budget=2),
+        lambda: tune(train_pieces, valid_sets, model_kind="note_hmm", base_config=BASE,
+                     budget=2),
         lambda: scaling_experiment(train_pieces, valid_sets, [1.0], 1, model_kind="note_hmm"),
     )
     for call in calls:
@@ -329,12 +345,14 @@ def test_fit_of_summed_counts_is_training_on_pooled_parts(rng, module, train, co
     for cut in (1, 5, len(parts) // 2, len(parts) - 1):
         a, b = parts[:cut], parts[cut:]
         summed, summed_warnings = _with_warnings(
-            lambda: module.fit(module.count(a, config) + module.count(b, config), config)
+            lambda: module.fit(Counts.pool([module.count(a, config), module.count(b, config)]),
+                               config)
         )
         assert _table_bytes(summed) == tables
         assert summed_warnings == pooled_warnings  # same text, same skipped-id order
         swapped, _ = _with_warnings(
-            lambda: module.fit(module.count(b, config) + module.count(a, config), config)
+            lambda: module.fit(Counts.pool([module.count(b, config), module.count(a, config)]),
+                               config)
         )
         assert _table_bytes(swapped) == tables
     if module is chord_hmm:
@@ -350,7 +368,7 @@ def test_counts_refuse_other_settings(rng):
     config = NoteHmmConfig(order=2)
     counts = note_hmm.count(parts, config)
     with pytest.raises(ValueError, match="different"):
-        counts + note_hmm.count(parts, NoteHmmConfig(order=2, delta_p_max=4))
+        Counts.pool([counts, note_hmm.count(parts, NoteHmmConfig(order=2, delta_p_max=4))])
     with pytest.raises(ValueError, match="different"):
         note_hmm.fit(counts, NoteHmmConfig(order=3))
     # coefficients, symmetries and smoothing act in the fit
@@ -358,11 +376,50 @@ def test_counts_refuse_other_settings(rng):
                                        symmetries=frozenset(Symmetry), smoothing_epsilon=2.0))
     chord_counts = chord_hmm.count(parts, ChordHmmParams())
     with pytest.raises(ValueError, match="different"):
+        Counts.pool([counts, chord_counts])
+    with pytest.raises(ValueError, match="different"):
         chord_hmm.fit(chord_counts, ChordHmmParams(delta=0.05))
     with pytest.raises(EmptyCorpus):
         note_hmm.fit(note_hmm.count([Piece(notes=())], config), config)
     with pytest.raises(EmptyCorpus):
         chord_hmm.fit(chord_hmm.count([], ChordHmmParams()), ChordHmmParams())
+
+
+def _left_fold(counts):
+    """Pooled counts as pairwise joins, the way ``+`` used to build them."""
+    total = counts[0]
+    for other in counts[1:]:
+        total = type(total)(
+            settings=total.settings,
+            parts=total.parts + other.parts,
+            events={key: (shape, np.concatenate([cells, other.events[key][1]]))
+                    for key, (shape, cells) in total.events.items()},
+            skipped=total.skipped + other.skipped,
+        )
+    return total
+
+
+@pytest.mark.parametrize("module, config", [
+    (note_hmm, NoteHmmConfig(order=3, delta_p_max=4)),
+    (chord_hmm, ChordHmmParams(delta_p_max=4)),
+])
+def test_pooled_counts_equal_the_left_fold(rng, module, config):
+    parts = _training_parts(rng)
+    per_part = [module.count([part], config) for part in parts]
+    for chosen in (per_part[:1], per_part, per_part[::-1], per_part[3:8]):
+        pooled, expected = Counts.pool(chosen), _left_fold(chosen)
+        assert type(pooled) is type(expected)
+        assert (pooled.settings, pooled.parts, pooled.skipped) == (
+            expected.settings, expected.parts, expected.skipped)
+        assert pooled.events.keys() == expected.events.keys()
+        for key, (shape, cells) in expected.events.items():
+            assert pooled.events[key][0] == shape
+            assert pooled.events[key][1].dtype == cells.dtype
+            assert pooled.events[key][1].tobytes() == cells.tobytes(), key
+    pooled, whole = Counts.pool(per_part), module.count(parts, config)
+    assert pooled.skipped == whole.skipped
+    for key, table in whole.tables.items():
+        assert pooled.tables[key].tobytes() == table.tobytes(), key
 
 
 def test_fit_names_the_settings_the_counts_differ_in(rng):
@@ -379,15 +436,6 @@ def test_fit_names_the_settings_the_counts_differ_in(rng):
         ValueError, match="^counts were taken under a different delta and truncate_overlaps$"
     ):
         chord_hmm.fit(chord_counts, ChordHmmParams(delta=0.05, truncate_overlaps=True))
-
-
-def test_tuning_a_counting_setting_is_refused(rng):
-    train_pieces, valid_sets = _synthetic_data(rng, n_train=3, n_valid=1, n_notes=8)
-    spec = TuningSpec(bounds={"delta": (0.01, 0.05)}, budget=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ValueError, match="unknown coefficient 'delta'; known coefficients"):
-            tune(spec, train_pieces, valid_sets, model_kind="chord-hmm", seed=1)
 
 
 def _reference_note_tables(parts, config) -> dict:
