@@ -151,15 +151,17 @@ def safe_log(table: np.ndarray) -> np.ndarray:
 
 
 # The exact-DP tie rule: score ties go to the lexicographically smallest
-# state path, as enumeration finds it.  ``rank[s]`` places the best prefix
-# ending in state s among all best prefixes; a tie takes the lowest rank.
+# state path, as enumeration finds it.  ``rank[s]`` is an int64 key ordering
+# the best prefixes ending in each state s; a tie takes the lowest key.
+KEY_LIMIT = 1 << 62  # above every key: the sentinel of best_parents
+
 
 def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
     """``(best, parent)`` of one DP step: the best of ``scores`` over axis
     0, the candidate parents, and the lowest-ranked candidate that reaches
     it; ``rank`` ranks the candidates, shaped to broadcast to ``scores``."""
     best = scores.max(axis=0)
-    return best, np.where(scores == best, rank, rank.size).argmin(axis=0)
+    return best, np.where(scores == best, rank, KEY_LIMIT).argmin(axis=0)
 
 
 def best_path(dp: np.ndarray, rank: np.ndarray, parents: list) -> tuple:
@@ -177,13 +179,16 @@ def best_path(dp: np.ndarray, rank: np.ndarray, parents: list) -> tuple:
 
 
 def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks after one DP step in which state i extends the
-    best prefix of state ``parent[i]``: by (parent rank, own index), as
-    the sort is stable."""
-    order = np.argsort(rank[parent], kind="stable")
-    new_rank = np.empty_like(order)
-    new_rank[order] = np.arange(order.size)
-    return new_rank
+    """Keys after one DP step in which state i of n extends the best prefix
+    of state ``parent[i]``: ``rank[parent[i]] * n + i``, in (parent rank,
+    own index) order.  Where a key could reach KEY_LIMIT, ``rank`` first
+    becomes the dense ranks of its keys, one argsort per 62 / log2(n) steps."""
+    n = parent.size
+    if rank.max() >= KEY_LIMIT // n:
+        dense = np.empty_like(rank)
+        dense[np.argsort(rank)] = np.arange(rank.size)
+        rank = dense
+    return rank[parent] * n + np.arange(n)
 
 
 def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:

@@ -439,9 +439,9 @@ def _keeps(shared: list, prev_states: np.ndarray, states: np.ndarray) -> np.ndar
 
 
 def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
-    """The Viterbi recursion: (final scores, final ranks, parents, relaxed
-    boundaries).  At each boundary the sustain mask applies unless it
-    leaves no finite score while the previous chord has one; then that
+    """The Viterbi recursion: (final scores, final prefix keys, parents,
+    relaxed boundaries).  At each boundary the sustain mask applies unless
+    it leaves no finite score while the previous chord has one; then that
     boundary alone is scored unmasked and recorded as relaxed."""
     pitches = [chord.midis for chord in chords]
     states = [_states_array(len(m), hand) for m in pitches]
@@ -514,11 +514,11 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     from the edge kernel, masked where a sustained note would change
     digit.  Ties resolve to the lexicographically smallest state path by
     the tie rule of ``_tables``; since ``enumerate_states`` lists states in
-    ascending order, prefixes re-rank by (parent rank, own index), so ties
-    cost O(states) per chord.  If the
-    sustain constraint leaves no feasible transition at some boundary,
-    that boundary alone is relaxed and recorded; a decode whose score is
-    still -inf raises NoFeasiblePath.
+    ascending order, each boundary extends the prefix keys by the state
+    index, ``key[parent] * states + index``, so ties cost O(states) per
+    chord and no boundary sorts.  If the sustain constraint leaves no
+    feasible transition at some boundary, that boundary alone is relaxed
+    and recorded; a decode whose score is still -inf raises NoFeasiblePath.
     """
     chords = list(chords)
     if not chords:

@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 from . import model_io
-from .pig_io import FingerLabel, Piece, hand_positions
+from .pig_io import FingerLabel, Hand, Piece, hand_positions
 
 
 def estimate_piece(model, piece: Piece):
@@ -23,7 +23,7 @@ def estimate_piece(model, piece: Piece):
         part = replace(piece, notes=tuple(piece.notes[i] for i in positions))
         digits, results[hand] = decode_part(model, part, hand)
         for i, digit in zip(positions, digits):
-            signed[i] = FingerLabel(hand, digit).signed
+            signed[i] = digit if hand is Hand.RH else -digit
     return signed, results
 
 

@@ -79,15 +79,17 @@ def train_model(model_kind: str, config, train_pieces):
     return kind.fit(kind.count(hand_parts(train_pieces), config), config)
 
 
+def _check_measure(measure: str) -> None:
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; known measures: {', '.join(MEASURES)}")
+
+
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
     """Macro average of one match-rate measure over ground-truth sets.
 
     Pieces a chord model cannot decode (hand overflow) are excluded.
     """
-    if measure not in MEASURES:
-        raise ValueError(
-            f"unknown measure {measure!r}; known measures: {', '.join(MEASURES)}"
-        )
+    _check_measure(measure)
     pairs = []
     for gt_set in gt_sets:
         try:
@@ -133,6 +135,7 @@ def tune(
     ties keep the earliest candidate.
     """
     kind = model_io.kind(model_kind)
+    _check_measure(objective)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     train_pieces = list(train_pieces)

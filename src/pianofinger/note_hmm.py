@@ -383,39 +383,57 @@ def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     return slabs, allowed
 
 
+# notes whose output terms are added up at once: (BLOCK, 5**order, 5) floats
+BLOCK = 64
+
+
+def _output_terms(slabs, first: int, stop: int, k: int):
+    """The alpha-weighted output terms of notes first..stop-1 of the DP, a
+    (notes, 5**k, 5) array over (previous state of k digits, digit), added
+    in lag order over the lags up to k; None if there is none.  Axis
+    k - lag of a state holds its digit lag notes back, so each note's
+    (5, 5) slab of that lag broadcasts over the state's other digits."""
+    shape = (stop - first,) + (N_DIGITS,) * (k + 1)
+    out = None
+    for lag, slab in slabs:
+        if lag <= k:
+            term = slab[first - lag : stop - lag].reshape(
+                shape[:1] + (1,) * (k - lag) + (N_DIGITS,) + (1,) * (lag - 1) + (N_DIGITS,)
+            )
+            if out is None:
+                out = np.broadcast_to(term, shape).copy()
+            else:
+                out += term
+    return None if out is None else out.reshape(stop - first, -1, N_DIGITS)
+
+
 def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     """Exact DP; returns (digits, log score) or None when every path has
     score -inf.  Exact score ties resolve to the lexicographically
-    smallest digit sequence by the tie rule of ``_tables``.  Extensions of
+    smallest digit sequence by the tie rule of ``_tables``: extensions of
     one prefix order by their digit ``state % 5``, i.e. by state index, so
-    one stable argsort per step re-ranks and ties cost O(states) per
-    note."""
+    each step extends the prefix keys by the state index and ties cost
+    O(states) per note.  Each score is ``(dp + transition) + output
+    terms``, the terms summed in lag order BLOCK notes at a time."""
     m = model.config.order
     slabs, allowed = _step_tables(model, hand, keys, onsets, use_constraint)
-    # digit[lag - 1][s]: the digit state s holds for the note lag steps
-    # back; warm-up states are a prefix of the full range
-    digit = [
-        (np.arange(N_DIGITS**m) // N_DIGITS ** (lag - 1)) % N_DIGITS
-        for lag in range(1, m + 1)
-    ]
     base = N_DIGITS ** (m - 1)
     columns = np.arange(base)[:, None]
     dp = model.log_initial[0][0].copy()
     parents = []
     rank = np.arange(N_DIGITS)
+    stop = 1
     for n in range(1, len(keys)):
         n_prev = dp.shape[0]
+        if n == stop:  # a warm-up note, or the next block
+            start, stop = n, n + 1 if n < m else min(n + BLOCK, len(keys))
+            terms = _output_terms(slabs, start, stop, min(n, m))
         trans = model.log_initial[n] if n < m else model.log_transition
         scores = dp[:, None] + trans
-        out = None
-        for lag, slab in slabs:
-            if lag <= n:
-                term = slab[n - lag][digit[lag - 1][:n_prev]]
-                out = term if out is None else out + term
-        if out is not None:
-            scores = scores + out
-        if allowed[n] is not None:
-            scores = np.where(allowed[n][digit[0][:n_prev]], scores, NEG_INF)
+        if terms is not None:
+            scores += terms[n - start]
+        if allowed[n] is not None:  # over (the state's last digit, digit)
+            scores = np.where(allowed[n], scores.reshape(-1, N_DIGITS, N_DIGITS), NEG_INF)
         if n < m:
             dp = scores.reshape(-1)
             parent = np.repeat(np.arange(n_prev), N_DIGITS)

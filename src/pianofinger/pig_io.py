@@ -72,9 +72,19 @@ class FingerLabel:
 
     @classmethod
     def from_signed(cls, value: int) -> "FingerLabel":
+        label = _SIGNED_LABELS.get(value)
+        if label is not None:
+            return label
         if value == 0:
             raise InvalidFinger("finger 0 is invalid")
         return cls(hand=Hand.RH if value > 0 else Hand.LH, digit=abs(value))
+
+
+# the ten labels, by signed value; labels are immutable, so notes share them
+_SIGNED_LABELS = {
+    sign * digit: FingerLabel(hand, digit)
+    for sign, hand in ((1, Hand.RH), (-1, Hand.LH)) for digit in range(1, 6)
+}
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,10 @@ class Note:
         return Hand(self.channel)
 
     def with_finger(self, finger: FingerLabel) -> "Note":
-        return replace(self, finger=finger)
+        """``replace(self, finger=finger)``, filled as ``_parsed_note`` fills a Note."""
+        note = _new_object(Note)
+        note.__dict__.update(self.__dict__, finger=finger)
+        return note
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,19 @@ def test_tune_refuses_a_budget_below_one(rng):
         tune(train_pieces, valid_sets, base_config=BASE, budget=0)
 
 
+@pytest.mark.parametrize("kind", ["note-hmm", "chord-hmm"])
+def test_tune_refuses_an_unknown_objective_before_counting(rng, monkeypatch, kind):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    module = note_hmm if kind == "note-hmm" else chord_hmm
+    counted = []
+    count = module.count
+    monkeypatch.setattr(module, "count", lambda *a: counted.append(a) or count(*a))
+    with pytest.raises(ValueError) as info:
+        tune(train_pieces, valid_sets, model_kind=kind, objective="bogus", budget=2)
+    assert str(info.value) == "unknown measure 'bogus'; known measures: m_gen, m_high, m_soft, m_rec"
+    assert counted == []
+
+
 @pytest.mark.parametrize("kind, config, start", [
     ("note-hmm", NoteHmmConfig(order=1, pitch_representation=INTEGRAL, delta_p_max=5,
                                alpha=(2.5,)), {"alpha1": 2.0}),

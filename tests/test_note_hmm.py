@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_piece, random_note_model, random_piece
+from pianofinger.dataset import load_corpus
 from pianofinger.errors import (
     EmptyCorpus,
     EmptyPiece,
@@ -18,6 +20,7 @@ from pianofinger.errors import (
     MissingFinger,
     OutOfRange,
 )
+from pianofinger.experiments import train_model
 from pianofinger.note_hmm import (
     NoteHmmConfig,
     NoteHmmModel,
@@ -39,6 +42,7 @@ from pianofinger.pitch_space import (
 
 INTEGRAL = PitchRepresentation.INTEGRAL
 LATTICE = PitchRepresentation.LATTICE
+SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus"
 
 
 def annotated(midis, digits, hand=Hand.RH, onsets=None, **kw):
@@ -324,6 +328,19 @@ def test_long_all_tie_piece_decodes_to_smallest_digits(rng):
         model.log_initial = [np.log(np.full((5**k, 5), 0.2)) for k in range(order)]
         result = decode_viterbi(model, piece, hand=Hand.RH)
         assert result.fingers == (1,) * len(piece)
+
+
+def test_20k_note_tie_heavy_order_three_decode_scores_as_its_oracle():
+    # a model trained on the small sample corpus leaves many equal smoothed
+    # cells, so a long white-key scale ties all the way; at 125 states the
+    # prefix keys are re-densified every few notes, and the output terms
+    # come in over 300 blocks, each of which must line up with its notes
+    model = train_model("note-hmm", NoteHmmConfig(order=3), load_corpus(SAMPLE_CORPUS))
+    figure = (0, 2, 4, 5, 7, 9, 11, 12, 11, 9, 7, 5, 4, 2)
+    piece = make_piece([60 + figure[i % 14] for i in range(20_000)])
+    result = decode_viterbi(model, piece, hand=Hand.RH)
+    oracle = sequence_log_score(model, piece, result.fingers, Hand.RH)
+    assert oracle.hex() == result.log_score.hex()
 
 
 def test_matches_brute_force(rng):

@@ -275,6 +275,37 @@ def test_parsed_notes_keep_the_note_contract():
         assert relabelled == dataclasses.replace(built, finger=FingerLabel(Hand.RH, 3))
 
 
+@pytest.mark.parametrize("finger", [FingerLabel(h, d) for h in Hand for d in (1, 5)] + [None])
+def test_with_finger_is_replace(finger):
+    for n in parse_fingering_file(SIMPLE).notes:
+        relabelled, replaced = n.with_finger(finger), dataclasses.replace(n, finger=finger)
+        assert type(relabelled) is Note
+        assert relabelled == replaced and hash(relabelled) == hash(replaced)
+        assert vars(relabelled) == vars(replaced)
+        assert list(vars(relabelled)) == list(vars(replaced))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            relabelled.finger = None
+
+
+@pytest.mark.parametrize("value", [sign * digit for sign in (1, -1) for digit in range(1, 6)])
+def test_from_signed_reads_the_label_it_names(value):
+    hand = Hand.RH if value > 0 else Hand.LH
+    label = FingerLabel.from_signed(value)
+    assert label == FingerLabel(hand, abs(value)) and hash(label) == hash(FingerLabel(hand, abs(value)))
+    assert label.signed == value
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "finger 0 is invalid"),
+    (6, "finger digit must be 1..5, got 6"),
+    (-6, "finger digit must be 1..5, got 6"),
+])
+def test_from_signed_refuses_what_names_no_finger(value, message):
+    with pytest.raises(InvalidFinger) as info:
+        FingerLabel.from_signed(value)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "path",
     sorted((DATA / "sample_corpus").glob("*.txt")) + [DATA / "golden_estimate.txt"],

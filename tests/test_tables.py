@@ -9,12 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pianofinger._tables import NEG_INF, best_parents, best_path, rerank
-from pianofinger.chord_hmm import ChordHmmParams
+import reference
+from conftest import make_piece, random_note_model, random_rows
+from pianofinger import chord_hmm, note_hmm
+from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, rerank
+from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
 from pianofinger.note_hmm import NoteHmmConfig
+from pianofinger.pig_io import Hand
+from pianofinger.pitch_space import PitchRepresentation, alphabet_size
 
 # few distinct values, so exact ties are everywhere; sums of them stay exact
-_CELL = st.sampled_from([NEG_INF, 0.0, 1.0, 2.0])
+_VALUES = [NEG_INF, 0.0, 1.0, 2.0]
+_CELL = st.sampled_from(_VALUES)
 
 
 def _matrix(draw, rows: int, cols: int) -> np.ndarray:
@@ -63,6 +69,145 @@ def test_the_tie_rule_finds_the_lexicographically_first_best_path(data):
         assert path is None
     else:
         assert tuple(int(s) for s in path) == next(s for score, s in scored if score == top)
+
+
+def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
+    """Run the DP over ``steps`` by the keyed rule and by the dense rule of
+    ``reference`` side by side; both must pick the same parents, order the
+    prefixes alike and end in the same best score and path.  Returns the
+    number of steps at which the keys were re-densified."""
+    dp, rank, parents = initial, np.arange(initial.size), []
+    dense_dp, dense, dense_parents = initial, np.arange(initial.size), []
+    densified = 0
+    for step in steps:
+        dp, parent = best_parents(dp[:, None] + step, rank[:, None])
+        dense_dp, dense_parent = reference.best_parents(dense_dp[:, None] + step, dense[:, None])
+        assert np.array_equal(parent, dense_parent)
+        assert np.array_equal(dp, dense_dp)
+        keys = rerank(rank, parent)
+        dense = reference.rerank(dense, dense_parent)
+        assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() < KEY_LIMIT
+        assert np.array_equal(np.argsort(keys), np.argsort(dense))
+        # without a re-densification each key is its parent's key times n, plus i
+        densified += not np.array_equal(keys // parent.size, rank[parent])
+        rank = keys
+        parents.append(parent)
+        dense_parents.append(dense_parent)
+    best, path = best_path(dp, rank, parents)
+    dense_best, dense_path = best_path(dense_dp, dense, dense_parents)
+    assert best == dense_best
+    assert (path is None and dense_path is None) or list(path) == list(dense_path)
+    return densified
+
+
+def _few_valued_steps(seed: int, sizes: list) -> tuple:
+    rng = np.random.default_rng(seed)
+    initial = rng.choice(_VALUES, sizes[0])
+    return initial, [rng.choice(_VALUES, (a, b)) for a, b in zip(sizes, sizes[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 10), min_size=31, max_size=201), st.integers(0, 2**32 - 1))
+def test_keys_choose_as_the_dense_ranks_do(sizes, seed):
+    _keyed_and_dense(*_few_valued_steps(seed, sizes))
+
+
+def test_keys_are_redensified_before_they_overflow():
+    # 200 steps of 10 states add about 664 bits of key
+    assert _keyed_and_dense(*_few_valued_steps(7, [10] * 201)) >= 3
+
+
+def _few_valued(log_table: np.ndarray) -> np.ndarray:
+    """Log scores rounded down to whole numbers: few values, exact sums."""
+    return np.floor(log_table)
+
+
+def _tie_heavy_note_model(rng, order: int):
+    model = random_note_model(rng, order=order, representation=PitchRepresentation.INTEGRAL,
+                              alpha=(1.0, 0.5, 0.25)[:order], lambda_=(0.0,) * (order - 1))
+    model.log_initial = [_few_valued(t) for t in model.log_initial]
+    model.log_transition = _few_valued(model.log_transition)
+    model.log_output = {h: [_few_valued(t) for t in tables] for h, tables in model.log_output.items()}
+    return model
+
+
+def _tie_heavy_scale(n_notes: int, cluster: bool):
+    """A scale up and down with a dyad every seventh onset; ``cluster``
+    adds one six-note chord, which no crossing-free fingering plays."""
+    figure = (0, 2, 4, 5, 7, 9, 11, 12, 11, 9, 7, 5, 4, 2)
+    midis, onsets = [], []
+    for i in range(n_notes):
+        onset = 0.25 * (i - (i % 7 == 6))  # the seventh note joins the sixth
+        midis.append(60 + figure[i % 14] + 3 * (i % 7 == 6))
+        onsets.append(onset)
+    if cluster:
+        midis[1000:1006] = [72, 74, 76, 77, 79, 81]
+        onsets[1000:1006] = [onsets[1000]] * 6
+    return make_piece(midis, onsets=onsets)
+
+
+def _dense_rule(monkeypatch):
+    for module in (note_hmm, chord_hmm):
+        monkeypatch.setattr(module, "best_parents", reference.best_parents)
+        monkeypatch.setattr(module, "rerank", reference.rerank)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("cluster", [False, True])
+def test_note_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch, order, cluster):
+    model = _tie_heavy_note_model(rng, order)
+    piece = _tie_heavy_scale(2100, cluster)
+    keyed = note_hmm.decode_viterbi(model, piece, Hand.RH)
+    _dense_rule(monkeypatch)
+    dense = note_hmm.decode_viterbi(model, piece, Hand.RH)
+    assert keyed.fingers == dense.fingers
+    assert keyed.log_score.hex() == dense.log_score.hex()
+    assert keyed.crossing_fallback_used == dense.crossing_fallback_used == cluster
+
+
+def _tie_heavy_chord_part(rng, n_events: int):
+    """One- and two-note events, some held into the next; every 50th
+    event is a five-note chord whose long note a three-note chord cannot
+    keep, so that boundary is relaxed."""
+    midis, onsets, offsets = [], [], []
+    for ei in range(n_events):
+        if ei % 50 == 0:
+            group, lengths = [60, 62, 64, 65, 67], [1.4, 0.3, 0.3, 0.3, 0.3]
+        elif ei % 50 == 1:
+            group, lengths = [57, 59, 69], [0.3] * 3
+        else:
+            group = [int(m) for m in rng.choice(np.arange(55, 76), int(rng.integers(1, 3)),
+                                                replace=False)]
+            # nothing is held into the five-note chord
+            lengths = [float(rng.choice([0.3, 0.8 - 0.5 * (ei % 50 == 49)])) for _ in group]
+        midis += group
+        onsets += [0.5 * ei] * len(group)
+        offsets += [0.5 * ei + length for length in lengths]
+    return make_piece(midis, onsets=onsets, offsets=offsets)
+
+
+def test_chord_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch):
+    params = ChordHmmParams(beta1=1.0, beta2=0.5, gamma1=1.0, gamma2=0.5, zeta=0.5,
+                            delta_p_max=3)
+    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
+    model = ChordHmmModel(
+        params=params,
+        log_initial_digit=_few_valued(np.log(random_rows(rng, (5,)))),
+        log_trans_across=_few_valued(np.log(random_rows(rng, (5, 5)))),
+        log_trans_within=_few_valued(np.log(random_rows(rng, (5, 5)))),
+        log_out_across={h: _few_valued(np.log(random_rows(rng, (5, 5, size)))) for h in Hand},
+        log_out_within={h: _few_valued(np.log(random_rows(rng, (5, 5, size)))) for h in Hand},
+    )
+    piece = _tie_heavy_chord_part(rng, 1400)
+    assert len(piece) >= 2000
+    chords = chord_hmm.cluster_chords(piece, params.delta)
+    keyed = chord_hmm.decode_chords(model, chords, Hand.RH)
+    _dense_rule(monkeypatch)
+    dense = chord_hmm.decode_chords(model, chords, Hand.RH)
+    assert keyed.states == dense.states
+    assert keyed.log_score.hex() == dense.log_score.hex()
+    assert keyed.relaxed_boundaries == dense.relaxed_boundaries
+    assert len(keyed.relaxed_boundaries) >= 20
 
 
 _FLOAT_FIELDS = [
