@@ -17,13 +17,15 @@ invariant and always use the lattice pitch representation.  Sustained
 notes must keep their digit across every chord that contains them;
 decoding is exact Viterbi over the per-chord state lists.
 
-One edge kernel scores every chord: at each boundary it gathers the
-(previous states, current states) score matrix from the scaled tables
-in one fixed term order, and ``chord_path_log_score`` scores a single
-path through the same kernel, cell by cell, so the two agree bitwise.
-A zero exponent times a -inf factor (NaN) scores as -inf.  Where the
-sustain constraint leaves no finite transition, the decoder lifts it at
-that boundary alone; the path scorer finds such boundaries itself.
+One edge kernel scores every chord: it builds the (previous states,
+current states) score matrix of each boundary of a chord list from the
+scaled tables in one fixed term order, all boundaries of one (previous
+size, size) shape at once.  The decoder runs on these matrices and
+``chord_path_log_score`` reads its path's cells from them, so the two
+agree bitwise.  A zero exponent times a -inf factor (NaN) scores as
+-inf.  Where the sustain constraint leaves no finite transition, the
+decoder lifts it at that boundary alone; the path scorer finds such
+boundaries itself.
 """
 
 from __future__ import annotations
@@ -384,9 +386,9 @@ class _EdgeKernel:
     the within transitions of every ordered component pair, row-major;
     the within outputs likewise.  The sum is multiplied by K**-zeta.  The
     first chord has its components' initial digits in place of the across
-    terms.  Each score is one elementwise float sequence, so a full
-    (previous states, current states) matrix and a single path cell agree
-    bitwise.  A NaN score (a zero exponent times a -inf factor) is -inf.
+    terms.  A NaN score (a zero exponent times a -inf factor) is -inf.
+    ``matrices`` gives every boundary's scores to the decoder and the
+    path scorer alike.
     """
 
     def __init__(self, model: ChordHmmModel, hand: Hand):
@@ -406,53 +408,66 @@ class _EdgeKernel:
         self.cell = index_table(PitchRepresentation.LATTICE, p.delta_p_max)
         self.zeta = p.zeta
 
-    def scores(self, prev_midis: tuple, midis: tuple, rows=slice(None), cols=slice(None)):
-        """The (previous states, current states) scores of a chord with
-        pitches ``midis`` after one with ``prev_midis`` (empty for the
-        first chord, which has one row), restricted to the slices
-        ``rows`` and ``cols`` of the state lists."""
-        base, a, b, has_cell = _layout(len(prev_midis), len(midis), self.hand, self.size)
-        keys = key_indices(prev_midis + midis)
-        terms = base[:, rows, cols] + (has_cell * self.cell[keys[a], keys[b]])[:, None, None]
-        total = np.add.accumulate(self.flat[terms])[-1]  # strictly in term order
-        return np.fmax(len(midis) ** -self.zeta * total, NEG_INF)
+    def matrices(self, chords: list) -> list:
+        """The (previous states, current states) score matrix of every
+        boundary of ``chords``, the first chord's as a 1-row matrix.
+
+        The boundaries of one (previous size, size) shape are one batch:
+        its cells come through the shape's ``_layout`` from one key index
+        per component, and its terms are added one at a time, in term
+        order, into a (boundaries, rows, columns) total, cell for cell the
+        float sequence of ``np.add.accumulate`` over the terms.
+        """
+        sizes = [chord.size for chord in chords]
+        keys = key_indices(c.midi for chord in chords for c in chord.components)
+        # a boundary's pitches run on from its previous chord's first one
+        start = np.cumsum([0, 0, *sizes[:-2]])
+        batches = {}
+        for ci, shape in enumerate(zip([0, *sizes[:-1]], sizes)):
+            batches.setdefault(shape, []).append(ci)
+        out = [None] * len(chords)
+        for (k_prev, k), members in batches.items():
+            base, a, b, has_cell = _layout(k_prev, k, self.hand, self.size)
+            at = start[members, None]
+            cells = (has_cell * self.cell[keys[at + a], keys[at + b]])[:, :, None, None]
+            total = np.zeros((len(members), *base.shape[1:]))
+            for t in range(1, len(base)):  # term 0 is the 0.0 the sum starts from
+                total += self.flat[base[t] + cells[:, t]]
+            for ci, matrix in zip(members, np.fmax(k ** -self.zeta * total, NEG_INF)):
+                out[ci] = matrix
+        return out
 
 
-def _shared(prev: Chord, chord: Chord) -> list:
-    """(previous, current) component index pairs that hold one note."""
+def _keeps(prev: Chord, chord: Chord, hand: Hand):
+    """Which (previous states, states) pairs keep the digit of every note
+    the two chords share, or None if they share none; only a sustained
+    copy repeats a note of the previous chord."""
+    if not any(c.sustained for c in chord.components):
+        return None
     where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
-    return sorted({
-        (where[nid], j)
-        for j, c in enumerate(chord.components)
-        for nid in c.note_ids
-        if nid in where
-    })
-
-
-def _keeps(shared: list, prev_states: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Which (previous, current) state pairs keep every shared note's digit,
-    for (K, states) digit arrays."""
+    prev_states, states = _states_array(prev.size, hand), _states_array(chord.size, hand)
     keep = True
-    for i, j in shared:
-        keep = keep & (prev_states[i][:, None] == states[j])
-    return keep
+    for j, c in enumerate(chord.components):
+        for nid in c.note_ids:
+            if nid in where:
+                keep = keep & (prev_states[where[nid]][:, None] == states[j])
+    return None if keep is True else keep
 
 
-def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
-    """The Viterbi recursion: (final scores, final prefix keys, parents,
-    relaxed boundaries).  At each boundary the sustain mask applies unless
-    it leaves no finite score while the previous chord has one; then that
-    boundary alone is scored unmasked and recorded as relaxed."""
-    pitches = [chord.midis for chord in chords]
-    states = [_states_array(len(m), hand) for m in pitches]
-    dp = kernel.scores((), pitches[0])[0]
+def _forward(edges: list, chords: list, hand: Hand) -> tuple:
+    """The Viterbi recursion over the edge matrices of ``chords``: (final
+    scores, final prefix keys, parents, relaxed boundaries).  At each
+    boundary the sustain mask applies unless it leaves no finite score
+    while the previous chord has one; then that boundary alone is scored
+    unmasked and recorded as relaxed."""
+    dp = edges[0][0]
     rank = np.arange(dp.size)
     parents, relaxed = [], []
     for ci in range(1, len(chords)):
-        cand = dp[:, None] + kernel.scores(pitches[ci - 1], pitches[ci])
-        shared = _shared(chords[ci - 1], chords[ci])
-        if shared:
-            kept = np.where(_keeps(shared, states[ci - 1], states[ci]), cand, NEG_INF)
+        cand = dp[:, None] + edges[ci]
+        keep = _keeps(chords[ci - 1], chords[ci], hand)
+        if keep is not None:
+            kept = np.where(keep, cand, NEG_INF)
             if kept.max() > NEG_INF or dp.max() == NEG_INF:
                 cand = kept
             else:
@@ -465,42 +480,40 @@ def _forward(kernel: _EdgeKernel, chords: list, hand: Hand) -> tuple:
 
 def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
-    the decoder assigns to it.
+    the decoder assigns to it: EmptyInput for no chords, ValueError for a
+    path of another length or a state its chord does not have.
 
-    Each chord's cell comes from the decoder's edge kernel, restricted to
-    the path's states.  Where the path changes the digit of a sustained
-    note, the edge is -inf unless the decoder relaxes that boundary.
-    Finding that out needs the decoder's recursion, run at most once,
-    only when no sustain-keeping edge from the path's previous state is
-    finite: otherwise the boundary is not relaxed, or the path's prefix
-    already scores -inf.
+    Each chord's term is the path's ``[previous, current]`` cell of the
+    decoder's edge matrices.  Where the path changes the digit of a
+    sustained note, the edge is -inf unless the decoder relaxes that
+    boundary.  Finding that out needs the decoder's recursion over the
+    same matrices, run at most once, only when no sustain-keeping edge in
+    the path's ``[previous]`` row is finite: otherwise the boundary is not
+    relaxed, or the path's prefix already scores -inf.
     """
-    chords = list(chords)
-    kernel = _EdgeKernel(model, hand)
-    pitches = [chord.midis for chord in chords]
-    states = [_states_array(len(m), hand) for m in pitches]
-    cells = [
-        slice(i, i + 1)
-        for i in (_states(len(m), hand).index(tuple(s)) for m, s in zip(pitches, path))
-    ]
+    chords, path = list(chords), [tuple(state) for state in path]
+    if not chords:
+        raise EmptyInput("no chords to score")
+    if len(path) != len(chords):
+        raise ValueError("state path length does not match the chords")
+    for ci, (chord, state) in enumerate(zip(chords, path)):
+        if state not in _states(chord.size, hand):
+            raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
+    cells = [_states(chord.size, hand).index(state) for chord, state in zip(chords, path)]
+    edges = _EdgeKernel(model, hand).matrices(chords)
     relaxed = None  # the decoder's relaxed boundaries, found when first needed
-    score = kernel.scores((), pitches[0], cols=cells[0])[0, 0]
+    score = edges[0][0, cells[0]]
     for ci in range(1, len(chords)):
         prev, cur = cells[ci - 1], cells[ci]
-        edge = kernel.scores(pitches[ci - 1], pitches[ci], prev, cur)[0, 0]
-        shared = _shared(chords[ci - 1], chords[ci])
-        if shared and not _keeps(shared, states[ci - 1][:, prev], states[ci][:, cur]).all():
+        edge = edges[ci][prev, cur]
+        keep = _keeps(chords[ci - 1], chords[ci], hand)
+        if keep is not None and not keep[prev, cur]:
             # a sustained note changes digit: -inf unless the decoder relaxes here
-            row = np.where(
-                _keeps(shared, states[ci - 1][:, prev], states[ci]),
-                kernel.scores(pitches[ci - 1], pitches[ci], prev),
-                NEG_INF,
-            )
-            if row.max() > NEG_INF:
+            if np.where(keep[prev], edges[ci][prev], NEG_INF).max() > NEG_INF:
                 edge = NEG_INF
             else:
                 if relaxed is None:
-                    relaxed = _forward(kernel, chords, hand)[3]
+                    relaxed = _forward(edges, chords, hand)[3]
                 if ci not in relaxed:
                     edge = NEG_INF
         score = score + edge
@@ -511,8 +524,8 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     """Exact Viterbi over chord states.
 
     Each boundary is one (previous states, current states) score matrix
-    from the edge kernel, masked where a sustained note would change
-    digit.  Ties resolve to the lexicographically smallest state path by
+    from ``_EdgeKernel.matrices``, masked where a sustained note would
+    change digit.  Ties resolve to the lexicographically smallest state path by
     the tie rule of ``_tables``; since ``enumerate_states`` lists states in
     ascending order, each boundary extends the prefix keys by the state
     index, ``key[parent] * states + index``, so ties cost O(states) per
@@ -523,7 +536,8 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     chords = list(chords)
     if not chords:
         raise EmptyInput("no chords to decode")
-    dp, rank, parents, relaxed = _forward(_EdgeKernel(model, hand), chords, hand)
+    edges = _EdgeKernel(model, hand).matrices(chords)
+    dp, rank, parents, relaxed = _forward(edges, chords, hand)
     best, indices = best_path(dp, rank, parents)
     if indices is None:
         raise NoFeasiblePath("all chord state paths have zero probability")

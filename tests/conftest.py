@@ -107,6 +107,27 @@ def random_piece(rng, n_max=6, midi_lo=50, midi_hi=80, hand=None, allow_chords=T
     return make_piece(midis, onsets, hand=hand)
 
 
+def tie_heavy_chord_part(rng, n_events: int):
+    """One- and two-note events, some held into the next; every 50th
+    event is a five-note chord whose long note a three-note chord cannot
+    keep, so that boundary is relaxed."""
+    midis, onsets, offsets = [], [], []
+    for ei in range(n_events):
+        if ei % 50 == 0:
+            group, lengths = [60, 62, 64, 65, 67], [1.4, 0.3, 0.3, 0.3, 0.3]
+        elif ei % 50 == 1:
+            group, lengths = [57, 59, 69], [0.3] * 3
+        else:
+            group = [int(m) for m in rng.choice(np.arange(55, 76), int(rng.integers(1, 3)),
+                                                replace=False)]
+            # nothing is held into the five-note chord
+            lengths = [float(rng.choice([0.3, 0.8 - 0.5 * (ei % 50 == 49)])) for _ in group]
+        midis += group
+        onsets += [0.5 * ei] * len(group)
+        offsets += [0.5 * ei + length for length in lengths]
+    return make_piece(midis, onsets=onsets, offsets=offsets)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

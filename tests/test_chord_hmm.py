@@ -1,6 +1,7 @@
 """Chord clustering, state enumeration, training and chord Viterbi."""
 
 import math
+import re
 from dataclasses import replace
 from itertools import product
 from math import comb
@@ -11,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_piece, random_rows
+import reference
+from conftest import make_piece, random_rows, tie_heavy_chord_part
+from pianofinger import chord_hmm, pitch_space
 from pianofinger.chord_hmm import (
     Chord,
     ChordComponent,
     ChordHmmModel,
     ChordHmmParams,
+    _EdgeKernel,
     chord_path_log_score,
     cluster_chords,
     count,
@@ -24,6 +28,7 @@ from pianofinger.chord_hmm import (
     enumerate_states,
     train_chord,
 )
+from pianofinger.dataset import load_corpus
 from pianofinger.errors import (
     EmptyCorpus,
     EmptyInput,
@@ -33,12 +38,14 @@ from pianofinger.errors import (
     RepeatedNoteId,
 )
 from pianofinger.estimate import estimate_piece
+from pianofinger.experiments import train_model
 from pianofinger.model_io import load_model
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
 from pianofinger.pig_io import Hand
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
 
 CHORD_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1" / "chord.json"
+SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus"
 LATTICE = PitchRepresentation.LATTICE
 DELTA = 0.030
 
@@ -62,6 +69,23 @@ def random_chord_model(rng, **param_overrides):
         log_out_across={h: np.log(random_rows(rng, (5, 5, size))) for h in Hand},
         log_out_within={h: np.log(random_rows(rng, (5, 5, size))) for h in Hand},
     )
+
+
+def drawn_chord_model(draw, rng, **param_overrides):
+    """``random_chord_model`` with a drawn ``delta_p_max``, drawn zero
+    exponents and a drawn share of zero-probability cells."""
+    exponents = {
+        name: draw(st.sampled_from([0.0, 0.4, 1.3]))
+        for name in ("beta1", "beta2", "gamma1", "gamma2")
+    }
+    model = random_chord_model(
+        rng, delta_p_max=draw(st.integers(1, 4)), **param_overrides, **exponents
+    )
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    for table in (model.log_initial_digit, model.log_trans_across, model.log_trans_within,
+                  *model.log_out_across.values(), *model.log_out_within.values()):
+        table[rng.random(table.shape) < zero_share] = -np.inf
+    return model
 
 
 def chordal_piece(groups, hand=Hand.RH, spacing=0.5, duration=0.3, digits=None):
@@ -600,20 +624,7 @@ def chord_pieces(draw):
     later chords (optionally clipped at the next onset), one-note hands,
     zero exponents and zero-probability cells."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    exponents = {
-        name: draw(st.sampled_from([0.0, 0.4, 1.3]))
-        for name in ("beta1", "beta2", "gamma1", "gamma2")
-    }
-    model = random_chord_model(
-        rng,
-        delta_p_max=draw(st.integers(1, 4)),
-        truncate_overlaps=draw(st.booleans()),
-        **exponents,
-    )
-    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
-    for table in (model.log_initial_digit, model.log_trans_across, model.log_trans_within,
-                  *model.log_out_across.values(), *model.log_out_within.values()):
-        table[rng.random(table.shape) < zero_share] = -np.inf
+    model = drawn_chord_model(draw, rng, truncate_overlaps=draw(st.booleans()))
     width = draw(st.sampled_from([2, 3, 6]))  # most pitches one group may strike
     groups = draw(st.lists(
         st.tuples(
@@ -646,3 +657,117 @@ def test_random_pieces_decode_to_their_oracle_score_or_raise_fingering_error(cas
     assert sorted(result.fingers_by_note) == [note.note_id for note in piece.notes]
     assert not math.isnan(result.log_score)
     assert chord_path_log_score(model, chords, hand, result.states) == result.log_score
+
+
+# --- the edge kernel ---------------------------------------------------------
+
+# a de Bruijn cycle of the sizes 1..5: read round once from any start and
+# back to it, its 26 chords hold every (previous size, size) shape, each
+# boundary of another shape than the one before
+_SIZE_CYCLE = (1, 1, 2, 1, 3, 1, 4, 1, 5, 2, 2, 3, 2, 4, 2, 5, 3, 3, 4, 3, 5, 4, 4, 5, 5)
+
+
+@st.composite
+def edge_cases(draw):
+    """A drawn chord model and hand, and five chord lists, one opening
+    with each size, each the size cycle read from there and then a drawn
+    tail.  Pitches span the keyboard, so a small delta_p_max clips many
+    of their cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = drawn_chord_model(draw, rng)
+    tail = tuple(draw(st.lists(st.integers(1, 5), max_size=12)))
+
+    def chord(k):
+        midis = sorted(rng.choice(np.arange(21, 109), k, replace=False))
+        return Chord(onset=0.0, components=tuple(
+            ChordComponent(midi=int(m), note_ids=(i,), sustained=False)
+            for i, m in enumerate(midis)
+        ))
+
+    lists = [
+        [chord(k) for k in _SIZE_CYCLE[s:] + _SIZE_CYCLE[: s + 1] + tail]
+        for s in (0, 2, 4, 6, 8)
+    ]
+    return model, lists, draw(st.sampled_from(Hand))
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_cases())
+def test_batched_edge_matrices_are_the_per_boundary_kernel_byte_for_byte(case):
+    model, lists, hand = case
+    kernel = _EdgeKernel(model, hand)
+    shapes = set()
+    for chords in lists:
+        sizes = [0] + [chord.size for chord in chords]
+        shapes |= set(zip(sizes, sizes[1:]))
+        batched, per_boundary = kernel.matrices(chords), reference.edge_matrices(kernel, chords)
+        assert [m.shape for m in batched] == [m.shape for m in per_boundary]
+        assert [m.tobytes() for m in batched] == [m.tobytes() for m in per_boundary]
+    assert shapes == set(product(range(6), range(1, 6)))
+
+
+def test_decode_on_the_per_boundary_kernel_is_the_same_decode(rng, monkeypatch):
+    model = random_chord_model(rng)
+    piece = tie_heavy_chord_part(rng, 1400)
+    assert len(piece) >= 2000
+    chords = cluster_chords(piece, model.params.delta)
+    batched = decode_chords(model, chords, Hand.RH)
+    monkeypatch.setattr(_EdgeKernel, "matrices", reference.edge_matrices)
+    per_boundary = decode_chords(model, chords, Hand.RH)
+    assert batched.states == per_boundary.states
+    assert batched.log_score.hex() == per_boundary.log_score.hex()
+    assert batched.relaxed_boundaries == per_boundary.relaxed_boundaries
+    assert len(batched.relaxed_boundaries) >= 20
+
+
+def test_one_decode_reads_key_indices_once_per_shape_not_per_chord(rng, monkeypatch):
+    calls, key_indices = [], pitch_space.key_indices
+
+    def counted(midis):
+        calls.append(1)
+        return key_indices(midis)
+
+    model = load_model(CHORD_V1)
+    chords = cluster_chords(tie_heavy_chord_part(rng, 1400), model.params.delta)
+    sizes = [0] + [chord.size for chord in chords]
+    for module in (pitch_space, chord_hmm):
+        monkeypatch.setattr(module, "key_indices", counted)
+    decode_chords(model, chords, Hand.RH)
+    assert 1 <= len(calls) <= len(set(zip(sizes, sizes[1:]))) < len(chords)
+
+
+def test_20k_note_tie_heavy_chord_decode_scores_as_its_oracle():
+    # a model trained on the small sample corpus leaves many equal smoothed
+    # cells, so a long white-key scale ties all the way; every seventh note
+    # is held into the next two, which then hold it as a sustained copy
+    model = train_model("chord-hmm", ChordHmmParams(), load_corpus(SAMPLE_CORPUS))
+    figure = (0, 2, 4, 5, 7, 9, 11, 12, 11, 9, 7, 5, 4, 2)
+    onsets = [0.25 * i for i in range(20_000)]
+    piece = make_piece(
+        [60 + figure[i % 14] for i in range(20_000)],
+        onsets=onsets,
+        offsets=[t + (0.6 if i % 7 == 0 else 0.2) for i, t in enumerate(onsets)],
+    )
+    chords = cluster_chords(piece, model.params.delta)
+    assert sum(any(c.sustained for c in chord.components) for chord in chords) > 5000
+    result = decode_chords(model, chords, Hand.RH)
+    oracle = chord_path_log_score(model, chords, Hand.RH, result.states)
+    assert oracle.hex() == result.log_score.hex()
+
+
+def test_path_scorer_refuses_a_path_that_does_not_fit_the_chords(rng):
+    model = random_chord_model(rng)
+    chords = cluster_chords(chordal_piece([(60, 64), (67,), (55, 59, 62)]), DELTA)
+    path = [(1, 3), (4,), (1, 2, 3)]
+    assert chord_path_log_score(model, chords, Hand.RH, path) > -math.inf
+    for wrong in (path + [(5,)], path[:2]):
+        with pytest.raises(ValueError, match=r"^state path length does not match the chords$"):
+            chord_path_log_score(model, chords, Hand.RH, wrong)
+    with pytest.raises(EmptyInput, match=r"^no chords to score$"):
+        chord_path_log_score(model, [], Hand.RH, [])
+    # crossing digits, no such digit, a state of another chord size
+    for ci, state in ((0, (3, 1)), (1, (6,)), (2, (1, 2))):
+        wrong = path[:ci] + [state] + path[ci + 1:]
+        message = rf"^state {re.escape(str(state))} of chord {ci} is not a crossing-free assignment$"
+        with pytest.raises(ValueError, match=message):
+            chord_path_log_score(model, chords, Hand.RH, wrong)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_piece, random_note_model, random_rows
+from conftest import make_piece, random_note_model, random_rows, tie_heavy_chord_part
 from pianofinger import chord_hmm, note_hmm
 from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, rerank
 from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
@@ -165,27 +165,6 @@ def test_note_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch, order, clus
     assert keyed.crossing_fallback_used == dense.crossing_fallback_used == cluster
 
 
-def _tie_heavy_chord_part(rng, n_events: int):
-    """One- and two-note events, some held into the next; every 50th
-    event is a five-note chord whose long note a three-note chord cannot
-    keep, so that boundary is relaxed."""
-    midis, onsets, offsets = [], [], []
-    for ei in range(n_events):
-        if ei % 50 == 0:
-            group, lengths = [60, 62, 64, 65, 67], [1.4, 0.3, 0.3, 0.3, 0.3]
-        elif ei % 50 == 1:
-            group, lengths = [57, 59, 69], [0.3] * 3
-        else:
-            group = [int(m) for m in rng.choice(np.arange(55, 76), int(rng.integers(1, 3)),
-                                                replace=False)]
-            # nothing is held into the five-note chord
-            lengths = [float(rng.choice([0.3, 0.8 - 0.5 * (ei % 50 == 49)])) for _ in group]
-        midis += group
-        onsets += [0.5 * ei] * len(group)
-        offsets += [0.5 * ei + length for length in lengths]
-    return make_piece(midis, onsets=onsets, offsets=offsets)
-
-
 def test_chord_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch):
     params = ChordHmmParams(beta1=1.0, beta2=0.5, gamma1=1.0, gamma2=0.5, zeta=0.5,
                             delta_p_max=3)
@@ -198,7 +177,7 @@ def test_chord_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch):
         log_out_across={h: _few_valued(np.log(random_rows(rng, (5, 5, size)))) for h in Hand},
         log_out_within={h: _few_valued(np.log(random_rows(rng, (5, 5, size)))) for h in Hand},
     )
-    piece = _tie_heavy_chord_part(rng, 1400)
+    piece = tie_heavy_chord_part(rng, 1400)
     assert len(piece) >= 2000
     chords = chord_hmm.cluster_chords(piece, params.delta)
     keyed = chord_hmm.decode_chords(model, chords, Hand.RH)
