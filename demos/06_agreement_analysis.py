@@ -9,12 +9,7 @@ note attracts.
 
 from pathlib import Path
 
-from pianofinger.agreement import (
-    MultiplicityUnit,
-    analyze_sets,
-    multiplicity_distribution,
-    random_model_match,
-)
+from pianofinger.agreement import analyze_sets, random_model_match
 from pianofinger.dataset import load_ground_truth_sets
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "data" / "sample_corpus"
@@ -41,5 +36,5 @@ for k, proportion in report.note_multiplicity.items():
 # agree on 52%.
 print("\nindependent-choice reference:", random_model_match(0.68, 3))
 
-hist = multiplicity_distribution(gt_sets[0], MultiplicityUnit.NOTE_PAIR)
+hist = analyze_sets([gt_sets[0]]).pair_multiplicity
 print("choices per consecutive same-hand note pair:", hist)

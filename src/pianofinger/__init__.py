@@ -23,23 +23,18 @@ from .estimate import annotate_piece, estimate_piece
 from .eval_measures import (
     MatchRateReport,
     RecombinationConfig,
-    general_match_rate,
-    highest_match_rate,
     match_rate_report,
     recombination_match_rate,
     recombination_match_rates,
-    soft_match_rate,
     summarize,
 )
-from .model_io import dumps_model, load_model, loads_model, save_model
+from .model_io import dumps_model, load_model, loads_model
 from .note_hmm import (
     DecodeResult,
     NoteHmmConfig,
     NoteHmmModel,
     Symmetry,
-    chord_crossing_allowed,
     decode_viterbi,
-    output_score,
     sample_piece,
     sequence_log_score,
     train,

@@ -8,7 +8,8 @@ M_j = sum over notes and fingers of C(c, j), over n * C(G, j) for n
 notes.  Also covered: the two-symbol independent random reference model,
 finger-choice multiplicity histograms per note and per consecutive
 same-hand note pair (pooled over pieces as raw counts), and a power fit
-of M_j against j.  A value with no definition is NaN in
+of M_j against j.  ``analyze_sets`` computes them all for a corpus, a
+single piece included.  A value with no definition is NaN in
 ``AgreementReport`` and an empty cell, or ``# power fit: undefined``,
 in the formatted tables.
 """
@@ -70,19 +71,6 @@ def _histogram(label_counts) -> dict:
     return {k: v / total for k, v in sorted(counts.items())} if total else {}
 
 
-def multi_match_rate(gts, j: int) -> float:
-    """Fraction of (note, j-subset of annotators) combinations on which
-    the whole subset agrees, counted per note as C(c, j) for each finger
-    chosen by c annotators."""
-    n_g = len(gts)
-    if not 2 <= j <= n_g:
-        raise InsufficientAnnotators(f"j={j} with {n_g} fingerings")
-    lengths = {len(g) for g in gts}
-    if len(lengths) != 1:
-        raise InsufficientAnnotators(f"unequal sequence lengths {sorted(lengths)}")
-    return _match_rate([(1, Counter(column).values()) for column in zip(*gts)], n_g, j)
-
-
 def random_model_match(m2: float, j: int) -> float:
     """Expected j-way match rate of independent per-note choices between
     two symbols, calibrated so that the pairwise rate equals ``m2``.
@@ -95,14 +83,6 @@ def random_model_match(m2: float, j: int) -> float:
         raise OutOfDomain(f"two-symbol model needs m2 in [0.5, 1], got {m2}")
     omega = (1.0 + math.sqrt(2.0 * m2 - 1.0)) / 2.0
     return omega**j + (1.0 - omega) ** j
-
-
-def multiplicity_distribution(gt_set: GroundTruthSet, unit: MultiplicityUnit) -> dict:
-    """Proportion of notes (or consecutive same-hand note pairs) by the
-    number of distinct finger choices the annotators used."""
-    if len(gt_set) < 2:
-        raise InsufficientAnnotators("multiplicities need at least two annotators")
-    return _histogram(_label_counts(gt_set, unit))
 
 
 def fit_power(points) -> tuple:

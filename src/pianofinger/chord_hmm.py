@@ -478,10 +478,22 @@ def _forward(edges: list, chords: list, hand: Hand) -> tuple:
     return dp, rank, parents, relaxed
 
 
+def _check_sizes(chords: list, what: str) -> None:
+    """Refuse chords no hand can play, before anything reads them:
+    EmptyInput for none or one of no pitches, HandOverflow for more than five."""
+    if not chords:
+        raise EmptyInput(f"no chords to {what}")
+    for ci, chord in enumerate(chords):
+        if not 0 < chord.size <= N_DIGITS:
+            error = HandOverflow if chord.size else EmptyInput
+            raise error(f"chord {ci} at {chord.onset:.6f}s has {chord.size} pitches, not 1 to 5")
+
+
 def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
-    the decoder assigns to it: EmptyInput for no chords, ValueError for a
-    path of another length or a state its chord does not have.
+    the decoder assigns to it: the refusals of ``_check_sizes`` first,
+    then ValueError for a path of another length or a state its chord
+    does not have.
 
     Each chord's term is the path's ``[previous, current]`` cell of the
     decoder's edge matrices.  Where the path changes the digit of a
@@ -492,8 +504,7 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     relaxed, or the path's prefix already scores -inf.
     """
     chords, path = list(chords), [tuple(state) for state in path]
-    if not chords:
-        raise EmptyInput("no chords to score")
+    _check_sizes(chords, "score")
     if len(path) != len(chords):
         raise ValueError("state path length does not match the chords")
     for ci, (chord, state) in enumerate(zip(chords, path)):
@@ -532,10 +543,10 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     chord and no boundary sorts.  If the sustain constraint leaves no
     feasible transition at some boundary, that boundary alone is relaxed
     and recorded; a decode whose score is still -inf raises NoFeasiblePath.
+    ``_check_sizes`` refuses chords no hand can play first.
     """
     chords = list(chords)
-    if not chords:
-        raise EmptyInput("no chords to decode")
+    _check_sizes(chords, "decode")
     edges = _EdgeKernel(model, hand).matrices(chords)
     dp, rank, parents, relaxed = _forward(edges, chords, hand)
     best, indices = best_path(dp, rank, parents)

@@ -16,7 +16,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import EmptyCorpus, FingeringError
+from .errors import EmptyCorpus, FingeringError, MalformedLine
 from .pig_io import GroundTruthSet, Piece, parse_fingering_file
 
 _PIG_NAME = re.compile(r"^(?P<piece>.+?)-(?P<annot>[^-_]+)_fingering$")
@@ -61,9 +61,12 @@ def load_piece(path, piece_id: str = "", annotator_id: str = "") -> Piece:
         piece_id = m.group("piece") if m else path.stem
         annotator_id = annotator_id or (m.group("annot") if m else "0")
     try:
-        return parse_fingering_file(
-            path.read_text(encoding="utf-8"), piece_id=piece_id, annotator_id=annotator_id
-        )
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:  # read_text decodes the whole file in one call
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise MalformedLine(line, "not UTF-8 text") from None
+        return parse_fingering_file(text, piece_id=piece_id, annotator_id=annotator_id)
     except FingeringError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

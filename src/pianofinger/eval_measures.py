@@ -125,21 +125,6 @@ def match_rates(measure: str, pairs) -> list:
     return MEASURES[measure]([_row(est, gts) for est, gts in pairs])
 
 
-def general_match_rate(est, gts) -> float:
-    """Mean over ground truths of the per-ground-truth match rate."""
-    return match_rates("m_gen", [(est, gts)])[0]
-
-
-def highest_match_rate(est, gts) -> float:
-    """Match rate against the closest single ground truth."""
-    return match_rates("m_high", [(est, gts)])[0]
-
-
-def soft_match_rate(est, gts) -> float:
-    """Fraction of notes matching at least one ground truth."""
-    return match_rates("m_soft", [(est, gts)])[0]
-
-
 def recombination_match_rates(pairs, config: RecombinationConfig = DEFAULT_COSTS) -> list:
     """``recombination_match_rate`` of every ``(est, gts)`` pair, in one
     lock-step batch."""

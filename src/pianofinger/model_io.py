@@ -533,9 +533,5 @@ def loads_model(text: str):
         raise MalformedModel(f"{name} model: {type(exc).__name__}: {exc}") from None
 
 
-def save_model(model, path) -> None:
-    Path(path).write_text(dumps_model(model), encoding="utf-8")
-
-
 def load_model(path):
     return loads_model(Path(path).read_text(encoding="utf-8"))

@@ -135,15 +135,6 @@ class NoteHmmModel:
     log_transition: np.ndarray
     log_output: dict
 
-    def transition_matrix(self) -> np.ndarray:
-        return np.exp(self.log_transition)
-
-    def output_table(self, hand: Hand, lag: int) -> np.ndarray:
-        return np.exp(self.log_output[hand][lag - 1])
-
-    def initial_matrix(self, k: int) -> np.ndarray:
-        return np.exp(self.log_initial[k])
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -298,59 +289,11 @@ def transition_prob(model: NoteHmmModel, context, next_digit: int) -> float:
     return float(np.exp(model.log_transition[_flat_index(context), next_digit - 1]))
 
 
-def output_score(model: NoteHmmModel, pitches, fingers, hand: Hand = Hand.RH) -> float:
-    """Alpha-weighted product of the pairwise output factors for the most
-    recent note given up to ``order`` predecessors.
-
-    ``pitches`` are MIDI numbers and ``fingers`` digits, oldest first, with
-    the current note last; both must have equal length between 2 and
-    order + 1.
-    """
-    if len(pitches) != len(fingers):
-        raise ValueError("pitches and fingers must have equal length")
-    lags = len(pitches) - 1
-    if not 1 <= lags <= model.config.order:
-        raise ValueError(f"got {lags} lags for an order-{model.config.order} model")
-    cfg = model.config
-    cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
-    keys = key_indices(pitches)
-    score = 1.0
-    for lag in range(1, lags + 1):
-        idx = cell[keys[-1 - lag], keys[-1]]
-        factor = float(
-            np.exp(model.log_output[hand][lag - 1][fingers[-1 - lag] - 1, fingers[-1] - 1, idx])
-        )
-        score *= factor ** cfg.alpha[lag - 1]
-    return score
-
-
 # --- within-chord crossing constraint ------------------------------------
 
 _DIGIT_DIR = np.sign(np.arange(N_DIGITS)[None, :] - np.arange(N_DIGITS)[:, None])
 ALLOWED_ASCENDING_RH = _DIGIT_DIR > 0
 ALLOWED_DESCENDING_RH = _DIGIT_DIR < 0
-
-
-def chord_crossing_allowed(prev, cur, hand: Hand, delta: float) -> bool:
-    """Whether a consecutive note pair respects the within-chord rule.
-
-    ``prev`` and ``cur`` are (midi, onset, digit) triples.  Outside a
-    chord (onsets more than ``delta`` apart) everything is allowed.
-    Inside one, finger order must strictly follow pitch order: ascending
-    pitch takes ascending digits in the right hand and descending digits
-    in the left, so crossings and repeated digits on distinct pitches are
-    both forbidden.
-    """
-    (p1, t1, f1), (p2, t2, f2) = prev, cur
-    if abs(t2 - t1) > delta:
-        return True
-    if p1 == p2:
-        return True
-    f1, f2 = int(f1), int(f2)
-    pitch_dir = 1 if p2 > p1 else -1
-    digit_dir = (f2 > f1) - (f2 < f1)
-    required = pitch_dir if hand is Hand.RH else -pitch_dir
-    return digit_dir == required
 
 
 # --- decoding -------------------------------------------------------------

@@ -49,10 +49,6 @@ class Hand(enum.Enum):
     def channel(self) -> int:
         return self.value
 
-    @property
-    def other(self) -> "Hand":
-        return Hand.LH if self is Hand.RH else Hand.RH
-
 
 @dataclass(frozen=True, order=True)
 class FingerLabel:

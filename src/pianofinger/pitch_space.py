@@ -86,11 +86,6 @@ def reflect_x(d: Displacement) -> Displacement:
     return Displacement(dx=-d.dx, dy=d.dy)
 
 
-def negate(d: Displacement) -> Displacement:
-    """Reverse a displacement in all of its components."""
-    return Displacement(dx=-d.dx, dy=None if d.dy is None else -d.dy)
-
-
 # --- displacement alphabet indexing -------------------------------------
 #
 # Output tables are dense arrays over the clamped displacement alphabet;
@@ -102,14 +97,6 @@ def alphabet_size(representation: PitchRepresentation, delta_p_max: int) -> int:
     if representation is PitchRepresentation.INTEGRAL:
         return 2 * delta_p_max + 1
     return (4 * delta_p_max + 1) * 3
-
-
-def displacement_index(
-    representation: PitchRepresentation, delta_p_max: int, d: Displacement
-) -> int:
-    if representation is PitchRepresentation.INTEGRAL:
-        return d.dx + delta_p_max
-    return (d.dx + 2 * delta_p_max) * 3 + (d.dy + 1)
 
 
 def index_displacement(

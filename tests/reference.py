@@ -9,13 +9,35 @@ The per-boundary chord edge kernel: each boundary's score matrix is
 gathered on its own and summed by ``np.add.accumulate`` over the terms.
 ``pianofinger.chord_hmm._EdgeKernel.matrices`` scores every boundary of
 one shape at once; both must give the same bytes.
+
+The scalar forms of vectorised rules: one note's output score
+(``output_score``), the within-chord crossing rule
+(``chord_crossing_allowed``), one displacement's alphabet cell
+(``displacement_index``) and its negation (``negate``).  The
+recombination DP by enumeration (``brute_force_recombination``) and as
+the per-note loop the lock-step batch replaced
+(``reference_recombination``), and ``cluster_chords`` as a quadratic
+walk (``reference_cluster_chords``).
 """
+
+import math
+from itertools import product
 
 import numpy as np
 
 from pianofinger._tables import NEG_INF
-from pianofinger.chord_hmm import _layout
-from pianofinger.pitch_space import key_indices
+from pianofinger.chord_hmm import Chord, ChordComponent, _layout
+from pianofinger.errors import HandOverflow
+from pianofinger.note_hmm import NoteHmmModel
+from pianofinger.pig_io import Hand
+from pianofinger.pitch_space import (
+    Displacement,
+    PitchRepresentation,
+    index_table,
+    key_indices,
+)
+
+INF = math.inf
 
 
 def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
@@ -52,3 +74,178 @@ def edge_matrices(kernel, chords: list) -> list:
     """``_EdgeKernel.matrices``, one ``edge_scores`` call per boundary."""
     pitches = [chord.midis for chord in chords]
     return [edge_scores(kernel, prev, cur) for prev, cur in zip([(), *pitches[:-1]], pitches)]
+
+
+def output_score(model: NoteHmmModel, pitches, fingers, hand: Hand = Hand.RH) -> float:
+    """Alpha-weighted product of the pairwise output factors for the most
+    recent note given up to ``order`` predecessors.
+
+    ``pitches`` are MIDI numbers and ``fingers`` digits, oldest first, with
+    the current note last; both must have equal length between 2 and
+    order + 1.
+    """
+    if len(pitches) != len(fingers):
+        raise ValueError("pitches and fingers must have equal length")
+    lags = len(pitches) - 1
+    if not 1 <= lags <= model.config.order:
+        raise ValueError(f"got {lags} lags for an order-{model.config.order} model")
+    cfg = model.config
+    cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
+    keys = key_indices(pitches)
+    score = 1.0
+    for lag in range(1, lags + 1):
+        idx = cell[keys[-1 - lag], keys[-1]]
+        factor = float(
+            np.exp(model.log_output[hand][lag - 1][fingers[-1 - lag] - 1, fingers[-1] - 1, idx])
+        )
+        score *= factor ** cfg.alpha[lag - 1]
+    return score
+
+
+def chord_crossing_allowed(prev, cur, hand: Hand, delta: float) -> bool:
+    """Whether a consecutive note pair respects the within-chord rule.
+
+    ``prev`` and ``cur`` are (midi, onset, digit) triples.  Outside a
+    chord (onsets more than ``delta`` apart) everything is allowed.
+    Inside one, finger order must strictly follow pitch order: ascending
+    pitch takes ascending digits in the right hand and descending digits
+    in the left, so crossings and repeated digits on distinct pitches are
+    both forbidden.
+    """
+    (p1, t1, f1), (p2, t2, f2) = prev, cur
+    if abs(t2 - t1) > delta:
+        return True
+    if p1 == p2:
+        return True
+    f1, f2 = int(f1), int(f2)
+    pitch_dir = 1 if p2 > p1 else -1
+    digit_dir = (f2 > f1) - (f2 < f1)
+    required = pitch_dir if hand is Hand.RH else -pitch_dir
+    return digit_dir == required
+
+
+def displacement_index(
+    representation: PitchRepresentation, delta_p_max: int, d: Displacement
+) -> int:
+    if representation is PitchRepresentation.INTEGRAL:
+        return d.dx + delta_p_max
+    return (d.dx + 2 * delta_p_max) * 3 + (d.dy + 1)
+
+
+def negate(d: Displacement) -> Displacement:
+    """Reverse a displacement in all of its components."""
+    return Displacement(dx=-d.dx, dy=None if d.dy is None else -d.dy)
+
+
+def brute_force_recombination(est, gts, config):
+    n, n_g = len(est), len(gts)
+    best_cost, best_path = None, None
+    for path in product(range(n_g), repeat=n):
+        cost = 0.0 if gts[path[0]][0] == est[0] else config.c_sub
+        for pos in range(1, n):
+            g_prev, g = path[pos - 1], path[pos]
+            if g_prev == g:
+                step = 0.0
+            elif gts[g][pos] == gts[g_prev][pos]:
+                step = config.c_rec
+            else:
+                step = config.c_rec_prime
+            cost = cost + step
+            cost = cost + (0.0 if gts[g][pos] == est[pos] else config.c_sub)
+        if best_cost is None or cost < best_cost:
+            best_cost, best_path = cost, path
+    return best_cost, best_path
+
+
+def reference_recombination(est, gts, config):
+    """The plain per-note loop the lock-step batch replaced: ``rank[g]``
+    places the best prefix ending in g among all best prefixes, a tie goes
+    to the lower-ranked predecessor, and prefixes re-rank by (parent rank,
+    g) after each note."""
+    n, n_g = len(est), len(gts)
+
+    def sub(pos, g):
+        return 0.0 if gts[g][pos] == est[pos] else config.c_sub
+
+    def switch(pos, g_prev, g):
+        if g_prev == g:
+            return 0.0
+        return config.c_rec if gts[g][pos] == gts[g_prev][pos] else config.c_rec_prime
+
+    dp = [sub(0, g) for g in range(n_g)]
+    rank = list(range(n_g))
+    parents = []
+    for pos in range(1, n):
+        new_dp, new_parents = [], []
+        for g in range(n_g):
+            best, best_prev = INF, 0
+            for g_prev in range(n_g):
+                if dp[g_prev] == INF:
+                    continue
+                cand = dp[g_prev] + switch(pos, g_prev, g)
+                if cand < best:
+                    best, best_prev = cand, g_prev
+                elif cand == best < INF and rank[g_prev] < rank[best_prev]:
+                    best_prev = g_prev
+            new_dp.append(best + sub(pos, g) if best < INF else INF)
+            new_parents.append(best_prev)
+        dp = new_dp
+        parents.append(new_parents)
+        order = sorted(range(n_g), key=lambda g: rank[new_parents[g]])
+        rank = sorted(range(n_g), key=order.__getitem__)
+    e_rec = min(dp)
+    path = [0] * n
+    if e_rec < INF:
+        path[-1] = min((g for g, v in enumerate(dp) if v == e_rec), key=rank.__getitem__)
+        for pos in range(n - 1, 0, -1):
+            path[pos - 1] = parents[pos - 1][path[pos]]
+    return (n - e_rec) / n, e_rec, tuple(path)
+
+
+def reference_cluster_chords(piece, delta, truncate_overlaps=False):
+    """``cluster_chords`` as a plain loop in which every note walks each
+    later chord until its offset: quadratic, and the reference."""
+    if len(piece) == 0:
+        return []
+    notes = list(piece.notes)
+    next_onset = {}
+    if truncate_overlaps:
+        onsets = sorted({n.onset for n in notes})
+        for i, t in enumerate(onsets[:-1]):
+            next_onset[t] = onsets[i + 1]
+    groups = []
+    for note in notes:
+        if groups and note.onset - groups[-1][-1].onset <= delta:
+            groups[-1].append(note)
+        else:
+            groups.append([note])
+    chord_onsets = [g[0].onset for g in groups]
+    members = [{} for _ in groups]
+    for gi, group in enumerate(groups):
+        for note in group:
+            entry = members[gi].get(note.midi)
+            if entry is None or entry[1]:
+                members[gi][note.midi] = [[note.note_id], False]
+            else:
+                entry[0].append(note.note_id)
+            offset = note.offset
+            if truncate_overlaps and note.onset in next_onset:
+                offset = min(offset, next_onset[note.onset])
+            for gj in range(gi + 1, len(groups)):
+                if chord_onsets[gj] >= offset:
+                    break
+                if note.midi not in members[gj]:
+                    members[gj][note.midi] = [[note.note_id], True]
+    chords = []
+    for gi, table in enumerate(members):
+        if len(table) > 5:
+            raise HandOverflow(
+                f"piece {piece.piece_id!r}: chord at {chord_onsets[gi]:.6f}s "
+                f"needs {len(table)} pitches in one hand"
+            )
+        components = tuple(
+            ChordComponent(midi=midi, note_ids=tuple(ids), sustained=sustained)
+            for midi, (ids, sustained) in sorted(table.items())
+        )
+        chords.append(Chord(onset=chord_onsets[gi], components=components))
+    return chords

@@ -6,14 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import make_piece
-from pianofinger.agreement import (
-    MultiplicityUnit,
-    analyze_sets,
-    fit_power,
-    multi_match_rate,
-    multiplicity_distribution,
-    random_model_match,
-)
+from pianofinger.agreement import MultiplicityUnit, analyze_sets, fit_power, random_model_match
 from pianofinger.errors import (
     DegenerateFit,
     InsufficientAnnotators,
@@ -39,13 +32,20 @@ def gt_set(finger_rows, hand=Hand.RH, piece_id="p"):
     return GroundTruthSet.from_pieces(pieces)
 
 
+def label_set(label_rows):
+    """Ground-truth set holding the signed label rows as given, over a
+    synthetic piece with one note per label."""
+    piece = make_piece(list(range(60, 60 + len(label_rows[0]))))
+    return GroundTruthSet(piece=piece, signed_fingerings=tuple(map(tuple, label_rows)))
+
+
 def test_multi_match_rate_examples():
-    gts = [[1, 2], [1, 3], [1, 2]]
-    assert multi_match_rate(gts, 2) == pytest.approx(2.0 / 3.0)
-    assert multi_match_rate(gts, 3) == 0.5
-    identical = [[1, 2, 3]] * 4
+    rates = analyze_sets([gt_set([[1, 2], [1, 3], [1, 2]])]).match_rates
+    assert rates[2] == pytest.approx(2.0 / 3.0)
+    assert rates[3] == 0.5
+    identical = analyze_sets([gt_set([[1, 2, 3]] * 4)]).match_rates
     for j in (2, 3, 4):
-        assert multi_match_rate(identical, j) == 1.0
+        assert identical[j] == 1.0
 
 
 def test_multi_match_rate_non_increasing(rng):
@@ -53,17 +53,16 @@ def test_multi_match_rate_non_increasing(rng):
         n = int(rng.integers(1, 15))
         n_g = int(rng.integers(2, 6))
         gts = [[int(d) for d in rng.integers(1, 4, size=n)] for _ in range(n_g)]
-        values = [multi_match_rate(gts, j) for j in range(2, n_g + 1)]
+        rates = analyze_sets([gt_set(gts)]).match_rates
+        values = [rates[j] for j in range(2, n_g + 1)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_multi_match_rate_domain():
     with pytest.raises(InsufficientAnnotators):
-        multi_match_rate([[1, 2]], 2)
-    with pytest.raises(InsufficientAnnotators):
-        multi_match_rate([[1], [2]], 3)
+        analyze_sets([gt_set([[1, 2]])])
     with pytest.raises(LengthMismatch):
-        multi_match_rate([[], []], 2)
+        analyze_sets([gt_set([[], []])])
 
 
 def _agreeing_subsets(gts, j) -> int:
@@ -82,9 +81,10 @@ def test_multi_match_rate_is_the_ratio_of_subset_counts(rng):
         n_g = int(rng.integers(2, 8))
         labels = [-5, -2, 1, 2, 3, 4, 5][: int(rng.integers(1, 8))]
         gts = [[labels[k] for k in rng.integers(0, len(labels), size=n)] for _ in range(n_g)]
+        rates = analyze_sets([label_set(gts)]).match_rates
         for j in range(2, n_g + 1):
             expected = _agreeing_subsets(gts, j) / (n * math.comb(n_g, j))
-            assert multi_match_rate(gts, j) == expected
+            assert rates[j] == expected
 
 
 def test_random_model_reference_point():
@@ -115,15 +115,15 @@ def test_random_model_domain():
 
 def test_multiplicity_note_unit():
     s = gt_set([[1, 2], [2, 2]])
-    hist = multiplicity_distribution(s, MultiplicityUnit.NOTE)
+    hist = analyze_sets([s]).note_multiplicity
     assert hist == {1: 0.5, 2: 0.5}
     identical = gt_set([[1, 2, 3], [1, 2, 3]])
-    assert multiplicity_distribution(identical, MultiplicityUnit.NOTE) == {1: 1.0}
+    assert analyze_sets([identical]).note_multiplicity == {1: 1.0}
 
 
 def test_multiplicity_pair_unit():
     s = gt_set([[1, 2, 3], [1, 3, 3], [1, 2, 3]])
-    hist = multiplicity_distribution(s, MultiplicityUnit.NOTE_PAIR)
+    hist = analyze_sets([s]).pair_multiplicity
     # pairs (1,2)/(1,3)/(1,2) -> 2 choices; (2,3)/(3,3)/(2,3) -> 2 choices
     assert hist == {2: 1.0}
 
@@ -135,16 +135,15 @@ def test_multiplicity_histogram_sums_to_one(rng):
             [int(d) for d in rng.integers(1, 6, size=n)]
             for _ in range(int(rng.integers(2, 5)))
         ]
-        s = gt_set(rows)
-        for unit in MultiplicityUnit:
-            hist = multiplicity_distribution(s, unit)
+        report = analyze_sets([gt_set(rows)])
+        for hist in (report.note_multiplicity, report.pair_multiplicity):
             assert sum(hist.values()) == pytest.approx(1.0, abs=1e-12)
             assert all(v >= 0 for v in hist.values())
 
 
 def test_multiplicity_needs_annotators():
     with pytest.raises(InsufficientAnnotators):
-        multiplicity_distribution(gt_set([[1, 2]]), MultiplicityUnit.NOTE)
+        analyze_sets([gt_set([[1, 2]])])
 
 
 def test_fit_power_recovers_exact_law():

@@ -1,10 +1,15 @@
-"""The benchmark tracer's named operations exist in the library.
+"""The library names the benchmark reads exist in the library.
 
 ``bench/tracer.py`` gives extra facts to the spans of the functions its
 ``NAMED`` table lists, by ``layer.function``.  A name that no longer
 resolves opens no span, and every per-layer figure read from it reads 0
 instead of failing, so this test reads the table from the file's source
 and checks each name against what the tracer would wrap.
+
+``bench/run.py`` checks every benchmark run's outputs and runs its probes
+through ``pf.<name>`` chains on the imported package, and
+``bench/test_bench.py`` imports names from it; a name deleted from the
+library would fail the benchmark, so each is resolved here first.
 """
 
 import ast
@@ -14,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _assigned(name: str):
@@ -45,3 +51,36 @@ def test_named_operation_is_a_public_function_of_its_layer(qualname):
     assert isinstance(function, types.FunctionType), qualname
     assert not attr.startswith("_")
     assert function.__module__ == module.__name__, qualname
+
+
+def _bench_names() -> set:
+    """Each ``pf.<name>[.<name>...]`` chain in ``bench/run.py``, where
+    ``pf`` is the package, and each name ``bench/test_bench.py`` imports
+    from it, as dotted paths from the package."""
+    names = set()
+    for node in ast.walk(ast.parse((BENCH / "run.py").read_text())):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "pf":
+            names.add(".".join(reversed(chain)))
+    for node in ast.walk(ast.parse((BENCH / "test_bench.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "pianofinger":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_library_name_the_benchmark_reads_resolves():
+    import pianofinger.cli  # as bench/run.py imports the package
+
+    names = _bench_names()
+    assert {"cli.main", "estimate_piece", "split_hands"} <= names
+    missing = []
+    for name in sorted(names):
+        obj = pianofinger
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing

@@ -163,55 +163,6 @@ def test_cluster_hand_overflow():
         cluster_chords(piece, DELTA)
 
 
-def reference_cluster_chords(piece, delta, truncate_overlaps=False):
-    """``cluster_chords`` as a plain loop in which every note walks each
-    later chord until its offset: quadratic, and the reference."""
-    if len(piece) == 0:
-        return []
-    notes = list(piece.notes)
-    next_onset = {}
-    if truncate_overlaps:
-        onsets = sorted({n.onset for n in notes})
-        for i, t in enumerate(onsets[:-1]):
-            next_onset[t] = onsets[i + 1]
-    groups = []
-    for note in notes:
-        if groups and note.onset - groups[-1][-1].onset <= delta:
-            groups[-1].append(note)
-        else:
-            groups.append([note])
-    chord_onsets = [g[0].onset for g in groups]
-    members = [{} for _ in groups]
-    for gi, group in enumerate(groups):
-        for note in group:
-            entry = members[gi].get(note.midi)
-            if entry is None or entry[1]:
-                members[gi][note.midi] = [[note.note_id], False]
-            else:
-                entry[0].append(note.note_id)
-            offset = note.offset
-            if truncate_overlaps and note.onset in next_onset:
-                offset = min(offset, next_onset[note.onset])
-            for gj in range(gi + 1, len(groups)):
-                if chord_onsets[gj] >= offset:
-                    break
-                if note.midi not in members[gj]:
-                    members[gj][note.midi] = [[note.note_id], True]
-    chords = []
-    for gi, table in enumerate(members):
-        if len(table) > 5:
-            raise HandOverflow(
-                f"piece {piece.piece_id!r}: chord at {chord_onsets[gi]:.6f}s "
-                f"needs {len(table)} pitches in one hand"
-            )
-        components = tuple(
-            ChordComponent(midi=midi, note_ids=tuple(ids), sustained=sustained)
-            for midi, (ids, sustained) in sorted(table.items())
-        )
-        chords.append(Chord(onset=chord_onsets[gi], components=components))
-    return chords
-
-
 @st.composite
 def clustering_cases(draw):
     """Pieces on a coarse time grid: shared onsets, unisons, re-struck
@@ -237,7 +188,7 @@ def clustering_cases(draw):
 def test_cluster_matches_the_walk_over_every_later_chord(case):
     piece, delta, truncate = case
     try:
-        expected = reference_cluster_chords(piece, delta, truncate)
+        expected = reference.reference_cluster_chords(piece, delta, truncate)
     except HandOverflow as exc:
         with pytest.raises(HandOverflow) as raised:
             cluster_chords(piece, delta, truncate)
@@ -552,6 +503,29 @@ def test_decode_empty_input(rng):
     model = random_chord_model(rng)
     with pytest.raises(EmptyInput):
         decode_chords(model, [], Hand.RH)
+
+
+def _struck(onset, *midis):
+    """A chord of fresh notes, one per pitch, built by hand."""
+    components = tuple(ChordComponent(midi=m, note_ids=(m,), sustained=False) for m in midis)
+    return Chord(onset=onset, components=components)
+
+
+@pytest.mark.parametrize("chords, error, message", [
+    ([_struck(0.0, 60, 62, 64, 65, 67, 69)], HandOverflow, "chord 0 at 0.000000s has 6"),
+    ([_struck(0.0)], EmptyInput, "chord 0 at 0.000000s has 0"),
+    ([_struck(0.0, 60), _struck(0.5)], EmptyInput, "chord 1 at 0.500000s has 0"),
+])
+def test_chords_no_hand_can_play_are_refused_before_decoding_or_scoring(
+    rng, chords, error, message
+):
+    model = random_chord_model(rng)
+    path = [tuple(range(1, chord.size + 1)) for chord in chords]
+    message = rf"^{re.escape(message)} pitches, not 1 to 5$"
+    with pytest.raises(error, match=message):
+        decode_chords(model, chords, Hand.RH)
+    with pytest.raises(error, match=message):
+        chord_path_log_score(model, chords, Hand.RH, path)
 
 
 def test_chords_off_the_keyboard_are_refused_as_note_pitches_are(rng):

@@ -373,6 +373,30 @@ def test_evaluate_human_mode_skips_malformed_piece(tmp_path, capsys):
     assert captured.err.startswith("skipping piece 107: ") and "line 2" in captured.err
 
 
+def test_a_file_that_is_not_utf8_is_a_malformed_line_of_that_file(tmp_path, capsys):
+    def spoil(path):  # one byte that is no UTF-8, opening the second line
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+
+    corpus = tmp_path / "corpus"
+    shutil.copytree(CORPUS, corpus)
+    spoil(corpus / "103-1_fingering.txt")
+    assert main(["train", str(corpus), "--out", str(tmp_path / "model.json")]) == 1
+    bad = corpus / "103-1_fingering.txt"
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+
+    gt = tmp_path / "gt"
+    shutil.copytree(CORPUS, gt)
+    for annot in ("1", "2"):
+        shutil.copy(gt / f"107-{annot}_fingering.txt", gt / f"109-{annot}_fingering.txt")
+    spoil(gt / "107-2_fingering.txt")
+    assert main(["evaluate", "--human", "--gt", str(gt), "--format", "table"]) == 0
+    captured = capsys.readouterr()
+    rows = {line.split("\t")[0] for line in captured.out.strip().splitlines()[1:]}
+    assert rows == {"109", "109/rh", "109/lh", "macro", "micro"}
+    bad = gt / "107-2_fingering.txt"
+    assert captured.err == f"skipping piece 107: {bad}: line 2: not UTF-8 text\n"
+
+
 def test_evaluate_ordering_invariant_on_rows(model_path, tmp_path, capsys):
     est_dir = tmp_path / "estimates"
     est_dir.mkdir()

@@ -1,107 +1,39 @@
 """Multi-ground-truth match rates and the recombination edit DP."""
 
 import math
-from itertools import product
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from pianofinger.errors import LengthMismatch
 from pianofinger.eval_measures import (
     DEFAULT_COSTS,
     RecombinationConfig,
     format_report_table,
     format_report_text,
-    general_match_rate,
-    highest_match_rate,
     match_rate_report,
+    match_rates,
     recombination_match_rate,
     recombination_match_rates,
-    soft_match_rate,
     summarize,
 )
 
 INF = math.inf
 
 
-def brute_force_recombination(est, gts, config):
-    n, n_g = len(est), len(gts)
-    best_cost, best_path = None, None
-    for path in product(range(n_g), repeat=n):
-        cost = 0.0 if gts[path[0]][0] == est[0] else config.c_sub
-        for pos in range(1, n):
-            g_prev, g = path[pos - 1], path[pos]
-            if g_prev == g:
-                step = 0.0
-            elif gts[g][pos] == gts[g_prev][pos]:
-                step = config.c_rec
-            else:
-                step = config.c_rec_prime
-            cost = cost + step
-            cost = cost + (0.0 if gts[g][pos] == est[pos] else config.c_sub)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_path = cost, path
-    return best_cost, best_path
-
-
-def reference_recombination(est, gts, config):
-    """The plain per-note loop the lock-step batch replaced: ``rank[g]``
-    places the best prefix ending in g among all best prefixes, a tie goes
-    to the lower-ranked predecessor, and prefixes re-rank by (parent rank,
-    g) after each note."""
-    n, n_g = len(est), len(gts)
-
-    def sub(pos, g):
-        return 0.0 if gts[g][pos] == est[pos] else config.c_sub
-
-    def switch(pos, g_prev, g):
-        if g_prev == g:
-            return 0.0
-        return config.c_rec if gts[g][pos] == gts[g_prev][pos] else config.c_rec_prime
-
-    dp = [sub(0, g) for g in range(n_g)]
-    rank = list(range(n_g))
-    parents = []
-    for pos in range(1, n):
-        new_dp, new_parents = [], []
-        for g in range(n_g):
-            best, best_prev = INF, 0
-            for g_prev in range(n_g):
-                if dp[g_prev] == INF:
-                    continue
-                cand = dp[g_prev] + switch(pos, g_prev, g)
-                if cand < best:
-                    best, best_prev = cand, g_prev
-                elif cand == best < INF and rank[g_prev] < rank[best_prev]:
-                    best_prev = g_prev
-            new_dp.append(best + sub(pos, g) if best < INF else INF)
-            new_parents.append(best_prev)
-        dp = new_dp
-        parents.append(new_parents)
-        order = sorted(range(n_g), key=lambda g: rank[new_parents[g]])
-        rank = sorted(range(n_g), key=order.__getitem__)
-    e_rec = min(dp)
-    path = [0] * n
-    if e_rec < INF:
-        path[-1] = min((g for g, v in enumerate(dp) if v == e_rec), key=rank.__getitem__)
-        for pos in range(n - 1, 0, -1):
-            path[pos - 1] = parents[pos - 1][path[pos]]
-    return (n - e_rec) / n, e_rec, tuple(path)
-
-
 def test_simple_rates():
     gts = [[1, 2], [2, 1]]
-    assert general_match_rate([1, 1], gts) == 0.5
-    assert highest_match_rate([1, 1], gts) == 0.5
-    assert soft_match_rate([1, 1], gts) == 1.0
-    assert soft_match_rate([3, 3], gts) == 0.0
+    assert match_rates("m_gen", [([1, 1], gts)])[0] == 0.5
+    assert match_rates("m_high", [([1, 1], gts)])[0] == 0.5
+    assert match_rates("m_soft", [([1, 1], gts)])[0] == 1.0
+    assert match_rates("m_soft", [([3, 3], gts)])[0] == 0.0
 
 
 def test_identity_rates():
     gt = [1, 2, 3, 4]
-    for fn in (general_match_rate, highest_match_rate, soft_match_rate):
-        assert fn(gt, [gt]) == 1.0
+    for measure in ("m_gen", "m_high", "m_soft"):
+        assert match_rates(measure, [(gt, [gt])])[0] == 1.0
     m_rec, e_rec, path = recombination_match_rate(gt, [gt])
     assert (m_rec, e_rec, path) == (1.0, 0.0, (0, 0, 0, 0))
 
@@ -113,7 +45,7 @@ def test_recombination_worked_example():
     assert m_rec == pytest.approx(2.0 / 3.0)
     assert path in ((0, 0, 0), (1, 1, 1))
     # lexicographically smallest optimal path
-    cost, oracle_path = brute_force_recombination([1, 1, 3], gts, DEFAULT_COSTS)
+    cost, oracle_path = reference.brute_force_recombination([1, 1, 3], gts, DEFAULT_COSTS)
     assert path == oracle_path
 
 
@@ -121,7 +53,7 @@ def test_single_ground_truth_reduces_to_match_rate():
     gt = [1, 2, 3, 4, 5]
     est = [1, 2, 5, 4, 1]
     m_rec, e_rec, path = recombination_match_rate(est, [gt])
-    assert m_rec == general_match_rate(est, [gt])
+    assert m_rec == match_rates("m_gen", [(est, [gt])])[0]
     assert path == (0,) * 5
 
 
@@ -138,7 +70,7 @@ def test_matches_brute_force(rng):
             c_sub=float(rng.choice([0.5, 1.0, 2.0])),
         )
         m_rec, e_rec, path = recombination_match_rate(est, gts, config)
-        cost, oracle_path = brute_force_recombination(est, gts, config)
+        cost, oracle_path = reference.brute_force_recombination(est, gts, config)
         assert e_rec == cost
         assert path == oracle_path
         assert m_rec == (n - e_rec) / n
@@ -165,7 +97,7 @@ def test_infinite_switch_cost_recovers_highest(rng):
         gts = [[int(d) for d in rng.integers(1, 5, size=n)] for _ in range(n_g)]
         est = [int(d) for d in rng.integers(1, 5, size=n)]
         m_rec, _, _ = recombination_match_rate(est, gts, config)
-        assert m_rec == highest_match_rate(est, gts)
+        assert m_rec == match_rates("m_high", [(est, gts)])[0]
 
 
 def test_free_switching_bounded_by_soft(rng):
@@ -176,7 +108,7 @@ def test_free_switching_bounded_by_soft(rng):
         est = [int(d) for d in rng.integers(1, 5, size=n)]
         default_m, _, _ = recombination_match_rate(est, gts)
         free_m, _, _ = recombination_match_rate(est, gts, config)
-        assert default_m - 1e-12 <= free_m <= soft_match_rate(est, gts) + 1e-12
+        assert default_m - 1e-12 <= free_m <= match_rates("m_soft", [(est, gts)])[0] + 1e-12
 
 
 def test_permutation_invariance(rng):
@@ -193,11 +125,11 @@ def test_permutation_invariance(rng):
 
 def test_length_mismatch():
     with pytest.raises(LengthMismatch):
-        general_match_rate([1, 2], [[1]])
+        match_rates("m_gen", [([1, 2], [[1]])])
     with pytest.raises(LengthMismatch):
         recombination_match_rate([1], [])
     with pytest.raises(LengthMismatch):
-        soft_match_rate([], [[]])
+        match_rates("m_soft", [([], [[]])])
 
 
 def test_infinity_is_a_sentinel():
@@ -245,7 +177,7 @@ def test_batch_equals_reference_loop_bitwise(batch):
     results = recombination_match_rates(pairs, config)
     assert len(results) == len(pairs)
     for (est, gts), result in zip(pairs, results):
-        expected = _bitwise(reference_recombination(est, gts, config))
+        expected = _bitwise(reference.reference_recombination(est, gts, config))
         assert _bitwise(result) == expected
         assert _bitwise(recombination_match_rates([(est, gts)], config)[0]) == expected
         report = match_rate_report(est, gts, config)  # the DP without its parents

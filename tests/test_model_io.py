@@ -20,7 +20,6 @@ from pianofinger.model_io import (
     dumps_model,
     load_model,
     loads_model,
-    save_model,
 )
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, Symmetry, decode_viterbi, train
 from pianofinger.pig_io import FingerLabel, Hand
@@ -207,7 +206,7 @@ def test_reloaded_model_decodes_identically(rng, tmp_path):
     corpus = _training_corpus(rng)
     model = train(corpus, NoteHmmConfig(order=2))
     path = tmp_path / "model.json"
-    save_model(model, path)
+    path.write_text(dumps_model(model), encoding="utf-8")
     loaded = load_model(path)
     for _ in range(5):
         piece = random_piece(rng, n_max=10)

