@@ -24,8 +24,8 @@ size, size) shape at once.  The decoder runs on these matrices and
 ``chord_path_log_score`` reads its path's cells from them, so the two
 agree bitwise.  A zero exponent times a -inf factor (NaN) scores as
 -inf.  Where the sustain constraint leaves no finite transition, the
-decoder lifts it at that boundary alone; the path scorer finds such
-boundaries itself.
+decoder lifts it at that boundary alone; the path scorer reads those
+boundaries from the decoder's own recursion.
 """
 
 from __future__ import annotations
@@ -204,25 +204,15 @@ def _states(size: int, hand: Hand) -> tuple:
     return tuple(sorted(c if hand is Hand.RH else c[::-1] for c in combos))
 
 
-def enumerate_states(chord: Chord, hand: Hand, carried: dict | None = None) -> list:
+def enumerate_states(chord: Chord, hand: Hand) -> list:
     """All crossing-free digit assignments of a chord, in ascending
-    lexicographic order.
+    lexicographic order; digits align with the pitch-ascending components.
 
-    Digits align with the pitch-ascending components; ``carried`` pins
-    note id -> digit for sustained components and filters accordingly.
+    Which of them may follow the previous chord's state is decided by
+    the one sustain filter, ``_keeps``, in the decoder's recursion
+    ``_forward``, which the path scorer runs too.
     """
-    states = _states(chord.size, hand)
-    if carried is None:
-        return list(states)
-    return [s for s in states if _matches_carried(chord, s, carried)]
-
-
-def _matches_carried(chord: Chord, digits, carried: dict) -> bool:
-    for component, digit in zip(chord.components, digits):
-        for nid in component.note_ids:
-            if nid in carried and carried[nid] != digit:
-                return False
-    return True
+    return list(_states(chord.size, hand))
 
 
 class ChordCounts(Counts):
@@ -498,10 +488,8 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     Each chord's term is the path's ``[previous, current]`` cell of the
     decoder's edge matrices.  Where the path changes the digit of a
     sustained note, the edge is -inf unless the decoder relaxes that
-    boundary.  Finding that out needs the decoder's recursion over the
-    same matrices, run at most once, only when no sustain-keeping edge in
-    the path's ``[previous]`` row is finite: otherwise the boundary is not
-    relaxed, or the path's prefix already scores -inf.
+    boundary, which the decoder's own recursion ``_forward`` over the
+    same matrices says.
     """
     chords, path = list(chords), [tuple(state) for state in path]
     _check_sizes(chords, "score")
@@ -512,22 +500,13 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
             raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
     cells = [_states(chord.size, hand).index(state) for chord, state in zip(chords, path)]
     edges = _EdgeKernel(model, hand).matrices(chords)
-    relaxed = None  # the decoder's relaxed boundaries, found when first needed
+    relaxed = set(_forward(edges, chords, hand)[3])
     score = edges[0][0, cells[0]]
     for ci in range(1, len(chords)):
         prev, cur = cells[ci - 1], cells[ci]
-        edge = edges[ci][prev, cur]
         keep = _keeps(chords[ci - 1], chords[ci], hand)
-        if keep is not None and not keep[prev, cur]:
-            # a sustained note changes digit: -inf unless the decoder relaxes here
-            if np.where(keep[prev], edges[ci][prev], NEG_INF).max() > NEG_INF:
-                edge = NEG_INF
-            else:
-                if relaxed is None:
-                    relaxed = _forward(edges, chords, hand)[3]
-                if ci not in relaxed:
-                    edge = NEG_INF
-        score = score + edge
+        kept = keep is None or keep[prev, cur] or ci in relaxed
+        score = score + (edges[ci][prev, cur] if kept else NEG_INF)
     return float(score)
 
 

@@ -73,9 +73,18 @@ def hand_parts(pieces) -> list:
     return parts
 
 
+def _kind(model_kind: str, config) -> tuple:
+    """The ``KINDS`` entry of a kind name and the config, the kind's
+    default if None; ValueError for a config of the other kind."""
+    kind = model_io.kind(model_kind)
+    if config is not None and model_io.model_kind(config) != model_kind:
+        raise ValueError(f"a {model_kind} model cannot take a {model_io.model_kind(config)} config")
+    return kind, kind.config() if config is None else config
+
+
 def train_model(model_kind: str, config, train_pieces):
     """Train either model kind on whole pieces (hands split internally)."""
-    kind = model_io.kind(model_kind)
+    kind, config = _kind(model_kind, config)
     return kind.fit(kind.count(hand_parts(train_pieces), config), config)
 
 
@@ -134,7 +143,7 @@ def tune(
     scores below it), the rest coordinate-descent refinement.  Objective
     ties keep the earliest candidate.
     """
-    kind = model_io.kind(model_kind)
+    kind, base_config = _kind(model_kind, base_config)
     _check_measure(objective)
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -142,8 +151,6 @@ def tune(
     valid_sets = list(valid_sets)
     if not train_pieces or not valid_sets:
         raise EmptyCorpus("tuning needs non-empty train and validation data")
-    if base_config is None:
-        base_config = kind.config()
     table = kind.coefficients(base_config)
     rng = np.random.default_rng(seed)
     trace = []
@@ -218,15 +225,13 @@ def scaling_experiment(
     deterministic and evaluated once.  Fixed seeds reproduce
     bit-identical results.
     """
-    kind = model_io.kind(model_kind)
+    kind, config = _kind(model_kind, config)
     train_pieces = list(train_pieces)
     test_sets = list(test_sets)
     if not train_pieces or not test_sets:
         raise EmptyCorpus("scaling needs non-empty train and test data")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if config is None:
-        config = kind.config()
     fractions = list(fractions)
     if not fractions:
         raise ValueError("fractions must hold at least one fraction")

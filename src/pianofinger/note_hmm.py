@@ -17,7 +17,8 @@ displacement alphabet for its finger pair, and decoding maximises
 which is an unnormalised posterior score; only its argmax is meaningful
 across configurations.  ``sequence_log_score`` reproduces the exact value
 the decoder assigns to a fingering, including the order of floating-point
-operations, so exhaustive enumeration can be compared bitwise.
+operations, so exhaustive enumeration can be compared bitwise; whether
+the decoder drops the crossing constraint it asks the decoder's recursion.
 """
 
 from __future__ import annotations
@@ -279,13 +280,21 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
     return fit(count(corpus, config), config)
 
 
+def _check_digits(digits) -> None:
+    """ValueError unless every digit is an integer 1 to 5."""
+    for d in digits:
+        if not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
+            raise ValueError(f"finger digit {d!r} is not an integer 1 to 5")
+
+
 def transition_prob(model: NoteHmmModel, context, next_digit: int) -> float:
     """Interpolated probability of the next digit given the last
-    ``order`` digits."""
+    ``order`` digits; ValueError for a digit that is not 1 to 5."""
     if len(context) != model.config.order:
         raise ValueError(
             f"context must have {model.config.order} digits, got {len(context)}"
         )
+    _check_digits([*context, next_digit])
     return float(np.exp(model.log_transition[_flat_index(context), next_digit - 1]))
 
 
@@ -421,14 +430,16 @@ def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) 
 def sequence_log_score(
     model: NoteHmmModel, piece: Piece, fingers, hand: Hand | None = None
 ) -> float:
-    """Log score the decoder assigns to one specific fingering.
+    """Log score the decoder assigns to one specific fingering; ValueError
+    for a fingering of another length or a digit that is not 1 to 5.
 
-    Reproduces the decoder's arithmetic exactly, so for short pieces
-    exhaustive enumeration over this function is a bitwise oracle for
-    ``decode_viterbi``.
+    Reproduces the decoder's arithmetic exactly, its crossing fallback
+    included, so for short pieces exhaustive enumeration over this
+    function is a bitwise oracle for ``decode_viterbi``.
     """
     if len(fingers) != len(piece):
         raise ValueError("fingering length does not match the piece")
+    _check_digits(fingers)
     if len(piece) == 0:
         raise EmptyPiece("cannot score an empty piece")
     if hand is None:
@@ -437,6 +448,13 @@ def sequence_log_score(
     onsets = [n.onset for n in piece.notes]
     m = model.config.order
     slabs, allowed = _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+    crosses = any(
+        allowed[n] is not None and not allowed[n][fingers[n - 1] - 1, fingers[n] - 1]
+        for n in range(1, len(keys))
+    )
+    # the decoder drops the constraint only where its constrained pass finds no path
+    if crosses and _run_viterbi(model, hand, keys, onsets, True) is not None:
+        return NEG_INF
     acc = float(model.log_initial[0][0][fingers[0] - 1])
     for n in range(1, len(keys)):
         trans = model.log_initial[n] if n < m else model.log_transition
@@ -449,8 +467,6 @@ def sequence_log_score(
                 out = term if out is None else out + term
         if out is not None:
             acc = acc + out
-        if allowed[n] is not None and not allowed[n][fingers[n - 1] - 1, fingers[n] - 1]:
-            acc = NEG_INF
     return float(acc)
 
 

@@ -1,8 +1,11 @@
 """Shared builders for synthetic pieces and randomly parameterised models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pianofinger.chord_hmm import Chord, ChordComponent
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel
 from pianofinger.pig_io import FingerLabel, Hand, Note, Piece, midi_to_pitch
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
@@ -126,6 +129,30 @@ def tie_heavy_chord_part(rng, n_events: int):
         onsets += [0.5 * ei] * len(group)
         offsets += [0.5 * ei + length for length in lengths]
     return make_piece(midis, onsets=onsets, offsets=offsets)
+
+
+def random_chord_pair(rng):
+    """Two consecutive chords as ``cluster_chords`` forms them: the second
+    holds some pitches of the first as sustained copies of their notes,
+    strikes new ones, and may hold a note from further back that the
+    first chord re-struck away.  A component may sound several notes."""
+    midis = [int(m) for m in rng.choice(np.arange(40, 90), 10, replace=False)]
+    k_prev = int(rng.integers(1, 6))
+    prev = [
+        ChordComponent(midi=m, note_ids=(i, 20 + i) if rng.random() < 0.2 else (i,),
+                       sustained=bool(rng.random() < 0.5))
+        for i, m in enumerate(midis[:k_prev])
+    ]
+    held = [replace(c, sustained=True) for c in prev if rng.random() < 0.5]
+    k = int(rng.integers(max(1, len(held)), 6))
+    struck = [
+        ChordComponent(midi=m, note_ids=(10 + i,), sustained=bool(rng.random() < 0.2))
+        for i, m in enumerate(midis[k_prev : k_prev + k - len(held)])
+    ]
+    return tuple(
+        Chord(onset=t, components=tuple(sorted(c, key=lambda c: c.midi)))
+        for t, c in ((0.0, prev), (0.5, held + struck))
+    )
 
 
 @pytest.fixture

@@ -16,8 +16,10 @@ The scalar forms of vectorised rules: one note's output score
 (``displacement_index``) and its negation (``negate``).  The
 recombination DP by enumeration (``brute_force_recombination``) and as
 the per-note loop the lock-step batch replaced
-(``reference_recombination``), and ``cluster_chords`` as a quadratic
-walk (``reference_cluster_chords``).
+(``reference_recombination``), ``cluster_chords`` as a quadratic
+walk (``reference_cluster_chords``), and the chord decoder's sustain
+filter ``_keeps`` by enumeration of (previous state, state) pairs
+(``keeps``).
 """
 
 import math
@@ -26,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from pianofinger._tables import NEG_INF
-from pianofinger.chord_hmm import Chord, ChordComponent, _layout
+from pianofinger.chord_hmm import Chord, ChordComponent, _layout, enumerate_states
 from pianofinger.errors import HandOverflow
 from pianofinger.note_hmm import NoteHmmModel
 from pianofinger.pig_io import Hand
@@ -249,3 +251,22 @@ def reference_cluster_chords(piece, delta, truncate_overlaps=False):
         )
         chords.append(Chord(onset=chord_onsets[gi], components=components))
     return chords
+
+
+def keeps(prev: Chord, chord: Chord, hand: Hand):
+    """Which (previous state, state) pairs keep the digit of every note
+    that ``chord`` holds as a sustained copy of a note of ``prev``, by
+    enumeration; None when it holds none."""
+    held = {nid for c in chord.components if c.sustained for nid in c.note_ids}
+    held &= {nid for c in prev.components for nid in c.note_ids}
+    if not held:
+        return None
+
+    def digits(ch, state):
+        return {nid: d for c, d in zip(ch.components, state) for nid in c.note_ids}
+
+    return np.array([
+        [all(digits(prev, p)[nid] == digits(chord, s)[nid] for nid in held)
+         for s in enumerate_states(chord, hand)]
+        for p in enumerate_states(prev, hand)
+    ])

@@ -17,9 +17,16 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import make_piece, random_note_model, random_piece
+from conftest import make_piece, random_chord_pair, random_note_model, random_piece
 from pianofinger.agreement import random_model_match
-from pianofinger.chord_hmm import Chord, ChordComponent, ChordHmmParams, enumerate_states, train_chord
+from pianofinger.chord_hmm import (
+    Chord,
+    ChordComponent,
+    ChordHmmParams,
+    _keeps,
+    enumerate_states,
+    train_chord,
+)
 from pianofinger.dataset import load_corpus, load_ground_truth_sets
 from pianofinger.errors import OutOfDomain
 from pianofinger.eval_measures import (
@@ -295,28 +302,14 @@ def test_criterion_8_chord_state_combinatorics():
         for hand in Hand:
             assert len(enumerate_states(chord, hand)) == math.comb(5, k)
     rng = np.random.default_rng(808)
-    for trial in range(100):
-        k = int(rng.integers(1, 6))
-        hand = Hand.RH if rng.random() < 0.5 else Hand.LH
-        midis = sorted(int(m) for m in rng.choice(np.arange(40, 90), k, replace=False))
-        chord = Chord(
-            onset=0.0,
-            components=tuple(
-                ChordComponent(midi=m, note_ids=(i,), sustained=bool(rng.random() < 0.5))
-                for i, m in enumerate(midis)
-            ),
-        )
-        full = enumerate_states(chord, hand)
-        reference = full[int(rng.integers(len(full)))]
-        carried = {
-            i: reference[i]
-            for i, c in enumerate(chord.components)
-            if c.sustained
-        }
-        filtered = enumerate_states(chord, hand, carried=carried)
-        expected = [s for s in full if all(s[i] == d for i, d in carried.items())]
-        assert filtered == expected and reference in filtered
-    _report(8, "state counts C(5,K) and sustained filtering verified")
+    for _ in range(100):
+        prev, chord = random_chord_pair(rng)
+        for hand in Hand:
+            keep = _keeps(prev, chord, hand)
+            expected = reference.keeps(prev, chord, hand)
+            assert (keep is None) == (expected is None)
+            assert keep is None or keep.tolist() == expected.tolist()
+    _report(8, "state counts C(5,K) and the sustain filter _keeps verified by enumeration")
 
 
 # --- dataset-gated benchmarks -------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_piece, random_rows, tie_heavy_chord_part
+from conftest import make_piece, random_chord_pair, random_rows, tie_heavy_chord_part
 from pianofinger import chord_hmm, pitch_space
 from pianofinger.chord_hmm import (
     Chord,
@@ -231,40 +231,34 @@ def test_state_counts(k):
             assert list(s) == ordered and len(set(s)) == k
 
 
-def test_states_carried_filter():
+def test_keeps_pins_a_held_note():
+    prev = Chord(onset=0.0, components=(ChordComponent(midi=60, note_ids=(0,), sustained=False),))
     chord = Chord(
-        onset=0.0,
+        onset=0.5,
         components=(
             ChordComponent(midi=60, note_ids=(0,), sustained=True),
             ChordComponent(midi=64, note_ids=(1,), sustained=False),
         ),
     )
-    states = enumerate_states(chord, Hand.RH, carried={0: 1})
-    assert states == [(1, 2), (1, 3), (1, 4), (1, 5)]
+    keep = chord_hmm._keeps(prev, chord, Hand.RH)
+    states = enumerate_states(chord, Hand.RH)
+    assert keep.shape == (5, 10)
+    assert [s for s, kept in zip(states, keep[0]) if kept] == [(1, 2), (1, 3), (1, 4), (1, 5)]
+    assert [s for s, kept in zip(states, keep[4]) if kept] == []  # no digit above 5
 
 
-def test_states_carried_filter_matches_brute_force(rng):
-    for _ in range(100):
-        k = int(rng.integers(1, 6))
-        hand = Hand.RH if rng.random() < 0.5 else Hand.LH
-        midis = sorted(rng.choice(np.arange(50, 80), size=k, replace=False))
-        chord = Chord(
-            onset=0.0,
-            components=tuple(
-                ChordComponent(midi=int(m), note_ids=(i,), sustained=False)
-                for i, m in enumerate(midis)
-            ),
-        )
-        full = enumerate_states(chord, hand)
-        reference = full[int(rng.integers(len(full)))]
-        pinned = sorted(rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False))
-        carried = {int(i): reference[i] for i in pinned}
-        filtered = enumerate_states(chord, hand, carried=carried)
-        expected = [
-            s for s in full if all(s[i] == d for i, d in carried.items())
-        ]
-        assert filtered == expected
-        assert reference in filtered
+def test_keeps_matches_brute_force(rng):
+    filtered = 0
+    for _ in range(200):
+        prev, chord = random_chord_pair(rng)
+        for hand in Hand:
+            keep = chord_hmm._keeps(prev, chord, hand)
+            expected = reference.keeps(prev, chord, hand)
+            assert (keep is None) == (expected is None)
+            if keep is not None:
+                assert keep.tolist() == expected.tolist()
+                filtered += 1
+    assert 0 < filtered < 400
 
 
 # --- training ------------------------------------------------------------------

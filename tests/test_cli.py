@@ -6,17 +6,21 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pianofinger.chord_hmm import ChordHmmParams
+from pianofinger.chord_hmm import ChordHmmParams, chord_path_log_score, cluster_chords
 from pianofinger.cli import build_parser, main
 from pianofinger.dataset import load_piece
 from pianofinger.errors import AlignmentMismatch, LengthMismatch
+from pianofinger.estimate import estimate_piece
 from pianofinger.eval_measures import MEASURES
 from pianofinger.experiments import train_model
-from pianofinger.pig_io import GroundTruthSet, midi_to_pitch
+from pianofinger.model_io import load_model
+from pianofinger.note_hmm import sequence_log_score
+from pianofinger.pig_io import GroundTruthSet, Hand, midi_to_pitch, split_hands
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CORPUS = DATA / "sample_corpus"
@@ -631,6 +635,48 @@ def test_chord_model_pipeline(tmp_path):
     assert doc["kind"] == "chord-hmm"
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 25  # all notes annotated
+
+
+# (onset, offset, midi, channel) rows.  Note kind: a six-note right-hand
+# cluster, which no crossing-free fingering plays, so the decoder drops
+# its crossing constraint.  Chord kind: a C4 held from a five-note chord
+# into a three-note chord it tops, so its digit cannot be kept and the
+# decoder relaxes that boundary.  Both have a left-hand part as well.
+RELAXED_PIECES = {
+    "note-hmm": [(0.0, 0.5, m, 0) for m in (60, 62, 64, 65, 67, 69)]
+    + [(0.0, 0.5, 48, 1), (0.5, 1.0, 43, 1)],
+    "chord-hmm": [(0.0, 2.0, 60, 0)] + [(0.0, 0.3, m, 0) for m in (62, 64, 65, 67)]
+    + [(0.0, 0.5, 48, 1), (1.0, 1.4, 57, 0), (1.0, 1.4, 59, 0)],
+}
+
+
+@pytest.mark.parametrize("kind, warning", [
+    ("note-hmm", "RH: no crossing-free fingering, constraint relaxed"),
+    ("chord-hmm", "RH: sustain constraint relaxed at chords [1]"),
+])
+def test_relaxed_estimates_reload_to_their_oracle_scores(tmp_path, capsys, kind, warning):
+    # the checks bench/run.py makes of every estimate it writes
+    model_file, source, out = tmp_path / "model.json", tmp_path / "piece.txt", tmp_path / "est.txt"
+    assert main(["train", str(CORPUS), "--out", str(model_file), "--model-kind", kind]) == 0
+    source.write_text("".join(
+        f"{i}\t{on:.6f}\t{off:.6f}\t{midi_to_pitch(m)}\t64\t80\t{channel}\n"
+        for i, (on, off, m, channel) in enumerate(sorted(RELAXED_PIECES[kind]))
+    ))
+    capsys.readouterr()
+    assert main(["estimate", str(source), "--model", str(model_file), "--out", str(out)]) == 0
+    assert warning in capsys.readouterr().err
+    model, written = load_model(model_file), load_piece(out)
+    assert [replace(n, finger=None) for n in written.notes] == list(load_piece(source).notes)
+    signed, results = estimate_piece(model, written)
+    assert [n.finger.signed for n in written.notes] == signed
+    for hand, part in zip((Hand.RH, Hand.LH), split_hands(written)):
+        result = results[hand]
+        if kind == "note-hmm":
+            oracle = sequence_log_score(model, part, result.fingers, hand)
+        else:
+            chords = cluster_chords(part, model.params.delta, model.params.truncate_overlaps)
+            oracle = chord_path_log_score(model, chords, hand, result.states)
+        assert oracle.hex() == result.log_score.hex()
 
 
 def test_estimate_zero_exponent_chord_model_fails_cleanly(tmp_path, capsys):

@@ -255,6 +255,27 @@ def test_unknown_model_kind_raises_value_error_listing_kinds(rng):
             call()
 
 
+def test_a_config_of_the_other_model_kind_is_refused_before_counting(rng, monkeypatch):
+    train_pieces, valid_sets = _synthetic_data(rng, n_train=2, n_valid=1, n_notes=6)
+    counted = []
+    for module in (note_hmm, chord_hmm):
+        count = module.count
+        monkeypatch.setattr(module, "count", lambda *a, count=count: counted.append(a) or count(*a))
+    note = "a note-hmm model cannot take a chord-hmm config"
+    chord = "a chord-hmm model cannot take a note-hmm config"
+    calls = (
+        (lambda: train_model("note-hmm", ChordHmmParams(), train_pieces), note),
+        (lambda: tune(train_pieces, valid_sets, model_kind="chord-hmm", base_config=BASE,
+                      budget=2), chord),
+        (lambda: scaling_experiment(train_pieces, valid_sets, [1.0], 1, model_kind="note-hmm",
+                                    config=ChordHmmParams()), note),
+    )
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert counted == []
+
+
 def test_evaluate_model_averages_the_requested_measure(rng):
     train_pieces, valid_sets = _synthetic_data(rng, n_train=4, n_valid=3, n_notes=20)
     model = train_model("note-hmm", BASE, train_pieces)
