@@ -20,12 +20,12 @@ decoding is exact Viterbi over the per-chord state lists.
 One edge kernel scores every chord: it builds the (previous states,
 current states) score matrix of each boundary of a chord list from the
 scaled tables in one fixed term order, all boundaries of one (previous
-size, size) shape at once.  The decoder runs on these matrices and
-``chord_path_log_score`` reads its path's cells from them, so the two
-agree bitwise.  A zero exponent times a -inf factor (NaN) scores as
--inf.  Where the sustain constraint leaves no finite transition, the
-decoder lifts it at that boundary alone; the path scorer reads those
-boundaries from the decoder's own recursion.
+size, size) shape at once.  A zero exponent times a -inf factor (NaN)
+scores as -inf.  The decoder's recursion masks each matrix with the
+sustain filter before adding it, except where the mask leaves no finite
+transition: there it lifts the constraint at that boundary alone.  It
+leaves the matrices it added in place, and ``chord_path_log_score``
+reads its path's cells from them, so the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -446,22 +446,23 @@ def _keeps(prev: Chord, chord: Chord, hand: Hand):
 
 def _forward(edges: list, chords: list, hand: Hand) -> tuple:
     """The Viterbi recursion over the edge matrices of ``chords``: (final
-    scores, final prefix keys, parents, relaxed boundaries).  At each
-    boundary the sustain mask applies unless it leaves no finite score
-    while the previous chord has one; then that boundary alone is scored
-    unmasked and recorded as relaxed."""
+    scores, final prefix keys, parents, relaxed boundaries).  Each matrix
+    is masked by ``_keeps`` before it is added, unless that leaves no
+    finite score while the previous chord has one: then that boundary is
+    relaxed, added unmasked.  ``edges`` keeps the matrices added."""
     dp = edges[0][0]
     rank = np.arange(dp.size)
     parents, relaxed = [], []
     for ci in range(1, len(chords)):
-        cand = dp[:, None] + edges[ci]
+        edge = edges[ci]
         keep = _keeps(chords[ci - 1], chords[ci], hand)
         if keep is not None:
-            kept = np.where(keep, cand, NEG_INF)
-            if kept.max() > NEG_INF or dp.max() == NEG_INF:
-                cand = kept
-            else:
-                relaxed.append(ci)
+            edges[ci] = np.where(keep, edge, NEG_INF)
+        cand = dp[:, None] + edges[ci]
+        if keep is not None and cand.max() == NEG_INF and dp.max() > NEG_INF:
+            edges[ci] = edge
+            cand = dp[:, None] + edge
+            relaxed.append(ci)
         dp, parent = best_parents(cand, rank[:, None])
         parents.append(parent)
         rank = rerank(rank, parent)
@@ -486,10 +487,9 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     does not have.
 
     Each chord's term is the path's ``[previous, current]`` cell of the
-    decoder's edge matrices.  Where the path changes the digit of a
-    sustained note, the edge is -inf unless the decoder relaxes that
-    boundary, which the decoder's own recursion ``_forward`` over the
-    same matrices says.
+    matrix the decoder's recursion ``_forward`` added at that boundary:
+    -inf where the path changes the digit of a sustained note, unless
+    the decoder relaxed that boundary.
     """
     chords, path = list(chords), [tuple(state) for state in path]
     _check_sizes(chords, "score")
@@ -500,13 +500,10 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
             raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
     cells = [_states(chord.size, hand).index(state) for chord, state in zip(chords, path)]
     edges = _EdgeKernel(model, hand).matrices(chords)
-    relaxed = set(_forward(edges, chords, hand)[3])
+    _forward(edges, chords, hand)
     score = edges[0][0, cells[0]]
     for ci in range(1, len(chords)):
-        prev, cur = cells[ci - 1], cells[ci]
-        keep = _keeps(chords[ci - 1], chords[ci], hand)
-        kept = keep is None or keep[prev, cur] or ci in relaxed
-        score = score + (edges[ci][prev, cur] if kept else NEG_INF)
+        score = score + edges[ci][cells[ci - 1], cells[ci]]
     return float(score)
 
 

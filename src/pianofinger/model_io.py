@@ -522,7 +522,7 @@ def loads_model(text: str):
         raise MalformedModel("model file is nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
-    if doc.get("version") != VERSION:
+    if doc.get("version") != VERSION or type(doc["version"]) is not int:  # not 1.0 or true
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     name = doc.get("kind")
     entry = kind(name)

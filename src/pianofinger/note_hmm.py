@@ -15,10 +15,10 @@ displacement alphabet for its finger pair, and decoding maximises
     sum_n [ log P(f_n | context) + sum_l alpha_l * log F_l(d; f_(n-l), f_n) ]
 
 which is an unnormalised posterior score; only its argmax is meaningful
-across configurations.  ``sequence_log_score`` reproduces the exact value
-the decoder assigns to a fingering, including the order of floating-point
-operations, so exhaustive enumeration can be compared bitwise; whether
-the decoder drops the crossing constraint it asks the decoder's recursion.
+across configurations.  ``sequence_log_score`` adds a fingering's cells
+of the terms and masks the decoder's step function ``_steps`` yields, so
+exhaustive enumeration can be compared bitwise; whether the decoder
+drops the crossing constraint it asks the decoder's recursion.
 """
 
 from __future__ import annotations
@@ -308,11 +308,11 @@ ALLOWED_DESCENDING_RH = _DIGIT_DIR < 0
 # --- decoding -------------------------------------------------------------
 
 def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
-    """Per-piece score tables ``(slabs, allowed)`` of one hand part, shared
-    by the decoder and its oracle.  ``slabs`` lists ``(lag, slab)`` in lag
-    order; note n >= lag is scored by ``slab[n - lag]``, a (5, 5)
-    alpha-weighted log factor over (digit at note n - lag, digit at note
-    n).  ``allowed[n]`` is None or the (5, 5) allowed matrix over
+    """Per-piece score tables ``(slabs, allowed)`` of one hand part, built
+    once per call of the decoder or its oracle.  ``slabs`` lists ``(lag,
+    slab)`` in lag order; note n >= lag is scored by ``slab[n - lag]``, a
+    (5, 5) alpha-weighted log factor over (digit at note n - lag, digit
+    at note n).  ``allowed[n]`` is None or the (5, 5) allowed matrix over
     (previous digit, digit) of note n."""
     cfg = model.config
     cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
@@ -359,36 +359,44 @@ def _output_terms(slabs, first: int, stop: int, k: int):
     return None if out is None else out.reshape(stop - first, -1, N_DIGITS)
 
 
-def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
-    """Exact DP; returns (digits, log score) or None when every path has
-    score -inf.  Exact score ties resolve to the lexicographically
-    smallest digit sequence by the tie rule of ``_tables``: extensions of
-    one prefix order by their digit ``state % 5``, i.e. by state index, so
-    each step extends the prefix keys by the state index and ties cost
-    O(states) per note.  Each score is ``(dp + transition) + output
-    terms``, the terms summed in lag order BLOCK notes at a time."""
+def _steps(model: NoteHmmModel, slabs, allowed):
+    """``(transition, terms, allowed[n])`` of each note n >= 1, in DP order:
+    (5**k, 5) tables over (previous state of k = min(n, order) digits,
+    digit), the terms from ``_output_terms`` BLOCK notes at a time (None
+    where no lag scores the note)."""
     m = model.config.order
-    slabs, allowed = _step_tables(model, hand, keys, onsets, use_constraint)
+    stop = 1
+    for n in range(1, len(allowed)):
+        if n == stop:  # a warm-up note, or the next block
+            start, stop = n, n + 1 if n < m else min(n + BLOCK, len(allowed))
+            terms = _output_terms(slabs, start, stop, min(n, m))
+        trans = model.log_initial[n] if n < m else model.log_transition
+        yield trans, None if terms is None else terms[n - start], allowed[n]
+
+
+def _run_viterbi(model: NoteHmmModel, slabs, allowed):
+    """Exact DP over ``_steps``; returns (digits, log score) or None when
+    every path has score -inf.  Exact score ties resolve to the
+    lexicographically smallest digit sequence by the tie rule of
+    ``_tables``: extensions of one prefix order by their digit, i.e. by
+    state index, so ties cost O(states) per note.  Each score is ``(dp +
+    transition) + terms``, masked by ``allowed[n]``: the terms and masks
+    whose path cells the oracle reads."""
+    m = model.config.order
     base = N_DIGITS ** (m - 1)
     columns = np.arange(base)[:, None]
     dp = model.log_initial[0][0].copy()
     parents = []
     rank = np.arange(N_DIGITS)
-    stop = 1
-    for n in range(1, len(keys)):
-        n_prev = dp.shape[0]
-        if n == stop:  # a warm-up note, or the next block
-            start, stop = n, n + 1 if n < m else min(n + BLOCK, len(keys))
-            terms = _output_terms(slabs, start, stop, min(n, m))
-        trans = model.log_initial[n] if n < m else model.log_transition
+    for n, (trans, terms, allow) in enumerate(_steps(model, slabs, allowed), 1):
         scores = dp[:, None] + trans
         if terms is not None:
-            scores += terms[n - start]
-        if allowed[n] is not None:  # over (the state's last digit, digit)
-            scores = np.where(allowed[n], scores.reshape(-1, N_DIGITS, N_DIGITS), NEG_INF)
+            scores += terms
+        if allow is not None:  # over (the state's last digit, digit)
+            scores = np.where(allow, scores.reshape(-1, N_DIGITS, N_DIGITS), NEG_INF)
         if n < m:
+            parent = np.repeat(np.arange(dp.size), N_DIGITS)
             dp = scores.reshape(-1)
-            parent = np.repeat(np.arange(n_prev), N_DIGITS)
         else:
             # merge: the predecessors of state (r, d) differ in their oldest digit g
             dp, g = best_parents(
@@ -403,28 +411,31 @@ def _run_viterbi(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     return tuple(int(s) % N_DIGITS + 1 for s in states), float(best)
 
 
+def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
+    """``_step_tables`` of one hand part under the model's constraint, the
+    hand inferred if None; EmptyPiece for a piece of no notes."""
+    if len(piece) == 0:
+        raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
+    hand = infer_hand(piece) if hand is None else hand
+    keys, onsets = key_indices(n.midi for n in piece.notes), [n.onset for n in piece.notes]
+    return _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+
+
 def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
     """Most probable fingering of one hand part by exact Viterbi.
 
     When the within-chord constraint leaves no feasible path (e.g. an
-    unplayable cluster), decoding is retried without the constraint and
-    the result is flagged.
+    unplayable cluster), decoding is retried on the same tables without
+    the constraint and the result is flagged.
     """
-    if len(piece) == 0:
-        raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
-    if hand is None:
-        hand = infer_hand(piece)
-    keys = key_indices(n.midi for n in piece.notes)
-    onsets = [n.onset for n in piece.notes]
-    result = _run_viterbi(model, hand, keys, onsets, model.config.chord_constraint)
-    fallback = False
-    if result is None and model.config.chord_constraint:
-        result = _run_viterbi(model, hand, keys, onsets, False)
-        fallback = True
+    slabs, allowed = _part_tables(model, piece, hand)
+    result = _run_viterbi(model, slabs, allowed)
+    fallback = result is None and bool(model.config.chord_constraint)
+    if fallback:
+        result = _run_viterbi(model, slabs, [None] * len(allowed))
     if result is None:
         raise NoFeasiblePath(f"piece {piece.piece_id!r}: all fingerings have zero probability")
-    fingers, score = result
-    return DecodeResult(fingers=fingers, log_score=score, crossing_fallback_used=fallback)
+    return DecodeResult(*result, crossing_fallback_used=fallback)
 
 
 def sequence_log_score(
@@ -433,40 +444,25 @@ def sequence_log_score(
     """Log score the decoder assigns to one specific fingering; ValueError
     for a fingering of another length or a digit that is not 1 to 5.
 
-    Reproduces the decoder's arithmetic exactly, its crossing fallback
+    Adds its cells of the decoder's own ``_steps``, crossing fallback
     included, so for short pieces exhaustive enumeration over this
     function is a bitwise oracle for ``decode_viterbi``.
     """
     if len(fingers) != len(piece):
         raise ValueError("fingering length does not match the piece")
     _check_digits(fingers)
-    if len(piece) == 0:
-        raise EmptyPiece("cannot score an empty piece")
-    if hand is None:
-        hand = infer_hand(piece)
-    keys = key_indices(n.midi for n in piece.notes)
-    onsets = [n.onset for n in piece.notes]
-    m = model.config.order
-    slabs, allowed = _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
-    crosses = any(
-        allowed[n] is not None and not allowed[n][fingers[n - 1] - 1, fingers[n] - 1]
-        for n in range(1, len(keys))
-    )
+    slabs, allowed = _part_tables(model, piece, hand)
+    f = [d - 1 for d in fingers]
+    crosses = any(a is not None and not a[f[n - 1], f[n]] for n, a in enumerate(allowed))
     # the decoder drops the constraint only where its constrained pass finds no path
-    if crosses and _run_viterbi(model, hand, keys, onsets, True) is not None:
+    if crosses and _run_viterbi(model, slabs, allowed) is not None:
         return NEG_INF
-    acc = float(model.log_initial[0][0][fingers[0] - 1])
-    for n in range(1, len(keys)):
-        trans = model.log_initial[n] if n < m else model.log_transition
-        ctx = _flat_index(fingers[max(0, n - m) : n])
-        acc = acc + trans[ctx, fingers[n] - 1]
-        out = None
-        for lag, slab in slabs:
-            if lag <= n:
-                term = slab[n - lag][fingers[n - lag] - 1, fingers[n] - 1]
-                out = term if out is None else out + term
-        if out is not None:
-            acc = acc + out
+    acc, state = float(model.log_initial[0][0][f[0]]), 0
+    for n, (trans, terms, _) in enumerate(_steps(model, slabs, allowed), 1):
+        state = (state * N_DIGITS + f[n - 1]) % len(trans)  # keeps its last k digits
+        acc = acc + trans[state, f[n]]
+        if terms is not None:
+            acc = acc + terms[state, f[n]]
     return float(acc)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -58,7 +59,10 @@ class FingerLabel:
     digit: int
 
     def __post_init__(self):
-        if self.digit not in (1, 2, 3, 4, 5):
+        if not isinstance(self.hand, Hand):
+            raise InvalidFinger(f"finger hand must be a Hand, got {self.hand!r}")
+        digit = self.digit  # an int or numpy integer 1 to 5, not a bool
+        if isinstance(digit, bool) or not isinstance(digit, numbers.Integral) or not 0 < digit < 6:
             raise InvalidFinger(f"finger digit must be 1..5, got {self.digit}")
 
     @property
@@ -68,12 +72,13 @@ class FingerLabel:
 
     @classmethod
     def from_signed(cls, value: int) -> "FingerLabel":
-        label = _SIGNED_LABELS.get(value)
+        label = _SIGNED_LABELS.get(value) if type(value) is int else None
         if label is not None:
             return label
         if value == 0:
             raise InvalidFinger("finger 0 is invalid")
-        return cls(hand=Hand.RH if value > 0 else Hand.LH, digit=abs(value))
+        # not abs(value): abs(True) is the int 1, which the digit check would pass
+        return cls(hand=Hand.RH if value > 0 else Hand.LH, digit=value if value > 0 else -value)
 
 
 # the ten labels, by signed value; labels are immutable, so notes share them

@@ -155,6 +155,18 @@ def random_chord_pair(rng):
     )
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """A list that gains one item per call of ``module.name`` from here on."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_piece, random_chord_pair, random_rows, tie_heavy_chord_part
+from conftest import (
+    count_calls,
+    make_piece,
+    random_chord_pair,
+    random_rows,
+    tie_heavy_chord_part,
+)
 from pianofinger import chord_hmm, pitch_space
 from pianofinger.chord_hmm import (
     Chord,
@@ -28,7 +34,7 @@ from pianofinger.chord_hmm import (
     enumerate_states,
     train_chord,
 )
-from pianofinger.dataset import load_corpus
+from pianofinger.dataset import load_corpus, load_piece
 from pianofinger.errors import (
     EmptyCorpus,
     EmptyInput,
@@ -41,7 +47,7 @@ from pianofinger.estimate import estimate_piece
 from pianofinger.experiments import train_model
 from pianofinger.model_io import load_model
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
-from pianofinger.pig_io import Hand
+from pianofinger.pig_io import Hand, split_hands
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
 
 CHORD_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1" / "chord.json"
@@ -702,6 +708,18 @@ def test_one_decode_reads_key_indices_once_per_shape_not_per_chord(rng, monkeypa
         monkeypatch.setattr(module, "key_indices", counted)
     decode_chords(model, chords, Hand.RH)
     assert 1 <= len(calls) <= len(set(zip(sizes, sizes[1:]))) < len(chords)
+
+
+def test_the_path_scorer_applies_the_sustain_filter_once_per_boundary(monkeypatch):
+    # it reads the masked matrices the decoder's recursion left behind
+    model = train_model("chord-hmm", ChordHmmParams(), load_corpus(SAMPLE_CORPUS))
+    rh = split_hands(load_piece(SAMPLE_CORPUS / "102-1_fingering.txt"))[0]
+    chords = cluster_chords(rh, model.params.delta)
+    result = decode_chords(model, chords, Hand.RH)
+    calls = count_calls(monkeypatch, chord_hmm, "_keeps")
+    oracle = chord_path_log_score(model, chords, Hand.RH, result.states)
+    assert oracle.hex() == result.log_score.hex()
+    assert len(calls) == len(chords) - 1 == 4
 
 
 def test_20k_note_tie_heavy_chord_decode_scores_as_its_oracle():

@@ -259,6 +259,19 @@ def test_rejects_foreign_documents():
         )
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2])
+def test_a_version_other_than_the_integer_one_is_refused(tmp_path, capsys, version):
+    doc = json.loads((MODEL_V1 / "chord.json").read_text())
+    doc["version"] = version
+    with pytest.raises(ValueError, match=rf"^unsupported model version {version!r}$"):
+        loads_model(json.dumps(doc))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    source = str(DATA / "sample_corpus" / "101-1_fingering.txt")
+    assert main(["estimate", source, "--model", str(model), "--out", str(tmp_path / "e")]) == 1
+    assert capsys.readouterr().err == f"error: unsupported model version {version!r}\n"
+
+
 @pytest.mark.parametrize("name", ["note_o2_integral.json", "note_o3_lattice.json", "chord.json"])
 @pytest.mark.parametrize("edit", [
     lambda d: d["config"].pop(sorted(d["config"])[0]),

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_piece, random_note_model, random_piece
+from conftest import count_calls, make_piece, random_note_model, random_piece
+from pianofinger import note_hmm
 from pianofinger.dataset import load_corpus
 from pianofinger.errors import (
     EmptyCorpus,
@@ -484,6 +485,24 @@ def test_crossing_fallback_decode_scores_as_its_oracle(order):
     # a crossing fingering of a playable cluster stays -inf
     playable = make_piece([60, 62, 64, 65, 67], onsets=[0.0] * 5)
     assert sequence_log_score(model, playable, (2, 1, 3, 4, 5), Hand.RH) == -math.inf
+
+
+def test_a_fallback_decode_builds_its_step_tables_once(monkeypatch):
+    # the unconstrained pass reuses the constrained pass's tables
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    builds = count_calls(monkeypatch, note_hmm, "_step_tables")
+    cluster = make_piece([60, 62, 64, 65, 67, 69], onsets=[0.0] * 6)
+    assert decode_viterbi(model, cluster, hand=Hand.RH).crossing_fallback_used
+    assert len(builds) == 1
+
+
+def test_the_oracle_of_a_crossing_fingering_builds_its_step_tables_once(monkeypatch):
+    # the constrained pass the oracle asks runs on the oracle's own tables
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    builds = count_calls(monkeypatch, note_hmm, "_step_tables")
+    piece = make_piece([60, 64, 67, 72], onsets=[0.0, 0.0, 0.0, 0.5])
+    assert sequence_log_score(model, piece, (3, 2, 1, 1), Hand.RH) == -math.inf
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("digit", [0, -2, 6, 1.5])

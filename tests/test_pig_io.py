@@ -3,6 +3,7 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,6 +305,29 @@ def test_from_signed_refuses_what_names_no_finger(value, message):
     with pytest.raises(InvalidFinger) as info:
         FingerLabel.from_signed(value)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("hand, digit", [
+    (Hand.RH, 2.0), (Hand.RH, True), (Hand.LH, np.float64(3)), ("rh", 2), (0, 2), (None, 1),
+])
+def test_a_label_of_no_hand_or_no_integer_digit_is_refused(hand, digit):
+    # such a label would serialise as '2.0' or 'True', which no parse reads back
+    with pytest.raises(InvalidFinger):
+        FingerLabel(hand, digit)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, -2.0, np.float64(1)])
+def test_from_signed_refuses_what_is_not_an_integer(value):
+    with pytest.raises(InvalidFinger):
+        FingerLabel.from_signed(value)
+
+
+def test_numpy_integer_digits_make_the_labels_they_name():
+    assert FingerLabel(Hand.RH, np.int64(3)) == FingerLabel(Hand.RH, 3)
+    assert FingerLabel.from_signed(np.int8(-4)) == FingerLabel.from_signed(-4)
+    piece = parse_fingering_file(SIMPLE)
+    labels = [FingerLabel(Hand(n.channel), np.int64(n.finger.digit)) for n in piece.notes]
+    assert parse_fingering_file(serialize_fingering_file(piece.with_fingers(labels))) == piece
 
 
 @pytest.mark.parametrize(
