@@ -160,35 +160,40 @@ def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
     """``(best, parent)`` of one DP step: the best of ``scores`` over axis
     0, the candidate parents, and the lowest-ranked candidate that reaches
     it; ``rank`` ranks the candidates, shaped to broadcast to ``scores``."""
-    best = scores.max(axis=0)
+    best = np.maximum.reduce(scores)
     return best, np.where(scores == best, rank, KEY_LIMIT).argmin(axis=0)
 
 
-def best_path(dp: np.ndarray, rank: np.ndarray, parents: list) -> tuple:
+def best_path(dp: np.ndarray, rank: np.ndarray, parents: list, offset: int = 0) -> tuple:
     """``(best, path)`` after the last DP step: the best final score and the
     states of the lowest-ranked path to it, where ``parents[t][i]`` is the
-    predecessor of state i at step t + 1; None if every score is -inf."""
+    predecessor of state i at step t + 1 and ``dp[0]`` is state ``offset``
+    of the last step; None if every score is -inf."""
     best = dp.max()
     if not best > NEG_INF:
         return best, None
     winner = np.flatnonzero(dp == best)
-    path = [winner[rank[winner].argmin()]]
+    path = [offset + winner[rank[winner].argmin()]]
     for parent in reversed(parents):
         path.append(parent[path[-1]])
     return best, path[::-1]
 
 
-def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Keys after one DP step in which state i of n extends the best prefix
-    of state ``parent[i]``: ``rank[parent[i]] * n + i``, in (parent rank,
-    own index) order.  Where a key could reach KEY_LIMIT, ``rank`` first
-    becomes the dense ranks of its keys, one argsort per 62 / log2(n) steps."""
+def rerank(rank: np.ndarray, parent: np.ndarray, top: int, index=None) -> tuple:
+    """``(keys, top)`` after one DP step in which state i of n extends the
+    best prefix of state ``parent[i]``: the keys ``rank[parent[i]] * n +
+    i``, in (parent rank, own index) order, and a bound on them.  ``top``
+    bounds the keys of ``rank``: a Python int the caller carries from step
+    to step, so that no step reads ``rank.max()``; ``index``, if given, is
+    ``np.arange(n)``, kept by a caller of many steps.  Where a key could
+    reach KEY_LIMIT, ``rank`` first becomes the dense ranks of its keys,
+    one argsort per 62 / log2(n) steps."""
     n = parent.size
-    if rank.max() >= KEY_LIMIT // n:
+    if top >= KEY_LIMIT // n:
         dense = np.empty_like(rank)
         dense[np.argsort(rank)] = np.arange(rank.size)
-        rank = dense
-    return rank[parent] * n + np.arange(n)
+        rank, top = dense, rank.size - 1
+    return rank[parent] * n + (np.arange(n) if index is None else index), top * n + n - 1
 
 
 def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:

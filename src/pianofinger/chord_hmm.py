@@ -125,6 +125,7 @@ class ChordDecodeResult:
     states: tuple               # chosen digit assignment per chord
     log_score: float
     relaxed_boundaries: tuple   # chord indices where the sustain filter was lifted
+    crossing_fallback_used: bool = False  # the note decoder's relaxation: states never cross
 
 
 def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
@@ -451,7 +452,7 @@ def _forward(edges: list, chords: list, hand: Hand) -> tuple:
     finite score while the previous chord has one: then that boundary is
     relaxed, added unmasked.  ``edges`` keeps the matrices added."""
     dp = edges[0][0]
-    rank = np.arange(dp.size)
+    rank, top = np.arange(dp.size), dp.size - 1
     parents, relaxed = [], []
     for ci in range(1, len(chords)):
         edge = edges[ci]
@@ -465,7 +466,7 @@ def _forward(edges: list, chords: list, hand: Hand) -> tuple:
             relaxed.append(ci)
         dp, parent = best_parents(cand, rank[:, None])
         parents.append(parent)
-        rank = rerank(rank, parent)
+        rank, top = rerank(rank, parent, top)
     return dp, rank, parents, relaxed
 
 

@@ -119,13 +119,13 @@ def cmd_estimate(args) -> int:
         raise EmptyPiece(f"{args.input} contains no notes")
     annotated, results = annotate_piece(model, piece)
     for hand, result in results.items():
-        if getattr(result, "crossing_fallback_used", False):
+        if result.crossing_fallback_used:
             print(
                 f"warning: {piece.piece_id} {hand.name}: no crossing-free "
                 "fingering, constraint relaxed",
                 file=sys.stderr,
             )
-        if getattr(result, "relaxed_boundaries", ()):
+        if result.relaxed_boundaries:
             print(
                 f"warning: {piece.piece_id} {hand.name}: sustain constraint "
                 f"relaxed at chords {list(result.relaxed_boundaries)}",

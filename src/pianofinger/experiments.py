@@ -24,8 +24,8 @@ import numpy as np
 
 from . import model_io
 from ._tables import Counts, fit_line
-from .errors import EmptyCorpus, HandOverflow
-from .estimate import estimate_piece
+from .errors import EmptyCorpus, FingeringError, HandOverflow
+from .estimate import estimate_pieces
 from .eval_measures import MEASURES, match_rates
 from .pig_io import split_hands
 
@@ -96,16 +96,20 @@ def _check_measure(measure: str) -> None:
 def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
     """Macro average of one match-rate measure over ground-truth sets.
 
-    Pieces a chord model cannot decode (hand overflow) are excluded.
+    Every hand part of every piece is decoded in one ``estimate_pieces``
+    call, so a note model decodes the set in one lock-step DP per
+    ``note_hmm.LOCKSTEP`` part-notes.  Pieces a chord model cannot decode
+    (hand overflow) are excluded; any other decode error is raised.
     """
     _check_measure(measure)
+    gt_sets = list(gt_sets)
     pairs = []
-    for gt_set in gt_sets:
-        try:
-            signed, _ = estimate_piece(model, gt_set.piece)
-        except HandOverflow:
+    for gt_set, estimate in zip(gt_sets, estimate_pieces(model, [s.piece for s in gt_sets])):
+        if isinstance(estimate, HandOverflow):
             continue
-        pairs.append((signed, gt_set.signed_fingerings))
+        if isinstance(estimate, FingeringError):
+            raise estimate
+        pairs.append((estimate[0], gt_set.signed_fingerings))
     if not pairs:
         raise EmptyCorpus("no piece could be evaluated")
     values = match_rates(measure, pairs)

@@ -63,7 +63,7 @@ import numpy as np
 from . import chord_hmm, note_hmm
 from ._tables import N_DIGITS
 from .chord_hmm import ChordHmmModel, ChordHmmParams
-from .errors import MalformedModel
+from .errors import FingeringError, MalformedModel
 from .note_hmm import NoteHmmConfig, NoteHmmModel
 from .pig_io import Hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_displacement
@@ -288,9 +288,11 @@ def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
     )
 
 
-def _decode_note_part(model: NoteHmmModel, part, hand: Hand) -> tuple:
-    result = note_hmm.decode_viterbi(model, part, hand=hand)
-    return result.fingers, result
+def _decode_note_parts(model: NoteHmmModel, parts) -> list:
+    return [
+        result if isinstance(result, FingeringError) else (result.fingers, result)
+        for result in note_hmm.decode_parts(model, parts)
+    ]
 
 
 def _note_coefficients(config: NoteHmmConfig) -> dict:
@@ -377,12 +379,17 @@ def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
     )
 
 
-def _decode_chord_part(model: ChordHmmModel, part, hand: Hand) -> tuple:
-    chords = chord_hmm.cluster_chords(
-        part, model.params.delta, model.params.truncate_overlaps
-    )
-    result = chord_hmm.decode_chords(model, chords, hand)
-    return [result.fingers_by_note[n.note_id] for n in part.notes], result
+def _decode_chord_parts(model: ChordHmmModel, parts) -> list:
+    out, params = [], model.params
+    for part, hand in parts:  # one chord DP per part
+        try:
+            chords = chord_hmm.cluster_chords(part, params.delta, params.truncate_overlaps)
+            result = chord_hmm.decode_chords(model, chords, hand)
+        except FingeringError as exc:
+            out.append(exc)
+        else:
+            out.append(([result.fingers_by_note[n.note_id] for n in part.notes], result))
+    return out
 
 
 def _chord_coefficients(config: ChordHmmParams) -> dict:
@@ -438,7 +445,8 @@ class ModelKind:
     model: type
     count: Callable          # (single-hand parts, config) -> additive counts
     fit: Callable            # (counts, config) -> model
-    decode_part: Callable    # (model, part, hand) -> (digits per note, result)
+    decode_parts: Callable   # (model, [(part, hand)]) -> per part (digits per note,
+                             # result) or the FingeringError it raised
     to_dict: Callable        # model -> (config dict, tables dict of _Table), format v1
     from_dict: Callable      # (config dict, tables dict) -> model
     coefficients: Callable   # config -> {name: (value, (low, high))}, the tuning box
@@ -453,7 +461,7 @@ KINDS = {
         model=NoteHmmModel,
         count=lambda parts, config: note_hmm.count(parts, config),
         fit=lambda counts, config: note_hmm.fit(counts, config),
-        decode_part=_decode_note_part,
+        decode_parts=_decode_note_parts,
         to_dict=_note_to_dict,
         from_dict=_note_from_dict,
         coefficients=_note_coefficients,
@@ -466,7 +474,7 @@ KINDS = {
         model=ChordHmmModel,
         count=lambda parts, config: chord_hmm.count(parts, config),
         fit=lambda counts, config: chord_hmm.fit(counts, config),
-        decode_part=_decode_chord_part,
+        decode_parts=_decode_chord_parts,
         to_dict=_chord_to_dict,
         from_dict=_chord_from_dict,
         coefficients=_chord_coefficients,

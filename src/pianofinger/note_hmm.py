@@ -7,7 +7,10 @@ an exponent ``alpha``) score the pitch motion produced by each finger
 pair.  Optional time-inversion and left/right reflection symmetries are
 imposed by count tying, and a hard constraint can forbid finger crossings
 inside chords.  Decoding is exact Viterbi over the last-``m``-digit state
-space.
+space, in one DP over a list of hand parts (``decode_parts``; up to
+LOCKSTEP part-notes each): the parts run in lock step, longest first, so
+those still running are a prefix of the batch.  Parts the crossing
+constraint leaves no path rerun without it.
 
 Score convention: each pairwise output row is normalised over the clamped
 displacement alphabet for its finger pair, and decoding maximises
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from ._tables import (
     rerank,
     safe_log,
 )
-from .errors import EmptyPiece, NoFeasiblePath
+from .errors import EmptyPiece, FingeringError, NoFeasiblePath
 from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
 from .pitch_space import (
     MIDI_MAX,
@@ -142,6 +146,7 @@ class DecodeResult:
     fingers: tuple          # digits 1..5, one per note
     log_score: float
     crossing_fallback_used: bool = False
+    relaxed_boundaries: tuple = ()  # the chord decoder's relaxations: none here
 
 
 def _flat_index(digits) -> int:
@@ -281,9 +286,9 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
 
 
 def _check_digits(digits) -> None:
-    """ValueError unless every digit is an integer 1 to 5."""
+    """ValueError unless every digit is an integer 1 to 5, not a bool."""
     for d in digits:
-        if not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
+        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
             raise ValueError(f"finger digit {d!r} is not an integer 1 to 5")
 
 
@@ -335,80 +340,128 @@ def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
     return slabs, allowed
 
 
-# notes whose output terms are added up at once: (BLOCK, 5**order, 5) floats
+# part-notes whose output terms are added up at once, BLOCK / b rounded up
+# of each of b parts: about (BLOCK, 5**order, 5) floats, however many parts
 BLOCK = 64
 
 
-def _output_terms(slabs, first: int, stop: int, k: int):
-    """The alpha-weighted output terms of notes first..stop-1 of the DP, a
-    (notes, 5**k, 5) array over (previous state of k digits, digit), added
-    in lag order over the lags up to k; None if there is none.  Axis
-    k - lag of a state holds its digit lag notes back, so each note's
-    (5, 5) slab of that lag broadcasts over the state's other digits."""
-    shape = (stop - first,) + (N_DIGITS,) * (k + 1)
-    out = None
-    for lag, slab in slabs:
+def _output_terms(lags, first: int, stop: int, k: int, b: int):
+    """The alpha-weighted output terms of notes first..stop-1 of the first
+    b parts, a (b, notes, 5**k, 5) array over (previous state of k digits,
+    digit), added in lag order over the lags up to k; None if there is
+    none.  ``lags`` lists ``(lag, slabs, starts)``: all parts' slabs of a
+    lag in one array, part p's note n in row ``starts[p, 0] + n``; rows
+    past a part's end are never read.  Axis k - lag of a state holds its
+    digit lag notes back, so a (5, 5) slab broadcasts over the others."""
+    shape = (b, stop - first) + (N_DIGITS,) * (k + 1)
+    notes, out = np.arange(first, stop) if b > 1 else None, None
+    for lag, slabs, starts in lags:
         if lag <= k:
-            term = slab[first - lag : stop - lag].reshape(
-                shape[:1] + (1,) * (k - lag) + (N_DIGITS,) + (1,) * (lag - 1) + (N_DIGITS,)
+            # part 0 starts at row -lag and, running alone, has all the notes
+            rows = (slabs[first - lag : stop - lag] if b == 1
+                    else slabs.take(starts[:b] + notes, axis=0, mode="clip"))
+            term = rows.reshape(
+                shape[:2] + (1,) * (k - lag) + (N_DIGITS,) + (1,) * (lag - 1) + (N_DIGITS,)
             )
             if out is None:
                 out = np.broadcast_to(term, shape).copy()
             else:
                 out += term
-    return None if out is None else out.reshape(stop - first, -1, N_DIGITS)
+    return None if out is None else out.reshape(b, stop - first, -1, N_DIGITS)
 
 
-def _steps(model: NoteHmmModel, slabs, allowed):
-    """``(transition, terms, allowed[n])`` of each note n >= 1, in DP order:
-    (5**k, 5) tables over (previous state of k = min(n, order) digits,
-    digit), the terms from ``_output_terms`` BLOCK notes at a time (None
-    where no lag scores the note)."""
+def _steps(model: NoteHmmModel, tables):
+    """``(b, transition, terms, allowed)`` of each note n >= 1, in DP order,
+    of the parts whose ``_step_tables`` ``tables`` lists longest first, of
+    which the first b have note n: the (5**k, 5) table over (previous
+    state of k = min(n, order) digits, digit), their terms from
+    ``_output_terms`` (None where no lag scores the note), and None or
+    their (b, 5, 5) allowed matrices over (previous digit, digit)."""
     m = model.config.order
-    stop = 1
-    for n in range(1, len(allowed)):
+    lengths = [len(allowed) for _, allowed in tables]
+    lags = []
+    for per_part in zip(*(slabs for slabs, _ in tables)):  # one lag's (lag, slab) of each part
+        slabs = [slab for _, slab in per_part]
+        lag = per_part[0][0]
+        starts = np.array(list(accumulate((len(slab) for slab in slabs[:-1]), initial=-lag)))
+        joined = slabs[0] if len(slabs) == 1 else np.concatenate(slabs)  # no copy of a lone part
+        lags.append((lag, joined, starts[:, None]))
+    # note -> every part's allowed matrix there, all True for a part with none
+    masks, all_allowed = {}, np.ones((len(tables), N_DIGITS, N_DIGITS), dtype=bool)
+    for p, (_, allowed) in enumerate(tables):
+        for n, allow in enumerate(allowed):
+            if allow is not None:
+                if n not in masks:
+                    masks[n] = all_allowed.copy()
+                masks[n][p] = allow
+    b, stop = len(tables), 1
+    for n in range(1, lengths[0]):
+        while lengths[b - 1] <= n:
+            b -= 1
         if n == stop:  # a warm-up note, or the next block
-            start, stop = n, n + 1 if n < m else min(n + BLOCK, len(allowed))
-            terms = _output_terms(slabs, start, stop, min(n, m))
+            start, stop = n, n + 1 if n < m else min(n - (-BLOCK // b), lengths[0])
+            terms = _output_terms(lags, start, stop, min(n, m), b)
         trans = model.log_initial[n] if n < m else model.log_transition
-        yield trans, None if terms is None else terms[n - start], allowed[n]
+        allow = masks[n][:b] if n in masks else None
+        yield b, trans, None if terms is None else terms[:b, n - start], allow
 
 
-def _run_viterbi(model: NoteHmmModel, slabs, allowed):
-    """Exact DP over ``_steps``; returns (digits, log score) or None when
-    every path has score -inf.  Exact score ties resolve to the
-    lexicographically smallest digit sequence by the tie rule of
-    ``_tables``: extensions of one prefix order by their digit, i.e. by
-    state index, so ties cost O(states) per note.  Each score is ``(dp +
-    transition) + terms``, masked by ``allowed[n]``: the terms and masks
-    whose path cells the oracle reads."""
+def _run_viterbi(model: NoteHmmModel, tables) -> list:
+    """Exact DP over ``_steps`` of all the parts whose ``_step_tables``
+    ``tables`` lists longest first, in lock step; per part, in order,
+    (digits, log score) or None when every path has score -inf.  The
+    parts that have note n are the first b: ``dp``, a row of state scores
+    per part, shrinks to them with no mask.  ``rank`` holds their
+    prefix keys flat, part p's from p * states, so one gather extends all.
+    Exact score ties resolve to the lexicographically smallest digits by
+    the tie rule of ``_tables``: extensions of one prefix order by state
+    index, so ties cost O(states) per note.  Each score is ``(dp +
+    transition) + terms``, masked by ``allowed``: the terms and masks whose
+    path cells the oracle reads.  Each part backtracks on its own."""
+    if not tables:
+        return []
     m = model.config.order
     base = N_DIGITS ** (m - 1)
-    columns = np.arange(base)[:, None]
-    dp = model.log_initial[0][0].copy()
-    parents = []
-    rank = np.arange(N_DIGITS)
-    for n, (trans, terms, allow) in enumerate(_steps(model, slabs, allowed), 1):
-        scores = dp[:, None] + trans
+    # the flat index of part p's state (0, r), r the state's last m - 1 digits
+    columns = (np.arange(len(tables))[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
+    dp = model.log_initial[0][0][None].repeat(len(tables), axis=0)
+    rank, top = np.arange(dp.size), dp.size - 1
+    index = np.arange(len(tables) * base * N_DIGITS)  # each step's state indices: a prefix
+    parents, ends = [], [None] * len(tables)
+
+    def end(b):  # parts b.. have no next note: keep their scores, keys and offsets
+        size = dp.shape[1]
+        for p in range(b, len(dp)):
+            ends[p] = dp[p], rank[p * size : (p + 1) * size], p * size
+        return dp[:b], rank[: b * size], columns[:b]
+
+    for n, (b, trans, terms, allow) in enumerate(_steps(model, tables), 1):
+        if b < len(dp):
+            dp, rank, columns = end(b)
+        scores = dp[:, :, None] + trans
         if terms is not None:
             scores += terms
         if allow is not None:  # over (the state's last digit, digit)
-            scores = np.where(allow, scores.reshape(-1, N_DIGITS, N_DIGITS), NEG_INF)
+            scores = np.where(allow[:, None], scores.reshape(b, -1, N_DIGITS, N_DIGITS), NEG_INF)
         if n < m:
             parent = np.repeat(np.arange(dp.size), N_DIGITS)
-            dp = scores.reshape(-1)
+            dp = scores.reshape(b, -1)
         else:
             # merge: the predecessors of state (r, d) differ in their oldest digit g
             dp, g = best_parents(
-                scores.reshape(N_DIGITS, base, N_DIGITS), rank.reshape(N_DIGITS, base, 1)
+                scores.reshape(b, N_DIGITS, base, N_DIGITS).swapaxes(0, 1),
+                rank.reshape(b, N_DIGITS, base, 1).swapaxes(0, 1),
             )
-            dp, parent = dp.reshape(-1), (g * base + columns).reshape(-1)
+            dp, parent = dp.reshape(b, -1), (g * base + columns).reshape(-1)
         parents.append(parent)
-        rank = rerank(rank, parent)
-    best, states = best_path(dp, rank, parents)
-    if states is None:
-        return None
-    return tuple(int(s) % N_DIGITS + 1 for s in states), float(best)
+        rank, top = rerank(rank, parent, top, index[: parent.size])
+    end(0)
+    results = []
+    for (_, allowed), (final, keys, offset) in zip(tables, ends):
+        best, states = best_path(final, keys, parents[: len(allowed) - 1], offset)
+        results.append(None if states is None else (
+            tuple(int(s) % N_DIGITS + 1 for s in states), float(best)))
+    return results
 
 
 def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
@@ -421,21 +474,57 @@ def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
     return _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
 
 
-def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
-    """Most probable fingering of one hand part by exact Viterbi.
+# part-notes decoded in one lock-step DP, which keeps (notes, 5**order)
+# parents and every part's step tables: a larger set runs in several
+LOCKSTEP = 4096
 
-    When the within-chord constraint leaves no feasible path (e.g. an
-    unplayable cluster), decoding is retried on the same tables without
-    the constraint and the result is flagged.
+
+def decode_parts(model: NoteHmmModel, parts) -> list:
+    """Most probable fingering of each ``(part, hand)`` pair by exact
+    Viterbi, the hand inferred if None: per pair, in order, its
+    DecodeResult or the FingeringError it raised.  The parts go longest
+    first, LOCKSTEP part-notes (or one part) to each ``_run_viterbi``,
+    which decodes them in lock step; those the within-chord constraint
+    leaves no path (e.g. an unplayable cluster) run again as a second
+    batch, on the same tables without the constraint, and are flagged.
     """
-    slabs, allowed = _part_tables(model, piece, hand)
-    result = _run_viterbi(model, slabs, allowed)
-    fallback = result is None and bool(model.config.chord_constraint)
+    out, chunk, notes = [None] * len(parts), [], 0
+    for i in sorted(range(len(parts)), key=lambda i: -len(parts[i][0])):
+        if chunk and notes + len(parts[i][0]) > LOCKSTEP:
+            _decode_chunk(model, parts, chunk, out)
+            chunk, notes = [], 0
+        chunk.append(i)
+        notes += len(parts[i][0])
+    _decode_chunk(model, parts, chunk, out)
+    return out
+
+
+def _decode_chunk(model: NoteHmmModel, parts, chunk: list, out: list) -> None:
+    """``decode_parts`` of the parts ``chunk`` indexes, into ``out``."""
+    tables = {}
+    for i in chunk:
+        try:
+            tables[i] = _part_tables(model, *parts[i])
+        except FingeringError as exc:
+            out[i] = exc
+    decoded = dict(zip(tables, _run_viterbi(model, list(tables.values()))))
+    fallback = [i for i, result in decoded.items()
+                if result is None and model.config.chord_constraint]
     if fallback:
-        result = _run_viterbi(model, slabs, [None] * len(allowed))
-    if result is None:
-        raise NoFeasiblePath(f"piece {piece.piece_id!r}: all fingerings have zero probability")
-    return DecodeResult(*result, crossing_fallback_used=fallback)
+        unmasked = [(tables[i][0], [None] * len(tables[i][1])) for i in fallback]
+        decoded.update(zip(fallback, _run_viterbi(model, unmasked)))
+    for i, result in decoded.items():
+        out[i] = NoFeasiblePath(
+            f"piece {parts[i][0].piece_id!r}: all fingerings have zero probability"
+        ) if result is None else DecodeResult(*result, crossing_fallback_used=i in fallback)
+
+
+def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
+    """``decode_parts`` of one hand part, raising its error."""
+    (result,) = decode_parts(model, [(piece, hand)])
+    if isinstance(result, FingeringError):
+        raise result
+    return result
 
 
 def sequence_log_score(
@@ -455,14 +544,14 @@ def sequence_log_score(
     f = [d - 1 for d in fingers]
     crosses = any(a is not None and not a[f[n - 1], f[n]] for n, a in enumerate(allowed))
     # the decoder drops the constraint only where its constrained pass finds no path
-    if crosses and _run_viterbi(model, slabs, allowed) is not None:
+    if crosses and _run_viterbi(model, [(slabs, allowed)])[0] is not None:
         return NEG_INF
     acc, state = float(model.log_initial[0][0][f[0]]), 0
-    for n, (trans, terms, _) in enumerate(_steps(model, slabs, allowed), 1):
+    for n, (_, trans, terms, _) in enumerate(_steps(model, [(slabs, allowed)]), 1):
         state = (state * N_DIGITS + f[n - 1]) % len(trans)  # keeps its last k digits
         acc = acc + trans[state, f[n]]
         if terms is not None:
-            acc = acc + terms[state, f[n]]
+            acc = acc + terms[0, state, f[n]]
     return float(acc)
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pianofinger import note_hmm
 from pianofinger.chord_hmm import Chord, ChordComponent
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel
 from pianofinger.pig_io import FingerLabel, Hand, Note, Piece, midi_to_pitch
@@ -165,6 +166,18 @@ def count_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def lockstep_batches(monkeypatch) -> list:
+    """A list that gains, per lock-step note DP from here on, its number of parts."""
+    batches, run = [], note_hmm._run_viterbi
+
+    def counted(model, tables):
+        batches.append(len(tables))
+        return run(model, tables)
+
+    monkeypatch.setattr(note_hmm, "_run_viterbi", counted)
+    return batches
 
 
 @pytest.fixture

@@ -50,14 +50,15 @@ def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
     return best, np.where(scores == best, rank, rank.size).argmin(axis=0)
 
 
-def rerank(rank: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks after one DP step in which state i extends the
-    best prefix of state ``parent[i]``: by (parent rank, own index), as
-    the sort is stable."""
+def rerank(rank: np.ndarray, parent: np.ndarray, top=None, index=None) -> tuple:
+    """``(ranks, top)``: the lexicographic ranks after one DP step in which
+    state i extends the best prefix of state ``parent[i]``, by (parent
+    rank, own index), as the sort is stable, and the largest of them.
+    ``top`` and ``index`` are taken for the library's signature and not read."""
     order = np.argsort(rank[parent], kind="stable")
     new_rank = np.empty_like(order)
     new_rank[order] = np.arange(order.size)
-    return new_rank
+    return new_rank, order.size - 1
 
 
 def edge_scores(kernel, prev_midis: tuple, midis: tuple, rows=slice(None), cols=slice(None)):

@@ -664,7 +664,7 @@ def test_relaxed_estimates_reload_to_their_oracle_scores(tmp_path, capsys, kind,
     ))
     capsys.readouterr()
     assert main(["estimate", str(source), "--model", str(model_file), "--out", str(out)]) == 0
-    assert warning in capsys.readouterr().err
+    assert capsys.readouterr().err == f"warning: piece {warning}\n"
     model, written = load_model(model_file), load_piece(out)
     assert [replace(n, finger=None) for n in written.notes] == list(load_piece(source).notes)
     signed, results = estimate_piece(model, written)

@@ -3,18 +3,20 @@
 import math
 import warnings
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_piece, random_note_model, random_piece
+from conftest import lockstep_batches, make_piece, random_note_model, random_piece
 from pianofinger import chord_hmm, experiments, note_hmm
 from pianofinger._tables import Counts
 from pianofinger.model_io import KINDS
 from pianofinger.chord_hmm import ChordHmmParams
+from pianofinger.dataset import load_corpus, load_ground_truth_sets, load_piece
 from pianofinger.errors import DegenerateFit, EmptyCorpus, HandOverflow
 from pianofinger.estimate import estimate_piece
-from pianofinger.eval_measures import match_rate_report
+from pianofinger.eval_measures import match_rate_report, match_rates
 from pianofinger.experiments import (
     ScalingFit,
     evaluate_model,
@@ -25,10 +27,11 @@ from pianofinger.experiments import (
     tune,
 )
 from pianofinger.note_hmm import NoteHmmConfig, Symmetry, sample_piece
-from pianofinger.pig_io import FingerLabel, GroundTruthSet, Hand, Piece, infer_hand
+from pianofinger.pig_io import FingerLabel, GroundTruthSet, Hand, Piece, infer_hand, split_hands
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size, index_table
 
 INTEGRAL = PitchRepresentation.INTEGRAL
+SAMPLE_CORPUS = Path(__file__).resolve().parents[1] / "data" / "sample_corpus"
 
 
 def test_fit_sqrt_reference_points():
@@ -301,6 +304,38 @@ def test_evaluate_model_averages_the_requested_measure(rng):
         assert evaluate_model(model, multi, measure) == expected
         values.add(expected)
     assert len(values) == 4
+
+
+def test_evaluate_model_decodes_every_validation_part_in_one_lock_step_dp(monkeypatch):
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    gt_sets = load_ground_truth_sets(SAMPLE_CORPUS)
+    # what one piece at a time gives
+    rates = match_rates("m_gen", [(estimate_piece(model, s.piece)[0], s.signed_fingerings)
+                                  for s in gt_sets])
+    batches = lockstep_batches(monkeypatch)
+    assert evaluate_model(model, gt_sets) == sum(rates) / len(rates)
+    parts = sum(len(part) > 0 for s in gt_sets for part in split_hands(s.piece))
+    assert parts > len(gt_sets) and batches == [parts]
+
+
+def test_estimate_piece_decodes_both_hands_in_one_lock_step_dp(monkeypatch):
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    piece = load_piece(SAMPLE_CORPUS / "101-1_fingering.txt")
+    batches = lockstep_batches(monkeypatch)
+    signed, results = estimate_piece(model, piece)
+    assert batches == [2] and set(results) == set(Hand)
+    assert 0 not in signed
+
+
+def test_evaluate_model_excludes_a_piece_a_chord_model_cannot_decode():
+    model = train_model("chord-hmm", None, load_corpus(SAMPLE_CORPUS))
+    gt_sets = load_ground_truth_sets(SAMPLE_CORPUS)
+    cluster = make_piece([60, 62, 64, 65, 67, 69], onsets=[0.0] * 6, digits=[1, 2, 3, 4, 5, 5],
+                         piece_id="big")
+    with pytest.raises(HandOverflow):
+        estimate_piece(model, cluster)
+    overflow = GroundTruthSet.from_pieces([cluster])
+    assert evaluate_model(model, [overflow, *gt_sets]) == evaluate_model(model, gt_sets)
 
 
 def test_evaluate_model_refuses_an_unknown_measure(rng):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import count_calls, make_piece, random_note_model, random_piece
+from conftest import count_calls, lockstep_batches, make_piece, random_note_model, random_piece
 from pianofinger import note_hmm
 from pianofinger.dataset import load_corpus
 from pianofinger.errors import (
@@ -28,6 +28,7 @@ from pianofinger.note_hmm import (
     NoteHmmConfig,
     NoteHmmModel,
     Symmetry,
+    decode_parts,
     decode_viterbi,
     sample_piece,
     sequence_log_score,
@@ -505,7 +506,8 @@ def test_the_oracle_of_a_crossing_fingering_builds_its_step_tables_once(monkeypa
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("digit", [0, -2, 6, 1.5])
+# True is an int to isinstance, but no finger
+@pytest.mark.parametrize("digit", [0, -2, 6, 1.5, True])
 def test_a_digit_that_is_not_one_to_five_is_refused(rng, digit):
     model = random_note_model(rng, order=2)
     piece = make_piece([60, 62, 64])
@@ -632,3 +634,82 @@ def test_random_pieces_decode_to_their_oracle_score_or_raise_fingering_error(cas
     assert len(result.fingers) == len(piece)
     assert not math.isnan(result.log_score)
     assert sequence_log_score(model, piece, result.fingers, hand) == result.log_score
+
+
+def _lockstep_part(rng, n_notes: int, hand: Hand, cluster: bool):
+    """``n_notes`` notes of one hand, some in chords; a ``cluster`` part
+    opens with six notes at one onset, which no crossing-free fingering
+    plays."""
+    midis = [int(m) for m in rng.integers(48, 80, n_notes)]
+    onsets = [0.25 * int(t) for t in np.cumsum(rng.random(n_notes) < 0.7)]
+    if cluster:
+        midis[:6], onsets[:6] = [60, 62, 64, 65, 67, 69], [-1.0] * 6
+    return make_piece(midis, onsets, hand=hand, piece_id=f"part{n_notes}")
+
+
+@st.composite
+def lockstep_sets(draw):
+    """A note model, tie-heavy or not, and a set of hand parts of mixed
+    lengths for it: empty, one-note and unplayable-cluster parts included."""
+    order = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_note_model(rng, order=order, chord_constraint=draw(st.booleans()))
+    if draw(st.booleans()):  # whole-number log scores: exact ties everywhere
+        model.log_initial = [np.floor(t) for t in model.log_initial]
+        model.log_transition = np.floor(model.log_transition)
+        model.log_output = {h: [np.floor(t) for t in ts] for h, ts in model.log_output.items()}
+    lengths = st.integers(0, 2) | st.integers(3, 40)
+    specs = draw(st.lists(
+        st.tuples(lengths, st.sampled_from(Hand), st.booleans()), min_size=1, max_size=7
+    ))
+    parts = [(_lockstep_part(rng, n, hand, cluster and n >= 6), hand) for n, hand, cluster in specs]
+    return model, parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(lockstep_sets())
+def test_a_set_decodes_in_lock_step_as_each_part_alone(case):
+    model, parts = case
+    together = decode_parts(model, parts)
+    assert len(together) == len(parts)
+    for part, result in zip(parts, together):
+        (alone,) = decode_parts(model, [part])
+        if isinstance(alone, FingeringError):
+            assert type(result) is type(alone) and str(result) == str(alone)
+        else:
+            assert result.fingers == alone.fingers
+            assert result.log_score.hex() == alone.log_score.hex()
+            assert result.crossing_fallback_used == alone.crossing_fallback_used
+
+
+def test_a_set_runs_one_lock_step_dp_and_one_fallback_batch(monkeypatch):
+    # the infeasible parts rerun together without the constraint, once
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    batches = lockstep_batches(monkeypatch)
+    cluster = [60, 62, 64, 65, 67, 69]
+    parts = [
+        (make_piece(cluster, onsets=[0.0] * 6), Hand.RH),
+        (make_piece([60, 64, 67]), Hand.RH),
+        (make_piece(cluster + [72], onsets=[0.0] * 6 + [1.0], hand=Hand.LH), Hand.LH),
+        (make_piece([]), Hand.LH),
+    ]
+    results = decode_parts(model, parts)
+    assert batches == [3, 2]
+    assert [r.crossing_fallback_used for r in results[:3]] == [True, False, True]
+    assert isinstance(results[3], EmptyPiece)
+
+
+def test_a_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkeypatch):
+    # longest first, each DP takes parts while their notes fit, and at least one
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    rng = np.random.default_rng(5)
+    parts = [(_lockstep_part(rng, n, hand, False), hand)
+             for n, hand in ((5, Hand.RH), (30, Hand.LH), (1, Hand.LH), (40, Hand.RH), (27, Hand.RH))]
+    alone = [decode_parts(model, [part])[0] for part in parts]
+    monkeypatch.setattr(note_hmm, "LOCKSTEP", 32)
+    batches = lockstep_batches(monkeypatch)
+    together = decode_parts(model, parts)
+    assert batches == [1, 1, 2, 1]  # 40 | 30 | 27 + 5 | 1
+    for result, single in zip(together, alone):
+        assert result.fingers == single.fingers
+        assert result.log_score.hex() == single.log_score.hex()

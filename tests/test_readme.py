@@ -6,8 +6,6 @@ import re
 import shlex
 from pathlib import Path
 
-import pytest
-
 from pianofinger.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,8 +18,6 @@ def _block(section: str, language: str) -> str:
     return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
 
 
-# the library quickstart reads its file with a bare open(), as a script may
-@pytest.mark.filterwarnings("ignore::ResourceWarning")
 def test_readme_quickstarts_run(tmp_path, monkeypatch, capsys):
     (tmp_path / "data").symlink_to(ROOT / "data")
     monkeypatch.chdir(tmp_path)

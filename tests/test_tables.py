@@ -49,11 +49,11 @@ def test_the_tie_rule_finds_the_lexicographically_first_best_path(data):
     initial = _matrix(data.draw, 1, sizes[0])[0]
     steps = [_matrix(data.draw, a, b) for a, b in zip(sizes, sizes[1:])]
 
-    dp, rank, parents = initial, np.arange(sizes[0]), []
+    dp, rank, top, parents = initial, np.arange(sizes[0]), sizes[0] - 1, []
     for step in steps:
         dp, parent = best_parents(dp[:, None] + step, rank[:, None])
         parents.append(parent)
-        rank = rerank(rank, parent)
+        rank, top = rerank(rank, parent, top)
     best, path = best_path(dp, rank, parents)
 
     # brute force: product() lists the paths in lexicographic order
@@ -76,7 +76,7 @@ def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
     ``reference`` side by side; both must pick the same parents, order the
     prefixes alike and end in the same best score and path.  Returns the
     number of steps at which the keys were re-densified."""
-    dp, rank, parents = initial, np.arange(initial.size), []
+    dp, rank, top, parents = initial, np.arange(initial.size), initial.size - 1, []
     dense_dp, dense, dense_parents = initial, np.arange(initial.size), []
     densified = 0
     for step in steps:
@@ -84,9 +84,9 @@ def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
         dense_dp, dense_parent = reference.best_parents(dense_dp[:, None] + step, dense[:, None])
         assert np.array_equal(parent, dense_parent)
         assert np.array_equal(dp, dense_dp)
-        keys = rerank(rank, parent)
-        dense = reference.rerank(dense, dense_parent)
-        assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() < KEY_LIMIT
+        keys, top = rerank(rank, parent, top)
+        dense, _ = reference.rerank(dense, dense_parent)
+        assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() <= top < KEY_LIMIT
         assert np.array_equal(np.argsort(keys), np.argsort(dense))
         # without a re-densification each key is its parent's key times n, plus i
         densified += not np.array_equal(keys // parent.size, rank[parent])
