@@ -1,5 +1,5 @@
-"""What the note and chord HMMs share: digit states, config value rules,
-annotated training parts, additive counts, the exact-DP tie rule."""
+"""What the note and chord HMMs share: digit states and their rule, config
+value rules, annotated training parts, additive counts, the exact-DP tie rule."""
 
 import math
 import numbers
@@ -133,6 +133,13 @@ def check_non_negative(name: str, value) -> None:
     and non-negative throughout."""
     if not all(0 <= v < math.inf for v in (value if isinstance(value, tuple) else (value,))):
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def check_digits(digits) -> None:
+    """ValueError unless every digit is an integer 1 to 5, not a bool."""
+    for d in digits:
+        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
+            raise ValueError(f"finger digit {d!r} is not an integer 1 to 5")
 
 
 def normalize_rows(counts: np.ndarray) -> np.ndarray:

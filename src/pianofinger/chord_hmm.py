@@ -23,9 +23,9 @@ scaled tables in one fixed term order, all boundaries of one (previous
 size, size) shape at once.  A zero exponent times a -inf factor (NaN)
 scores as -inf.  The decoder's recursion masks each matrix with the
 sustain filter before adding it, except where the mask leaves no finite
-transition: there it lifts the constraint at that boundary alone.  It
-leaves the matrices it added in place, and ``chord_path_log_score``
-reads its path's cells from them, so the two agree bitwise.
+transition: there it lifts the constraint at that boundary alone.  That
+recursion, ``_forward``, is the one preparation: the decoder backtracks it,
+and the oracle ``chord_path_log_score`` reads a path's cells of what it added.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from ._tables import (
     annotated_parts,
     best_parents,
     best_path,
+    check_digits,
     check_fields,
     normalize_rows,
     rerank,
@@ -211,7 +212,7 @@ def enumerate_states(chord: Chord, hand: Hand) -> list:
 
     Which of them may follow the previous chord's state is decided by
     the one sustain filter, ``_keeps``, in the decoder's recursion
-    ``_forward``, which the path scorer runs too.
+    ``_forward``, whose matrices the path scorer reads.
     """
     return list(_states(chord.size, hand))
 
@@ -445,12 +446,13 @@ def _keeps(prev: Chord, chord: Chord, hand: Hand):
     return None if keep is True else keep
 
 
-def _forward(edges: list, chords: list, hand: Hand) -> tuple:
-    """The Viterbi recursion over the edge matrices of ``chords``: (final
-    scores, final prefix keys, parents, relaxed boundaries).  Each matrix
-    is masked by ``_keeps`` before it is added, unless that leaves no
-    finite score while the previous chord has one: then that boundary is
-    relaxed, added unmasked.  ``edges`` keeps the matrices added."""
+def _forward(model: ChordHmmModel, chords: list, hand: Hand) -> tuple:
+    """The Viterbi recursion over the ``_EdgeKernel.matrices`` of ``chords``:
+    (final scores, final prefix keys, parents, relaxed boundaries, the
+    matrices added).  Each is masked by ``_keeps`` before it is added,
+    unless that leaves no finite score while the previous chord has one:
+    then that boundary is relaxed, added unmasked."""
+    edges = _EdgeKernel(model, hand).matrices(chords)
     dp = edges[0][0]
     rank, top = np.arange(dp.size), dp.size - 1
     parents, relaxed = [], []
@@ -467,7 +469,16 @@ def _forward(edges: list, chords: list, hand: Hand) -> tuple:
         dp, parent = best_parents(cand, rank[:, None])
         parents.append(parent)
         rank, top = rerank(rank, parent, top)
-    return dp, rank, parents, relaxed
+    return dp, rank, parents, relaxed, edges
+
+
+def _path_scores(edges: list, cells) -> np.ndarray:
+    """The score of each row of ``cells``, a (paths, chords) array of state
+    indices: its cells of the matrices ``_forward`` added, boundary by boundary."""
+    score = edges[0][0, cells[:, 0]]
+    for ci in range(1, len(edges)):
+        score = score + edges[ci][cells[:, ci - 1], cells[:, ci]]
+    return score
 
 
 def _check_sizes(chords: list, what: str) -> None:
@@ -484,11 +495,11 @@ def _check_sizes(chords: list, what: str) -> None:
 def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
     the decoder assigns to it: the refusals of ``_check_sizes`` first,
-    then ValueError for a path of another length or a state its chord
-    does not have.
+    then ValueError for a path of another length, a state its chord does
+    not have, or a digit that is not an integer (True and 1.0 equal 1).
 
-    Each chord's term is the path's ``[previous, current]`` cell of the
-    matrix the decoder's recursion ``_forward`` added at that boundary:
+    Its row of ``_path_scores``: each chord's term is the path's
+    ``[previous, current]`` cell of the matrix ``_forward`` added there:
     -inf where the path changes the digit of a sustained note, unless
     the decoder relaxed that boundary.
     """
@@ -499,13 +510,9 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     for ci, (chord, state) in enumerate(zip(chords, path)):
         if state not in _states(chord.size, hand):
             raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
+        check_digits(state)
     cells = [_states(chord.size, hand).index(state) for chord, state in zip(chords, path)]
-    edges = _EdgeKernel(model, hand).matrices(chords)
-    _forward(edges, chords, hand)
-    score = edges[0][0, cells[0]]
-    for ci in range(1, len(chords)):
-        score = score + edges[ci][cells[ci - 1], cells[ci]]
-    return float(score)
+    return float(_path_scores(_forward(model, chords, hand)[-1], np.array([cells]))[0])
 
 
 def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
@@ -524,8 +531,7 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     """
     chords = list(chords)
     _check_sizes(chords, "decode")
-    edges = _EdgeKernel(model, hand).matrices(chords)
-    dp, rank, parents, relaxed = _forward(edges, chords, hand)
+    dp, rank, parents, relaxed, _ = _forward(model, chords, hand)
     best, indices = best_path(dp, rank, parents)
     if indices is None:
         raise NoFeasiblePath("all chord state paths have zero probability")

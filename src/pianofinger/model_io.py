@@ -44,9 +44,9 @@ deeply for the JSON parser.
 
 The kind string is part of the file format, so this module also holds
 ``KINDS``, the one table that knows the model kinds: for each kind its
-config and model classes, training counts and fit, per-hand decoder,
-dict codec, command-line options and coefficient table, the whole search
-box of ``experiments.tune``.  Everything else looks a kind up here.
+config and model classes, training counts and fit, decoder of a list of
+hand parts, dict codec, command-line options and coefficient table (the
+whole search box of ``experiments.tune``).  All else looks a kind up here.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ displacement alphabet for its finger pair, and decoding maximises
     sum_n [ log P(f_n | context) + sum_l alpha_l * log F_l(d; f_(n-l), f_n) ]
 
 which is an unnormalised posterior score; only its argmax is meaningful
-across configurations.  ``sequence_log_score`` adds a fingering's cells
-of the terms and masks the decoder's step function ``_steps`` yields, so
-exhaustive enumeration can be compared bitwise; whether the decoder
-drops the crossing constraint it asks the decoder's recursion.
+across configurations.  The oracle ``sequence_log_score`` is the decoder's
+preparation ``_part_tables`` plus ``_path_scores``, which adds a batch of
+fingerings' cells of the terms and masks ``_steps`` yields, so exhaustive
+enumeration prepares once, reads every fingering and compares bitwise.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from ._tables import (
     annotated_parts,
     best_parents,
     best_path,
+    check_digits,
     check_fields,
     check_non_negative,
     normalize_rows,
@@ -180,10 +181,10 @@ class NoteCounts(Counts):
 
 
 def _window_codes(f: np.ndarray, width: int) -> np.ndarray:
-    """Base-5 value of every run of ``width`` consecutive digits (0..4):
-    the flat (context, next digit) cell of its (width - 1)-digit context."""
+    """Base-5 value of every run of ``width`` consecutive digits (0..4) along
+    axis 0: the flat (context, next digit) cell of its (width - 1)-digit context."""
     n = max(0, len(f) - width + 1)
-    code = np.zeros(n, dtype=np.intp)
+    code = np.zeros((n, *f.shape[1:]), dtype=np.intp)
     for j in range(width):
         code = code * N_DIGITS + f[j : j + n]
     return code
@@ -285,13 +286,6 @@ def train(corpus, config: NoteHmmConfig) -> NoteHmmModel:
     return fit(count(corpus, config), config)
 
 
-def _check_digits(digits) -> None:
-    """ValueError unless every digit is an integer 1 to 5, not a bool."""
-    for d in digits:
-        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
-            raise ValueError(f"finger digit {d!r} is not an integer 1 to 5")
-
-
 def transition_prob(model: NoteHmmModel, context, next_digit: int) -> float:
     """Interpolated probability of the next digit given the last
     ``order`` digits; ValueError for a digit that is not 1 to 5."""
@@ -299,7 +293,7 @@ def transition_prob(model: NoteHmmModel, context, next_digit: int) -> float:
         raise ValueError(
             f"context must have {model.config.order} digits, got {len(context)}"
         )
-    _check_digits([*context, next_digit])
+    check_digits([*context, next_digit])
     return float(np.exp(model.log_transition[_flat_index(context), next_digit - 1]))
 
 
@@ -527,32 +521,35 @@ def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) 
     return result
 
 
+def _path_scores(model: NoteHmmModel, tables, paths) -> np.ndarray:
+    """The decoder's score of each row of ``paths``, (paths, notes) digits
+    1 to 5, on one part's ``_part_tables``: its cells of what ``_steps``
+    yields, in one pass.  A row that crosses where ``allowed`` forbids is
+    -inf, unless the constrained pass finds no path, as in the decoder."""
+    f, m = np.asarray(paths, dtype=np.intp).T - 1, model.config.order  # (notes, paths)
+    acc, crosses = model.log_initial[0][0][f[0]], np.zeros(f.shape[1], dtype=bool)
+    # note n's flat (state of its last min(n, m) digits, digit) cell; leading zeros add nothing
+    codes = _window_codes(np.pad(f, ((m, 0), (0, 0))), m + 1)
+    for n, (_, trans, terms, allow) in enumerate(_steps(model, [tables]), 1):
+        acc = acc + trans.take(codes[n])
+        if terms is not None:
+            acc = acc + terms[0].take(codes[n])
+        if allow is not None:  # over (previous digit, digit)
+            crosses |= ~allow[0].take(codes[n] % N_DIGITS**2)
+    if crosses.any() and _run_viterbi(model, [tables])[0] is not None:
+        acc[crosses] = NEG_INF
+    return acc
+
+
 def sequence_log_score(
     model: NoteHmmModel, piece: Piece, fingers, hand: Hand | None = None
 ) -> float:
-    """Log score the decoder assigns to one specific fingering; ValueError
-    for a fingering of another length or a digit that is not 1 to 5.
-
-    Adds its cells of the decoder's own ``_steps``, crossing fallback
-    included, so for short pieces exhaustive enumeration over this
-    function is a bitwise oracle for ``decode_viterbi``.
-    """
+    """Log score the decoder assigns to one fingering, its row of ``_path_scores``;
+    ValueError for a fingering of another length or a digit that is not 1 to 5."""
     if len(fingers) != len(piece):
         raise ValueError("fingering length does not match the piece")
-    _check_digits(fingers)
-    slabs, allowed = _part_tables(model, piece, hand)
-    f = [d - 1 for d in fingers]
-    crosses = any(a is not None and not a[f[n - 1], f[n]] for n, a in enumerate(allowed))
-    # the decoder drops the constraint only where its constrained pass finds no path
-    if crosses and _run_viterbi(model, [(slabs, allowed)])[0] is not None:
-        return NEG_INF
-    acc, state = float(model.log_initial[0][0][f[0]]), 0
-    for n, (_, trans, terms, _) in enumerate(_steps(model, [(slabs, allowed)]), 1):
-        state = (state * N_DIGITS + f[n - 1]) % len(trans)  # keeps its last k digits
-        acc = acc + trans[state, f[n]]
-        if terms is not None:
-            acc = acc + terms[0, state, f[n]]
-    return float(acc)
+    check_digits(fingers)
+    return float(_path_scores(model, _part_tables(model, piece, hand), [fingers])[0])
 
 
 def sample_piece(

@@ -106,12 +106,13 @@ def chordal_piece(groups, hand=Hand.RH, spacing=0.5, duration=0.3, digits=None):
 
 
 def brute_force_chords(model, chords, hand):
-    best_score, best_path = None, None
-    for path in product(*[enumerate_states(c, hand) for c in chords]):
-        score = chord_path_log_score(model, chords, hand, path)
-        if best_score is None or score > best_score:
-            best_score, best_path = score, path
-    return best_path, best_score
+    """The first best of every state path, in lexicographic order, and its
+    score: the oracle's preparation once, then one read of every path."""
+    states = [enumerate_states(c, hand) for c in chords]
+    cells = np.array(list(product(*[range(len(s)) for s in states])))
+    scores = chord_hmm._path_scores(chord_hmm._forward(model, chords, hand)[-1], cells)
+    best = int(np.argmax(scores))
+    return tuple(s[i] for s, i in zip(states, cells[best])), float(scores[best])
 
 
 # --- clustering --------------------------------------------------------------
@@ -757,3 +758,42 @@ def test_path_scorer_refuses_a_path_that_does_not_fit_the_chords(rng):
         message = rf"^state {re.escape(str(state))} of chord {ci} is not a crossing-free assignment$"
         with pytest.raises(ValueError, match=message):
             chord_path_log_score(model, chords, Hand.RH, wrong)
+
+
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_a_state_digit_that_is_not_an_integer_is_refused(one):
+    # True and 1.0 equal 1, so they match a state tuple, but are no digits
+    model = load_model(CHORD_V1)
+    rh = split_hands(load_piece(SAMPLE_CORPUS / "101-1_fingering.txt"))[0]
+    chords = cluster_chords(rh, model.params.delta)
+    states = decode_chords(model, chords, Hand.RH).states
+    ci, state = next((ci, s) for ci, s in enumerate(states) if 1 in s)
+    wrong = [*states[:ci], tuple(one if d == 1 else d for d in state), *states[ci + 1:]]
+    message = rf"^finger digit {re.escape(repr(one))} is not an integer 1 to 5$"
+    with pytest.raises(ValueError, match=message):
+        chord_path_log_score(model, chords, Hand.RH, wrong)
+
+
+def test_an_enumeration_builds_its_edge_matrices_once(rng, monkeypatch):
+    # one preparation per piece, whatever the number of paths read
+    model = random_chord_model(rng)
+    chords = cluster_chords(chordal_piece([(60, 64), (62, 65, 69), (64,)], duration=0.8), DELTA)
+    builds = count_calls(monkeypatch, _EdgeKernel, "matrices")
+    brute_force_chords(model, chords, Hand.RH)
+    assert len(builds) == 1
+
+
+def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng):
+    # a relaxed sustain boundary, random and decoded paths alike
+    model = load_model(CHORD_V1)
+    chords = cluster_chords(tie_heavy_chord_part(rng, 56), model.params.delta)
+    result = decode_chords(model, chords, Hand.RH)
+    assert result.relaxed_boundaries
+    states = [enumerate_states(chord, Hand.RH) for chord in chords]
+    cells = np.array([[int(rng.integers(len(s))) for s in states] for _ in range(40)]
+                     + [[s.index(state) for s, state in zip(states, result.states)]])
+    edges = chord_hmm._forward(model, chords, Hand.RH)[-1]
+    for row, score in zip(cells, chord_hmm._path_scores(edges, cells)):
+        path = [s[i] for s, i in zip(states, row)]
+        assert score.hex() == chord_path_log_score(model, chords, Hand.RH, path).hex()
+    assert score.hex() == result.log_score.hex()

@@ -52,12 +52,12 @@ def annotated(midis, digits, hand=Hand.RH, onsets=None, **kw):
 
 
 def brute_force_decode(model, piece, hand):
-    best_score, best_fingers = None, None
-    for fingers in product(range(1, 6), repeat=len(piece)):
-        score = sequence_log_score(model, piece, fingers, hand)
-        if best_score is None or score > best_score:
-            best_score, best_fingers = score, fingers
-    return best_fingers, best_score
+    """The first best of every fingering, in lexicographic order, and its
+    score: the oracle's preparation once, then one read of every path."""
+    paths = np.array(list(product(range(1, 6), repeat=len(piece))))
+    scores = note_hmm._path_scores(model, note_hmm._part_tables(model, piece, hand), paths)
+    best = int(np.argmax(scores))
+    return tuple(int(d) for d in paths[best]), float(scores[best])
 
 
 # --- training --------------------------------------------------------------
@@ -504,6 +504,36 @@ def test_the_oracle_of_a_crossing_fingering_builds_its_step_tables_once(monkeypa
     piece = make_piece([60, 64, 67, 72], onsets=[0.0, 0.0, 0.0, 0.5])
     assert sequence_log_score(model, piece, (3, 2, 1, 1), Hand.RH) == -math.inf
     assert len(builds) == 1
+
+
+def test_an_enumeration_builds_its_step_tables_once(rng, monkeypatch):
+    # one preparation per piece, and one constrained pass for all the paths that cross
+    model = random_note_model(rng, order=2)
+    piece = make_piece([60, 64, 67, 72], onsets=[0.0, 0.0, 0.0, 0.5])
+    builds = count_calls(monkeypatch, note_hmm, "_step_tables")
+    batches = lockstep_batches(monkeypatch)
+    brute_force_decode(model, piece, Hand.RH)
+    assert len(builds) == 1
+    assert len(batches) <= 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng, order):
+    # a crossing row scores -inf where the constraint holds; every row of
+    # the six-note cluster crosses, and keeps its score, as the decoder
+    # plays that cluster without the constraint
+    model = random_note_model(rng, order=order)
+    cluster = make_piece([60, 62, 64, 65, 67, 69, 72, 71], onsets=[0.0] * 6 + [0.5, 1.0])
+    playable = make_piece([60, 64, 67, 72, 71], onsets=[0.0] * 3 + [0.5, 0.5])
+    for piece, crossing_scores in ((cluster, np.isfinite), (playable, np.isneginf)):
+        result = decode_viterbi(model, piece, hand=Hand.RH)
+        paths = np.vstack([rng.integers(1, 6, (40, len(piece))), result.fingers])
+        scores = note_hmm._path_scores(model, note_hmm._part_tables(model, piece, Hand.RH), paths)
+        for fingers, score in zip(paths, scores):
+            assert score.hex() == sequence_log_score(model, piece, fingers, Hand.RH).hex()
+        assert scores[-1].hex() == result.log_score.hex()
+        assert result.crossing_fallback_used == (piece is cluster)
+        assert crossing_scores(scores[:-1]).any()
 
 
 # True is an int to isinstance, but no finger
