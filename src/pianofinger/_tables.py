@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFit, EmptyCorpus, MissingFinger
-from .pig_io import infer_hand
+from .pig_io import _is_digit, infer_hand
 from .pitch_space import MIDI_MAX, MIDI_MIN
 
 N_DIGITS = 5
@@ -136,9 +136,9 @@ def check_non_negative(name: str, value) -> None:
 
 
 def check_digits(digits) -> None:
-    """ValueError unless every digit is an integer 1 to 5, not a bool."""
+    """ValueError unless every digit is a finger digit, by ``pig_io``'s rule."""
     for d in digits:
-        if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and 1 <= d <= N_DIGITS):
+        if not _is_digit(d):
             raise ValueError(f"finger digit {d!r} is not an integer 1 to 5")
 
 

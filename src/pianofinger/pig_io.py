@@ -13,20 +13,29 @@ as ``1_2`` is resolved to the first finger at parse time.  Lines starting
 with ``//`` and blank lines are skipped.
 
 Parsing canonicalises a piece: onset/offset times are rounded to the
-format's six-decimal resolution and notes sharing an onset are ordered by
+format's six-decimal resolution, which changes only a time written with
+more than six decimals, and notes sharing an onset are ordered by
 ascending pitch, so that decoding and evaluation see one deterministic
-total order.  Onsets that *decrease* in file order are an error, never
-silently reordered.
+total order.
+
+A malformed file raises the first rule its lowest bad line breaks, in this
+order: field count; the numbers, in field order; negative id; non-finite
+time; negative onset; offset before onset; onset, then offset velocity;
+channel; pitch token; finger token.  Only a file free of these raises for
+onsets that *decrease* in file order, which are never silently reordered.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import zip_longest
+from operator import attrgetter, gt, le
+
+import numpy as np
 
 from .errors import (
     AlignmentMismatch,
@@ -51,6 +60,11 @@ class Hand(enum.Enum):
         return self.value
 
 
+def _is_digit(value) -> bool:
+    """Whether ``value`` is a finger digit: an int or numpy integer 1 to 5, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 < value < 6
+
+
 @dataclass(frozen=True, order=True)
 class FingerLabel:
     """One hand's digit: 1 = thumb .. 5 = little finger."""
@@ -61,8 +75,7 @@ class FingerLabel:
     def __post_init__(self):
         if not isinstance(self.hand, Hand):
             raise InvalidFinger(f"finger hand must be a Hand, got {self.hand!r}")
-        digit = self.digit  # an int or numpy integer 1 to 5, not a bool
-        if isinstance(digit, bool) or not isinstance(digit, numbers.Integral) or not 0 < digit < 6:
+        if not _is_digit(self.digit):
             raise InvalidFinger(f"finger digit must be 1..5, got {self.digit}")
 
     @property
@@ -203,13 +216,7 @@ _new_object = object.__new__
 
 def _parsed_note(note_id, onset, offset, pitch, midi, onset_velocity,
                  offset_velocity, channel, finger) -> Note:
-    """A ``Note`` from fields the parser has already validated.
-
-    It fills the instance dict directly instead of running the frozen
-    dataclass ``__init__``, which pays one ``object.__setattr__`` call per
-    field.  The result is an ordinary frozen ``Note``, equal and
-    hash-equal to ``Note(...)`` of the same fields.
-    """
+    """``Note(...)`` of validated fields, skipping the frozen ``__init__``'s setattr per field."""
     note = _new_object(Note)
     fields = note.__dict__
     fields["note_id"] = note_id
@@ -224,73 +231,82 @@ def _parsed_note(note_id, onset, offset, pitch, midi, onset_velocity,
     return note
 
 
-def _parse_line(line_no: int, fields: list[str]) -> Note:
-    if len(fields) not in (7, 8):
-        raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
-    try:
-        note_id = int(fields[0])
-        onset = round(float(fields[1]), TIME_DECIMALS)
-        offset = round(float(fields[2]), TIME_DECIMALS)
-        onset_velocity = int(fields[4])
-        offset_velocity = int(fields[5])
-        channel = int(fields[6])
-    except ValueError as exc:
-        raise MalformedLine(line_no, str(exc)) from None
-    if note_id < 0:
-        raise MalformedLine(line_no, f"negative note id {note_id}")
-    if not (math.isfinite(onset) and math.isfinite(offset)):
-        raise MalformedLine(line_no, f"non-finite time in {fields[1]} {fields[2]}")
-    if onset < 0:
-        raise MalformedLine(line_no, f"negative onset {onset}")
-    if offset < onset:
-        raise MalformedLine(line_no, f"offset {offset} before onset {onset}")
-    for v in (onset_velocity, offset_velocity):
-        if not 0 <= v <= 127:
-            raise MalformedLine(line_no, f"velocity {v} outside 0..127")
-    if channel not in (0, 1):
-        raise MalformedLine(line_no, f"channel {channel} is not 0 or 1")
-    try:
-        midi = pitch_to_midi(fields[3])
-        finger = resolve_substitution(fields[7]) if len(fields) == 8 else None
-    except (InvalidPitchToken, InvalidFinger) as exc:
-        exc.args = (f"line {line_no}: {exc}",)
-        raise
-    return _parsed_note(note_id, onset, offset, fields[3], midi, onset_velocity,
-                        offset_velocity, channel, finger)
+# Deleting these characters leaves nothing of a plain decimal, and
+# round(float(t), 6) == float(t) for a plain decimal t of at most six decimals.
+_PLAIN = str.maketrans("", "", "0123456789+-.\n")
+_SEVENTH_DECIMAL = re.compile(r"\.[0-9]{7}")
+_VELOCITIES = frozenset(range(128))
 
 
-def parse_fingering_file(
-    text: str, piece_id: str = "", annotator_id: str = ""
-) -> Piece:
+def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") -> Piece:
     """Parse a fingering file into a canonically ordered Piece.
 
     An unannotated file may omit the finger column (7 fields per line);
-    such notes carry ``finger=None``.
+    such notes carry ``finger=None``.  The file is read a column at a
+    time: each rule is checked only on the rows before the first failure
+    found so far, so the last failure found is the file's first error.
     """
-    notes: list[Note] = []
-    prev = None
-    backwards = None  # the first adjacent pair whose onset decreases, and its line
-    in_order = True   # already in (onset, midi) order: the sort is a no-op
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("//"):
-            continue
-        note = _parse_line(line_no, fields)
-        if prev is not None:
-            if note.onset < prev.onset:
-                backwards = backwards or (prev, note, line_no)
-            elif note.onset == prev.onset and note.midi < prev.midi:
-                in_order = False
-        notes.append(note)
-        prev = note
-    # Raised only after every line parsed, so a malformed line anywhere wins.
-    if backwards is not None:
-        prev, cur, line_no = backwards
-        raise NonMonotoneOnsets(
-            f"line {line_no}: onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
-        )
-    if not in_order:
-        notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only
+    rows = list(map(str.split, text.splitlines()))
+    line_nos = [i for i, fields in enumerate(rows, 1) if fields and fields[0][:2] != "//"]
+    if len(line_nos) < len(rows):
+        rows = [rows[i - 1] for i in line_nos]
+    n, error = len(rows), None
+    def fail(flags, template, *columns):  # the first flagged row; later rules stop before it
+        nonlocal n, error
+        n = next(i for i, flag in enumerate(flags) if flag)
+        error = MalformedLine(line_nos[n], template.format(*(column[n] for column in columns)))
+    if not {7, 8}.issuperset(lengths := list(map(len, rows))):
+        fail((length not in (7, 8) for length in lengths), "expected 8 fields, got {}", lengths)
+    columns = list(zip_longest(*rows[:n])) or [()] * 8  # a finger left out is None
+    fingers = columns[7] if len(columns) == 8 else (None,) * n
+    resolve = resolve_substitution if None not in fingers else (
+        lambda token: token and resolve_substitution(token))
+    values = []
+    for field, convert in ((0, int), (1, float), (2, float), (4, int), (5, int), (6, int)):
+        values.append(column := [])
+        try:
+            column.extend(map(convert, columns[field][:n]))  # keeps the values before a raise
+        except ValueError as exc:
+            n, error = len(column), MalformedLine(line_nos[len(column)], str(exc))
+    ids, onsets, offsets, on_vels, off_vels, channels = values
+    time_tokens = "\n".join(columns[1] + columns[2])
+    if time_tokens.translate(_PLAIN) or _SEVENTH_DECIMAL.search(time_tokens):
+        onsets, offsets = ([round(t, TIME_DECIMALS) for t in ts] for ts in (onsets, offsets))
+    if min(ids[:n], default=0) < 0:
+        fail((v < 0 for v in ids), "negative note id {}", ids)
+    if not all(map(math.isfinite, onsets[:n] + offsets[:n])):
+        fail((not (math.isfinite(a) and math.isfinite(b)) for a, b in zip(onsets, offsets)),
+             "non-finite time in {} {}", columns[1], columns[2])
+    if min(onsets[:n], default=0) < 0:
+        fail((t < 0 for t in onsets), "negative onset {}", onsets)
+    if not all(map(le, onsets[:n], offsets)):
+        fail(map(gt, onsets, offsets), "offset {} before onset {}", offsets, onsets)
+    for column, allowed, template in ((on_vels, _VELOCITIES, "velocity {} outside 0..127"),
+                                      (off_vels, _VELOCITIES, "velocity {} outside 0..127"),
+                                      (channels, {0, 1}, "channel {} is not 0 or 1")):
+        if not allowed.issuperset(column[:n]):
+            fail((v not in allowed for v in column), template, column)
+    for convert, tokens in ((pitch_to_midi, columns[3]), (resolve, fingers)):
+        values.append(column := [])
+        try:
+            column.extend(map(convert, tokens[:n]))
+        except (InvalidPitchToken, InvalidFinger) as exc:
+            n, error = len(column), exc
+            exc.args = (f"line {line_nos[n]}: {exc}",)
+    if error is not None:
+        raise error
+    midis, fingers = values[6:]
+    notes = list(map(_parsed_note, ids, onsets, offsets, columns[3], midis, on_vels,
+                     off_vels, channels, fingers))
+    keys = list(zip(onsets, midis))
+    if not all(map(le, keys, keys[1:])):  # not yet in (onset, midi) order
+        # Raised only after every rule passed, so a malformed line anywhere wins.
+        if not all(map(le, onsets, onsets[1:])):
+            i = next(i for i in range(1, n) if onsets[i] < onsets[i - 1])
+            raise NonMonotoneOnsets(
+                f"line {line_nos[i]}: onset {onsets[i]} of note {ids[i]} precedes {onsets[i - 1]}"
+            )
+        notes = [notes[i] for i in sorted(range(n), key=keys.__getitem__)]  # stable: ties by pitch
     return Piece(notes=tuple(notes), piece_id=piece_id, annotator_id=annotator_id)
 
 
@@ -343,12 +359,15 @@ def check_alignment(piece: Piece, reference: Piece, name: str) -> None:
     ``name`` labels ``piece`` in the message."""
     if len(piece) != len(reference):
         raise LengthMismatch(f"{name}: {len(piece)} notes, expected {len(reference)}")
-    for i, (a, b) in enumerate(zip(piece.notes, reference.notes)):
-        if (a.onset, a.midi) != (b.onset, b.midi):
-            raise AlignmentMismatch(
-                f"{name}: note content differs at position {i} "
-                f"({a.pitch}@{a.onset} vs {b.pitch}@{b.onset})"
-            )
+    key = attrgetter("onset", "midi")
+    keys, reference_keys = list(map(key, piece.notes)), list(map(key, reference.notes))
+    if keys != reference_keys:
+        i = next(i for i, pair in enumerate(zip(keys, reference_keys)) if pair[0] != pair[1])
+        a, b = piece.notes[i], reference.notes[i]
+        raise AlignmentMismatch(
+            f"{name}: note content differs at position {i} "
+            f"({a.pitch}@{a.onset} vs {b.pitch}@{b.onset})"
+        )
 
 
 @dataclass(frozen=True)

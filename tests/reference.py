@@ -19,7 +19,8 @@ the per-note loop the lock-step batch replaced
 (``reference_recombination``), ``cluster_chords`` as a quadratic
 walk (``reference_cluster_chords``), and the chord decoder's sustain
 filter ``_keeps`` by enumeration of (previous state, state) pairs
-(``keeps``).
+(``keeps``).  The fingering-file parser as the per-line loop the
+column-at-a-time parser replaced (``reference_parse_fingering_file``).
 """
 
 import math
@@ -29,9 +30,23 @@ import numpy as np
 
 from pianofinger._tables import NEG_INF
 from pianofinger.chord_hmm import Chord, ChordComponent, _layout, enumerate_states
-from pianofinger.errors import HandOverflow
+from pianofinger.errors import (
+    HandOverflow,
+    InvalidFinger,
+    InvalidPitchToken,
+    MalformedLine,
+    NonMonotoneOnsets,
+)
 from pianofinger.note_hmm import NoteHmmModel
-from pianofinger.pig_io import Hand
+from pianofinger.pig_io import (
+    TIME_DECIMALS,
+    Hand,
+    Note,
+    Piece,
+    _parsed_note,
+    pitch_to_midi,
+    resolve_substitution,
+)
 from pianofinger.pitch_space import (
     Displacement,
     PitchRepresentation,
@@ -271,3 +286,71 @@ def keeps(prev: Chord, chord: Chord, hand: Hand):
          for s in enumerate_states(chord, hand)]
         for p in enumerate_states(prev, hand)
     ])
+
+
+def _parse_line(line_no: int, fields: list[str]) -> Note:
+    if len(fields) not in (7, 8):
+        raise MalformedLine(line_no, f"expected 8 fields, got {len(fields)}")
+    try:
+        note_id = int(fields[0])
+        onset = round(float(fields[1]), TIME_DECIMALS)
+        offset = round(float(fields[2]), TIME_DECIMALS)
+        onset_velocity = int(fields[4])
+        offset_velocity = int(fields[5])
+        channel = int(fields[6])
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
+    if note_id < 0:
+        raise MalformedLine(line_no, f"negative note id {note_id}")
+    if not (math.isfinite(onset) and math.isfinite(offset)):
+        raise MalformedLine(line_no, f"non-finite time in {fields[1]} {fields[2]}")
+    if onset < 0:
+        raise MalformedLine(line_no, f"negative onset {onset}")
+    if offset < onset:
+        raise MalformedLine(line_no, f"offset {offset} before onset {onset}")
+    for v in (onset_velocity, offset_velocity):
+        if not 0 <= v <= 127:
+            raise MalformedLine(line_no, f"velocity {v} outside 0..127")
+    if channel not in (0, 1):
+        raise MalformedLine(line_no, f"channel {channel} is not 0 or 1")
+    try:
+        midi = pitch_to_midi(fields[3])
+        finger = resolve_substitution(fields[7]) if len(fields) == 8 else None
+    except (InvalidPitchToken, InvalidFinger) as exc:
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
+    return _parsed_note(note_id, onset, offset, fields[3], midi, onset_velocity,
+                        offset_velocity, channel, finger)
+
+
+def reference_parse_fingering_file(
+    text: str, piece_id: str = "", annotator_id: str = ""
+) -> Piece:
+    """``pig_io.parse_fingering_file`` as a loop over lines: each line is
+    checked rule by rule, so the first malformed line raises its first
+    broken rule."""
+    notes: list[Note] = []
+    prev = None
+    backwards = None  # the first adjacent pair whose onset decreases, and its line
+    in_order = True   # already in (onset, midi) order: the sort is a no-op
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("//"):
+            continue
+        note = _parse_line(line_no, fields)
+        if prev is not None:
+            if note.onset < prev.onset:
+                backwards = backwards or (prev, note, line_no)
+            elif note.onset == prev.onset and note.midi < prev.midi:
+                in_order = False
+        notes.append(note)
+        prev = note
+    # Raised only after every line parsed, so a malformed line anywhere wins.
+    if backwards is not None:
+        prev, cur, line_no = backwards
+        raise NonMonotoneOnsets(
+            f"line {line_no}: onset {cur.onset} of note {cur.note_id} precedes {prev.onset}"
+        )
+    if not in_order:
+        notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only
+    return Piece(notes=tuple(notes), piece_id=piece_id, annotator_id=annotator_id)

@@ -1,6 +1,7 @@
 """Fingering-file parsing, serialisation and hand splitting."""
 
 import dataclasses
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from pianofinger._tables import check_digits
 from pianofinger.errors import (
     AlignmentMismatch,
     FingeringError,
@@ -322,6 +325,35 @@ def test_from_signed_refuses_what_is_not_an_integer(value):
         FingerLabel.from_signed(value)
 
 
+class _RegisteredIntegral:
+    """A ``numbers.Integral`` by registration only: neither an int nor a
+    numpy integer, though it compares as the value it holds."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __lt__(self, other):
+        return self.value < other
+
+    def __gt__(self, other):
+        return self.value > other
+
+    def __repr__(self):
+        return f"_RegisteredIntegral({self.value})"
+
+
+numbers.Integral.register(_RegisteredIntegral)
+
+
+def test_a_registered_integral_is_no_digit_to_a_label_or_a_model():
+    digit = _RegisteredIntegral(1)
+    assert isinstance(digit, numbers.Integral) and 0 < digit < 6
+    with pytest.raises(InvalidFinger, match=r"^finger digit must be 1\.\.5, got "):
+        FingerLabel(Hand.RH, digit)
+    with pytest.raises(ValueError, match=r"^finger digit _RegisteredIntegral\(1\) is not an integer"):
+        check_digits([digit])
+
+
 def test_numpy_integer_digits_make_the_labels_they_name():
     assert FingerLabel(Hand.RH, np.int64(3)) == FingerLabel(Hand.RH, 3)
     assert FingerLabel.from_signed(np.int8(-4)) == FingerLabel.from_signed(-4)
@@ -466,3 +498,82 @@ def test_arbitrary_text_parses_or_raises_fingering_error(lines):
             continue
         keys = [(n.onset, n.midi) for n in piece.notes]
         assert keys == sorted(keys)
+
+
+def _outcome(parse, text):
+    """The notes ``parse`` reads from ``text`` as field tuples, or the type
+    and message of what it raised."""
+    try:
+        piece = parse(text)
+    except Exception as exc:  # noqa: BLE001 - a stray type must show in the comparison
+        return type(exc), str(exc)
+    for note in piece.notes:
+        assert type(note.onset) is float and type(note.offset) is float
+    # repr tells -0.0 from 0.0, which a message may print
+    return [tuple(repr(getattr(n, f.name)) for f in dataclasses.fields(Note))
+            for n in piece.notes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(hostile_lines(), min_size=1, max_size=8))
+def test_parse_matches_the_per_line_reference(lines):
+    for text in ["\n".join(lines), *lines]:
+        expected = _outcome(reference.reference_parse_fingering_file, text)
+        assert _outcome(parse_fingering_file, text) == expected
+
+
+def _first_error(text):
+    with pytest.raises(FingeringError) as info:
+        parse_fingering_file(text)
+    assert _outcome(reference.reference_parse_fingering_file, text) == (
+        type(info.value), str(info.value))
+    return info.value
+
+
+def test_a_bad_field_count_beats_a_later_bad_velocity():
+    error = _first_error("0 0.0 0.5 C4 80 80 0 1\n1 0.5 1.0 D4 80 80\n2 1.0 1.5 E4 200 80 0 3\n")
+    assert isinstance(error, MalformedLine) and error.line_no == 2
+    assert str(error) == "line 2: expected 8 fields, got 6"
+
+
+def test_a_bad_id_beats_a_bad_pitch_on_the_same_line():
+    error = _first_error("0 0.0 0.5 C4 80 80 0 1\nx 0.5 1.0 Q4 80 80 0 2\n")
+    assert str(error) == "line 2: invalid literal for int() with base 10: 'x'"
+
+
+def test_a_malformed_line_anywhere_beats_an_earlier_backwards_onset():
+    error = _first_error("0 1.0 1.5 C4 80 80 0 1\n1 0.5 1.0 D4 80 80 0 2\n"
+                         "2 1.0 1.5 E4 80 80 0 2\n3 1.5 2.0 F4 80 80 0 0\n")
+    assert str(error) == "line 4: finger 0 outside 1..5 in '0'"
+
+
+# One way to break each line rule, as (field, token), in the parser's rule
+# order; the conversions come first, one per number field.
+_BREAKERS = [(0, "x"), (1, "x"), (2, "x"), (4, "x"), (5, "x"), (6, "x"), (0, "-1"), (1, "nan"),
+             (1, "-0.5"), (2, "0.25"), (4, "128"), (5, "-1"), (6, "2"), (3, "Q4"), (7, "0")]
+
+
+def _broken(*breakers) -> str:
+    """A good first line, then a line with each (field, token) of ``breakers``."""
+    fields = "1 0.5 1.0 D4 64 64 0 2".split()
+    for field, token in breakers:
+        fields[field] = token
+    return "0 0.0 0.5 C4 64 64 0 1\n" + " ".join(fields) + "\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    (a, b) for i, a in enumerate(_BREAKERS) for b in _BREAKERS[i + 1:] if a[0] != b[0]
+])
+def test_a_line_that_breaks_two_rules_raises_the_earlier(first, second):
+    text = _broken(first, second)
+    assert _outcome(parse_fingering_file, text) == _outcome(
+        reference.reference_parse_fingering_file, text)
+
+
+@pytest.mark.parametrize("token", ["1e-7", "1.5E-7", "0.000_0004", "٠.٠٠٠٠٠٠٦", "0.1234567",
+                                   "+0.0000004", "1.0000005"])
+def test_a_time_is_rounded_whatever_its_spelling(token):
+    text = f"0 {token} 2.0 C4 64 64 0 1\n1 {token} 2.0 E4 64 64 0 1\n"
+    assert _outcome(parse_fingering_file, text) == _outcome(
+        reference.reference_parse_fingering_file, text)
+    assert parse_fingering_file(text).notes[0].onset == round(float(token), 6)
