@@ -1,5 +1,6 @@
 """What the note and chord HMMs share: digit states and their rule, config
-value rules, annotated training parts, additive counts, the exact-DP tie rule."""
+value rules, annotated training parts, additive counts; and the tie rule of
+all three exact DPs, the two decoders and the recombination match rate."""
 
 import math
 import numbers

@@ -24,11 +24,14 @@ running sum (``np.add.accumulate``) of its substitution costs.  Batch at
 the caller: ``cli.cmd_evaluate`` scores every piece, hand and
 leave-one-out row of an ``evaluate`` call in one ``hand_reports`` call,
 and ``experiments.evaluate_model`` every validation piece in one
-``match_rates`` call.  A lone ``recombination_match_rate`` call is a
-batch of one, which pays numpy's per-step overhead for a single row:
-about 30 us per note at G = 2 and at G = 5, against 3 and 13 us for the
-plain loop it replaced, and 0.2-0.9 us per note at G = 1 (Xeon vCPU,
-Python 3.11, numpy 2.4).
+``match_rates`` call.  Only ``recombination_match_rates`` reads the
+paths, so only it keeps prefix keys and parents.  A lone call is a batch
+of one, which pays numpy's per-step overhead for a single row: on a
+3,000-note row, about 17 us per note at G = 2 and 22 at G = 5 for
+``recombination_match_rate``, 9 and 12 for ``match_rates("m_rec", ...)``
+and ``match_rate_report``, which need only E, against 3 and 7 us for the
+plain per-note loop, and about 0.1 us per note at G = 1 (one CPU of a
+shared 2-vCPU Intel Xeon host, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._tables import best_parents, best_path, rerank
 from .errors import LengthMismatch
 from .pig_io import hand_positions
 
@@ -171,12 +175,12 @@ def _lockstep(batch, config, paths) -> tuple:
     """E_rec and, if ``paths``, the paths of G >= 2 rows sorted longest
     first, one note of every unfinished row per step.
 
-    ``dp`` holds each row's best prefix cost per ground truth g and
-    ``perm[r]`` the g whose best prefix ranks r-th.  A step builds the
-    (rows, G, G) candidate costs from the note's (rows, G) columns and
-    reads them in rank order, so ``argmin`` over the predecessors takes
-    the lowest-ranked of equal-cost ones, and the stable ``argsort`` of the
-    chosen parents' positions re-ranks by (parent rank, g).
+    ``dp`` holds each row's best prefix cost per ground truth g, negated,
+    so that the exact-DP tie rule of ``_tables`` picks the paths: the rows'
+    prefix keys sit in one flat array, row r's from r * G, as in
+    ``note_hmm._run_viterbi``, and each row backtracks when it ends.  A
+    max of negated costs is the negated min bit for bit, as every cost is
+    non-negative.  Without ``paths`` a step keeps no keys or parents.
     """
     lengths = [agree.shape[1] for _, agree in batch]
     n_steps, n_rows, n_g = lengths[0], len(batch), len(batch[0][0])
@@ -190,46 +194,38 @@ def _lockstep(batch, config, paths) -> tuple:
         codes[at], miss[at] = _codes(labels).T, ~agree.T
     active, starts = active.tolist(), starts.tolist()
 
-    switch = np.array([config.c_rec_prime, config.c_rec, 0.0])  # by same label + same g
+    switch = -np.array([config.c_rec_prime, config.c_rec, 0.0])  # negated, by same label + same g
     stay = np.eye(n_g, dtype=np.int8)
-    sub = np.array([0.0, config.c_sub])
+    sub = -np.array([0.0, config.c_sub])
     offsets = np.arange(n_rows)[:, None] * n_g  # of each row in a flat (rows, G) array
-    if paths:  # parent of each ground truth per step; a row that has ended stays put
-        parents = np.empty((max(n_steps - 1, 0), n_rows, n_g), codes.dtype)
-        parents[:] = np.arange(n_g)
-    e_rec, last = np.empty(n_rows), np.empty(n_rows, np.intp)
     dp = sub.take(miss[: starts[1]]).reshape(n_rows, n_g)
-    perm, flat = np.tile(np.arange(n_g), (n_rows, 1)), offsets
+    rank, top, index = np.arange(dp.size), dp.size - 1, np.arange(dp.size)
+    e_rec, tracks, parents = np.empty(n_rows), [None] * n_rows, []
 
-    def finish(b):
-        """Record rows b.. of the running batch, which end here."""
-        ranked = dp.take(perm + flat)[b:]
-        at = np.arange(len(ranked)), ranked.argmin(axis=1)
-        e_rec[b : len(dp)], last[b : len(dp)] = ranked[at], perm[b:][at]
+    def end(b):  # rows b.. have no next note
+        e_rec[b : len(dp)] = -dp[b:].max(axis=1)
+        if paths:
+            for r in range(b, len(dp)):
+                _, path = best_path(dp[r], rank[r * n_g : (r + 1) * n_g], parents, r * n_g)
+                tracks[r] = (0,) * lengths[r] if path is None else tuple(int(s) % n_g for s in path)
+        return dp[:b], rank[: b * n_g]
 
     for pos in range(1, n_steps):
         b, note = active[pos], slice(starts[pos], starts[pos + 1])
         if b < len(dp):
-            finish(b)
-            dp, perm, flat = dp[:b], perm[:b], flat[:b]
+            dp, rank = end(b)
         col = codes[note].reshape(b, n_g)
         same = (col[:, :, None] == col[:, None, :]).view(np.int8)
-        cand = dp[:, :, None] + switch.take(same + stay)
-        choice = cand.reshape(-1, n_g).take(perm + flat, axis=0).argmin(axis=1)
-        dp = np.minimum.reduce(cand, axis=1) + sub.take(miss[note]).reshape(b, n_g)
+        scores = (dp[:, :, None] + switch.take(same + stay)).swapaxes(0, 1)  # parent first
         if paths:
-            parents[pos - 1, :b] = perm.take(choice + flat)
-        perm = choice.argsort(axis=1, kind="stable")
-    finish(0)
-    if not paths:
-        return e_rec.tolist(), [None] * n_rows
-
-    tracks = np.empty((n_steps, n_rows), codes.dtype)
-    tracks[-1] = last
-    for t in range(n_steps - 2, -1, -1):
-        tracks[t] = parents[t].take(tracks[t + 1] + offsets[:, 0])
-    tracks[:, e_rec == INF] = 0
-    return e_rec.tolist(), [tuple(tracks[:n, j].tolist()) for j, n in enumerate(lengths)]
+            dp, g = best_parents(scores, rank.reshape(b, n_g, 1).swapaxes(0, 1))
+            parents.append((g + offsets[:b]).reshape(-1))
+            rank, top = rerank(rank, parents[-1], top, index[: b * n_g])
+        else:
+            dp = np.maximum.reduce(scores)
+        dp = dp + sub.take(miss[note]).reshape(b, n_g)
+    end(0)
+    return e_rec.tolist(), tracks
 
 
 def _reports(rows, config) -> list:

@@ -3,7 +3,8 @@
 The dense tie rule: after every DP step the best prefixes are ranked
 0..states-1 by one stable argsort, and ``best_parents`` takes the
 lowest-ranked of the tied best candidates.  ``pianofinger._tables``
-extends integer keys instead; both must choose the same parents.
+extends integer keys instead, in both decoders and the recombination DP;
+both must choose the same parents.
 
 The per-boundary chord edge kernel: each boundary's score matrix is
 gathered on its own and summed by ``np.add.accumulate`` over the terms.
@@ -16,10 +17,10 @@ The scalar forms of vectorised rules: one note's output score
 (``displacement_index``) and its negation (``negate``).  The
 recombination DP by enumeration (``brute_force_recombination``) and as
 the per-note loop the lock-step batch replaced
-(``reference_recombination``), ``cluster_chords`` as a quadratic
-walk (``reference_cluster_chords``), and the chord decoder's sustain
-filter ``_keeps`` by enumeration of (previous state, state) pairs
-(``keeps``).  The fingering-file parser as the per-line loop the
+(``reference_recombination``), which stays the dense-rank reference for
+its tie rule, ``cluster_chords`` as a quadratic walk
+(``reference_cluster_chords``), and the chord decoder's sustain filter
+``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).  The fingering-file parser as the per-line loop the
 column-at-a-time parser replaced (``reference_parse_fingering_file``).
 """
 

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import count_calls, make_piece
+from pianofinger import eval_measures
 from pianofinger.errors import LengthMismatch
 from pianofinger.eval_measures import (
     DEFAULT_COSTS,
     RecombinationConfig,
     format_report_table,
     format_report_text,
+    hand_reports,
     match_rate_report,
     match_rates,
     recombination_match_rate,
@@ -182,6 +185,35 @@ def test_batch_equals_reference_loop_bitwise(batch):
         assert _bitwise(recombination_match_rates([(est, gts)], config)[0]) == expected
         report = match_rate_report(est, gts, config)  # the DP without its parents
         assert _bitwise((report.m_rec, report.e_rec, expected[3])) == expected
+
+
+@pytest.mark.parametrize("config", [DEFAULT_COSTS, RecombinationConfig(0.5, 1.0, 1.0)])
+def test_long_tie_heavy_rows_equal_reference_loop(rng, config):
+    # The prefix-key bound starts at rows * G and grows by a factor of
+    # (running rows) * G per note, so the keys would pass 2**62 and are
+    # re-densified every 62 / log2(rows * G) notes: about every 17 notes for
+    # 6 rows at G = 2 and every 62 for a lone row, many times in rows of up
+    # to 300 notes (72 times in this batch under the default costs).
+    pairs = []
+    for n_g in range(2, 7):
+        for n in rng.integers(1, 301, size=6):
+            fingers = rng.choice([1, -1], size=(n_g + 1, n)).tolist()
+            pairs.append((fingers[0], fingers[1:]))
+    for (est, gts), result in zip(pairs, recombination_match_rates(pairs, config)):
+        assert repr(result) == repr(reference.reference_recombination(est, gts, config))
+
+
+def test_batches_that_only_need_e_rec_do_no_tie_work(monkeypatch):
+    calls = [count_calls(monkeypatch, eval_measures, name) for name in ("best_parents", "rerank")]
+    gts = [[1, 2, 1, 2, 3], [1, 1, 2, 2, 3], [2, 1, 1, 2, 3]]
+    est = [1, 2, 2, 2, 3]
+    piece = make_piece([60, 62, 64, 65, 67])
+    hand_reports([("p", piece, gts, est), ("p", piece, gts, None)])
+    match_rates("m_rec", [(est, gts), (est, gts[:2])])
+    match_rate_report(est, gts)
+    assert calls == [[], []]
+    recombination_match_rates([(est, gts)])
+    assert all(calls)
 
 
 def test_all_infeasible_rows_take_the_zero_path():
