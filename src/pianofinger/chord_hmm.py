@@ -385,7 +385,7 @@ class _EdgeKernel:
 
     def __init__(self, model: ChordHmmModel, hand: Hand):
         p = model.params
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             # the layout _layout indexes
             self.flat = np.concatenate([
                 [0.0],
@@ -446,6 +446,7 @@ def _keeps(prev: Chord, chord: Chord, hand: Hand):
     return None if keep is True else keep
 
 
+@np.errstate(over="ignore")  # a sum of log probabilities may overflow to -inf
 def _forward(model: ChordHmmModel, chords: list, hand: Hand) -> tuple:
     """The Viterbi recursion over the ``_EdgeKernel.matrices`` of ``chords``:
     (final scores, final prefix keys, parents, relaxed boundaries, the
@@ -472,6 +473,7 @@ def _forward(model: ChordHmmModel, chords: list, hand: Hand) -> tuple:
     return dp, rank, parents, relaxed, edges
 
 
+@np.errstate(over="ignore")
 def _path_scores(edges: list, cells) -> np.ndarray:
     """The score of each row of ``cells``, a (paths, chords) array of state
     indices: its cells of the matrices ``_forward`` added, boundary by boundary."""

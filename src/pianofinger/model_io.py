@@ -30,7 +30,7 @@ though the writer renders them itself, straight from the table arrays:
 keys sorted at every level, each item on its own line indented one space
 per nesting level, ``,`` ending every item but the last, ``": "`` after
 each key, a leaf written as ``float.__repr__`` writes it (``-0.0``,
-``5e-324``, ``1e+16``), and no trailing newline.  Zero-probability cells
+``-5e-324``, ``-1e+16``), and no trailing newline.  Zero-probability cells
 serialise as ``-Infinity``, which the JSON module reads back exactly, so
 a reloaded model decodes bit-identically.
 
@@ -39,7 +39,7 @@ the document or in its config, a config value of the wrong type or out
 of range, any table whose rows or columns differ from the keys its
 config implies (a missing or extra row, or an edited ``delta_p_max``), a
 missing or extra table, any leaf that is not a number (true, false,
-null, a string or a list), NaN or +Infinity, and a file nested too
+null, a string or a list), NaN or above 0, and a file nested too
 deeply for the JSON parser.
 
 The kind string is part of the file format, so this module also holds
@@ -175,16 +175,16 @@ def _decode(data, rows, cols: list) -> np.ndarray:
     """The inverse of writing a ``_Table``, as a ``(len(rows), len(cols))`` array.
 
     Every object must hold exactly the expected keys, and every leaf must
-    be a number below +Infinity: numpy would read a true/false leaf as
-    1/0 and a null leaf as NaN.
+    be a log probability, a number at most 0: numpy would read a
+    true/false leaf as 1/0 and a null leaf as NaN.
     """
     if rows is None:
         values = _leaves(data, cols)
     else:
         values = [_leaves(row, cols) for row in _keyed(data, rows)]
     table = np.array(values)
-    if table.dtype.kind not in "if" or not (table < np.inf).all():
-        raise ValueError("a leaf is NaN, +Infinity or out of range")
+    if table.dtype.kind not in "if" or not (table <= 0).all():
+        raise ValueError("a leaf is NaN, above 0 or out of range")
     return table.astype(float)
 
 

@@ -8,9 +8,10 @@ pair.  Optional time-inversion and left/right reflection symmetries are
 imposed by count tying, and a hard constraint can forbid finger crossings
 inside chords.  Decoding is exact Viterbi over the last-``m``-digit state
 space, in one DP over a list of hand parts (``decode_parts``; up to
-LOCKSTEP part-notes each): the parts run in lock step, longest first, so
-those still running are a prefix of the batch.  Parts the crossing
-constraint leaves no path rerun without it.
+LOCKSTEP part-notes each) that reads one set of ``_step_tables`` in place:
+the parts run in lock step, longest first, so those still running are a
+prefix of the batch.  Parts the crossing constraint leaves no path rerun
+on the same tables without it.
 
 Score convention: each pairwise output row is normalised over the clamped
 displacement alphabet for its finger pair, and decoding maximises
@@ -19,16 +20,15 @@ displacement alphabet for its finger pair, and decoding maximises
 
 which is an unnormalised posterior score; only its argmax is meaningful
 across configurations.  The oracle ``sequence_log_score`` is the decoder's
-preparation ``_part_tables`` plus ``_path_scores``, which adds a batch of
-fingerings' cells of the terms and masks ``_steps`` yields, so exhaustive
-enumeration prepares once, reads every fingering and compares bitwise.
+preparation of a set of one part, ``_part_tables``, plus ``_path_scores``,
+which adds a batch of fingerings' cells of the terms and masks ``_steps``
+yields, so enumeration prepares once and reads every fingering bitwise.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -151,19 +151,14 @@ class DecodeResult:
 
 
 def _flat_index(digits) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * N_DIGITS + (d - 1)
-    return idx
+    return sum((d - 1) * N_DIGITS**i for i, d in enumerate(reversed(digits)))
 
 
 def _enforce_time_inversion(table: np.ndarray, negperm: np.ndarray) -> np.ndarray:
     """Copy each cell from its canonical partner so that
     F[f', f, d] == F[f, f', -d] holds bitwise."""
     partner = table.transpose(1, 0, 2)[:, :, negperm]
-    i = np.arange(N_DIGITS)[:, None, None]
-    j = np.arange(N_DIGITS)[None, :, None]
-    k = np.arange(table.shape[2])[None, None, :]
+    i, j, k = np.ogrid[:N_DIGITS, :N_DIGITS, : table.shape[2]]
     canonical = (i < j) | ((i == j) & (k <= negperm[k]))
     return np.where(canonical, table, partner)
 
@@ -306,32 +301,46 @@ ALLOWED_DESCENDING_RH = _DIGIT_DIR < 0
 
 # --- decoding -------------------------------------------------------------
 
-def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
-    """Per-piece score tables ``(slabs, allowed)`` of one hand part, built
-    once per call of the decoder or its oracle.  ``slabs`` lists ``(lag,
-    slab)`` in lag order; note n >= lag is scored by ``slab[n - lag]``, a
-    (5, 5) alpha-weighted log factor over (digit at note n - lag, digit
-    at note n).  ``allowed[n]`` is None or the (5, 5) allowed matrix over
-    (previous digit, digit) of note n."""
+@np.errstate(over="ignore")  # log probabilities may scale or add up to -inf
+def _step_tables(model: NoteHmmModel, parts) -> tuple:
+    """One set of score tables ``(slabs, starts, lengths, masks)`` of the
+    ``(hand, keys, onsets)`` parts ``parts`` lists longest first, built once
+    per call of the decoder or its oracle: part p is ``lengths[p]`` notes
+    of the joined keys from row ``starts[p]``.  ``slabs`` lists ``(lag,
+    slab)`` in lag order; part p's note n >= lag is scored by
+    ``slab[starts[p] + n - lag]``, a (5, 5) alpha-weighted log factor of
+    its hand over (digit at note n - lag, digit at note n); no row that
+    spans two parts is read.  ``masks`` maps each note n at which some part
+    plays a chord, under the model's constraint, to the parts' (P, 5, 5)
+    allowed matrices over (previous digit, digit), all True for the rest."""
     cfg = model.config
     cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
+    lengths = np.array([len(keys) for _, keys, _ in parts], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    part = np.repeat(np.arange(len(parts)), lengths)  # each joined note's part
+    side = np.repeat([hand.value for hand, _, _ in parts], lengths)  # and its hand's
+    keys = np.concatenate([keys for _, keys, _ in parts])
     slabs = []
     for lag in range(1, cfg.order + 1):
         if cfg.alpha[lag - 1] == 0.0:
             continue  # inert factor; also avoids -inf * 0 = nan
-        by_cell = np.moveaxis(model.log_output[hand][lag - 1], 2, 0)
-        slab = by_cell[cell[keys[:-lag], keys[lag:]]]  # a fresh array
+        by_cell = np.moveaxis(np.stack([model.log_output[h][lag - 1] for h in Hand]), 3, 1)
+        slab = by_cell[side[lag:], cell[keys[:-lag], keys[lag:]]]  # a fresh array
         slab *= cfg.alpha[lag - 1]
         slabs.append((lag, slab))
-    allowed = [None] * len(keys)
-    if use_constraint:
-        step = np.diff(keys)
+    masks = {}
+    if cfg.chord_constraint:
+        step, onsets = np.diff(keys), np.concatenate([onsets for _, _, onsets in parts])
         chord = (np.abs(np.diff(onsets)) <= cfg.chord_threshold) & (step != 0)
+        rows = np.flatnonzero(chord & (part[1:] == part[:-1])) + 1
         # ascending digits: upward in the right hand, downward in the left
-        ascending = (step > 0) == (hand is Hand.RH)
-        for n in np.flatnonzero(chord).tolist():
-            allowed[n + 1] = ALLOWED_ASCENDING_RH if ascending[n] else ALLOWED_DESCENDING_RH
-    return slabs, allowed
+        ascending = (step[rows - 1] > 0) == (side[rows] == Hand.RH.value)
+        notes, at = np.unique(rows - starts[part[rows]], return_inverse=True)
+        allowed = np.ones((len(notes), len(parts), N_DIGITS, N_DIGITS), dtype=bool)
+        allowed[at, part[rows]] = np.where(ascending[:, None, None], ALLOWED_ASCENDING_RH,
+                                           ALLOWED_DESCENDING_RH)
+        masks = dict(zip(notes.tolist(), allowed))
+    return slabs, starts, lengths, masks
 
 
 # part-notes whose output terms are added up at once, BLOCK / b rounded up
@@ -339,22 +348,19 @@ def _step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
 BLOCK = 64
 
 
-def _output_terms(lags, first: int, stop: int, k: int, b: int):
+def _output_terms(slabs, starts, first: int, stop: int, k: int, b: int):
     """The alpha-weighted output terms of notes first..stop-1 of the first
     b parts, a (b, notes, 5**k, 5) array over (previous state of k digits,
     digit), added in lag order over the lags up to k; None if there is
-    none.  ``lags`` lists ``(lag, slabs, starts)``: all parts' slabs of a
-    lag in one array, part p's note n in row ``starts[p, 0] + n``; rows
-    past a part's end are never read.  Axis k - lag of a state holds its
-    digit lag notes back, so a (5, 5) slab broadcasts over the others."""
+    none.  Each term is one gather of ``_step_tables``' rows of ``slabs``
+    from ``starts``; rows past a part's end are never read.  Axis k - lag
+    of a state holds its digit lag notes back, so a (5, 5) slab broadcasts
+    over the others."""
     shape = (b, stop - first) + (N_DIGITS,) * (k + 1)
-    notes, out = np.arange(first, stop) if b > 1 else None, None
-    for lag, slabs, starts in lags:
+    rows, out = starts[:b, None] + np.arange(first, stop), None
+    for lag, slab in slabs:
         if lag <= k:
-            # part 0 starts at row -lag and, running alone, has all the notes
-            rows = (slabs[first - lag : stop - lag] if b == 1
-                    else slabs.take(starts[:b] + notes, axis=0, mode="clip"))
-            term = rows.reshape(
+            term = slab.take(rows - lag, axis=0, mode="clip").reshape(
                 shape[:2] + (1,) * (k - lag) + (N_DIGITS,) + (1,) * (lag - 1) + (N_DIGITS,)
             )
             if out is None:
@@ -366,62 +372,45 @@ def _output_terms(lags, first: int, stop: int, k: int, b: int):
 
 def _steps(model: NoteHmmModel, tables):
     """``(b, transition, terms, allowed)`` of each note n >= 1, in DP order,
-    of the parts whose ``_step_tables`` ``tables`` lists longest first, of
-    which the first b have note n: the (5**k, 5) table over (previous
-    state of k = min(n, order) digits, digit), their terms from
-    ``_output_terms`` (None where no lag scores the note), and None or
-    their (b, 5, 5) allowed matrices over (previous digit, digit)."""
-    m = model.config.order
-    lengths = [len(allowed) for _, allowed in tables]
-    lags = []
-    for per_part in zip(*(slabs for slabs, _ in tables)):  # one lag's (lag, slab) of each part
-        slabs = [slab for _, slab in per_part]
-        lag = per_part[0][0]
-        starts = np.array(list(accumulate((len(slab) for slab in slabs[:-1]), initial=-lag)))
-        joined = slabs[0] if len(slabs) == 1 else np.concatenate(slabs)  # no copy of a lone part
-        lags.append((lag, joined, starts[:, None]))
-    # note -> every part's allowed matrix there, all True for a part with none
-    masks, all_allowed = {}, np.ones((len(tables), N_DIGITS, N_DIGITS), dtype=bool)
-    for p, (_, allowed) in enumerate(tables):
-        for n, allow in enumerate(allowed):
-            if allow is not None:
-                if n not in masks:
-                    masks[n] = all_allowed.copy()
-                masks[n][p] = allow
-    b, stop = len(tables), 1
+    of one set of ``_step_tables`` ``tables``, whose first b parts have
+    note n: the (5**k, 5) table over (previous state of k = min(n, order)
+    digits, digit), their terms from ``_output_terms`` (None where no lag
+    scores the note), and None or their (b, 5, 5) rows of ``masks``."""
+    slabs, starts, lengths, masks = tables
+    m, lengths = model.config.order, lengths.tolist()
+    b, stop = len(lengths), 1
     for n in range(1, lengths[0]):
         while lengths[b - 1] <= n:
             b -= 1
         if n == stop:  # a warm-up note, or the next block
             start, stop = n, n + 1 if n < m else min(n - (-BLOCK // b), lengths[0])
-            terms = _output_terms(lags, start, stop, min(n, m), b)
+            terms = _output_terms(slabs, starts, start, stop, min(n, m), b)
         trans = model.log_initial[n] if n < m else model.log_transition
         allow = masks[n][:b] if n in masks else None
         yield b, trans, None if terms is None else terms[:b, n - start], allow
 
 
+@np.errstate(over="ignore")
 def _run_viterbi(model: NoteHmmModel, tables) -> list:
-    """Exact DP over ``_steps`` of all the parts whose ``_step_tables``
-    ``tables`` lists longest first, in lock step; per part, in order,
-    (digits, log score) or None when every path has score -inf.  The
-    parts that have note n are the first b: ``dp``, a row of state scores
-    per part, shrinks to them with no mask.  ``rank`` holds their
-    prefix keys flat, part p's from p * states, so one gather extends all.
-    Exact score ties resolve to the lexicographically smallest digits by
-    the tie rule of ``_tables``: extensions of one prefix order by state
-    index, so ties cost O(states) per note.  Each score is ``(dp +
-    transition) + terms``, masked by ``allowed``: the terms and masks whose
-    path cells the oracle reads.  Each part backtracks on its own."""
-    if not tables:
-        return []
-    m = model.config.order
+    """Exact DP over ``_steps`` of one set of ``_step_tables`` ``tables``,
+    its parts in lock step; per part, in order, (digits, log score) or None
+    when every path has score -inf.  The parts that have note n are the
+    first b: ``dp``, a row of state scores per part, shrinks to them with
+    no mask.  ``rank`` holds their prefix keys flat, part p's from p *
+    states, so one gather extends all.  Exact score ties resolve to the
+    lexicographically smallest digits by the tie rule of ``_tables``:
+    extensions of one prefix order by state index, so ties cost O(states)
+    per note.  Each score is ``(dp + transition) + terms``, masked by
+    ``allowed``: the terms and masks whose path cells the oracle reads.
+    Each part backtracks on its own."""
+    m, lengths = model.config.order, tables[2].tolist()
     base = N_DIGITS ** (m - 1)
     # the flat index of part p's state (0, r), r the state's last m - 1 digits
-    columns = (np.arange(len(tables))[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
-    dp = model.log_initial[0][0][None].repeat(len(tables), axis=0)
+    columns = (np.arange(len(lengths))[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
+    dp = model.log_initial[0][0][None].repeat(len(lengths), axis=0)
     rank, top = np.arange(dp.size), dp.size - 1
-    index = np.arange(len(tables) * base * N_DIGITS)  # each step's state indices: a prefix
-    parents, ends = [], [None] * len(tables)
+    index = np.arange(len(lengths) * base * N_DIGITS)  # each step's state indices: a prefix
+    parents, ends = [], [None] * len(lengths)
 
     def end(b):  # parts b.. have no next note: keep their scores, keys and offsets
         size = dp.shape[1]
@@ -451,25 +440,29 @@ def _run_viterbi(model: NoteHmmModel, tables) -> list:
         rank, top = rerank(rank, parent, top, index[: parent.size])
     end(0)
     results = []
-    for (_, allowed), (final, keys, offset) in zip(tables, ends):
-        best, states = best_path(final, keys, parents[: len(allowed) - 1], offset)
+    for length, (final, keys, offset) in zip(lengths, ends):
+        best, states = best_path(final, keys, parents[: length - 1], offset)
         results.append(None if states is None else (
             tuple(int(s) % N_DIGITS + 1 for s in states), float(best)))
     return results
 
 
-def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
-    """``_step_tables`` of one hand part under the model's constraint, the
-    hand inferred if None; EmptyPiece for a piece of no notes."""
+def _hand_part(piece: Piece, hand: Hand | None) -> tuple:
+    """``(hand, keys, onsets)`` of one hand part, the hand inferred if
+    None; EmptyPiece for a piece of no notes, OutOfRange off the keys."""
     if len(piece) == 0:
         raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
     hand = infer_hand(piece) if hand is None else hand
-    keys, onsets = key_indices(n.midi for n in piece.notes), [n.onset for n in piece.notes]
-    return _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+    return hand, key_indices(n.midi for n in piece.notes), [n.onset for n in piece.notes]
+
+
+def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
+    """``_step_tables`` of the set of one hand part, as ``_hand_part`` reads it."""
+    return _step_tables(model, [_hand_part(piece, hand)])
 
 
 # part-notes decoded in one lock-step DP, which keeps (notes, 5**order)
-# parents and every part's step tables: a larger set runs in several
+# parents and its parts' one set of step tables: a larger set runs in several
 LOCKSTEP = 4096
 
 
@@ -494,23 +487,27 @@ def decode_parts(model: NoteHmmModel, parts) -> list:
 
 
 def _decode_chunk(model: NoteHmmModel, parts, chunk: list, out: list) -> None:
-    """``decode_parts`` of the parts ``chunk`` indexes, into ``out``."""
-    tables = {}
+    """``decode_parts`` of the parts ``chunk`` indexes, into ``out``, on one
+    set of ``_step_tables``, of which the fallback batch reads a subset."""
+    valid = {}
     for i in chunk:
         try:
-            tables[i] = _part_tables(model, *parts[i])
+            valid[i] = _hand_part(*parts[i])
         except FingeringError as exc:
             out[i] = exc
-    decoded = dict(zip(tables, _run_viterbi(model, list(tables.values()))))
-    fallback = [i for i, result in decoded.items()
+    if not valid:
+        return
+    tables = _step_tables(model, list(valid.values()))
+    decoded = dict(enumerate(_run_viterbi(model, tables)))
+    fallback = [k for k, result in decoded.items()
                 if result is None and model.config.chord_constraint]
     if fallback:
-        unmasked = [(tables[i][0], [None] * len(tables[i][1])) for i in fallback]
+        unmasked = (tables[0], tables[1][fallback], tables[2][fallback], {})
         decoded.update(zip(fallback, _run_viterbi(model, unmasked)))
-    for i, result in decoded.items():
+    for i, (k, result) in zip(valid, decoded.items()):
         out[i] = NoFeasiblePath(
             f"piece {parts[i][0].piece_id!r}: all fingerings have zero probability"
-        ) if result is None else DecodeResult(*result, crossing_fallback_used=i in fallback)
+        ) if result is None else DecodeResult(*result, crossing_fallback_used=k in fallback)
 
 
 def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
@@ -521,6 +518,7 @@ def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) 
     return result
 
 
+@np.errstate(over="ignore")
 def _path_scores(model: NoteHmmModel, tables, paths) -> np.ndarray:
     """The decoder's score of each row of ``paths``, (paths, notes) digits
     1 to 5, on one part's ``_part_tables``: its cells of what ``_steps``
@@ -530,13 +528,13 @@ def _path_scores(model: NoteHmmModel, tables, paths) -> np.ndarray:
     acc, crosses = model.log_initial[0][0][f[0]], np.zeros(f.shape[1], dtype=bool)
     # note n's flat (state of its last min(n, m) digits, digit) cell; leading zeros add nothing
     codes = _window_codes(np.pad(f, ((m, 0), (0, 0))), m + 1)
-    for n, (_, trans, terms, allow) in enumerate(_steps(model, [tables]), 1):
+    for n, (_, trans, terms, allow) in enumerate(_steps(model, tables), 1):
         acc = acc + trans.take(codes[n])
         if terms is not None:
             acc = acc + terms[0].take(codes[n])
         if allow is not None:  # over (previous digit, digit)
             crosses |= ~allow[0].take(codes[n] % N_DIGITS**2)
-    if crosses.any() and _run_viterbi(model, [tables])[0] is not None:
+    if crosses.any() and _run_viterbi(model, tables)[0] is not None:
         acc[crosses] = NEG_INF
     return acc
 

@@ -22,6 +22,9 @@ its tie rule, ``cluster_chords`` as a quadratic walk
 (``reference_cluster_chords``), and the chord decoder's sustain filter
 ``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).  The fingering-file parser as the per-line loop the
 column-at-a-time parser replaced (``reference_parse_fingering_file``).
+The note decoder's step tables of one hand part at a time, as they were
+before one set of tables joined every part of a batch
+(``reference_step_tables``).
 """
 
 import math
@@ -38,7 +41,7 @@ from pianofinger.errors import (
     MalformedLine,
     NonMonotoneOnsets,
 )
-from pianofinger.note_hmm import NoteHmmModel
+from pianofinger.note_hmm import ALLOWED_ASCENDING_RH, ALLOWED_DESCENDING_RH, NoteHmmModel
 from pianofinger.pig_io import (
     TIME_DECIMALS,
     Hand,
@@ -287,6 +290,34 @@ def keeps(prev: Chord, chord: Chord, hand: Hand):
          for s in enumerate_states(chord, hand)]
         for p in enumerate_states(prev, hand)
     ])
+
+
+def reference_step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):
+    """Per-piece score tables ``(slabs, allowed)`` of one hand part, built
+    once per call of the decoder or its oracle.  ``slabs`` lists ``(lag,
+    slab)`` in lag order; note n >= lag is scored by ``slab[n - lag]``, a
+    (5, 5) alpha-weighted log factor over (digit at note n - lag, digit
+    at note n).  ``allowed[n]`` is None or the (5, 5) allowed matrix over
+    (previous digit, digit) of note n."""
+    cfg = model.config
+    cell = index_table(cfg.pitch_representation, cfg.delta_p_max)
+    slabs = []
+    for lag in range(1, cfg.order + 1):
+        if cfg.alpha[lag - 1] == 0.0:
+            continue  # inert factor; also avoids -inf * 0 = nan
+        by_cell = np.moveaxis(model.log_output[hand][lag - 1], 2, 0)
+        slab = by_cell[cell[keys[:-lag], keys[lag:]]]  # a fresh array
+        slab *= cfg.alpha[lag - 1]
+        slabs.append((lag, slab))
+    allowed = [None] * len(keys)
+    if use_constraint:
+        step = np.diff(keys)
+        chord = (np.abs(np.diff(onsets)) <= cfg.chord_threshold) & (step != 0)
+        # ascending digits: upward in the right hand, downward in the left
+        ascending = (step > 0) == (hand is Hand.RH)
+        for n in np.flatnonzero(chord).tolist():
+            allowed[n + 1] = ALLOWED_ASCENDING_RH if ascending[n] else ALLOWED_DESCENDING_RH
+    return slabs, allowed
 
 
 def _parse_line(line_no: int, fields: list[str]) -> Note:

@@ -72,7 +72,7 @@ def all_fingering_scores(model, piece, hand):
     with the decoder's exact floating-point arithmetic."""
     keys = key_indices(n.midi for n in piece.notes)
     onsets = [n.onset for n in piece.notes]
-    slabs, allowed = _step_tables(model, hand, keys, onsets, model.config.chord_constraint)
+    slabs, _, _, masks = _step_tables(model, [(hand, keys, onsets)])
     n = len(keys)
     m = model.config.order
     paths = np.array(list(product(range(5), repeat=n)), dtype=np.intp)
@@ -90,8 +90,8 @@ def all_fingering_scores(model, piece, hand):
                 out = term if out is None else out + term
         if out is not None:
             scores = scores + out
-        if allowed[i] is not None:
-            scores[~allowed[i][paths[:, i - 1], paths[:, i]]] = NEG_INF
+        if i in masks:
+            scores[~masks[i][0][paths[:, i - 1], paths[:, i]]] = NEG_INF
     return paths, scores
 
 

@@ -797,3 +797,19 @@ def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng):
         path = [s[i] for s, i in zip(states, row)]
         assert score.hex() == chord_path_log_score(model, chords, Hand.RH, path).hex()
     assert score.hex() == result.log_score.hex()
+
+
+def test_a_log_probability_that_overflows_scores_as_zero_probability():
+    # gamma1 = 7.53 scales -1e308 past the float range: the cell decodes and
+    # scores as the -inf it overflows to, with no warning
+    model = load_model(CHORD_V1)
+    rh = split_hands(load_piece(SAMPLE_CORPUS / "101-1_fingering.txt"))[0]
+    chords = cluster_chords(rh, model.params.delta)
+    results = []
+    for value in (-1e308, -np.inf):
+        edited = replace(model, log_out_across={h: t.copy() for h, t in model.log_out_across.items()})
+        edited.log_out_across[Hand.RH][0, 1] = value  # digit 1, then digit 2
+        result = decode_chords(edited, chords, Hand.RH)
+        oracle = chord_path_log_score(edited, chords, Hand.RH, result.states)
+        results.append((result.states, result.log_score.hex(), oracle.hex()))
+    assert results[0] == results[1] and results[0][1] == results[0][2]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lockstep_batches, make_piece, random_note_model, random_piece
+from conftest import count_calls, lockstep_batches, make_piece, random_note_model, random_piece
 from pianofinger import chord_hmm, experiments, note_hmm
 from pianofinger._tables import Counts
 from pianofinger.model_io import KINDS
@@ -316,6 +316,15 @@ def test_evaluate_model_decodes_every_validation_part_in_one_lock_step_dp(monkey
     assert evaluate_model(model, gt_sets) == sum(rates) / len(rates)
     parts = sum(len(part) > 0 for s in gt_sets for part in split_hands(s.piece))
     assert parts > len(gt_sets) and batches == [parts]
+
+
+def test_evaluate_model_builds_one_set_of_step_tables_for_every_part(monkeypatch):
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    gt_sets = load_ground_truth_sets(SAMPLE_CORPUS)
+    builds = count_calls(monkeypatch, note_hmm, "_step_tables")
+    batches = lockstep_batches(monkeypatch)
+    evaluate_model(model, gt_sets)
+    assert len(builds) == 1 and batches == [16]
 
 
 def test_estimate_piece_decodes_both_hands_in_one_lock_step_dp(monkeypatch):

@@ -156,9 +156,9 @@ def test_v1_model_files_retrain_byte_identical(tmp_path, name):
 def test_edited_leaves_write_back_as_the_json_module_writes_them():
     doc = json.loads((MODEL_V1 / "note_o2_integral.json").read_text(encoding="utf-8"))
     row = doc["tables"]["output"]["rh"]["1"]["2,3"]
-    row.update({"-2": -0.0, "-1": 5e-324, "0": 1e16, "1": 0})
+    row.update({"-2": -0.0, "-1": -5e-324, "0": -1e16, "1": 0})
     text = json.dumps(doc, sort_keys=True, indent=1)
-    assert '"1": 0,' in text and '"0": 1e+16' in text
+    assert '"1": 0,' in text and '"0": -1e+16' in text
     model = loads_model(text)
     written = dumps_model(model)
     assert written == _json_reference(model, written)
@@ -423,3 +423,20 @@ def test_malformed_model_documents_raise_malformed_model(rng):
         note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": -np.inf})
     )
     assert np.isneginf(loads_model(text).log_transition[1, 2])
+
+
+@pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])
+def test_a_leaf_above_zero_is_no_log_probability(name):
+    # a huge one would overflow a decode to +inf; 0.0 is probability 1
+    doc = json.loads((MODEL_V1 / name).read_text())
+    table, key = doc, "tables"
+    while isinstance(table[key], (dict, list)):  # down to the first leaf
+        table = table[key]
+        key = next(iter(table)) if isinstance(table, dict) else 0
+    for value, loads in ((0.0, True), (5e-324, False), (0.5, False), (1e308, False)):
+        table[key] = value
+        if loads:
+            loads_model(json.dumps(doc))
+        else:
+            with pytest.raises(MalformedModel, match="above 0"):
+                loads_model(json.dumps(doc))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import count_calls, lockstep_batches, make_piece, random_note_model, random_piece
 from pianofinger import note_hmm
-from pianofinger.dataset import load_corpus
+from pianofinger.dataset import load_corpus, load_piece
 from pianofinger.errors import (
     EmptyCorpus,
     EmptyPiece,
@@ -35,7 +35,7 @@ from pianofinger.note_hmm import (
     train,
     transition_prob,
 )
-from pianofinger.pig_io import FingerLabel, Hand, midi_to_pitch
+from pianofinger.pig_io import FingerLabel, Hand, midi_to_pitch, split_hands
 from pianofinger.pitch_space import (
     PitchRepresentation,
     negation_permutation,
@@ -517,6 +517,20 @@ def test_an_enumeration_builds_its_step_tables_once(rng, monkeypatch):
     assert len(batches) <= 1
 
 
+def test_a_fallback_decode_reads_the_first_runs_slabs(monkeypatch):
+    # the unconstrained pass gathers no rows of its own: it reads the same slab arrays
+    model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
+    runs, run = [], note_hmm._run_viterbi
+    monkeypatch.setattr(note_hmm, "_run_viterbi",
+                        lambda model, tables: runs.append(tables) or run(model, tables))
+    cluster = make_piece([60, 62, 64, 65, 67, 69], onsets=[0.0] * 6)
+    assert decode_viterbi(model, cluster, hand=Hand.RH).crossing_fallback_used
+    (first, _, _, masks), (second, _, _, unmasked) = runs
+    assert masks and not unmasked and len(first) == len(second) == 2
+    for (lag, slab), (again, reread) in zip(first, second):
+        assert lag == again and np.shares_memory(slab, reread)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng, order):
     # a crossing row scores -inf where the constraint holds; every row of
@@ -712,6 +726,55 @@ def test_a_set_decodes_in_lock_step_as_each_part_alone(case):
             assert result.crossing_fallback_used == alone.crossing_fallback_used
 
 
+@st.composite
+def step_table_sets(draw):
+    """A note model of order 1 to 3, either representation, perhaps one
+    zero ``alpha``, the constraint on or off, and the ``(hand, keys,
+    onsets)`` of up to six parts of 0 to 40 notes, longest first; keys in
+    a narrow range put rising, falling and repeated pitches in chords."""
+    order = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = [float(a) for a in rng.uniform(0.1, 1.5, order)]
+    if draw(st.booleans()):
+        alpha[draw(st.integers(0, order - 1))] = 0.0
+    model = random_note_model(
+        rng, order=order, representation=draw(st.sampled_from(PitchRepresentation)),
+        chord_constraint=draw(st.booleans()), alpha=tuple(alpha),
+    )
+    lengths = draw(st.lists(st.integers(0, 2) | st.integers(3, 40), min_size=1, max_size=6))
+    parts = []
+    for n in sorted(lengths, reverse=True):
+        keys = rng.integers(35, 45, n)
+        onsets = [0.25 * int(t) for t in np.cumsum(rng.random(n) < 0.6)]
+        parts.append((draw(st.sampled_from(Hand)), keys, onsets))
+    return model, parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_table_sets())
+def test_one_set_of_step_tables_reads_as_each_part_alone(case):
+    model, parts = case
+    slabs, starts, lengths, masks = note_hmm._step_tables(model, parts)
+    assert lengths.tolist() == [len(keys) for _, keys, _ in parts]
+    chords = set()
+    for p, (hand, keys, onsets) in enumerate(parts):
+        alone, allowed = reference.reference_step_tables(
+            model, hand, keys, onsets, model.config.chord_constraint
+        )
+        assert [lag for lag, _ in slabs] == [lag for lag, _ in alone]
+        for (lag, slab), (_, rows) in zip(slabs, alone):
+            for n in range(lag, len(keys)):
+                assert slab[starts[p] + n - lag].tobytes() == rows[n - lag].tobytes()
+        for n, allow in enumerate(allowed):
+            if allow is not None:
+                chords.add(n)
+                assert masks[n][p].tobytes() == allow.tobytes()
+            elif n in masks:
+                assert masks[n][p].all()
+    assert set(masks) == chords  # masks only where some part plays a chord
+    assert all(mask.shape == (len(parts), 5, 5) for mask in masks.values())
+
+
 def test_a_set_runs_one_lock_step_dp_and_one_fallback_batch(monkeypatch):
     # the infeasible parts rerun together without the constraint, once
     model = train_model("note-hmm", NoteHmmConfig(order=2), load_corpus(SAMPLE_CORPUS))
@@ -743,3 +806,22 @@ def test_a_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkeypatch)
     for result, single in zip(together, alone):
         assert result.fingers == single.fingers
         assert result.log_score.hex() == single.log_score.hex()
+
+
+def test_a_log_probability_that_overflows_scores_as_zero_probability():
+    # alpha 1.5 scales -1e308 past the float range, and two -1e308 terms add
+    # past it: each decodes and scores as the -inf it overflows to, with no warning
+    model = train_model("note-hmm", NoteHmmConfig(order=2, alpha=(1.5, 1.0)),
+                        load_corpus(SAMPLE_CORPUS))
+    rh = split_hands(load_piece(SAMPLE_CORPUS / "101-1_fingering.txt"))[0]
+    results = []
+    for value in (-1e308, -np.inf):
+        edited = replace(model, log_transition=model.log_transition.copy(),
+                         log_output={h: [t.copy() for t in ts] for h, ts in model.log_output.items()})
+        edited.log_output[Hand.RH][0][0, 1] = value  # digit 1, then digit 2
+        edited.log_output[Hand.RH][1][:, 2] = value  # digit 3 two notes on
+        edited.log_transition[:, 2] = value
+        result = decode_viterbi(edited, rh, Hand.RH)
+        oracle = sequence_log_score(edited, rh, result.fingers, Hand.RH)
+        results.append((result.fingers, result.log_score.hex(), oracle.hex()))
+    assert results[0] == results[1] and results[0][1] == results[0][2]
