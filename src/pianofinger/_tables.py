@@ -24,10 +24,10 @@ def annotated_parts(corpus) -> list:
     parts = []
     for piece in filter(len, corpus):
         hand = infer_hand(piece)
-        missing = [note.note_id for note in piece.notes if note.finger is None]
-        if missing:
-            raise MissingFinger(f"note {missing[0]} of {piece.piece_id!r} has no finger")
-        digits = np.array([note.finger.digit for note in piece.notes], dtype=np.intp) - 1
+        missing = np.flatnonzero(piece.signed_fingers == 0)
+        if missing.size:
+            raise MissingFinger(f"note {piece.ids[missing[0]]} of {piece.piece_id!r} has no finger")
+        digits = np.abs(piece.signed_fingers).astype(np.intp) - 1
         parts.append((piece, hand, digits))
     return parts
 
@@ -214,7 +214,8 @@ def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np
     xs, ys = np.array(points, dtype=float).T
     if np.any(xs <= 0) or (log_y and np.any(ys <= 0)):
         raise DegenerateFit(positive)
-    if np.unique(xs).size < 2:
+    # one distinct x, all NaNs counting as one value, as np.unique counts them
+    if np.all((xs == xs[0]) | (np.isnan(xs) & np.isnan(xs[0]))):
         raise DegenerateFit(distinct)
     design = np.column_stack([np.ones_like(xs), g(xs)])
     coef, *_ = np.linalg.lstsq(design, np.log(ys) if log_y else ys, rcond=None)

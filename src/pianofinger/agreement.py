@@ -45,7 +45,7 @@ def _label_counts(gt_set: GroundTruthSet, unit: MultiplicityUnit) -> list:
     else:
         pairs = Counter()
         for positions in hand_positions(gt_set.piece).values():
-            hand = [notes[i] for i in positions]
+            hand = list(map(notes.__getitem__, positions.tolist()))
             pairs.update(zip(hand, hand[1:]))
         columns = {tuple(zip(*pair)): times for pair, times in pairs.items()}
     return [(times, Counter(column).values()) for column, times in columns.items()]

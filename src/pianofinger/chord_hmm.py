@@ -141,27 +141,24 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     if len(piece) == 0:
         return []
     infer_hand(piece)
-    notes = list(piece.notes)
-    seen = set()
-    for note in notes:
-        if note.note_id in seen:
-            raise RepeatedNoteId(
-                f"piece {piece.piece_id!r}: note id {note.note_id} occurs twice"
-            )
-        seen.add(note.note_id)
+    ids, onsets, offsets, midis = (
+        column.tolist() for column in (piece.ids, piece.onsets, piece.offsets, piece.midis))
+    if len(set(ids)) < len(ids):
+        seen = set()  # the first id met twice; set.add returns None
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
     next_onset = {}
     if truncate_overlaps:
-        onsets = sorted({n.onset for n in notes})
-        for i, t in enumerate(onsets[:-1]):
-            next_onset[t] = onsets[i + 1]
+        distinct = sorted(set(onsets))
+        next_onset = dict(zip(distinct, distinct[1:]))
 
-    groups: list = []
-    for note in notes:
-        if groups and note.onset - groups[-1][-1].onset <= delta:
-            groups[-1].append(note)
+    groups: list = []  # each chord's note indices
+    for k, onset in enumerate(onsets):
+        if groups and onset - onsets[k - 1] <= delta:
+            groups[-1].append(k)
         else:
-            groups.append([note])
-    chord_onsets = [g[0].onset for g in groups]
+            groups.append([k])
+    chord_onsets = [onsets[g[0]] for g in groups]
 
     members: list = [{} for _ in groups]  # midi -> [ids, sustained]
     # midi -> the last chord an earlier note of that pitch already sustains
@@ -169,20 +166,21 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     # and the walks of one pitch visit each chord at most once
     reach: dict = {}
     for gi, group in enumerate(groups):
-        for note in group:
-            entry = members[gi].get(note.midi)
+        for k in group:
+            midi, note_id = midis[k], ids[k]
+            entry = members[gi].get(midi)
             if entry is None or entry[1]:
-                members[gi][note.midi] = [[note.note_id], False]
+                members[gi][midi] = [[note_id], False]
             else:
-                entry[0].append(note.note_id)
-            offset = note.offset
-            if truncate_overlaps and note.onset in next_onset:
-                offset = min(offset, next_onset[note.onset])
-            gj = max(gi, reach.get(note.midi, gi)) + 1
+                entry[0].append(note_id)
+            offset = offsets[k]
+            if truncate_overlaps and onsets[k] in next_onset:
+                offset = min(offset, next_onset[onsets[k]])
+            gj = max(gi, reach.get(midi, gi)) + 1
             while gj < len(groups) and chord_onsets[gj] < offset:
-                members[gj][note.midi] = [[note.note_id], True]
+                members[gj][midi] = [[note_id], True]
                 gj += 1
-            reach[note.midi] = gj - 1
+            reach[midi] = gj - 1
 
     chords = []
     for gi, table in enumerate(members):
@@ -266,7 +264,7 @@ def count(corpus, params: ChordHmmParams) -> ChordCounts:
             continue
         # every component of every chord, flat: its key index and digit
         flat = [c for chord in chords for c in chord.components]
-        position = {note.note_id: i for i, note in enumerate(piece.notes)}
+        position = dict(zip(piece.ids.tolist(), range(len(piece))))
         keys = key_indices(c.midi for c in flat)
         digits = note_digits[[position[c.note_ids[0]] for c in flat]]
         sizes = np.array([chord.size for chord in chords])

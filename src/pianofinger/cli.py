@@ -168,10 +168,9 @@ def cmd_evaluate(args) -> int:
             pairs = [(est_piece.piece_id, est_piece, gt_set)]
         pieces = []
         for piece_id, est_piece, gt_set in pairs:
-            if None in est_piece.fingers:
+            if not est_piece.signed_fingers.all():
                 raise MissingFinger(f"{piece_id}: the estimate has no finger column")
-            est = [f.signed for f in est_piece.fingers]
-            pieces.append((piece_id, est_piece, gt_set.signed_fingerings, est))
+            pieces.append((piece_id, est_piece, gt_set.signed_fingerings, est_piece.signed_fingers))
     reports = dict(hand_reports(pieces))
     # corpus summary over the combined (whole-piece) rows only
     summary = summarize({k: r for k, r in reports.items() if "/" not in str(k)})

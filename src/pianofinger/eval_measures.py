@@ -247,7 +247,7 @@ def hand_reports(pieces) -> list:
     """Reports for whole pieces and for each of their hands that has notes.
 
     ``pieces`` holds ``(piece_id, piece, gts, est)`` entries, ``est`` and
-    ``gts`` aligned with ``piece.notes``.  Returns (row key, report) pairs
+    ``gts`` aligned with the piece's columns.  Returns (row key, report) pairs
     keyed ``piece_id``, ``piece_id/rh`` and ``piece_id/lh``, piece by
     piece.  With ``est`` None the rows are leave-one-out: each ground
     truth in turn is scored against the others and every row is the mean
@@ -264,7 +264,7 @@ def hand_reports(pieces) -> list:
         columns = [(piece_id, slice(None))] + [
             (f"{piece_id}/{hand.name.lower()}", positions)
             for hand, positions in hand_positions(piece).items()
-            if positions
+            if positions.size
         ]
         for key, cols in columns:
             start = len(rows)

@@ -388,7 +388,7 @@ def _decode_chord_parts(model: ChordHmmModel, parts) -> list:
         except FingeringError as exc:
             out.append(exc)
         else:
-            out.append(([result.fingers_by_note[n.note_id] for n in part.notes], result))
+            out.append((list(map(result.fingers_by_note.__getitem__, part.ids.tolist())), result))
     return out
 
 

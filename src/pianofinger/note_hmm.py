@@ -199,7 +199,7 @@ def count(corpus, config: NoteHmmConfig) -> NoteCounts:
     cells = {key: [] for key in shapes}
     parts = annotated_parts(corpus)
     for piece, hand, f in parts:
-        keys = key_indices(n.midi for n in piece.notes)
+        keys = key_indices(piece.midis)
         for width in range(1, m + 2):
             windows = _window_codes(f, width)
             if width <= m:  # the first width - 1 digits, then one more
@@ -453,7 +453,7 @@ def _hand_part(piece: Piece, hand: Hand | None) -> tuple:
     if len(piece) == 0:
         raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
     hand = infer_hand(piece) if hand is None else hand
-    return hand, key_indices(n.midi for n in piece.notes), [n.onset for n in piece.notes]
+    return hand, key_indices(piece.midis), piece.onsets
 
 
 def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:

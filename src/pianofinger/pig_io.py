@@ -16,7 +16,8 @@ Parsing canonicalises a piece: onset/offset times are rounded to the
 format's six-decimal resolution, which changes only a time written with
 more than six decimals, and notes sharing an onset are ordered by
 ascending pitch, so that decoding and evaluation see one deterministic
-total order.
+total order.  A piece holds one numpy column per field, fingers signed
+with 0 for none; ``Piece.notes`` is a view built on first read, by no command.
 
 A malformed file raises the first rule its lowest bad line breaks, in this
 order: field count; the numbers, in field order; negative id; non-finite
@@ -30,10 +31,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 from itertools import zip_longest
-from operator import attrgetter, gt, le
+from operator import gt, le
 
 import numpy as np
 
@@ -119,35 +120,83 @@ class Note:
     def hand(self) -> Hand:
         return Hand(self.channel)
 
-    def with_finger(self, finger: FingerLabel) -> "Note":
-        """``replace(self, finger=finger)``, filled as ``_parsed_note`` fills a Note."""
-        note = _new_object(Note)
-        note.__dict__.update(self.__dict__, finger=finger)
-        return note
+
+# a Piece's columns and their dtypes, in Note field order; a finger is signed, 0 for none
+_COLUMNS = {
+    "ids": np.int64, "onsets": np.float64, "offsets": np.float64, "pitches": object,
+    "midis": np.intp, "onset_velocities": np.int64, "offset_velocities": np.int64,
+    "channels": np.int64, "signed_fingers": np.int64,
+}
+_LABELS = {0: None, **_SIGNED_LABELS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Piece:
-    """A canonically ordered note sequence with optional identity metadata."""
+    """A canonically ordered note sequence, one numpy column per field
+    (``pitches`` as written, dtype object), with identity metadata.
+    ``Piece(notes)`` builds the columns from ``Note``s, which win over
+    columns passed by name, as the parser and ``dataclasses.replace`` pass
+    them.  ``notes`` and ``fingers`` are views of plain Python values."""
 
-    notes: tuple[Note, ...]
-    piece_id: str = ""
-    annotator_id: str = ""
+    piece_id: str
+    annotator_id: str
+    ids: np.ndarray
+    onsets: np.ndarray
+    offsets: np.ndarray
+    pitches: np.ndarray
+    midis: np.ndarray
+    onset_velocities: np.ndarray
+    offset_velocities: np.ndarray
+    channels: np.ndarray
+    signed_fingers: np.ndarray
+
+    def __init__(self, notes=None, piece_id: str = "", annotator_id: str = "", **columns):
+        if columns.keys() - _COLUMNS.keys():
+            raise TypeError(f"unknown Piece columns {sorted(columns.keys() - _COLUMNS.keys())}")
+        if notes is not None:
+            notes = self.__dict__["notes"] = tuple(notes)  # the view, as given
+            # a Note's __dict__ holds its fields in declaration order
+            *values, fingers = [*zip(*(vars(n).values() for n in notes))] or [()] * len(_COLUMNS)
+            signed = [0 if f is None else f.signed for f in fingers]
+            columns = dict(zip(_COLUMNS, (*values, signed)))
+        self.__dict__.update(piece_id=piece_id, annotator_id=annotator_id)
+        for name, dtype in _COLUMNS.items():
+            try:
+                self.__dict__[name] = np.asarray(columns.get(name, ()), dtype=dtype)
+            except OverflowError:  # an integer past int64, such as a long note id, stays an int
+                self.__dict__[name] = np.array(columns[name], dtype=object)
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.ids)
 
-    @property
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Piece):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def __repr__(self) -> str:
+        return (f"Piece(notes={self.notes!r}, piece_id={self.piece_id!r}, "
+                f"annotator_id={self.annotator_id!r})")
+
+    @cached_property
+    def notes(self) -> tuple[Note, ...]:
+        columns = (getattr(self, name).tolist() for name in list(_COLUMNS)[:-1])
+        return tuple(map(Note, *columns, self.fingers))
+
+    @cached_property
     def fingers(self) -> tuple[FingerLabel | None, ...]:
-        return tuple(n.finger for n in self.notes)
+        return tuple(map(_LABELS.__getitem__, self.signed_fingers.tolist()))
+
+    def take(self, index) -> "Piece":
+        """The piece of the notes at ``index``, in that order."""
+        columns = {name: getattr(self, name)[index] for name in _COLUMNS}
+        return Piece(None, self.piece_id, self.annotator_id, **columns)
 
     def with_fingers(self, fingers) -> "Piece":
-        if len(fingers) != len(self.notes):
-            raise LengthMismatch(
-                f"{len(fingers)} fingers for {len(self.notes)} notes"
-            )
-        notes = tuple(n.with_finger(f) for n, f in zip(self.notes, fingers))
-        return replace(self, notes=notes)
+        if len(fingers) != len(self):
+            raise LengthMismatch(f"{len(fingers)} fingers for {len(self)} notes")
+        return replace(self, signed_fingers=[0 if f is None else f.signed for f in fingers])
 
 
 _PITCH_RE = re.compile(r"^([A-G])(x|##|bb|#|b)?(-?\d+)$")
@@ -211,24 +260,10 @@ def resolve_substitution(finger_token: str) -> FingerLabel:
     return FingerLabel.from_signed(values[0])
 
 
-_new_object = object.__new__
-
-
-def _parsed_note(note_id, onset, offset, pitch, midi, onset_velocity,
-                 offset_velocity, channel, finger) -> Note:
-    """``Note(...)`` of validated fields, skipping the frozen ``__init__``'s setattr per field."""
-    note = _new_object(Note)
-    fields = note.__dict__
-    fields["note_id"] = note_id
-    fields["onset"] = onset
-    fields["offset"] = offset
-    fields["pitch"] = pitch
-    fields["midi"] = midi
-    fields["onset_velocity"] = onset_velocity
-    fields["offset_velocity"] = offset_velocity
-    fields["channel"] = channel
-    fields["finger"] = finger
-    return note
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _signed_finger(finger_token: str | None) -> int:
+    """The signed finger ``resolve_substitution`` reads; 0 for a finger left out."""
+    return 0 if finger_token is None else resolve_substitution(finger_token).signed
 
 
 # Deleting these characters leaves nothing of a plain decimal, and
@@ -242,7 +277,7 @@ def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") 
     """Parse a fingering file into a canonically ordered Piece.
 
     An unannotated file may omit the finger column (7 fields per line);
-    such notes carry ``finger=None``.  The file is read a column at a
+    such notes carry signed finger 0.  The file is read a column at a
     time: each rule is checked only on the rows before the first failure
     found so far, so the last failure found is the file's first error.
     """
@@ -259,8 +294,6 @@ def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") 
         fail((length not in (7, 8) for length in lengths), "expected 8 fields, got {}", lengths)
     columns = list(zip_longest(*rows[:n])) or [()] * 8  # a finger left out is None
     fingers = columns[7] if len(columns) == 8 else (None,) * n
-    resolve = resolve_substitution if None not in fingers else (
-        lambda token: token and resolve_substitution(token))
     values = []
     for field, convert in ((0, int), (1, float), (2, float), (4, int), (5, int), (6, int)):
         values.append(column := [])
@@ -286,7 +319,7 @@ def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") 
                                       (channels, {0, 1}, "channel {} is not 0 or 1")):
         if not allowed.issuperset(column[:n]):
             fail((v not in allowed for v in column), template, column)
-    for convert, tokens in ((pitch_to_midi, columns[3]), (resolve, fingers)):
+    for convert, tokens in ((pitch_to_midi, columns[3]), (_signed_finger, fingers)):
         values.append(column := [])
         try:
             column.extend(map(convert, tokens[:n]))
@@ -295,19 +328,19 @@ def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") 
             exc.args = (f"line {line_nos[n]}: {exc}",)
     if error is not None:
         raise error
-    midis, fingers = values[6:]
-    notes = list(map(_parsed_note, ids, onsets, offsets, columns[3], midis, on_vels,
-                     off_vels, channels, fingers))
-    keys = list(zip(onsets, midis))
-    if not all(map(le, keys, keys[1:])):  # not yet in (onset, midi) order
+    midis, signed = values[6:]
+    piece = Piece(None, piece_id, annotator_id, **dict(zip(_COLUMNS, (
+        ids, onsets, offsets, columns[3], midis, on_vels, off_vels, channels, signed))))
+    later, earlier = piece.onsets[1:], piece.onsets[:-1]
+    if (later < earlier).any():
         # Raised only after every rule passed, so a malformed line anywhere wins.
-        if not all(map(le, onsets, onsets[1:])):
-            i = next(i for i in range(1, n) if onsets[i] < onsets[i - 1])
-            raise NonMonotoneOnsets(
-                f"line {line_nos[i]}: onset {onsets[i]} of note {ids[i]} precedes {onsets[i - 1]}"
-            )
-        notes = [notes[i] for i in sorted(range(n), key=keys.__getitem__)]  # stable: ties by pitch
-    return Piece(notes=tuple(notes), piece_id=piece_id, annotator_id=annotator_id)
+        i = int(np.argmax(later < earlier)) + 1
+        raise NonMonotoneOnsets(
+            f"line {line_nos[i]}: onset {onsets[i]} of note {ids[i]} precedes {onsets[i - 1]}"
+        )
+    if ((later == earlier) & (piece.midis[1:] < piece.midis[:-1])).any():  # not yet in order
+        piece = piece.take(np.lexsort((piece.midis, piece.onsets)))  # stable: ties by pitch
+    return piece
 
 
 def serialize_fingering_file(piece: Piece) -> str:
@@ -316,41 +349,30 @@ def serialize_fingering_file(piece: Piece) -> str:
     Times get exactly six decimals and fields are tab-separated; an empty
     piece yields an empty document.
     """
-    lines = []
-    for n in piece.notes:
-        if n.finger is None:
-            raise MissingFinger(f"note {n.note_id} has no finger label")
-        lines.append(
-            f"{n.note_id}\t{n.onset:.6f}\t{n.offset:.6f}\t{n.pitch}\t"
-            f"{n.onset_velocity}\t{n.offset_velocity}\t{n.channel}\t{n.finger.signed}"
-        )
-    return "".join(line + "\n" for line in lines)
+    missing = np.flatnonzero(piece.signed_fingers == 0)
+    if missing.size:
+        raise MissingFinger(f"note {piece.ids[missing[0]]} has no finger label")
+    columns = (getattr(piece, name).tolist() for name in _COLUMNS if name != "midis")
+    return "".join(map("{}\t{:.6f}\t{:.6f}\t{}\t{}\t{}\t{}\t{}\n".format, *columns))
 
 
 def hand_positions(piece: Piece) -> dict:
-    """Hand -> indices into ``piece.notes`` of that hand's notes, in piece
-    order; the right hand comes first."""
-    positions = {}
-    for hand in Hand:
-        channel = hand.channel  # read once: an enum property costs per note
-        positions[hand] = [i for i, n in enumerate(piece.notes) if n.channel == channel]
-    return positions
+    """Hand -> the ascending ``intp`` indices of that hand's notes in the
+    piece's columns; the right hand comes first."""
+    return {hand: np.flatnonzero(piece.channels == hand.channel) for hand in Hand}
 
 
 def split_hands(piece: Piece) -> tuple[Piece, Piece]:
     """Stable partition of a piece into its right- and left-hand parts."""
-    return tuple(
-        replace(piece, notes=tuple(piece.notes[i] for i in positions))
-        for positions in hand_positions(piece).values()
-    )
+    return tuple(map(piece.take, hand_positions(piece).values()))
 
 
 def infer_hand(piece: Piece) -> Hand:
     """Hand of a single-hand part; raises on mixed or empty input."""
-    channels = {n.channel for n in piece.notes}
+    channels = sorted(set(piece.channels.tolist()))
     if len(channels) != 1:
-        raise ValueError(f"expected a single-hand part, channels {sorted(channels)}")
-    return Hand(channels.pop())
+        raise ValueError(f"expected a single-hand part, channels {channels}")
+    return Hand(channels[0])
 
 
 def check_alignment(piece: Piece, reference: Piece, name: str) -> None:
@@ -359,14 +381,12 @@ def check_alignment(piece: Piece, reference: Piece, name: str) -> None:
     ``name`` labels ``piece`` in the message."""
     if len(piece) != len(reference):
         raise LengthMismatch(f"{name}: {len(piece)} notes, expected {len(reference)}")
-    key = attrgetter("onset", "midi")
-    keys, reference_keys = list(map(key, piece.notes)), list(map(key, reference.notes))
-    if keys != reference_keys:
-        i = next(i for i, pair in enumerate(zip(keys, reference_keys)) if pair[0] != pair[1])
-        a, b = piece.notes[i], reference.notes[i]
+    differs = (piece.onsets != reference.onsets) | (piece.midis != reference.midis)
+    if differs.any():
+        i = int(np.argmax(differs))
         raise AlignmentMismatch(
-            f"{name}: note content differs at position {i} "
-            f"({a.pitch}@{a.onset} vs {b.pitch}@{b.onset})"
+            f"{name}: note content differs at position {i} ({piece.pitches[i]}@"
+            f"{piece.onsets[i].item()} vs {reference.pitches[i]}@{reference.onsets[i].item()})"
         )
 
 
@@ -394,8 +414,7 @@ class GroundTruthSet:
             name = f"{p.piece_id}/{p.annotator_id}"
             if p is not reference:
                 check_alignment(p, reference, name)
-            fingers = p.fingers
-            if any(f is None for f in fingers):
+            if not p.signed_fingers.all():
                 raise MissingFinger(f"{name} is unannotated")
-            fingerings.append(tuple(f.signed for f in fingers))
+            fingerings.append(tuple(p.signed_fingers.tolist()))
         return cls(piece=reference, signed_fingerings=tuple(fingerings))

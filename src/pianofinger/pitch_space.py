@@ -111,11 +111,11 @@ def index_displacement(
 def key_indices(midis) -> np.ndarray:
     """``midis - MIDI_MIN`` as an ``intp`` array, the row and column
     indices of ``index_table``; OutOfRange off the 88 keys."""
-    midis = list(midis)
-    if midis and (min(midis) < MIDI_MIN or max(midis) > MIDI_MAX):
-        bad = next(m for m in midis if not MIDI_MIN <= m <= MIDI_MAX)
-        raise OutOfRange(f"MIDI number {bad} outside {MIDI_MIN}..{MIDI_MAX}")
-    return np.array(midis, dtype=np.intp) - MIDI_MIN
+    midis = np.asarray(midis if isinstance(midis, (np.ndarray, list, tuple)) else list(midis))
+    off = (midis < MIDI_MIN) | (midis > MIDI_MAX)
+    if off.any():
+        raise OutOfRange(f"MIDI number {midis[off][0]} outside {MIDI_MIN}..{MIDI_MAX}")
+    return midis.astype(np.intp) - MIDI_MIN
 
 
 @lru_cache(maxsize=16)

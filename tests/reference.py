@@ -21,33 +21,43 @@ the per-note loop the lock-step batch replaced
 its tie rule, ``cluster_chords`` as a quadratic walk
 (``reference_cluster_chords``), and the chord decoder's sustain filter
 ``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).  The fingering-file parser as the per-line loop the
-column-at-a-time parser replaced (``reference_parse_fingering_file``).
+column-at-a-time parser replaced (``reference_parse_fingering_file``),
+and the per-note readers that the piece's columns replaced: the per-hand
+view, the writer, the alignment check and the ground-truth set
+(``reference_hand_positions``, ``reference_split_hands``,
+``reference_serialize_fingering_file``, ``reference_check_alignment``,
+``reference_from_pieces``).
 The note decoder's step tables of one hand part at a time, as they were
 before one set of tables joined every part of a batch
 (``reference_step_tables``).
 """
 
 import math
+from dataclasses import replace
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
 from pianofinger._tables import NEG_INF
 from pianofinger.chord_hmm import Chord, ChordComponent, _layout, enumerate_states
 from pianofinger.errors import (
+    AlignmentMismatch,
     HandOverflow,
     InvalidFinger,
     InvalidPitchToken,
+    LengthMismatch,
     MalformedLine,
+    MissingFinger,
     NonMonotoneOnsets,
 )
 from pianofinger.note_hmm import ALLOWED_ASCENDING_RH, ALLOWED_DESCENDING_RH, NoteHmmModel
 from pianofinger.pig_io import (
     TIME_DECIMALS,
+    GroundTruthSet,
     Hand,
     Note,
     Piece,
-    _parsed_note,
     pitch_to_midi,
     resolve_substitution,
 )
@@ -351,8 +361,8 @@ def _parse_line(line_no: int, fields: list[str]) -> Note:
     except (InvalidPitchToken, InvalidFinger) as exc:
         exc.args = (f"line {line_no}: {exc}",)
         raise
-    return _parsed_note(note_id, onset, offset, fields[3], midi, onset_velocity,
-                        offset_velocity, channel, finger)
+    return Note(note_id, onset, offset, fields[3], midi, onset_velocity,
+                offset_velocity, channel, finger)
 
 
 def reference_parse_fingering_file(
@@ -386,3 +396,72 @@ def reference_parse_fingering_file(
     if not in_order:
         notes.sort(key=lambda n: (n.onset, n.midi))  # stable: ties by pitch only
     return Piece(notes=tuple(notes), piece_id=piece_id, annotator_id=annotator_id)
+
+
+def reference_serialize_fingering_file(piece: Piece) -> str:
+    """Render a fully annotated piece back to file text.
+
+    Times get exactly six decimals and fields are tab-separated; an empty
+    piece yields an empty document.
+    """
+    lines = []
+    for n in piece.notes:
+        if n.finger is None:
+            raise MissingFinger(f"note {n.note_id} has no finger label")
+        lines.append(
+            f"{n.note_id}\t{n.onset:.6f}\t{n.offset:.6f}\t{n.pitch}\t"
+            f"{n.onset_velocity}\t{n.offset_velocity}\t{n.channel}\t{n.finger.signed}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_hand_positions(piece: Piece) -> dict:
+    """Hand -> indices into ``piece.notes`` of that hand's notes, in piece
+    order; the right hand comes first."""
+    positions = {}
+    for hand in Hand:
+        channel = hand.channel  # read once: an enum property costs per note
+        positions[hand] = [i for i, n in enumerate(piece.notes) if n.channel == channel]
+    return positions
+
+
+def reference_split_hands(piece: Piece) -> tuple[Piece, Piece]:
+    """Stable partition of a piece into its right- and left-hand parts."""
+    return tuple(
+        replace(piece, notes=tuple(piece.notes[i] for i in positions))
+        for positions in reference_hand_positions(piece).values()
+    )
+
+
+def reference_check_alignment(piece: Piece, reference: Piece, name: str) -> None:
+    """Raise unless ``piece`` holds the notes of ``reference``: the same
+    number of notes and the same (onset, MIDI pitch) at every position.
+    ``name`` labels ``piece`` in the message."""
+    if len(piece) != len(reference):
+        raise LengthMismatch(f"{name}: {len(piece)} notes, expected {len(reference)}")
+    key = attrgetter("onset", "midi")
+    keys, reference_keys = list(map(key, piece.notes)), list(map(key, reference.notes))
+    if keys != reference_keys:
+        i = next(i for i, pair in enumerate(zip(keys, reference_keys)) if pair[0] != pair[1])
+        a, b = piece.notes[i], reference.notes[i]
+        raise AlignmentMismatch(
+            f"{name}: note content differs at position {i} "
+            f"({a.pitch}@{a.onset} vs {b.pitch}@{b.onset})"
+        )
+
+
+def reference_from_pieces(pieces: list) -> GroundTruthSet:
+    """``GroundTruthSet.from_pieces`` reading every finger note by note."""
+    if not pieces:
+        raise LengthMismatch("a ground-truth set needs at least one fingering")
+    reference = pieces[0]
+    fingerings = []
+    for p in pieces:
+        name = f"{p.piece_id}/{p.annotator_id}"
+        if p is not reference:
+            reference_check_alignment(p, reference, name)
+        fingers = p.fingers
+        if any(f is None for f in fingers):
+            raise MissingFinger(f"{name} is unannotated")
+        fingerings.append(tuple(f.signed for f in fingers))
+    return GroundTruthSet(piece=reference, signed_fingerings=tuple(fingerings))

@@ -20,7 +20,7 @@ from pianofinger.eval_measures import MEASURES
 from pianofinger.experiments import train_model
 from pianofinger.model_io import load_model
 from pianofinger.note_hmm import sequence_log_score
-from pianofinger.pig_io import GroundTruthSet, Hand, midi_to_pitch, split_hands
+from pianofinger.pig_io import GroundTruthSet, Hand, Piece, midi_to_pitch, split_hands
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 CORPUS = DATA / "sample_corpus"
@@ -725,3 +725,55 @@ def test_tune_and_scaling_match_golden_outputs(tmp_path, capsys, name):
     assert main(args + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN_EXPERIMENTS / name).read_bytes()
     assert capsys.readouterr().err == ""
+
+
+def test_no_command_builds_the_per_note_view(tmp_path, monkeypatch):
+    built = []
+    for name in ("notes", "fingers"):
+        view = Piece.__dict__[name]
+
+        def read(piece, name=name, view=view):
+            if name not in piece.__dict__:
+                built.append(name)
+            return view.__get__(piece, Piece)
+
+        monkeypatch.setattr(Piece, name, property(read))
+    piece, est, out = CORPUS / "107-1_fingering.txt", tmp_path / "est", tmp_path / "out"
+    est.mkdir()
+    models = {kind: str(tmp_path / f"{kind}.json") for kind in ("note-hmm", "chord-hmm")}
+    commands = [
+        *(["train", str(CORPUS), "--out", path, "--model-kind", kind]
+          for kind, path in models.items()),
+        ["estimate", str(piece), "--model", models["note-hmm"], "--out",
+         str(est / "107-e_fingering.txt")],
+        ["estimate", str(piece), "--model", models["chord-hmm"], "--out", str(tmp_path / "c.txt")],
+        ["evaluate", "--est", str(est), "--gt", str(CORPUS), "--out", str(out)],
+        ["evaluate", "--est", str(tmp_path / "c.txt"), "--gt", str(piece),
+         str(CORPUS / "107-2_fingering.txt"), "--out", str(out)],
+        ["evaluate", "--human", "--gt", str(CORPUS), "--out", str(out)],
+        ["analyze", str(CORPUS), "--out", str(out)],
+        *(["tune", str(CORPUS), "--valid", str(CORPUS), "--budget", "2", "--model-kind", kind,
+           "--out", str(out)] for kind in models),
+        ["scaling", str(CORPUS), "--test", str(CORPUS), "--repeats", "1", "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert built == []
+    # the spy sees a view being built
+    assert len(load_piece(piece).notes) and built == ["notes", "fingers"]
+
+
+@pytest.mark.parametrize("command", [
+    ["scaling", str(CORPUS), "--test", str(CORPUS), "--repeats", "1"],
+    ["analyze", str(CORPUS)],
+])
+def test_a_command_leaves_numpy_ma_unimported(command, tmp_path):
+    # numpy.ma takes tens of milliseconds to import, and np.unique of floats imports it
+    script = (f"import sys\nfrom pianofinger.cli import main\n"
+              f"assert main({[*command, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+              f"print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(DATA.parent / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

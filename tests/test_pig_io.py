@@ -27,6 +27,8 @@ from pianofinger.pig_io import (
     Hand,
     Note,
     Piece,
+    check_alignment,
+    hand_positions,
     midi_to_pitch,
     parse_fingering_file,
     pitch_to_midi,
@@ -274,21 +276,17 @@ def test_parsed_notes_keep_the_note_contract():
             n.onset = 9.0
         moved = dataclasses.replace(n, onset=9.0)
         assert moved.onset == 9.0 and n.onset != 9.0 and moved.pitch == n.pitch
-        relabelled = n.with_finger(FingerLabel(Hand.RH, 3))
-        assert relabelled.finger == FingerLabel(Hand.RH, 3)
-        assert relabelled == dataclasses.replace(built, finger=FingerLabel(Hand.RH, 3))
 
 
 @pytest.mark.parametrize("finger", [FingerLabel(h, d) for h in Hand for d in (1, 5)] + [None])
-def test_with_finger_is_replace(finger):
-    for n in parse_fingering_file(SIMPLE).notes:
-        relabelled, replaced = n.with_finger(finger), dataclasses.replace(n, finger=finger)
-        assert type(relabelled) is Note
-        assert relabelled == replaced and hash(relabelled) == hash(replaced)
-        assert vars(relabelled) == vars(replaced)
-        assert list(vars(relabelled)) == list(vars(replaced))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            relabelled.finger = None
+def test_with_fingers_is_replace_of_every_note(finger):
+    piece = parse_fingering_file(SIMPLE)
+    relabelled = piece.with_fingers([finger] * len(piece))
+    replaced = tuple(dataclasses.replace(n, finger=finger) for n in piece.notes)
+    assert relabelled.notes == replaced and relabelled.fingers == (finger,) * len(piece)
+    assert [vars(n) for n in relabelled.notes] == [vars(n) for n in replaced]
+    assert repr(relabelled) == repr(Piece(notes=replaced))
+    assert relabelled == Piece(notes=replaced)
 
 
 @pytest.mark.parametrize("value", [sign * digit for sign in (1, -1) for digit in range(1, 6)])
@@ -445,6 +443,79 @@ def test_serialize_parse_serialize_is_identity(rows):
     again = parse_fingering_file(text)
     assert again.notes == piece.notes
     assert serialize_fingering_file(again) == text
+
+
+def _render(rows, fields=8, zero="0.0000000") -> str:
+    """A fingering file of ``note_rows``, each line cut to ``fields``
+    fields; ``zero`` spells the onset of the even-numbered notes at time 0."""
+    lines, step_total, pitch = [], 0, "C4"
+    for i, (step, token, duration, v_on, v_off, channel, finger) in enumerate(rows):
+        step_total += step
+        pitch = token or pitch  # a step of 0 then makes a unison
+        onset = step_total / 10**7
+        offset = f"{onset + duration / 10**7:.7f}"
+        line = [str(i), f"{onset:.7f}" if onset or i % 2 else zero, offset,
+                pitch, str(v_on), str(v_off), str(channel), finger]
+        lines.append(" ".join(line[:fields]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _plain(value):
+    """A result in comparable form: a piece as its repr, which shows every
+    note field by repr, index arrays as lists."""
+    if isinstance(value, Piece):
+        return repr(value)
+    if isinstance(value, GroundTruthSet):
+        return repr(value.piece), value.signed_fingerings
+    if isinstance(value, dict):
+        return {key: np.asarray(v, dtype=np.intp).tolist() for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
+
+
+def _result(function, *args):
+    try:
+        return _plain(function(*args))
+    except Exception as exc:  # noqa: BLE001 - a stray type must show in the comparison
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(note_rows, max_size=10),
+    fields=st.sampled_from([8, 8, 7]),
+    zero=st.sampled_from(["0.0000000", "-0.0", "-0.000000", "0"]),
+    change=st.sampled_from(["refinger", "drop", "pitch", "onset", "unannotated"]),
+    at=st.integers(0, 9),
+    fingers=st.lists(finger_tokens, min_size=10, max_size=10),
+    token=pitch_tokens,
+)
+def test_the_column_readers_match_the_per_note_reference(
+        rows, fields, zero, change, at, fingers, token):
+    # a second annotator's file: other fingers, and maybe one note changed
+    other = [row[:6] + (finger,) for row, finger in zip(rows, fingers)]
+    if change == "drop":
+        other = other[:-1]
+    elif other and change in ("pitch", "onset"):
+        k = at % len(other)
+        step, pitch, *rest = other[k]
+        other[k] = (step + 10**4, pitch, *rest) if change == "onset" else (step, token, *rest)
+    texts = [_render(rows, fields, zero),
+             _render(other, 7 if change == "unannotated" else 8, zero)]
+    pieces = [parse_fingering_file(text, "p", str(a)) for a, text in enumerate(texts)]
+    references = [reference.reference_parse_fingering_file(text, "p", str(a))
+                  for a, text in enumerate(texts)]
+    for piece, ref in zip(pieces, references):
+        assert _result(hand_positions, piece) == _result(reference.reference_hand_positions, ref)
+        assert _result(split_hands, piece) == _result(reference.reference_split_hands, ref)
+        assert _result(serialize_fingering_file, piece) == _result(
+            reference.reference_serialize_fingering_file, ref)
+    assert _result(check_alignment, pieces[1], pieces[0], "p/1") == _result(
+        reference.reference_check_alignment, references[1], references[0], "p/1")
+    for chosen in (slice(0, 1), slice(None), slice(None, None, -1)):
+        assert _result(GroundTruthSet.from_pieces, pieces[chosen]) == _result(
+            reference.reference_from_pieces, references[chosen])
 
 
 # Hostile tokens per kind of column.  Among the Unicode digits, int() takes

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_piece, random_note_model, random_rows, tie_heavy_chord_part
 from pianofinger import chord_hmm, note_hmm
-from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, rerank
+from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, fit_line, rerank
 from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
+from pianofinger.errors import DegenerateFit
 from pianofinger.note_hmm import NoteHmmConfig
 from pianofinger.pig_io import Hand
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
@@ -214,3 +215,26 @@ def test_alpha_follows_the_float_rule():
         with pytest.raises(ValueError) as info:
             NoteHmmConfig(order=2, alpha=(0.5, value))
         assert str(info.value) == f"alpha must be finite and non-negative, got {(0.5, value)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([1.0, 1.0 + 2**-52, 2.0, 5e-324, math.inf, math.nan, -math.nan, 0.0, -1.0]),
+    st.floats(min_value=5e-324, max_value=4.0)), min_size=2, max_size=6))
+def test_fit_line_finds_one_distinct_x_as_np_unique_counts_them(xs):
+    class Fitted(Exception):
+        """Raised by the fitted function: the points passed every check."""
+
+    def g(_):
+        raise Fitted
+
+    # np.unique counts every NaN as one value; the sign check comes first
+    expected = "one x" if np.unique(np.array(xs)).size < 2 else Fitted
+    if any(x <= 0 for x in xs):
+        expected = "x <= 0"
+    try:
+        fit_line([(x, 1.0) for x in xs], g, "x <= 0", "one x")
+    except DegenerateFit as exc:
+        assert str(exc) == expected
+    except Fitted:
+        assert expected is Fitted
