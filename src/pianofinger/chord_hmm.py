@@ -2,10 +2,13 @@
 
 Notes whose onsets fall within a small threshold of each other are
 clustered into chords, and a note that is still sounding when a later
-chord starts joins that chord as a *sustained* component.  The hidden
-state of a chord is a crossing-free assignment of distinct digits to its
-(pitch-ascending) components: digits ascend with pitch in the right hand
-and descend in the left, giving exactly C(5, K) states for K pitches.
+chord starts joins that chord as a *sustained* component.  Clustering
+builds columns (``_Chords``), which training, the decoder and its oracle
+read; ``Chord`` is the public view of them, which no CLI path builds.
+The hidden state of a chord is a crossing-free assignment of distinct
+digits to its (pitch-ascending) components: digits ascend with pitch in
+the right hand and descend in the left, giving exactly C(5, K) states
+for K pitches.
 
 Scores are built from four pairwise factor tables: digit transitions and
 pitch-output factors, each in an across-chord and a within-chord variant,
@@ -33,7 +36,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, islice, permutations, product
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from ._tables import (
     rerank,
     safe_log,
 )
-from .errors import EmptyInput, HandOverflow, NoFeasiblePath, RepeatedNoteId
+from .errors import EmptyInput, FingeringError, HandOverflow, NoFeasiblePath, RepeatedNoteId
 from .pig_io import Hand, Piece, infer_hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_table, key_indices
 
@@ -129,72 +132,128 @@ class ChordDecodeResult:
     crossing_fallback_used: bool = False  # the note decoder's relaxation: states never cross
 
 
-def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
-    """Greedy onset clustering of one hand part, plus sustained membership.
+@dataclass(frozen=True, eq=False)
+class _Chords:
+    """A hand's chords as columns, the form every reader takes: per chord
+    its onset and size (Python floats, ``intp``); per component, chord by
+    chord in ascending pitch, its MIDI number and sustained flag; the
+    ``(component, note position)`` pairs, by component and then position;
+    the note id at each position; and ``held``, boundary ci -> the
+    ``(previous component, component)`` index pairs, within each chord, of
+    the notes chord ci shares with chord ci - 1 where it holds a sustained
+    copy, which the sustain filter ``_keeps`` reads."""
 
-    A note joins the current chord when its onset is within ``delta`` of
-    the chord's latest member onset; afterwards every note whose offset
-    exceeds a later chord's onset is added there as sustained.  A pitch
-    that is re-struck displaces its sustained copy.  Chords identify
-    notes by ``note_id``, so a repeated id raises RepeatedNoteId.
-    """
-    if len(piece) == 0:
-        return []
-    infer_hand(piece)
-    ids, onsets, offsets, midis = (
-        column.tolist() for column in (piece.ids, piece.onsets, piece.offsets, piece.midis))
-    if len(set(ids)) < len(ids):
+    onsets: list
+    sizes: np.ndarray
+    midis: np.ndarray
+    sustained: np.ndarray
+    pairs: tuple
+    ids: list
+    held: dict
+
+
+def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Chords:
+    """``cluster_chords`` as columns; the rule is told there."""
+    if len(piece):
+        infer_hand(piece)
+    ids, offsets, n = piece.ids.tolist(), piece.offsets.tolist(), len(piece)
+    onsets = piece.onsets
+    if len(set(ids)) < n:
         seen = set()  # the first id met twice; set.add returns None
         repeated = next(i for i in ids if i in seen or seen.add(i))
         raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
-    next_onset = {}
     if truncate_overlaps:
-        distinct = sorted(set(onsets))
+        distinct = sorted(set(onsets.tolist()))
         next_onset = dict(zip(distinct, distinct[1:]))
+        offsets = [min(off, next_onset[t]) if t in next_onset else off
+                   for t, off in zip(onsets.tolist(), offsets)]
+    opens = np.concatenate([[True], ~(onsets[1:] - onsets[:-1] <= delta)])[:n]  # starts a chord
+    group = (np.cumsum(opens) - 1).tolist()
+    chord_onsets = onsets[opens].tolist()
 
-    groups: list = []  # each chord's note indices
-    for k, onset in enumerate(onsets):
-        if groups and onset - onsets[k - 1] <= delta:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    chord_onsets = [onsets[g[0]] for g in groups]
+    # entry k is note k struck in its chord, and the sustained copies follow;
+    # a note's walk starts past the last chord an earlier note of its pitch
+    # reached, so the walks of one pitch meet each chord once
+    reach, copies = {}, []  # pitch -> last chord reached; (chord, note, entry before)
+    for k, (gi, midi, offset) in enumerate(zip(group, piece.midis.tolist(), offsets)):
+        gj = max(gi, reach.get(midi, gi)) + 1
+        before = k if gj == gi + 1 else -1  # the note's entry in chord gj - 1
+        while gj < len(chord_onsets) and chord_onsets[gj] < offset:
+            copies.append((gj, k, before))
+            before = n + len(copies) - 1
+            gj += 1
+        reach[midi] = gj - 1
+    copies = np.array(copies, dtype=np.intp).reshape(-1, 3).T
+    chord = np.concatenate([group, copies[0]]).astype(np.intp)
+    note = np.concatenate([np.arange(n), copies[1]])
+    sustained = np.arange(chord.size) >= n
+    order = np.lexsort((note, sustained, piece.midis[note], chord))
+    chord, midi, sustained = chord[order], piece.midis[note[order]], sustained[order]
+    step = (chord[1:] != chord[:-1]) | (midi[1:] != midi[:-1])
+    first = np.concatenate([[True], step])[: chord.size]  # an entry that opens a component
+    keep = first | ~sustained  # a struck note displaces its pitch's sustained copy
+    kept = order[keep]
+    sizes = np.bincount(chord[first], minlength=len(chord_onsets))
+    over = np.flatnonzero(sizes > N_DIGITS).tolist()
+    if over:
+        raise HandOverflow(f"piece {piece.piece_id!r}: chord at {chord_onsets[over[0]]:.6f}s "
+                           f"needs {sizes[over[0]].item()} pitches in one hand")
+    comp = np.full(chord.size + 1, -1)  # each entry's component; -1: displaced, or none
+    comp[kept] = np.cumsum(first[keep]) - 1
+    start = np.cumsum(sizes) - sizes
+    ci, i, j = copies[0], comp[copies[2]], comp[n:-1]
+    shared = (i >= 0) & (j >= 0)
+    held = {}
+    for c, a, b in zip(*(x[shared].tolist() for x in (ci, i - start[ci - 1], j - start[ci]))):
+        held.setdefault(c, []).append((a, b))
+    return _Chords(chord_onsets, sizes, midi[first], sustained[first],
+                   (comp[kept], note[kept]), ids, held)
 
-    members: list = [{} for _ in groups]  # midi -> [ids, sustained]
-    # midi -> the last chord an earlier note of that pitch already sustains
-    # into; chord onsets never descend, so each walk may start after it,
-    # and the walks of one pitch visit each chord at most once
-    reach: dict = {}
-    for gi, group in enumerate(groups):
-        for k in group:
-            midi, note_id = midis[k], ids[k]
-            entry = members[gi].get(midi)
-            if entry is None or entry[1]:
-                members[gi][midi] = [[note_id], False]
-            else:
-                entry[0].append(note_id)
-            offset = offsets[k]
-            if truncate_overlaps and onsets[k] in next_onset:
-                offset = min(offset, next_onset[onsets[k]])
-            gj = max(gi, reach.get(midi, gi)) + 1
-            while gj < len(groups) and chord_onsets[gj] < offset:
-                members[gj][midi] = [[note_id], True]
-                gj += 1
-            reach[midi] = gj - 1
 
-    chords = []
-    for gi, table in enumerate(members):
-        if len(table) > N_DIGITS:
-            raise HandOverflow(
-                f"piece {piece.piece_id!r}: chord at {chord_onsets[gi]:.6f}s "
-                f"needs {len(table)} pitches in one hand"
-            )
-        components = tuple(
-            ChordComponent(midi=midi, note_ids=tuple(ids), sustained=sustained)
-            for midi, (ids, sustained) in sorted(table.items())
-        )
-        chords.append(Chord(onset=chord_onsets[gi], components=components))
-    return chords
+def _columns(chords) -> _Chords:
+    """A ``Chord`` list as the columns of ``_cluster``: a note's position
+    is where its id first occurs, and a note in two components of the
+    previous chord is held from the later one."""
+    chords = list(chords)
+    components = [c for chord in chords for c in chord.components]
+    position, held = {}, {}
+    pairs = [(ci, position.setdefault(nid, len(position)))
+             for ci, c in enumerate(components) for nid in c.note_ids]
+    for ci, (prev, chord) in enumerate(zip(chords, chords[1:]), 1):
+        where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
+        shared = [(where[nid], j) for j, c in enumerate(chord.components)
+                  for nid in c.note_ids if nid in where]
+        if shared and any(c.sustained for c in chord.components):
+            held[ci] = shared
+    return _Chords([chord.onset for chord in chords],
+                   np.array([chord.size for chord in chords], dtype=np.intp),
+                   np.array([c.midi for c in components]),
+                   np.array([bool(c.sustained) for c in components], dtype=bool),
+                   tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T), list(position), held)
+
+
+def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
+    """Greedy onset clustering of one hand part, plus sustained membership,
+    as ``Chord``s: the public view of the columns every reader takes.
+
+    A note joins the current chord when its onset is within ``delta`` of
+    the previous note's, in the piece's order (a note whose onset goes
+    down always joins); afterwards every note whose offset exceeds a
+    later chord's onset is added there as sustained, walking on chord by
+    chord until the first that starts at or after the offset.  A pitch
+    that is re-struck displaces its sustained copy, but only in the chord
+    that re-strikes it: a later chord the earlier note still reaches
+    holds the earlier note, not the re-struck one.  Chords identify notes
+    by ``note_id``, so a repeated id raises RepeatedNoteId; then the
+    first chord of more than five pitches raises HandOverflow.
+    """
+    chords = _cluster(piece, delta, truncate_overlaps)
+    note_ids = [tuple(chords.ids[p] for _, p in pairs) for _, pairs in
+                groupby(zip(*(column.tolist() for column in chords.pairs)), lambda pair: pair[0])]
+    components = iter(map(ChordComponent, chords.midis.tolist(), note_ids,
+                          chords.sustained.tolist()))
+    return [Chord(onset, tuple(islice(components, size)))
+            for onset, size in zip(chords.onsets, chords.sizes.tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +302,8 @@ def _pairs(first_a, size_a, first_b, size_b) -> tuple:
 def count(corpus, params: ChordHmmParams) -> ChordCounts:
     """Training counts of annotated single-hand pieces.  Empty pieces are
     skipped, and so are pieces with a hand overflow, whose ids are
-    recorded.  Only the ``ChordCounts.SETTINGS`` fields matter here."""
+    recorded.  Only the ``ChordCounts.SETTINGS`` fields matter here.  The
+    events are read from the columns of every part at once."""
     size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
     cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
     shapes = {
@@ -255,29 +315,33 @@ def count(corpus, params: ChordHmmParams) -> ChordCounts:
         shapes.update({(name, hand): (N_DIGITS, N_DIGITS, size) for hand in Hand})
     cells = {key: [] for key in shapes}
     parts = annotated_parts(corpus)
-    skipped = []
+    skipped, joined = [], [(np.zeros(0, dtype=np.intp),) * 5]  # a part of no chords: none may join
     for piece, hand, note_digits in parts:
         try:
-            chords = cluster_chords(piece, params.delta, params.truncate_overlaps)
+            chords = _cluster(piece, params.delta, params.truncate_overlaps)
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
-        # every component of every chord, flat: its key index and digit
-        flat = [c for chord in chords for c in chord.components]
-        position = dict(zip(piece.ids.tolist(), range(len(piece))))
-        keys = key_indices(c.midi for c in flat)
-        digits = note_digits[[position[c.note_ids[0]] for c in flat]]
-        sizes = np.array([chord.size for chord in chords])
-        first = np.cumsum(sizes) - sizes
-        cells["initial"].append(digits[: sizes[0]])
-        i, j = _pairs(first, sizes, first, sizes)
-        for (a, b), name in (
-            (_pairs(first[:-1], sizes[:-1], first[1:], sizes[1:]), "across"),
-            ((i[i != j], j[i != j]), "within"),
-        ):
-            pair = digits[a] * N_DIGITS + digits[b]
-            cells["trans_" + name].append(pair)
-            cells["out_" + name, hand].append(pair * size + cell[keys[a], keys[b]])
+        comp, pos = chords.pairs
+        first = pos[np.diff(comp, prepend=-1) != 0]  # each component's first note
+        # per chord: its size and part; per component: its pitch, digit and hand
+        joined.append((chords.sizes, np.full(chords.sizes.size, len(joined)), chords.midis,
+                       note_digits[first], np.full(first.size, hand.value)))
+    sizes, part, midis, digits, hands = map(np.concatenate, zip(*joined))
+    keys, first = key_indices(midis), np.cumsum(sizes) - sizes
+    cells["initial"].append(digits[np.repeat(np.diff(part, prepend=-1) != 0, sizes)])
+    inner = part[1:] == part[:-1]  # the boundaries inside a part
+    i, j = _pairs(first, sizes, first, sizes)
+    for (a, b), name in (
+        (_pairs(first[:-1][inner], sizes[:-1][inner], first[1:][inner], sizes[1:][inner]),
+         "across"),
+        ((i[i != j], j[i != j]), "within"),
+    ):
+        pair = digits[a] * N_DIGITS + digits[b]
+        cells["trans_" + name].append(pair)
+        out = pair * size + cell[keys[a], keys[b]]
+        for hand in Hand:
+            cells["out_" + name, hand].append(out[hands[a] == hand.value])
     return ChordCounts.collect(params, len(parts), shapes, cells, skipped)
 
 
@@ -398,7 +462,7 @@ class _EdgeKernel:
         self.cell = index_table(PitchRepresentation.LATTICE, p.delta_p_max)
         self.zeta = p.zeta
 
-    def matrices(self, chords: list) -> list:
+    def matrices(self, chords: _Chords) -> list:
         """The (previous states, current states) score matrix of every
         boundary of ``chords``, the first chord's as a 1-row matrix.
 
@@ -408,14 +472,13 @@ class _EdgeKernel:
         order, into a (boundaries, rows, columns) total, cell for cell the
         float sequence of ``np.add.accumulate`` over the terms.
         """
-        sizes = [chord.size for chord in chords]
-        keys = key_indices(c.midi for chord in chords for c in chord.components)
+        sizes, keys = chords.sizes.tolist(), key_indices(chords.midis)
         # a boundary's pitches run on from its previous chord's first one
         start = np.cumsum([0, 0, *sizes[:-2]])
         batches = {}
         for ci, shape in enumerate(zip([0, *sizes[:-1]], sizes)):
             batches.setdefault(shape, []).append(ci)
-        out = [None] * len(chords)
+        out = [None] * len(sizes)
         for (k_prev, k), members in batches.items():
             base, a, b, has_cell = _layout(k_prev, k, self.hand, self.size)
             at = start[members, None]
@@ -428,24 +491,19 @@ class _EdgeKernel:
         return out
 
 
-def _keeps(prev: Chord, chord: Chord, hand: Hand):
-    """Which (previous states, states) pairs keep the digit of every note
-    the two chords share, or None if they share none; only a sustained
-    copy repeats a note of the previous chord."""
-    if not any(c.sustained for c in chord.components):
+def _keeps(chords: _Chords, ci: int, hand: Hand):
+    """Which (previous states, states) pairs of boundary ``ci`` keep the
+    digit of every note the two chords share, or None if they share none:
+    the component pairs ``held`` lists for it."""
+    if ci not in chords.held:
         return None
-    where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
-    prev_states, states = _states_array(prev.size, hand), _states_array(chord.size, hand)
-    keep = True
-    for j, c in enumerate(chord.components):
-        for nid in c.note_ids:
-            if nid in where:
-                keep = keep & (prev_states[where[nid]][:, None] == states[j])
-    return None if keep is True else keep
+    (i, j), size = map(list, zip(*chords.held[ci])), chords.sizes[ci - 1 : ci + 1].tolist()
+    prev_states, states = _states_array(size[0], hand), _states_array(size[1], hand)
+    return (prev_states[i][:, :, None] == states[j][:, None, :]).all(axis=0)
 
 
 @np.errstate(over="ignore")  # a sum of log probabilities may overflow to -inf
-def _forward(model: ChordHmmModel, chords: list, hand: Hand) -> tuple:
+def _forward(model: ChordHmmModel, chords: _Chords, hand: Hand) -> tuple:
     """The Viterbi recursion over the ``_EdgeKernel.matrices`` of ``chords``:
     (final scores, final prefix keys, parents, relaxed boundaries, the
     matrices added).  Each is masked by ``_keeps`` before it is added,
@@ -455,9 +513,9 @@ def _forward(model: ChordHmmModel, chords: list, hand: Hand) -> tuple:
     dp = edges[0][0]
     rank, top = np.arange(dp.size), dp.size - 1
     parents, relaxed = [], []
-    for ci in range(1, len(chords)):
+    for ci in range(1, len(edges)):
         edge = edges[ci]
-        keep = _keeps(chords[ci - 1], chords[ci], hand)
+        keep = _keeps(chords, ci, hand)
         if keep is not None:
             edges[ci] = np.where(keep, edge, NEG_INF)
         cand = dp[:, None] + edges[ci]
@@ -481,15 +539,15 @@ def _path_scores(edges: list, cells) -> np.ndarray:
     return score
 
 
-def _check_sizes(chords: list, what: str) -> None:
+def _check_sizes(chords: _Chords, what: str) -> None:
     """Refuse chords no hand can play, before anything reads them:
     EmptyInput for none or one of no pitches, HandOverflow for more than five."""
-    if not chords:
+    if not chords.onsets:
         raise EmptyInput(f"no chords to {what}")
-    for ci, chord in enumerate(chords):
-        if not 0 < chord.size <= N_DIGITS:
-            error = HandOverflow if chord.size else EmptyInput
-            raise error(f"chord {ci} at {chord.onset:.6f}s has {chord.size} pitches, not 1 to 5")
+    for ci, (onset, size) in enumerate(zip(chords.onsets, chords.sizes.tolist())):
+        if not 0 < size <= N_DIGITS:
+            error = HandOverflow if size else EmptyInput
+            raise error(f"chord {ci} at {onset:.6f}s has {size} pitches, not 1 to 5")
 
 
 def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
@@ -503,16 +561,40 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     -inf where the path changes the digit of a sustained note, unless
     the decoder relaxed that boundary.
     """
-    chords, path = list(chords), [tuple(state) for state in path]
+    chords, path = _columns(chords), [tuple(state) for state in path]
     _check_sizes(chords, "score")
-    if len(path) != len(chords):
+    if len(path) != len(chords.onsets):
         raise ValueError("state path length does not match the chords")
-    for ci, (chord, state) in enumerate(zip(chords, path)):
-        if state not in _states(chord.size, hand):
+    states = [_states(size, hand) for size in chords.sizes.tolist()]
+    for ci, (options, state) in enumerate(zip(states, path)):
+        if state not in options:
             raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
         check_digits(state)
-    cells = [_states(chord.size, hand).index(state) for chord, state in zip(chords, path)]
+    cells = [options.index(state) for options, state in zip(states, path)]
     return float(_path_scores(_forward(model, chords, hand)[-1], np.array([cells]))[0])
+
+
+def _decode(model: ChordHmmModel, chords: _Chords, hand: Hand) -> tuple:
+    """``decode_chords`` of columns: (the digit of each note position, an
+    ``int64`` array, and the decode result)."""
+    _check_sizes(chords, "decode")
+    dp, rank, parents, relaxed, _ = _forward(model, chords, hand)
+    best, indices = best_path(dp, rank, parents)
+    if indices is None:
+        raise NoFeasiblePath("all chord state paths have zero probability")
+    path = tuple(_states(size, hand)[i] for size, i in zip(chords.sizes.tolist(), indices))
+    comp, pos = chords.pairs
+    struck = ~chords.sustained[comp]
+    comp, pos = comp[struck], pos[struck]
+    digits = np.array([d for state in path for d in state], dtype=np.int64)[comp]
+    by_position = np.zeros(len(chords.ids), dtype=np.int64)
+    by_position[pos] = digits
+    return by_position, ChordDecodeResult(
+        fingers_by_note=dict(zip(map(chords.ids.__getitem__, pos.tolist()), digits.tolist())),
+        states=path,
+        log_score=float(best),
+        relaxed_boundaries=tuple(relaxed),
+    )
 
 
 def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
@@ -527,25 +609,21 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     chord and no boundary sorts.  If the sustain constraint leaves no
     feasible transition at some boundary, that boundary alone is relaxed
     and recorded; a decode whose score is still -inf raises NoFeasiblePath.
-    ``_check_sizes`` refuses chords no hand can play first.
+    ``_check_sizes`` refuses chords no hand can play first.  The chords
+    are read as the columns ``_columns`` makes of them.
     """
-    chords = list(chords)
-    _check_sizes(chords, "decode")
-    dp, rank, parents, relaxed, _ = _forward(model, chords, hand)
-    best, indices = best_path(dp, rank, parents)
-    if indices is None:
-        raise NoFeasiblePath("all chord state paths have zero probability")
-    path = tuple(_states(chord.size, hand)[i] for chord, i in zip(chords, indices))
+    return _decode(model, _columns(chords), hand)[1]
 
-    fingers_by_note = {}
-    for chord, state in zip(chords, path):
-        for component, digit in zip(chord.components, state):
-            if not component.sustained:
-                for nid in component.note_ids:
-                    fingers_by_note[nid] = digit
-    return ChordDecodeResult(
-        fingers_by_note=fingers_by_note,
-        states=path,
-        log_score=float(best),
-        relaxed_boundaries=tuple(relaxed),
-    )
+
+def decode_parts(model: ChordHmmModel, parts) -> list:
+    """Per ``(part, hand)`` of ``parts``, in order: (the digit of each of its
+    notes, the decode result), or the FingeringError that clustering or
+    decoding it raised.  A part is clustered once and decoded on its own."""
+    out, params = [], model.params
+    for part, hand in parts:
+        try:
+            chords = _cluster(part, params.delta, params.truncate_overlaps)
+            out.append(_decode(model, chords, hand))
+        except FingeringError as exc:
+            out.append(exc)
+    return out

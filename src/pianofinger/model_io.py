@@ -379,19 +379,6 @@ def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
     )
 
 
-def _decode_chord_parts(model: ChordHmmModel, parts) -> list:
-    out, params = [], model.params
-    for part, hand in parts:  # one chord DP per part
-        try:
-            chords = chord_hmm.cluster_chords(part, params.delta, params.truncate_overlaps)
-            result = chord_hmm.decode_chords(model, chords, hand)
-        except FingeringError as exc:
-            out.append(exc)
-        else:
-            out.append((list(map(result.fingers_by_note.__getitem__, part.ids.tolist())), result))
-    return out
-
-
 def _chord_coefficients(config: ChordHmmParams) -> dict:
     bounds = dict.fromkeys(("beta1", "beta2", "gamma1", "gamma2"), (0.0, 10.0))
     bounds["zeta"] = (0.0, 2.0)
@@ -474,7 +461,7 @@ KINDS = {
         model=ChordHmmModel,
         count=lambda parts, config: chord_hmm.count(parts, config),
         fit=lambda counts, config: chord_hmm.fit(counts, config),
-        decode_parts=_decode_chord_parts,
+        decode_parts=lambda model, parts: chord_hmm.decode_parts(model, parts),
         to_dict=_chord_to_dict,
         from_dict=_chord_from_dict,
         coefficients=_chord_coefficients,

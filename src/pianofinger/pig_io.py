@@ -189,9 +189,14 @@ class Piece:
         return tuple(map(_LABELS.__getitem__, self.signed_fingers.tolist()))
 
     def take(self, index) -> "Piece":
-        """The piece of the notes at ``index``, in that order."""
+        """The piece of the notes at ``index``, in that order: the constructor's
+        piece, whose columns, already of their dtypes, fill it directly."""
         columns = {name: getattr(self, name)[index] for name in _COLUMNS}
-        return Piece(None, self.piece_id, self.annotator_id, **columns)
+        if any(columns[name].dtype != dtype for name, dtype in _COLUMNS.items()):
+            return Piece(None, self.piece_id, self.annotator_id, **columns)  # ints past int64
+        piece = object.__new__(Piece)
+        piece.__dict__.update(piece_id=self.piece_id, annotator_id=self.annotator_id, **columns)
+        return piece
 
     def with_fingers(self, fingers) -> "Piece":
         if len(fingers) != len(self):

@@ -20,7 +20,11 @@ the per-note loop the lock-step batch replaced
 (``reference_recombination``), which stays the dense-rank reference for
 its tie rule, ``cluster_chords`` as a quadratic walk
 (``reference_cluster_chords``), and the chord decoder's sustain filter
-``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).  The fingering-file parser as the per-line loop the
+``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).
+Chord clustering and the chord HMM's training counts as they were
+before clustering built columns: one ``Chord`` per chord, read back one
+attribute at a time (``reference_chord_objects``,
+``reference_chord_count``).  The fingering-file parser as the per-line loop the
 column-at-a-time parser replaced (``reference_parse_fingering_file``),
 and the per-note readers that the piece's columns replaced: the per-hand
 view, the writer, the alignment check and the ground-truth set
@@ -39,8 +43,16 @@ from operator import attrgetter
 
 import numpy as np
 
-from pianofinger._tables import NEG_INF
-from pianofinger.chord_hmm import Chord, ChordComponent, _layout, enumerate_states
+from pianofinger._tables import N_DIGITS, NEG_INF, annotated_parts
+from pianofinger.chord_hmm import (
+    Chord,
+    ChordComponent,
+    ChordCounts,
+    ChordHmmParams,
+    _layout,
+    _pairs,
+    enumerate_states,
+)
 from pianofinger.errors import (
     AlignmentMismatch,
     HandOverflow,
@@ -50,6 +62,7 @@ from pianofinger.errors import (
     MalformedLine,
     MissingFinger,
     NonMonotoneOnsets,
+    RepeatedNoteId,
 )
 from pianofinger.note_hmm import ALLOWED_ASCENDING_RH, ALLOWED_DESCENDING_RH, NoteHmmModel
 from pianofinger.pig_io import (
@@ -58,12 +71,14 @@ from pianofinger.pig_io import (
     Hand,
     Note,
     Piece,
+    infer_hand,
     pitch_to_midi,
     resolve_substitution,
 )
 from pianofinger.pitch_space import (
     Displacement,
     PitchRepresentation,
+    alphabet_size,
     index_table,
     key_indices,
 )
@@ -102,9 +117,12 @@ def edge_scores(kernel, prev_midis: tuple, midis: tuple, rows=slice(None), cols=
     return np.fmax(len(midis) ** -kernel.zeta * total, NEG_INF)
 
 
-def edge_matrices(kernel, chords: list) -> list:
-    """``_EdgeKernel.matrices``, one ``edge_scores`` call per boundary."""
-    pitches = [chord.midis for chord in chords]
+def edge_matrices(kernel, chords) -> list:
+    """``_EdgeKernel.matrices``, one ``edge_scores`` call per boundary of
+    ``chords``, the columns the kernel reads."""
+    ends = np.cumsum(chords.sizes).tolist()
+    pitches = [tuple(chords.midis[end - size:end].tolist())
+               for size, end in zip(chords.sizes.tolist(), ends)]
     return [edge_scores(kernel, prev, cur) for prev, cur in zip([(), *pitches[:-1]], pitches)]
 
 
@@ -281,6 +299,118 @@ def reference_cluster_chords(piece, delta, truncate_overlaps=False):
         )
         chords.append(Chord(onset=chord_onsets[gi], components=components))
     return chords
+
+
+def reference_chord_objects(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
+    """``cluster_chords`` as it built one ``Chord`` per chord.
+
+    Greedy onset clustering of one hand part, plus sustained membership.
+
+    A note joins the current chord when its onset is within ``delta`` of
+    the chord's latest member onset; afterwards every note whose offset
+    exceeds a later chord's onset is added there as sustained.  A pitch
+    that is re-struck displaces its sustained copy.  Chords identify
+    notes by ``note_id``, so a repeated id raises RepeatedNoteId.
+    """
+    if len(piece) == 0:
+        return []
+    infer_hand(piece)
+    ids, onsets, offsets, midis = (
+        column.tolist() for column in (piece.ids, piece.onsets, piece.offsets, piece.midis))
+    if len(set(ids)) < len(ids):
+        seen = set()  # the first id met twice; set.add returns None
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
+    next_onset = {}
+    if truncate_overlaps:
+        distinct = sorted(set(onsets))
+        next_onset = dict(zip(distinct, distinct[1:]))
+
+    groups: list = []  # each chord's note indices
+    for k, onset in enumerate(onsets):
+        if groups and onset - onsets[k - 1] <= delta:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    chord_onsets = [onsets[g[0]] for g in groups]
+
+    members: list = [{} for _ in groups]  # midi -> [ids, sustained]
+    # midi -> the last chord an earlier note of that pitch already sustains
+    # into; chord onsets never descend, so each walk may start after it,
+    # and the walks of one pitch visit each chord at most once
+    reach: dict = {}
+    for gi, group in enumerate(groups):
+        for k in group:
+            midi, note_id = midis[k], ids[k]
+            entry = members[gi].get(midi)
+            if entry is None or entry[1]:
+                members[gi][midi] = [[note_id], False]
+            else:
+                entry[0].append(note_id)
+            offset = offsets[k]
+            if truncate_overlaps and onsets[k] in next_onset:
+                offset = min(offset, next_onset[onsets[k]])
+            gj = max(gi, reach.get(midi, gi)) + 1
+            while gj < len(groups) and chord_onsets[gj] < offset:
+                members[gj][midi] = [[note_id], True]
+                gj += 1
+            reach[midi] = gj - 1
+
+    chords = []
+    for gi, table in enumerate(members):
+        if len(table) > N_DIGITS:
+            raise HandOverflow(
+                f"piece {piece.piece_id!r}: chord at {chord_onsets[gi]:.6f}s "
+                f"needs {len(table)} pitches in one hand"
+            )
+        components = tuple(
+            ChordComponent(midi=midi, note_ids=tuple(ids), sustained=sustained)
+            for midi, (ids, sustained) in sorted(table.items())
+        )
+        chords.append(Chord(onset=chord_onsets[gi], components=components))
+    return chords
+
+
+def reference_chord_count(corpus, params: ChordHmmParams) -> ChordCounts:
+    """``chord_hmm.count`` as it read ``reference_chord_objects`` part by
+    part.  Training counts of annotated single-hand pieces.  Empty pieces are
+    skipped, and so are pieces with a hand overflow, whose ids are
+    recorded.  Only the ``ChordCounts.SETTINGS`` fields matter here."""
+    size = alphabet_size(PitchRepresentation.LATTICE, params.delta_p_max)
+    cell = index_table(PitchRepresentation.LATTICE, params.delta_p_max)
+    shapes = {
+        "initial": (N_DIGITS,),
+        "trans_across": (N_DIGITS, N_DIGITS),
+        "trans_within": (N_DIGITS, N_DIGITS),
+    }
+    for name in ("out_across", "out_within"):
+        shapes.update({(name, hand): (N_DIGITS, N_DIGITS, size) for hand in Hand})
+    cells = {key: [] for key in shapes}
+    parts = annotated_parts(corpus)
+    skipped = []
+    for piece, hand, note_digits in parts:
+        try:
+            chords = reference_chord_objects(piece, params.delta, params.truncate_overlaps)
+        except HandOverflow:
+            skipped.append(piece.piece_id)
+            continue
+        # every component of every chord, flat: its key index and digit
+        flat = [c for chord in chords for c in chord.components]
+        position = dict(zip(piece.ids.tolist(), range(len(piece))))
+        keys = key_indices(c.midi for c in flat)
+        digits = note_digits[[position[c.note_ids[0]] for c in flat]]
+        sizes = np.array([chord.size for chord in chords])
+        first = np.cumsum(sizes) - sizes
+        cells["initial"].append(digits[: sizes[0]])
+        i, j = _pairs(first, sizes, first, sizes)
+        for (a, b), name in (
+            (_pairs(first[:-1], sizes[:-1], first[1:], sizes[1:]), "across"),
+            ((i[i != j], j[i != j]), "within"),
+        ):
+            pair = digits[a] * N_DIGITS + digits[b]
+            cells["trans_" + name].append(pair)
+            cells["out_" + name, hand].append(pair * size + cell[keys[a], keys[b]])
+    return ChordCounts.collect(params, len(parts), shapes, cells, skipped)
 
 
 def keeps(prev: Chord, chord: Chord, hand: Hand):

@@ -23,6 +23,7 @@ from pianofinger.chord_hmm import (
     Chord,
     ChordComponent,
     ChordHmmParams,
+    _columns,
     _keeps,
     enumerate_states,
     train_chord,
@@ -305,7 +306,7 @@ def test_criterion_8_chord_state_combinatorics():
     for _ in range(100):
         prev, chord = random_chord_pair(rng)
         for hand in Hand:
-            keep = _keeps(prev, chord, hand)
+            keep = _keeps(_columns([prev, chord]), 1, hand)
             expected = reference.keeps(prev, chord, hand)
             assert (keep is None) == (expected is None)
             assert keep is None or keep.tolist() == expected.tolist()

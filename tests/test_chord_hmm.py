@@ -47,7 +47,7 @@ from pianofinger.estimate import estimate_piece
 from pianofinger.experiments import train_model
 from pianofinger.model_io import load_model
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, decode_viterbi
-from pianofinger.pig_io import Hand, split_hands
+from pianofinger.pig_io import Hand, Piece, midi_to_pitch, split_hands
 from pianofinger.pitch_space import PitchRepresentation, alphabet_size
 
 CHORD_V1 = Path(__file__).resolve().parents[1] / "data" / "model_v1" / "chord.json"
@@ -110,7 +110,8 @@ def brute_force_chords(model, chords, hand):
     score: the oracle's preparation once, then one read of every path."""
     states = [enumerate_states(c, hand) for c in chords]
     cells = np.array(list(product(*[range(len(s)) for s in states])))
-    scores = chord_hmm._path_scores(chord_hmm._forward(model, chords, hand)[-1], cells)
+    edges = chord_hmm._forward(model, chord_hmm._columns(chords), hand)[-1]
+    scores = chord_hmm._path_scores(edges, cells)
     best = int(np.argmax(scores))
     return tuple(s[i] for s, i in zip(states, cells[best])), float(scores[best])
 
@@ -204,6 +205,106 @@ def test_cluster_matches_the_walk_over_every_later_chord(case):
         assert cluster_chords(piece, delta, truncate) == expected
 
 
+@st.composite
+def column_parts(draw):
+    """A one-hand part built column by column, so its notes may be out of
+    onset order: shared onsets, unisons struck together, pitches re-struck
+    while a copy of them is held, notes that sound to the end, and, with
+    more than five pitches in play or a copied id, hand overflows and
+    repeated note ids.  Empty parts too."""
+    n = draw(st.integers(0, 14))
+    gaps = st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.03, 0.2])
+    steps = draw(st.lists(gaps, min_size=n, max_size=n))
+    onsets = [float(t) for t in np.cumsum(steps)]
+    durations = st.sampled_from([0.005, 0.02, 0.3, 1.0, 100.0])
+    offsets = [t + d for t, d in zip(onsets, draw(st.lists(durations, min_size=n, max_size=n)))]
+    midis = draw(st.lists(st.integers(60, draw(st.integers(60, 70))), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n))) if draw(st.booleans()) else range(n)
+    ids = list(range(n))
+    if n > 1 and draw(st.integers(0, 7)) == 0:
+        ids[draw(st.integers(1, n - 1))] = ids[0]
+    hand = draw(st.sampled_from(Hand))
+    digits = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    columns = dict(
+        ids=ids, onsets=onsets, offsets=offsets, midis=midis,
+        signed_fingers=[d if hand is Hand.RH else -d for d in digits],
+    )
+    columns = {name: [values[k] for k in order] for name, values in columns.items()}
+    return Piece(None, f"p{n}", "1", pitches=list(map(midi_to_pitch, columns["midis"])),
+                 onset_velocities=[64] * n, offset_velocities=[64] * n,
+                 channels=[hand.channel] * n, **columns)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the FingeringError it raised."""
+    try:
+        return call()
+    except FingeringError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(column_parts(), max_size=4), st.sampled_from([0.0, DELTA, 0.05]), st.booleans())
+def test_columns_give_the_chords_and_counts_of_the_chord_objects(parts, delta, truncate):
+    for part in parts:
+        expected = _outcome(lambda: reference.reference_chord_objects(part, delta, truncate))
+        assert _outcome(lambda: cluster_chords(part, delta, truncate)) == expected
+    params = ChordHmmParams(delta=delta, truncate_overlaps=truncate)
+
+    def tables(count):
+        counts = count(parts, params)
+        return counts.parts, counts.skipped, {k: t.tobytes() for k, t in counts.tables.items()}
+
+    expected = _outcome(lambda: tables(reference.reference_chord_count))
+    assert _outcome(lambda: tables(count)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(column_parts(), max_size=3), st.booleans())
+def test_decode_parts_writes_each_notes_digit_as_the_chord_objects_decode(parts, truncate):
+    model = load_model(CHORD_V1)
+    model = replace(model, params=replace(model.params, truncate_overlaps=truncate))
+    parts = [(part, Hand(part.channels[0]) if len(part) else Hand.RH) for part in parts]
+
+    def by_objects(part, hand):
+        chords = reference.reference_chord_objects(part, model.params.delta, truncate)
+        result = decode_chords(model, chords, hand)
+        return list(map(result.fingers_by_note.__getitem__, part.ids.tolist())), result
+
+    for (part, hand), decoded in zip(parts, chord_hmm.decode_parts(model, parts)):
+        expected = _outcome(lambda: by_objects(part, hand))
+        if isinstance(decoded, FingeringError):
+            assert (type(decoded), str(decoded)) == expected
+        else:
+            # repr: Python values in the result, and fingers in the same order
+            assert (decoded[0].tolist(), repr(decoded[1])) == (expected[0], repr(expected[1]))
+
+@pytest.mark.parametrize("onsets, chord_onsets", [
+    ([1.0, 0.2, 0.5, 0.6], [1.0, 0.5, 0.6]),  # a note whose onset goes down joins the chord
+    ([0.0, 0.5, 0.3, 0.9], [0.0, 0.5, 0.9]),
+])
+def test_notes_out_of_onset_order_cluster_in_piece_order(onsets, chord_onsets):
+    n = len(onsets)
+    part = Piece(None, "p", "1", ids=range(n), onsets=onsets, offsets=[t + 0.2 for t in onsets],
+                 pitches=["C4"] * n, midis=[60 + 2 * i for i in range(n)],
+                 onset_velocities=[64] * n, offset_velocities=[64] * n, channels=[0] * n)
+    chords = cluster_chords(part, DELTA)
+    assert [chord.onset for chord in chords] == chord_onsets
+    assert chords == reference.reference_chord_objects(part, DELTA)
+
+
+def test_a_restruck_pitch_leaves_later_chords_holding_the_earlier_note():
+    # note 2 re-strikes C4 while note 0 still sounds; the chord at 3.0 is
+    # reached by both, and holds note 0, so nothing pins note 2's digit there
+    piece = make_piece([60, 64, 60, 67, 65], onsets=[0, 1, 2, 2, 3],
+                       offsets=[10, 1.5, 3.5, 2.5, 3.4])
+    chords = cluster_chords(piece, DELTA)
+    assert [chord.onset for chord in chords] == [0.0, 1.0, 2.0, 3.0]
+    assert chords[2].components[0] == ChordComponent(midi=60, note_ids=(2,), sustained=False)
+    assert chords[3].components[0] == ChordComponent(midi=60, note_ids=(0,), sustained=True)
+    assert chords == reference.reference_chord_objects(piece, DELTA)
+
+
 def test_repeated_note_ids_are_refused():
     piece = make_piece([60, 62, 64, 67], hand=Hand.RH, digits=[1, 2, 3, 5])
     model = load_model(CHORD_V1)
@@ -247,7 +348,7 @@ def test_keeps_pins_a_held_note():
             ChordComponent(midi=64, note_ids=(1,), sustained=False),
         ),
     )
-    keep = chord_hmm._keeps(prev, chord, Hand.RH)
+    keep = chord_hmm._keeps(chord_hmm._columns([prev, chord]), 1, Hand.RH)
     states = enumerate_states(chord, Hand.RH)
     assert keep.shape == (5, 10)
     assert [s for s, kept in zip(states, keep[0]) if kept] == [(1, 2), (1, 3), (1, 4), (1, 5)]
@@ -259,7 +360,7 @@ def test_keeps_matches_brute_force(rng):
     for _ in range(200):
         prev, chord = random_chord_pair(rng)
         for hand in Hand:
-            keep = chord_hmm._keeps(prev, chord, hand)
+            keep = chord_hmm._keeps(chord_hmm._columns([prev, chord]), 1, hand)
             expected = reference.keeps(prev, chord, hand)
             assert (keep is None) == (expected is None)
             if keep is not None:
@@ -675,7 +776,9 @@ def test_batched_edge_matrices_are_the_per_boundary_kernel_byte_for_byte(case):
     for chords in lists:
         sizes = [0] + [chord.size for chord in chords]
         shapes |= set(zip(sizes, sizes[1:]))
-        batched, per_boundary = kernel.matrices(chords), reference.edge_matrices(kernel, chords)
+        columns = chord_hmm._columns(chords)
+        batched = kernel.matrices(columns)
+        per_boundary = reference.edge_matrices(kernel, columns)
         assert [m.shape for m in batched] == [m.shape for m in per_boundary]
         assert [m.tobytes() for m in batched] == [m.tobytes() for m in per_boundary]
     assert shapes == set(product(range(6), range(1, 6)))
@@ -792,7 +895,7 @@ def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng):
     states = [enumerate_states(chord, Hand.RH) for chord in chords]
     cells = np.array([[int(rng.integers(len(s))) for s in states] for _ in range(40)]
                      + [[s.index(state) for s, state in zip(states, result.states)]])
-    edges = chord_hmm._forward(model, chords, Hand.RH)[-1]
+    edges = chord_hmm._forward(model, chord_hmm._columns(chords), Hand.RH)[-1]
     for row, score in zip(cells, chord_hmm._path_scores(edges, cells)):
         path = [s[i] for s, i in zip(states, row)]
         assert score.hex() == chord_path_log_score(model, chords, Hand.RH, path).hex()

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from pianofinger.chord_hmm import ChordHmmParams, chord_path_log_score, cluster_chords
+from pianofinger.chord_hmm import (
+    Chord,
+    ChordComponent,
+    ChordHmmParams,
+    chord_path_log_score,
+    cluster_chords,
+)
 from pianofinger.cli import build_parser, main
 from pianofinger.dataset import load_piece
 from pianofinger.errors import AlignmentMismatch, LengthMismatch
@@ -762,6 +768,34 @@ def test_no_command_builds_the_per_note_view(tmp_path, monkeypatch):
     # the spy sees a view being built
     assert len(load_piece(piece).notes) and built == ["notes", "fingers"]
 
+
+def test_no_chord_command_builds_a_chord_object(tmp_path, monkeypatch):
+    built = []
+    for cls in (Chord, ChordComponent):
+        init = cls.__init__
+
+        def spy(self, *args, cls=cls, init=init, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    piece, est, out = CORPUS / "107-1_fingering.txt", tmp_path / "est", tmp_path / "out"
+    est.mkdir()
+    model, kind = str(tmp_path / "chord.json"), ["--model-kind", "chord-hmm"]
+    commands = [
+        ["train", str(CORPUS), "--out", model, *kind],
+        ["estimate", str(piece), "--model", model, "--out", str(est / "107-e_fingering.txt")],
+        ["evaluate", "--est", str(est), "--gt", str(CORPUS), "--out", str(out)],
+        ["tune", str(CORPUS), "--valid", str(CORPUS), "--budget", "2", *kind, "--out", str(out)],
+        ["scaling", str(CORPUS), "--test", str(CORPUS), "--repeats", "1", *kind,
+         "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert built == []
+    # the spy sees the view being built
+    assert cluster_chords(split_hands(load_piece(piece))[0], ChordHmmParams().delta)
+    assert set(built) == {"Chord", "ChordComponent"}
 
 @pytest.mark.parametrize("command", [
     ["scaling", str(CORPUS), "--test", str(CORPUS), "--repeats", "1"],

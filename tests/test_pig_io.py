@@ -220,6 +220,26 @@ def test_split_hands_all_one_hand():
     assert len(rh) == 1 and len(lh) == 0
 
 
+def test_take_gives_the_constructors_piece():
+    pieces = [parse_fingering_file(path.read_text(), path.name, "1")
+              for path in sorted((DATA / "sample_corpus").glob("*.txt"))[:3]]
+    # a note id past int64 is held as a Python int, in an object column
+    pieces.append(parse_fingering_file(f"0 0.0 0.5 C4 80 80 0 1\n{2**70} 0.5 1.0 D4 80 80 1 -2\n"))
+    pieces.append(parse_fingering_file("0 0.0 0.5 C4 80 80 0\n"))  # unannotated
+    for piece in pieces:
+        n = len(piece)
+        for index in (*hand_positions(piece).values(), np.arange(n)[::-1], np.arange(0),
+                      np.arange(n) % 2 == 0, slice(1, None)):
+            taken = piece.take(index)
+            columns = {name: getattr(piece, name)[index] for name in vars(taken)
+                       if name not in ("piece_id", "annotator_id")}
+            built = Piece(None, piece.piece_id, piece.annotator_id, **columns)
+            assert list(vars(taken)) == list(vars(built))
+            assert [(k, v.dtype) for k, v in vars(taken).items() if isinstance(v, np.ndarray)] \
+                == [(k, v.dtype) for k, v in vars(built).items() if isinstance(v, np.ndarray)]
+            assert taken == built and repr(taken) == repr(built)
+            assert taken.notes == built.notes and taken.fingers == built.fingers
+
 def test_ground_truth_set_rejects_unequal_lengths():
     a = parse_fingering_file("0 0.0 0.5 C4 80 80 0 1\n", annotator_id="a")
     b = parse_fingering_file(
