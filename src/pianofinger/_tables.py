@@ -1,6 +1,7 @@
 """What the note and chord HMMs share: digit states and their rule, config
-value rules, annotated training parts, additive counts; and the tie rule of
-all three exact DPs, the two decoders and the recombination match rate."""
+value rules, annotated training parts, additive counts; the tie rule of all
+three exact DPs, the two decoders and the recombination match rate; and
+the two decoders' lock step over a set of parts."""
 
 import math
 import numbers
@@ -9,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFit, EmptyCorpus, MissingFinger
+from .errors import DegenerateFit, EmptyCorpus, FingeringError, MissingFinger
 from .pig_io import _is_digit, infer_hand
 from .pitch_space import MIDI_MAX, MIDI_MIN
 
@@ -187,12 +188,12 @@ def best_path(dp: np.ndarray, rank: np.ndarray, parents: list, offset: int = 0) 
     return best, path[::-1]
 
 
-def rerank(rank: np.ndarray, parent: np.ndarray, top: int, index=None) -> tuple:
+def rerank(rank: np.ndarray, parent: np.ndarray, top: int, index: np.ndarray) -> tuple:
     """``(keys, top)`` after one DP step in which state i of n extends the
     best prefix of state ``parent[i]``: the keys ``rank[parent[i]] * n +
     i``, in (parent rank, own index) order, and a bound on them.  ``top``
     bounds the keys of ``rank``: a Python int the caller carries from step
-    to step, so that no step reads ``rank.max()``; ``index``, if given, is
+    to step, so that no step reads ``rank.max()``; ``index`` is
     ``np.arange(n)``, kept by a caller of many steps.  Where a key could
     reach KEY_LIMIT, ``rank`` first becomes the dense ranks of its keys,
     one argsort per 62 / log2(n) steps."""
@@ -201,7 +202,69 @@ def rerank(rank: np.ndarray, parent: np.ndarray, top: int, index=None) -> tuple:
         dense = np.empty_like(rank)
         dense[np.argsort(rank)] = np.arange(rank.size)
         rank, top = dense, rank.size - 1
-    return rank[parent] * n + (np.arange(n) if index is None else index), top * n + n - 1
+    return rank[parent] * n + index, top * n + n - 1
+
+
+# part-notes decoded in one lock-step DP, which keeps each step's parents
+# and its parts' score tables: a larger set runs in several
+LOCKSTEP = 4096
+
+
+def decode_set(parts: list, prepare, run) -> list:
+    """Per part, in order: its result from ``run`` or the FingeringError
+    raised.  ``prepare(*part)`` gives its DP steps, its notes and what
+    ``run`` reads of it; ``run`` decodes a list of those in one lock-step
+    DP.  The parts go longest first by steps, ties in order, so those still
+    running at a step are a prefix, and LOCKSTEP notes (or one part) a DP."""
+    out, valid = [None] * len(parts), {}
+    for i, part in enumerate(parts):
+        try:
+            valid[i] = prepare(*part)
+        except FingeringError as exc:
+            out[i] = exc
+    order = sorted(valid, key=lambda i: -valid[i][0])
+    while order:  # the longest run of parts whose notes fit, and at least one
+        notes = np.cumsum([valid[i][1] for i in order])
+        fit = max(1, int(np.searchsorted(notes, LOCKSTEP, side="right")))
+        chunk, order = order[:fit], order[fit:]
+        for i, result in zip(chunk, run([valid[i][2] for i in chunk])):
+            out[i] = result
+    return out
+
+
+class LockStep:
+    """One exact DP's bookkeeping over parts in lock step, longest first:
+    ``dp`` holds a row of state scores per running part, the first b, and
+    ``rank`` their prefix keys flat, part p's from p * width, so one
+    ``rerank`` extends all; ``paths`` gets each part's None if its every
+    path scores -inf, else its best score and the state of each step,
+    within its row, of the lowest-ranked path to it."""
+
+    def __init__(self, dp: np.ndarray):
+        self.dp, self.paths, self.parents, self.widths = dp, [None] * len(dp), [], [dp.shape[1]]
+        self.rank, self.top, self.index = np.arange(dp.size), dp.size - 1, np.arange(dp.size)
+
+    def running(self, b: int) -> tuple:
+        """``(dp, rank)`` of the first b parts; the others end here, and
+        ``running(0)`` after the last step ends every part."""
+        if b == len(self.dp):
+            return self.dp, self.rank
+        width = self.dp.shape[1]
+        for p in range(b, len(self.dp)):
+            best, path = best_path(self.dp[p], self.rank[p * width : (p + 1) * width],
+                                   self.parents, p * width)
+            self.paths[p] = path and (float(best), [int(s) % w for s, w in zip(path, self.widths)])
+        self.dp, self.rank = self.dp[:b], self.rank[: b * width]
+        return self.dp, self.rank
+
+    def extend(self, dp: np.ndarray, parent: np.ndarray) -> None:
+        """One step: rows ``dp``, flat state i after flat state ``parent[i]``."""
+        self.parents.append(parent)
+        self.widths.append(dp.shape[1])
+        if parent.size > self.index.size:  # the steps' flat state indices: a prefix of index
+            self.index = np.arange(parent.size)
+        self.rank, self.top = rerank(self.rank, parent, self.top, self.index[: parent.size])
+        self.dp = dp
 
 
 def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:

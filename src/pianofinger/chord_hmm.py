@@ -21,14 +21,15 @@ notes must keep their digit across every chord that contains them;
 decoding is exact Viterbi over the per-chord state lists.
 
 One edge kernel scores every chord: it builds the (previous states,
-current states) score matrix of each boundary of a chord list from the
-scaled tables in one fixed term order, all boundaries of one (previous
-size, size) shape at once.  A zero exponent times a -inf factor (NaN)
-scores as -inf.  The decoder's recursion masks each matrix with the
-sustain filter before adding it, except where the mask leaves no finite
-transition: there it lifts the constraint at that boundary alone.  That
-recursion, ``_forward``, is the one preparation: the decoder backtracks it,
-and the oracle ``chord_path_log_score`` reads a path's cells of what it added.
+current states) score matrix of each boundary from the scaled tables in
+one fixed term order, all boundaries of one (previous size, size) shape
+at once; a zero exponent times a -inf factor (NaN) scores as -inf.  A set
+of hand parts decodes in one DP, ``_run_viterbi``, in lock step on the
+note decoder's bookkeeping, ``_tables.LockStep``.  It masks each matrix
+with the sustain filter before adding it, except where the mask leaves no
+finite transition: there it lifts the constraint at that boundary alone.
+The oracle ``chord_path_log_score`` reads a path's cells of what the DP
+of its one part added.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from ._tables import (
     N_DIGITS,
     NEG_INF,
     Counts,
+    LockStep,
     annotated_parts,
     best_parents,
-    best_path,
     check_digits,
     check_fields,
+    decode_set,
     normalize_rows,
-    rerank,
     safe_log,
 )
 from .errors import EmptyInput, FingeringError, HandOverflow, NoFeasiblePath, RepeatedNoteId
@@ -268,8 +269,8 @@ def enumerate_states(chord: Chord, hand: Hand) -> list:
     lexicographic order; digits align with the pitch-ascending components.
 
     Which of them may follow the previous chord's state is decided by
-    the one sustain filter, ``_keeps``, in the decoder's recursion
-    ``_forward``, whose matrices the path scorer reads.
+    the one sustain filter, ``_keeps``, in the decoder's DP
+    ``_run_viterbi``, whose blocks the path scorer reads.
     """
     return list(_states(chord.size, hand))
 
@@ -441,8 +442,8 @@ class _EdgeKernel:
     the within outputs likewise.  The sum is multiplied by K**-zeta.  The
     first chord has its components' initial digits in place of the across
     terms.  A NaN score (a zero exponent times a -inf factor) is -inf.
-    ``matrices`` gives every boundary's scores to the decoder and the
-    path scorer alike.
+    ``write`` gives every boundary's scores to the decoder and the path
+    scorer alike.
     """
 
     def __init__(self, model: ChordHmmModel, hand: Hand):
@@ -462,9 +463,10 @@ class _EdgeKernel:
         self.cell = index_table(PitchRepresentation.LATTICE, p.delta_p_max)
         self.zeta = p.zeta
 
-    def matrices(self, chords: _Chords) -> list:
-        """The (previous states, current states) score matrix of every
-        boundary of ``chords``, the first chord's as a 1-row matrix.
+    def write(self, out: np.ndarray, rows: list, chords: list) -> None:
+        """Write the (previous states, current states) score matrix of
+        boundary ci of each ``chords[p]`` into the top left of
+        ``out[rows[p][ci]]``, the first chord's as a 1-row matrix.
 
         The boundaries of one (previous size, size) shape are one batch:
         its cells come through the shape's ``_layout`` from one key index
@@ -472,23 +474,22 @@ class _EdgeKernel:
         order, into a (boundaries, rows, columns) total, cell for cell the
         float sequence of ``np.add.accumulate`` over the terms.
         """
-        sizes, keys = chords.sizes.tolist(), key_indices(chords.midis)
+        sizes = np.concatenate([c.sizes for c in chords])
+        prev = np.concatenate([np.concatenate([[0], c.sizes[:-1]]) for c in chords])
+        keys, rows = key_indices(np.concatenate([c.midis for c in chords])), np.concatenate(rows)
         # a boundary's pitches run on from its previous chord's first one
-        start = np.cumsum([0, 0, *sizes[:-2]])
-        batches = {}
-        for ci, shape in enumerate(zip([0, *sizes[:-1]], sizes)):
-            batches.setdefault(shape, []).append(ci)
-        out = [None] * len(sizes)
-        for (k_prev, k), members in batches.items():
-            base, a, b, has_cell = _layout(k_prev, k, self.hand, self.size)
+        start, shape = np.cumsum(sizes) - sizes - prev, prev * (N_DIGITS + 1) + sizes
+        for code in np.unique(shape).tolist():
+            members = np.flatnonzero(shape == code)
+            k = code % (N_DIGITS + 1)
+            base, a, b, has_cell = _layout(code // (N_DIGITS + 1), k, self.hand, self.size)
             at = start[members, None]
             cells = (has_cell * self.cell[keys[at + a], keys[at + b]])[:, :, None, None]
-            total = np.zeros((len(members), *base.shape[1:]))
+            total = np.zeros((members.size, *base.shape[1:]))
             for t in range(1, len(base)):  # term 0 is the 0.0 the sum starts from
                 total += self.flat[base[t] + cells[:, t]]
-            for ci, matrix in zip(members, np.fmax(k ** -self.zeta * total, NEG_INF)):
-                out[ci] = matrix
-        return out
+            total *= k ** -self.zeta
+            out[rows[members], : base.shape[1], : base.shape[2]] = np.fmax(total, NEG_INF, total)
 
 
 def _keeps(chords: _Chords, ci: int, hand: Hand):
@@ -502,40 +503,68 @@ def _keeps(chords: _Chords, ci: int, hand: Hand):
     return (prev_states[i][:, :, None] == states[j][:, None, :]).all(axis=0)
 
 
+def _edges(model: ChordHmmModel, parts) -> list:
+    """Per boundary ci of the DP over ``parts``, ``(chords, hand)`` pairs
+    longest first, a (b, previous width, width) block: the score matrices
+    of boundary ci of the first b parts, which have one, the first chord's
+    as one row, padded with -inf after their states to the most states of
+    a chord of theirs there."""
+    lengths = [chords.sizes.size for chords, _ in parts]
+    running = np.searchsorted(-np.array(lengths), -np.arange(lengths[0]))  # b per boundary
+    first = np.cumsum(running) - running  # each boundary's first row
+    rows = [first[:n] + p for p, n in enumerate(lengths)]
+    states = np.zeros(sum(lengths), dtype=np.intp)  # C(5, size) per row
+    states[np.concatenate(rows)] = np.array([1, 5, 10, 10, 5, 1])[
+        np.concatenate([chords.sizes for chords, _ in parts])]
+    width = np.maximum.reduceat(states, first).tolist()
+    out = np.full((states.size, max(width), max(width)), NEG_INF)
+    for hand in dict.fromkeys(hand for _, hand in parts):
+        mine = [p for p, (_, h) in enumerate(parts) if h is hand]
+        _EdgeKernel(model, hand).write(out, [rows[p] for p in mine], [parts[p][0] for p in mine])
+    return [out[i : i + b, :w_prev, :w] for i, b, w_prev, w
+            in zip(first.tolist(), running.tolist(), [1, *width], width)]
+
+
 @np.errstate(over="ignore")  # a sum of log probabilities may overflow to -inf
-def _forward(model: ChordHmmModel, chords: _Chords, hand: Hand) -> tuple:
-    """The Viterbi recursion over the ``_EdgeKernel.matrices`` of ``chords``:
-    (final scores, final prefix keys, parents, relaxed boundaries, the
-    matrices added).  Each is masked by ``_keeps`` before it is added,
-    unless that leaves no finite score while the previous chord has one:
-    then that boundary is relaxed, added unmasked."""
-    edges = _EdgeKernel(model, hand).matrices(chords)
-    dp = edges[0][0]
-    rank, top = np.arange(dp.size), dp.size - 1
-    parents, relaxed = [], []
-    for ci in range(1, len(edges)):
-        edge = edges[ci]
-        keep = _keeps(chords, ci, hand)
-        if keep is not None:
-            edges[ci] = np.where(keep, edge, NEG_INF)
-        cand = dp[:, None] + edges[ci]
-        if keep is not None and cand.max() == NEG_INF and dp.max() > NEG_INF:
-            edges[ci] = edge
-            cand = dp[:, None] + edge
-            relaxed.append(ci)
-        dp, parent = best_parents(cand, rank[:, None])
-        parents.append(parent)
-        rank, top = rerank(rank, parent, top)
-    return dp, rank, parents, relaxed, edges
+def _run_viterbi(model: ChordHmmModel, parts) -> tuple:
+    """Exact DP over the ``_edges`` of ``parts``, ``(chords, hand)`` pairs
+    longest first, in lock step on ``_tables.LockStep``: its ``paths``,
+    per part its relaxed boundaries, and the blocks as added.  A part's
+    matrix is masked by ``_keeps`` before it is added, unless that leaves
+    no finite score while its previous chord has one: then that boundary
+    is relaxed, the matrix added unmasked."""
+    edges, relaxed = _edges(model, parts), [[] for _ in parts]
+    starts = np.arange(len(parts))[:, None] * np.arange(11)  # [p, w]: part p's first of w states
+    lock = LockStep(edges[0][:, 0])
+    for ci, edge in enumerate(edges[1:], 1):
+        b, w_prev = edge.shape[:2]
+        dp, rank = lock.running(b)
+        for p, (chords, hand) in enumerate(parts[:b]):
+            keep = _keeps(chords, ci, hand)
+            if keep is not None:
+                matrix = edge[p, : keep.shape[0], : keep.shape[1]]
+                masked = np.where(keep, matrix, NEG_INF)
+                cand = dp[p, : keep.shape[0], None] + masked
+                if cand.max() == NEG_INF and dp[p].max() > NEG_INF:
+                    relaxed[p].append(ci)
+                else:
+                    matrix[...] = masked
+        dp, g = best_parents((dp[:, :, None] + edge).swapaxes(0, 1),
+                             rank.reshape(b, w_prev, 1).swapaxes(0, 1))
+        g += starts[:b, w_prev, None]
+        lock.extend(dp, g.ravel())
+    lock.running(0)
+    return lock.paths, relaxed, edges
 
 
 @np.errstate(over="ignore")
 def _path_scores(edges: list, cells) -> np.ndarray:
     """The score of each row of ``cells``, a (paths, chords) array of state
-    indices: its cells of the matrices ``_forward`` added, boundary by boundary."""
-    score = edges[0][0, cells[:, 0]]
+    indices: its cells of the blocks a ``_run_viterbi`` of one part added,
+    boundary by boundary."""
+    score = edges[0][0, 0, cells[:, 0]]
     for ci in range(1, len(edges)):
-        score = score + edges[ci][cells[:, ci - 1], cells[:, ci]]
+        score = score + edges[ci][0, cells[:, ci - 1], cells[:, ci]]
     return score
 
 
@@ -557,7 +586,7 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     not have, or a digit that is not an integer (True and 1.0 equal 1).
 
     Its row of ``_path_scores``: each chord's term is the path's
-    ``[previous, current]`` cell of the matrix ``_forward`` added there:
+    ``[previous, current]`` cell of the matrix ``_run_viterbi`` added there:
     -inf where the path changes the digit of a sustained note, unless
     the decoder relaxed that boundary.
     """
@@ -571,59 +600,58 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
             raise ValueError(f"state {state} of chord {ci} is not a crossing-free assignment")
         check_digits(state)
     cells = [options.index(state) for options, state in zip(states, path)]
-    return float(_path_scores(_forward(model, chords, hand)[-1], np.array([cells]))[0])
+    return float(_path_scores(_run_viterbi(model, [(chords, hand)])[-1], np.array([cells]))[0])
 
 
-def _decode(model: ChordHmmModel, chords: _Chords, hand: Hand) -> tuple:
-    """``decode_chords`` of columns: (the digit of each note position, an
-    ``int64`` array, and the decode result)."""
-    _check_sizes(chords, "decode")
-    dp, rank, parents, relaxed, _ = _forward(model, chords, hand)
-    best, indices = best_path(dp, rank, parents)
-    if indices is None:
-        raise NoFeasiblePath("all chord state paths have zero probability")
-    path = tuple(_states(size, hand)[i] for size, i in zip(chords.sizes.tolist(), indices))
-    comp, pos = chords.pairs
-    struck = ~chords.sustained[comp]
-    comp, pos = comp[struck], pos[struck]
-    digits = np.array([d for state in path for d in state], dtype=np.int64)[comp]
-    by_position = np.zeros(len(chords.ids), dtype=np.int64)
-    by_position[pos] = digits
-    return by_position, ChordDecodeResult(
-        fingers_by_note=dict(zip(map(chords.ids.__getitem__, pos.tolist()), digits.tolist())),
-        states=path,
-        log_score=float(best),
-        relaxed_boundaries=tuple(relaxed),
-    )
+def _decode_set(model: ChordHmmModel, parts, columns) -> list:
+    """``_tables.decode_set`` of ``(part, hand)`` pairs whose chords are
+    ``columns(part)``: per pair, (the digit of each note position, an
+    ``int64`` array, and the decode result), or the FingeringError raised."""
+    def prepare(part, hand):
+        chords = columns(part)
+        _check_sizes(chords, "decode")
+        return chords.sizes.size, len(chords.ids), (chords, hand)
+
+    def result(chords, hand, decoded, relaxed):
+        if decoded is None:
+            return NoFeasiblePath("all chord state paths have zero probability")
+        path = tuple(_states(size, hand)[i] for size, i in zip(chords.sizes.tolist(), decoded[1]))
+        comp, pos = chords.pairs
+        struck = ~chords.sustained[comp]
+        comp, pos = comp[struck], pos[struck]
+        digits = np.array([d for state in path for d in state], dtype=np.int64)[comp]
+        by_position = np.zeros(len(chords.ids), dtype=np.int64)
+        by_position[pos] = digits
+        return by_position, ChordDecodeResult(
+            fingers_by_note=dict(zip(map(chords.ids.__getitem__, pos.tolist()), digits.tolist())),
+            states=path,
+            log_score=decoded[0],
+            relaxed_boundaries=tuple(relaxed),
+        )
+
+    return decode_set(parts, prepare, lambda batch: [
+        result(*part, *out) for part, *out in zip(batch, *_run_viterbi(model, batch)[:2])])
 
 
 def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
-    """Exact Viterbi over chord states.
-
-    Each boundary is one (previous states, current states) score matrix
-    from ``_EdgeKernel.matrices``, masked where a sustained note would
-    change digit.  Ties resolve to the lexicographically smallest state path by
-    the tie rule of ``_tables``; since ``enumerate_states`` lists states in
-    ascending order, each boundary extends the prefix keys by the state
-    index, ``key[parent] * states + index``, so ties cost O(states) per
-    chord and no boundary sorts.  If the sustain constraint leaves no
-    feasible transition at some boundary, that boundary alone is relaxed
-    and recorded; a decode whose score is still -inf raises NoFeasiblePath.
-    ``_check_sizes`` refuses chords no hand can play first.  The chords
-    are read as the columns ``_columns`` makes of them.
-    """
-    return _decode(model, _columns(chords), hand)[1]
+    """Exact Viterbi over chord states: ``decode_parts``' DP of one chord
+    list, read as the columns ``_columns`` makes of it, raising its error.
+    Ties resolve to the lexicographically smallest state path, states in
+    the order ``enumerate_states`` lists them, by the tie rule of
+    ``_tables``.  A boundary where the sustain constraint leaves no
+    feasible transition is relaxed and recorded; a decode whose score is
+    still -inf raises NoFeasiblePath.  ``_check_sizes`` refuses chords no
+    hand can play first."""
+    (result,) = _decode_set(model, [(chords, hand)], _columns)
+    if isinstance(result, FingeringError):
+        raise result
+    return result[1]
 
 
 def decode_parts(model: ChordHmmModel, parts) -> list:
     """Per ``(part, hand)`` of ``parts``, in order: (the digit of each of its
     notes, the decode result), or the FingeringError that clustering or
-    decoding it raised.  A part is clustered once and decoded on its own."""
-    out, params = [], model.params
-    for part, hand in parts:
-        try:
-            chords = _cluster(part, params.delta, params.truncate_overlaps)
-            out.append(_decode(model, chords, hand))
-        except FingeringError as exc:
-            out.append(exc)
-    return out
+    decoding it raised.  Each part is clustered once, and the parts are
+    decoded in lock step, LOCKSTEP part-notes (or one part) to a DP."""
+    p = model.params
+    return _decode_set(model, parts, lambda part: _cluster(part, p.delta, p.truncate_overlaps))

@@ -13,8 +13,8 @@ def estimate_pieces(model, pieces) -> list:
     """Per piece, in order: (signed fingers, a list aligned with the
     piece's columns, {hand: decode result}), or the FingeringError its
     first failing hand raised.  Every hand part of every piece goes to one
-    ``decode_parts`` call, so a note model decodes them in lock step.  A
-    chord model raises HandOverflow for a hand of more than five
+    ``decode_parts`` call, so a model of either kind decodes them in lock
+    step.  A chord model raises HandOverflow for a hand of more than five
     simultaneous pitches; callers batching over a corpus exclude that piece."""
     out, hands, parts = [], [], []
     for i, piece in enumerate(pieces):

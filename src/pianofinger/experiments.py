@@ -97,9 +97,9 @@ def evaluate_model(model, gt_sets, measure: str = "m_gen") -> float:
     """Macro average of one match-rate measure over ground-truth sets.
 
     Every hand part of every piece is decoded in one ``estimate_pieces``
-    call: a note model builds one set of step tables and runs one lock-step
-    DP per ``note_hmm.LOCKSTEP`` part-notes.  Pieces a chord model cannot
-    decode (hand overflow) are excluded; any other decode error is raised.
+    call: a model of either kind runs one lock-step DP per
+    ``_tables.LOCKSTEP`` part-notes.  Pieces a chord model cannot decode
+    (hand overflow) are excluded; any other decode error is raised.
     """
     _check_measure(measure)
     gt_sets = list(gt_sets)

@@ -8,10 +8,10 @@ pair.  Optional time-inversion and left/right reflection symmetries are
 imposed by count tying, and a hard constraint can forbid finger crossings
 inside chords.  Decoding is exact Viterbi over the last-``m``-digit state
 space, in one DP over a list of hand parts (``decode_parts``; up to
-LOCKSTEP part-notes each) that reads one set of ``_step_tables`` in place:
-the parts run in lock step, longest first, so those still running are a
-prefix of the batch.  Parts the crossing constraint leaves no path rerun
-on the same tables without it.
+``_tables.LOCKSTEP`` part-notes each) that reads one set of
+``_step_tables`` in place: the parts run in lock step on the bookkeeping
+both decoders share, ``_tables.LockStep``.  Parts the crossing constraint
+leaves no path rerun on the same tables without it.
 
 Score convention: each pairwise output row is normalised over the clamped
 displacement alphabet for its finger pair, and decoding maximises
@@ -21,8 +21,8 @@ displacement alphabet for its finger pair, and decoding maximises
 which is an unnormalised posterior score; only its argmax is meaningful
 across configurations.  The oracle ``sequence_log_score`` is the decoder's
 preparation of a set of one part, ``_part_tables``, plus ``_path_scores``,
-which adds a batch of fingerings' cells of the terms and masks ``_steps``
-yields, so enumeration prepares once and reads every fingering bitwise.
+which adds a batch of fingerings' cells of the terms and masks the decoder
+adds, so enumeration prepares once and reads every fingering bitwise.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from ._tables import (
     N_DIGITS,
     NEG_INF,
     Counts,
+    LockStep,
     annotated_parts,
     best_parents,
-    best_path,
     check_digits,
     check_fields,
     check_non_negative,
+    decode_set,
     normalize_rows,
-    rerank,
     safe_log,
 )
 from .errors import EmptyPiece, FingeringError, NoFeasiblePath
@@ -393,34 +393,18 @@ def _steps(model: NoteHmmModel, tables):
 @np.errstate(over="ignore")
 def _run_viterbi(model: NoteHmmModel, tables) -> list:
     """Exact DP over ``_steps`` of one set of ``_step_tables`` ``tables``,
-    its parts in lock step; per part, in order, (digits, log score) or None
-    when every path has score -inf.  The parts that have note n are the
-    first b: ``dp``, a row of state scores per part, shrinks to them with
-    no mask.  ``rank`` holds their prefix keys flat, part p's from p *
-    states, so one gather extends all.  Exact score ties resolve to the
-    lexicographically smallest digits by the tie rule of ``_tables``:
-    extensions of one prefix order by state index, so ties cost O(states)
-    per note.  Each score is ``(dp + transition) + terms``, masked by
-    ``allowed``: the terms and masks whose path cells the oracle reads.
-    Each part backtracks on its own."""
-    m, lengths = model.config.order, tables[2].tolist()
+    its parts in lock step on ``_tables.LockStep``; per part, in order,
+    (digits, log score) or None when every path has score -inf.  Ties go
+    to the lexicographically smallest digits by the tie rule of ``_tables``.
+    Each score is ``(dp + transition) + terms``, masked by ``allowed``: the
+    terms and masks whose path cells the oracle reads."""
+    m, parts = model.config.order, len(tables[2])
     base = N_DIGITS ** (m - 1)
     # the flat index of part p's state (0, r), r the state's last m - 1 digits
-    columns = (np.arange(len(lengths))[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
-    dp = model.log_initial[0][0][None].repeat(len(lengths), axis=0)
-    rank, top = np.arange(dp.size), dp.size - 1
-    index = np.arange(len(lengths) * base * N_DIGITS)  # each step's state indices: a prefix
-    parents, ends = [], [None] * len(lengths)
-
-    def end(b):  # parts b.. have no next note: keep their scores, keys and offsets
-        size = dp.shape[1]
-        for p in range(b, len(dp)):
-            ends[p] = dp[p], rank[p * size : (p + 1) * size], p * size
-        return dp[:b], rank[: b * size], columns[:b]
-
+    columns = (np.arange(parts)[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
+    lock = LockStep(model.log_initial[0][0][None].repeat(parts, axis=0))
     for n, (b, trans, terms, allow) in enumerate(_steps(model, tables), 1):
-        if b < len(dp):
-            dp, rank, columns = end(b)
+        dp, rank = lock.running(b)
         scores = dp[:, :, None] + trans
         if terms is not None:
             scores += terms
@@ -435,16 +419,10 @@ def _run_viterbi(model: NoteHmmModel, tables) -> list:
                 scores.reshape(b, N_DIGITS, base, N_DIGITS).swapaxes(0, 1),
                 rank.reshape(b, N_DIGITS, base, 1).swapaxes(0, 1),
             )
-            dp, parent = dp.reshape(b, -1), (g * base + columns).reshape(-1)
-        parents.append(parent)
-        rank, top = rerank(rank, parent, top, index[: parent.size])
-    end(0)
-    results = []
-    for length, (final, keys, offset) in zip(lengths, ends):
-        best, states = best_path(final, keys, parents[: length - 1], offset)
-        results.append(None if states is None else (
-            tuple(int(s) % N_DIGITS + 1 for s in states), float(best)))
-    return results
+            dp, parent = dp.reshape(b, -1), (g * base + columns[:b]).reshape(-1)
+        lock.extend(dp, parent)
+    lock.running(0)
+    return [path and (tuple(s % N_DIGITS + 1 for s in path[1]), path[0]) for path in lock.paths]
 
 
 def _hand_part(piece: Piece, hand: Hand | None) -> tuple:
@@ -461,53 +439,29 @@ def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
     return _step_tables(model, [_hand_part(piece, hand)])
 
 
-# part-notes decoded in one lock-step DP, which keeps (notes, 5**order)
-# parents and its parts' one set of step tables: a larger set runs in several
-LOCKSTEP = 4096
-
-
 def decode_parts(model: NoteHmmModel, parts) -> list:
     """Most probable fingering of each ``(part, hand)`` pair by exact
     Viterbi, the hand inferred if None: per pair, in order, its
-    DecodeResult or the FingeringError it raised.  The parts go longest
-    first, LOCKSTEP part-notes (or one part) to each ``_run_viterbi``,
-    which decodes them in lock step; those the within-chord constraint
-    leaves no path (e.g. an unplayable cluster) run again as a second
-    batch, on the same tables without the constraint, and are flagged.
+    DecodeResult or the FingeringError it raised.  ``_tables.decode_set``
+    gives the parts to ``_run_viterbi``, one set of ``_step_tables`` per
+    DP; those the within-chord constraint leaves no path (e.g. an
+    unplayable cluster) run again as a second batch, on the same tables
+    without the constraint, and are flagged.
     """
-    out, chunk, notes = [None] * len(parts), [], 0
-    for i in sorted(range(len(parts)), key=lambda i: -len(parts[i][0])):
-        if chunk and notes + len(parts[i][0]) > LOCKSTEP:
-            _decode_chunk(model, parts, chunk, out)
-            chunk, notes = [], 0
-        chunk.append(i)
-        notes += len(parts[i][0])
-    _decode_chunk(model, parts, chunk, out)
-    return out
+    def run(batch):
+        tables = _step_tables(model, [part for _, part in batch])
+        decoded = dict(enumerate(_run_viterbi(model, tables)))
+        fallback = [k for k, result in decoded.items()
+                    if result is None and model.config.chord_constraint]
+        if fallback:
+            unmasked = (tables[0], tables[1][fallback], tables[2][fallback], {})
+            decoded.update(zip(fallback, _run_viterbi(model, unmasked)))
+        return [NoFeasiblePath(f"piece {piece_id!r}: all fingerings have zero probability")
+                if result is None else DecodeResult(*result, crossing_fallback_used=k in fallback)
+                for (piece_id, _), (k, result) in zip(batch, decoded.items())]
 
-
-def _decode_chunk(model: NoteHmmModel, parts, chunk: list, out: list) -> None:
-    """``decode_parts`` of the parts ``chunk`` indexes, into ``out``, on one
-    set of ``_step_tables``, of which the fallback batch reads a subset."""
-    valid = {}
-    for i in chunk:
-        try:
-            valid[i] = _hand_part(*parts[i])
-        except FingeringError as exc:
-            out[i] = exc
-    if not valid:
-        return
-    tables = _step_tables(model, list(valid.values()))
-    decoded = dict(enumerate(_run_viterbi(model, tables)))
-    fallback = [k for k, result in decoded.items()
-                if result is None and model.config.chord_constraint]
-    if fallback:
-        unmasked = (tables[0], tables[1][fallback], tables[2][fallback], {})
-        decoded.update(zip(fallback, _run_viterbi(model, unmasked)))
-    for i, (k, result) in zip(valid, decoded.items()):
-        out[i] = NoFeasiblePath(
-            f"piece {parts[i][0].piece_id!r}: all fingerings have zero probability"
-        ) if result is None else DecodeResult(*result, crossing_fallback_used=k in fallback)
+    return decode_set(parts, lambda piece, hand: (
+        len(piece), len(piece), (piece.piece_id, _hand_part(piece, hand))), run)
 
 
 def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) -> DecodeResult:
@@ -521,19 +475,28 @@ def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) 
 @np.errstate(over="ignore")
 def _path_scores(model: NoteHmmModel, tables, paths) -> np.ndarray:
     """The decoder's score of each row of ``paths``, (paths, notes) digits
-    1 to 5, on one part's ``_part_tables``: its cells of what ``_steps``
-    yields, in one pass.  A row that crosses where ``allowed`` forbids is
-    -inf, unless the constrained pass finds no path, as in the decoder."""
+    1 to 5, on one part's ``_part_tables``, in the order ``_steps`` adds
+    it: per warm-up note, and per BLOCK of notes after, one gather of its
+    transition cells and one of its ``_output_terms`` cells, interleaved
+    note by note and summed by one ``np.add.accumulate``.  A row that
+    crosses where ``masks`` forbid is -inf, unless the constrained pass
+    finds no path, as in the decoder."""
+    slabs, starts, (length,), masks = tables
     f, m = np.asarray(paths, dtype=np.intp).T - 1, model.config.order  # (notes, paths)
-    acc, crosses = model.log_initial[0][0][f[0]], np.zeros(f.shape[1], dtype=bool)
     # note n's flat (state of its last min(n, m) digits, digit) cell; leading zeros add nothing
     codes = _window_codes(np.pad(f, ((m, 0), (0, 0))), m + 1)
-    for n, (_, trans, terms, allow) in enumerate(_steps(model, tables), 1):
-        acc = acc + trans.take(codes[n])
-        if terms is not None:
-            acc = acc + terms[0].take(codes[n])
-        if allow is not None:  # over (previous digit, digit)
-            crosses |= ~allow[0].take(codes[n] % N_DIGITS**2)
+    acc = model.log_initial[0][0][f[:1]]
+    for first in [*range(1, min(m, length)), *range(m, length, BLOCK)]:
+        at = codes[first : first + 1 if first < m else first + BLOCK]
+        cells = (model.log_initial[first] if first < m else model.log_transition).take(at)[:, None]
+        terms = _output_terms(slabs, starts, first, first + len(at), min(first, m), 1)
+        if terms is not None:  # note by note: transition, then terms
+            terms = np.take_along_axis(terms[0].reshape(len(at), -1), at, axis=1)
+            cells = np.concatenate([cells, terms[:, None]], axis=1)
+        acc = np.add.accumulate(np.concatenate([acc, cells.reshape(-1, f.shape[1])]))[-1:]
+    acc, crosses = acc[0], np.zeros(f.shape[1], dtype=bool)
+    for n, allow in masks.items():  # over (previous digit, digit)
+        crosses |= ~allow[0].take(codes[n] % N_DIGITS**2)
     if crosses.any() and _run_viterbi(model, tables)[0] is not None:
         acc[crosses] = NEG_INF
     return acc

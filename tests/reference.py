@@ -8,8 +8,9 @@ both must choose the same parents.
 
 The per-boundary chord edge kernel: each boundary's score matrix is
 gathered on its own and summed by ``np.add.accumulate`` over the terms.
-``pianofinger.chord_hmm._EdgeKernel.matrices`` scores every boundary of
-one shape at once; both must give the same bytes.
+``pianofinger.chord_hmm._EdgeKernel.write`` scores every boundary of
+one shape at once; both must give the same bytes, and ``write_edges``
+writes the per-boundary matrices where the kernel writes its own.
 
 The scalar forms of vectorised rules: one note's output score
 (``output_score``), the within-chord crossing rule
@@ -33,7 +34,9 @@ view, the writer, the alignment check and the ground-truth set
 ``reference_from_pieces``).
 The note decoder's step tables of one hand part at a time, as they were
 before one set of tables joined every part of a batch
-(``reference_step_tables``).
+(``reference_step_tables``), and its oracle's read as the per-note loop
+(``path_scores``).  The chord decoder as the per-part recursion that the
+lock-step DP replaced (``chord_viterbi``).
 """
 
 import math
@@ -49,8 +52,11 @@ from pianofinger.chord_hmm import (
     ChordComponent,
     ChordCounts,
     ChordHmmParams,
+    _EdgeKernel,
+    _keeps,
     _layout,
     _pairs,
+    _states,
     enumerate_states,
 )
 from pianofinger.errors import (
@@ -64,7 +70,14 @@ from pianofinger.errors import (
     NonMonotoneOnsets,
     RepeatedNoteId,
 )
-from pianofinger.note_hmm import ALLOWED_ASCENDING_RH, ALLOWED_DESCENDING_RH, NoteHmmModel
+from pianofinger.note_hmm import (
+    ALLOWED_ASCENDING_RH,
+    ALLOWED_DESCENDING_RH,
+    NoteHmmModel,
+    _run_viterbi,
+    _steps,
+    _window_codes,
+)
 from pianofinger.pig_io import (
     TIME_DECIMALS,
     GroundTruthSet,
@@ -118,12 +131,67 @@ def edge_scores(kernel, prev_midis: tuple, midis: tuple, rows=slice(None), cols=
 
 
 def edge_matrices(kernel, chords) -> list:
-    """``_EdgeKernel.matrices``, one ``edge_scores`` call per boundary of
-    ``chords``, the columns the kernel reads."""
+    """The score matrix of every boundary of ``chords``, the columns the
+    kernel reads, one ``edge_scores`` call each."""
     ends = np.cumsum(chords.sizes).tolist()
     pitches = [tuple(chords.midis[end - size:end].tolist())
                for size, end in zip(chords.sizes.tolist(), ends)]
     return [edge_scores(kernel, prev, cur) for prev, cur in zip([(), *pitches[:-1]], pitches)]
+
+
+def write_edges(kernel, out, rows, chords) -> None:
+    """``_EdgeKernel.write`` by ``edge_matrices``, one part at a time."""
+    for at, columns in zip(rows, chords):
+        for row, matrix in zip(at, edge_matrices(kernel, columns)):
+            out[row, : matrix.shape[0], : matrix.shape[1]] = matrix
+
+
+def chord_viterbi(model, chords, hand: Hand):
+    """The chord decoder of one part as the per-part recursion the
+    lock-step DP replaced, on ``edge_matrices`` and the dense tie rule:
+    (states, log score, relaxed boundaries), or None when every path
+    scores -inf."""
+    edges = edge_matrices(_EdgeKernel(model, hand), chords)
+    dp, rank, parents, relaxed = edges[0][0], np.arange(edges[0].shape[1]), [], []
+    for ci in range(1, len(edges)):
+        keep = _keeps(chords, ci, hand)
+        with np.errstate(over="ignore"):
+            cand = dp[:, None] + edges[ci]
+            masked = None if keep is None else dp[:, None] + np.where(keep, edges[ci], NEG_INF)
+        if masked is not None and masked.max() == NEG_INF and dp.max() > NEG_INF:
+            relaxed.append(ci)
+        elif masked is not None:
+            cand = masked
+        dp, parent = best_parents(cand, rank[:, None])
+        parents.append(parent)
+        rank, _ = rerank(rank, parent)
+    best = dp.max()
+    if not best > NEG_INF:
+        return None
+    path = [int(np.flatnonzero(dp == best)[rank[dp == best].argmin()])]
+    for parent in reversed(parents):
+        path.append(int(parent[path[-1]]))
+    states = [_states(size, hand)[i] for size, i in zip(chords.sizes.tolist(), path[::-1])]
+    return tuple(states), float(best), tuple(relaxed)
+
+
+def path_scores(model: NoteHmmModel, tables, paths) -> np.ndarray:
+    """``note_hmm._path_scores`` as the per-note loop over ``_steps`` that
+    one gather per block of notes replaced: two ``take`` calls and two
+    additions per note, in the same order."""
+    f, m = np.asarray(paths, dtype=np.intp).T - 1, model.config.order
+    acc, crosses = model.log_initial[0][0][f[0]], np.zeros(f.shape[1], dtype=bool)
+    codes = _window_codes(np.pad(f, ((m, 0), (0, 0))), m + 1)
+    with np.errstate(over="ignore"):
+        for n, (_, trans, terms, allow) in enumerate(_steps(model, tables), 1):
+            acc = acc + trans.take(codes[n])
+            if terms is not None:
+                acc = acc + terms[0].take(codes[n])
+            if allow is not None:
+                crosses |= ~allow[0].take(codes[n] % N_DIGITS**2)
+    if crosses.any() and _run_viterbi(model, tables)[0] is not None:
+        acc[crosses] = NEG_INF
+    return acc
 
 
 def output_score(model: NoteHmmModel, pitches, fingers, hand: Hand = Hand.RH) -> float:

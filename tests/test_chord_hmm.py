@@ -20,7 +20,7 @@ from conftest import (
     random_rows,
     tie_heavy_chord_part,
 )
-from pianofinger import chord_hmm, pitch_space
+from pianofinger import _tables, chord_hmm, pitch_space
 from pianofinger.chord_hmm import (
     Chord,
     ChordComponent,
@@ -40,6 +40,7 @@ from pianofinger.errors import (
     EmptyInput,
     FingeringError,
     HandOverflow,
+    NoFeasiblePath,
     OutOfRange,
     RepeatedNoteId,
 )
@@ -110,7 +111,7 @@ def brute_force_chords(model, chords, hand):
     score: the oracle's preparation once, then one read of every path."""
     states = [enumerate_states(c, hand) for c in chords]
     cells = np.array(list(product(*[range(len(s)) for s in states])))
-    edges = chord_hmm._forward(model, chord_hmm._columns(chords), hand)[-1]
+    edges = chord_hmm._run_viterbi(model, [(chord_hmm._columns(chords), hand)])[-1]
     scores = chord_hmm._path_scores(edges, cells)
     best = int(np.argmax(scores))
     return tuple(s[i] for s, i in zip(states, cells[best])), float(scores[best])
@@ -278,6 +279,115 @@ def test_decode_parts_writes_each_notes_digit_as_the_chord_objects_decode(parts,
         else:
             # repr: Python values in the result, and fingers in the same order
             assert (decoded[0].tolist(), repr(decoded[1])) == (expected[0], repr(expected[1]))
+
+
+def _lockstep_chord_part(rng, n_events: int, hand: Hand, kind: str):
+    """``n_events`` chords of one hand, of 1 to 5 pitches; notes of one or
+    two may be held into the next, if it is small too.  A ``"relax"`` part
+    opens with a five-note chord whose long note the three-note chord after
+    it cannot keep, an ``"overflow"`` part with six pitches at one onset."""
+    sizes = [int(rng.choice([1, 1, 2, 2, 3, 4, 5])) for _ in range(n_events)] + [5]
+    midis, onsets, offsets = [], [], []
+    for ei in range(n_events):
+        group = [int(m) for m in rng.choice(np.arange(48, 80), sizes[ei], replace=False)]
+        held = max(sizes[ei : ei + 2]) <= 2
+        lengths = [float(rng.choice([0.3, 0.8])) if held else 0.3 for _ in group]
+        if kind == "relax" and ei < 2:
+            group = [[60, 62, 64, 65, 67], [57, 59, 69]][ei]
+            lengths = [1.4, 0.3, 0.3, 0.3, 0.3][: len(group)]
+        if kind == "overflow" and ei == 0:
+            group, lengths = [60, 62, 64, 65, 67, 69], [0.3] * 6
+        midis += group
+        onsets += [0.5 * ei] * len(group)
+        offsets += [0.5 * ei + length for length in lengths]
+    return make_piece(midis, onsets=onsets, offsets=offsets, hand=hand,
+                      piece_id=f"{kind}{n_events}")
+
+
+@st.composite
+def chord_lockstep_sets(draw):
+    """A chord model, tie-heavy or with zero-probability cells, and a set
+    of hand parts of mixed lengths for it: both hands, chords of 1 to 5
+    pitches, held notes, relaxed boundaries, and empty, overflowing and
+    infeasible parts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # whole-number log scores: exact ties everywhere
+        model = random_chord_model(rng, beta1=1.0, beta2=1.0, gamma1=1.0, gamma2=1.0, zeta=0.0)
+        model = replace(
+            model, log_initial_digit=np.floor(model.log_initial_digit),
+            log_trans_across=np.floor(model.log_trans_across),
+            log_trans_within=np.floor(model.log_trans_within),
+            log_out_across={h: np.floor(t) for h, t in model.log_out_across.items()},
+            log_out_within={h: np.floor(t) for h, t in model.log_out_within.items()},
+        )
+    else:
+        model = drawn_chord_model(draw, rng)
+    specs = draw(st.lists(st.tuples(
+        st.integers(0, 2) | st.integers(3, 30), st.sampled_from(Hand),
+        st.sampled_from(["plain", "plain", "relax", "overflow"]),
+    ), min_size=1, max_size=6))
+    return model, [(_lockstep_chord_part(rng, n, hand, kind), hand) for n, hand, kind in specs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chord_lockstep_sets())
+def test_a_chord_set_decodes_in_lock_step_as_each_part_alone(case):
+    model, parts = case
+    together = chord_hmm.decode_parts(model, parts)
+    assert len(together) == len(parts)
+    for (part, hand), result in zip(parts, together):
+        (alone,) = chord_hmm.decode_parts(model, [(part, hand)])
+        if isinstance(alone, FingeringError):
+            assert type(result) is type(alone) and str(result) == str(alone)
+        else:
+            (digits, result), (alone_digits, alone) = result, alone
+            assert digits.tolist() == alone_digits.tolist()
+            assert result.states == alone.states
+            assert result.log_score.hex() == alone.log_score.hex()
+            assert result.relaxed_boundaries == alone.relaxed_boundaries
+        if not isinstance(alone, (EmptyInput, HandOverflow)):
+            # and as the per-part recursion the lock-step DP replaced
+            chords = chord_hmm._cluster(part, model.params.delta)
+            expected = reference.chord_viterbi(model, chords, hand)
+            assert (expected is None) == isinstance(result, NoFeasiblePath)
+            if expected is not None:
+                states, score, relaxed = expected
+                assert (states, score.hex(), relaxed) == (
+                    result.states, result.log_score.hex(), result.relaxed_boundaries)
+
+
+def test_in_a_chord_set_only_the_part_that_relaxes_a_boundary_records_it(rng):
+    model = load_model(CHORD_V1)
+    parts = [
+        (chordal_piece([(60, 64), (62,), (59, 65, 67), (60,)] * 5), Hand.RH),
+        (tie_heavy_chord_part(rng, 56), Hand.RH),
+        (chordal_piece([(48, 52)], hand=Hand.LH), Hand.LH),
+    ]
+    together = chord_hmm.decode_parts(model, parts)
+    for part, (digits, result) in zip(parts, together):
+        ((alone_digits, alone),) = chord_hmm.decode_parts(model, [part])
+        assert digits.tolist() == alone_digits.tolist() and result.states == alone.states
+        assert result.log_score.hex() == alone.log_score.hex()
+        assert result.relaxed_boundaries == alone.relaxed_boundaries
+    assert [bool(result.relaxed_boundaries) for _, result in together] == [False, True, False]
+
+
+def test_a_chord_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkeypatch):
+    # longest first by chords, each DP takes parts while their notes fit, and at least one
+    model = load_model(CHORD_V1)
+    parts = [(chordal_piece(groups), Hand.RH) for groups in (
+        [(60, 62, 64, 65, 67)] * 4, [(60,), (62,)] * 5, [(60, 64)] * 3, [(60,)] * 2)]
+    alone = [chord_hmm.decode_parts(model, [part])[0] for part in parts]
+    monkeypatch.setattr(_tables, "LOCKSTEP", 20)
+    batches, run = [], chord_hmm._run_viterbi
+    monkeypatch.setattr(chord_hmm, "_run_viterbi", lambda model, batch: batches.append(
+        [len(chords.onsets) for chords, _ in batch]) or run(model, batch))
+    together = chord_hmm.decode_parts(model, parts)
+    assert batches == [[10], [4], [3, 2]]  # 10 notes | 20 | 6 + 2
+    for (digits, result), (alone_digits, single) in zip(together, alone):
+        assert digits.tolist() == alone_digits.tolist()
+        assert result.log_score.hex() == single.log_score.hex()
+
 
 @pytest.mark.parametrize("onsets, chord_onsets", [
     ([1.0, 0.2, 0.5, 0.6], [1.0, 0.5, 0.6]),  # a note whose onset goes down joins the chord
@@ -777,7 +887,7 @@ def test_batched_edge_matrices_are_the_per_boundary_kernel_byte_for_byte(case):
         sizes = [0] + [chord.size for chord in chords]
         shapes |= set(zip(sizes, sizes[1:]))
         columns = chord_hmm._columns(chords)
-        batched = kernel.matrices(columns)
+        batched = [block[0] for block in chord_hmm._edges(model, [(columns, hand)])]
         per_boundary = reference.edge_matrices(kernel, columns)
         assert [m.shape for m in batched] == [m.shape for m in per_boundary]
         assert [m.tobytes() for m in batched] == [m.tobytes() for m in per_boundary]
@@ -790,7 +900,7 @@ def test_decode_on_the_per_boundary_kernel_is_the_same_decode(rng, monkeypatch):
     assert len(piece) >= 2000
     chords = cluster_chords(piece, model.params.delta)
     batched = decode_chords(model, chords, Hand.RH)
-    monkeypatch.setattr(_EdgeKernel, "matrices", reference.edge_matrices)
+    monkeypatch.setattr(_EdgeKernel, "write", reference.write_edges)
     per_boundary = decode_chords(model, chords, Hand.RH)
     assert batched.states == per_boundary.states
     assert batched.log_score.hex() == per_boundary.log_score.hex()
@@ -881,7 +991,7 @@ def test_an_enumeration_builds_its_edge_matrices_once(rng, monkeypatch):
     # one preparation per piece, whatever the number of paths read
     model = random_chord_model(rng)
     chords = cluster_chords(chordal_piece([(60, 64), (62, 65, 69), (64,)], duration=0.8), DELTA)
-    builds = count_calls(monkeypatch, _EdgeKernel, "matrices")
+    builds = count_calls(monkeypatch, _EdgeKernel, "write")
     brute_force_chords(model, chords, Hand.RH)
     assert len(builds) == 1
 
@@ -895,7 +1005,7 @@ def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng):
     states = [enumerate_states(chord, Hand.RH) for chord in chords]
     cells = np.array([[int(rng.integers(len(s))) for s in states] for _ in range(40)]
                      + [[s.index(state) for s, state in zip(states, result.states)]])
-    edges = chord_hmm._forward(model, chord_hmm._columns(chords), Hand.RH)[-1]
+    edges = chord_hmm._run_viterbi(model, [(chord_hmm._columns(chords), Hand.RH)])[-1]
     for row, score in zip(cells, chord_hmm._path_scores(edges, cells)):
         path = [s[i] for s, i in zip(states, row)]
         assert score.hex() == chord_path_log_score(model, chords, Hand.RH, path).hex()

@@ -11,7 +11,7 @@ import pytest
 from conftest import count_calls, lockstep_batches, make_piece, random_note_model, random_piece
 from pianofinger import chord_hmm, experiments, note_hmm
 from pianofinger._tables import Counts
-from pianofinger.model_io import KINDS
+from pianofinger.model_io import KINDS, load_model
 from pianofinger.chord_hmm import ChordHmmParams
 from pianofinger.dataset import load_corpus, load_ground_truth_sets, load_piece
 from pianofinger.errors import DegenerateFit, EmptyCorpus, HandOverflow
@@ -325,6 +325,19 @@ def test_evaluate_model_builds_one_set_of_step_tables_for_every_part(monkeypatch
     batches = lockstep_batches(monkeypatch)
     evaluate_model(model, gt_sets)
     assert len(builds) == 1 and batches == [16]
+
+
+def test_evaluate_model_runs_one_chord_dp_for_every_part(monkeypatch):
+    model = load_model(SAMPLE_CORPUS.parent / "model_v1" / "chord.json")
+    gt_sets = load_ground_truth_sets(SAMPLE_CORPUS)
+    # what one piece at a time gives
+    rates = match_rates("m_gen", [(estimate_piece(model, s.piece)[0], s.signed_fingerings)
+                                  for s in gt_sets])
+    dps = count_calls(monkeypatch, chord_hmm, "_run_viterbi")
+    clusters = count_calls(monkeypatch, chord_hmm, "_cluster")
+    assert evaluate_model(model, gt_sets) == sum(rates) / len(rates)
+    parts = sum(len(part) > 0 for s in gt_sets for part in split_hands(s.piece))
+    assert parts > len(gt_sets) and len(dps) == 1 and len(clusters) == parts
 
 
 def test_estimate_piece_decodes_both_hands_in_one_lock_step_dp(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import count_calls, lockstep_batches, make_piece, random_note_model, random_piece
-from pianofinger import note_hmm
+from pianofinger import _tables, note_hmm
 from pianofinger.dataset import load_corpus, load_piece
 from pianofinger.errors import (
     EmptyCorpus,
@@ -726,6 +726,24 @@ def test_a_set_decodes_in_lock_step_as_each_part_alone(case):
             assert result.crossing_fallback_used == alone.crossing_fallback_used
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 150), st.booleans())
+def test_a_batched_read_adds_the_cells_of_the_per_note_loop_bitwise(seed, order, n, zero_alpha):
+    # one gather per block of notes, summed in the per-note loop's order
+    rng = np.random.default_rng(seed)
+    alpha = tuple(0.0 if zero_alpha and lag == order else float(a)
+                  for lag, a in enumerate(rng.uniform(0.1, 1.5, order), 1))
+    model = random_note_model(rng, order=order, alpha=alpha)
+    piece = _lockstep_part(rng, n, Hand.RH, cluster=n >= 6 and seed % 3 == 0)
+    tables = note_hmm._part_tables(model, piece, Hand.RH)
+    paths = rng.integers(1, 6, (8, n))
+    result = decode_parts(model, [(piece, Hand.RH)])[0]
+    if not isinstance(result, FingeringError):
+        paths[0] = result.fingers
+    expected = reference.path_scores(model, tables, paths)
+    assert note_hmm._path_scores(model, tables, paths).tobytes() == expected.tobytes()
+
+
 @st.composite
 def step_table_sets(draw):
     """A note model of order 1 to 3, either representation, perhaps one
@@ -799,7 +817,7 @@ def test_a_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkeypatch)
     parts = [(_lockstep_part(rng, n, hand, False), hand)
              for n, hand in ((5, Hand.RH), (30, Hand.LH), (1, Hand.LH), (40, Hand.RH), (27, Hand.RH))]
     alone = [decode_parts(model, [part])[0] for part in parts]
-    monkeypatch.setattr(note_hmm, "LOCKSTEP", 32)
+    monkeypatch.setattr(_tables, "LOCKSTEP", 32)
     batches = lockstep_batches(monkeypatch)
     together = decode_parts(model, parts)
     assert batches == [1, 1, 2, 1]  # 40 | 30 | 27 + 5 | 1

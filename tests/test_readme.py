@@ -51,5 +51,5 @@ def test_readme_cites_only_names_the_package_has():
             assert hasattr(obj, name), f"README cites `{cited}`, which the package lacks"
             obj = getattr(obj, name)
         checked.add(cited)
-    assert {"note_hmm.LOCKSTEP", "chord_hmm._keeps", "pitch_space.index_table",
+    assert {"_tables.LOCKSTEP", "chord_hmm._keeps", "pitch_space.index_table",
             "pianofinger.note_hmm"} <= checked

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import make_piece, random_note_model, random_rows, tie_heavy_chord_part
-from pianofinger import chord_hmm, note_hmm
+from pianofinger import _tables, chord_hmm, note_hmm
 from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, fit_line, rerank
 from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
 from pianofinger.errors import DegenerateFit
@@ -54,7 +54,7 @@ def test_the_tie_rule_finds_the_lexicographically_first_best_path(data):
     for step in steps:
         dp, parent = best_parents(dp[:, None] + step, rank[:, None])
         parents.append(parent)
-        rank, top = rerank(rank, parent, top)
+        rank, top = rerank(rank, parent, top, np.arange(parent.size))
     best, path = best_path(dp, rank, parents)
 
     # brute force: product() lists the paths in lexicographic order
@@ -85,7 +85,7 @@ def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
         dense_dp, dense_parent = reference.best_parents(dense_dp[:, None] + step, dense[:, None])
         assert np.array_equal(parent, dense_parent)
         assert np.array_equal(dp, dense_dp)
-        keys, top = rerank(rank, parent, top)
+        keys, top = rerank(rank, parent, top, np.arange(parent.size))
         dense, _ = reference.rerank(dense, dense_parent)
         assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() <= top < KEY_LIMIT
         assert np.array_equal(np.argsort(keys), np.argsort(dense))
@@ -150,7 +150,7 @@ def _tie_heavy_scale(n_notes: int, cluster: bool):
 def _dense_rule(monkeypatch):
     for module in (note_hmm, chord_hmm):
         monkeypatch.setattr(module, "best_parents", reference.best_parents)
-        monkeypatch.setattr(module, "rerank", reference.rerank)
+    monkeypatch.setattr(_tables, "rerank", reference.rerank)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
