@@ -1,7 +1,7 @@
 """What the note and chord HMMs share: digit states and their rule, config
-value rules, annotated training parts, additive counts; the tie rule of all
-three exact DPs, the two decoders and the recombination match rate; and
-the two decoders' lock step over a set of parts."""
+value rules, annotated training parts, additive counts; the one DP step of
+all three exact DPs (``LockStep.step``), alone in applying their tie rule;
+and the two decoders' lock step over a set of parts."""
 
 import math
 import numbers
@@ -234,37 +234,63 @@ def decode_set(parts: list, prepare, run) -> list:
 
 class LockStep:
     """One exact DP's bookkeeping over parts in lock step, longest first:
-    ``dp`` holds a row of state scores per running part, the first b, and
-    ``rank`` their prefix keys flat, part p's from p * width, so one
-    ``rerank`` extends all; ``paths`` gets each part's None if its every
-    path scores -inf, else its best score and the state of each step,
-    within its row, of the lowest-ranked path to it."""
+    ``running(b)`` gives the state scores of the first b, a row per part,
+    and ``step`` takes one DP step of them; ``paths`` gets each part's
+    None if its every path scores -inf, else its best score and the state
+    of each step, within its row, of the lowest-ranked path to it.  The
+    prefix keys and parents are flat, part p's from p times its row width,
+    so one ``rerank`` extends all."""
 
     def __init__(self, dp: np.ndarray):
         self.dp, self.paths, self.parents, self.widths = dp, [None] * len(dp), [], [dp.shape[1]]
         self.rank, self.top, self.index = np.arange(dp.size), dp.size - 1, np.arange(dp.size)
+        self.plans = {}  # per shape of a step's scores: what _plan gives
 
-    def running(self, b: int) -> tuple:
-        """``(dp, rank)`` of the first b parts; the others end here, and
+    def running(self, b: int) -> np.ndarray:
+        """The scores of the first b parts; the others end here, and
         ``running(0)`` after the last step ends every part."""
         if b == len(self.dp):
-            return self.dp, self.rank
+            return self.dp
         width = self.dp.shape[1]
         for p in range(b, len(self.dp)):
             best, path = best_path(self.dp[p], self.rank[p * width : (p + 1) * width],
                                    self.parents, p * width)
             self.paths[p] = path and (float(best), [int(s) % w for s, w in zip(path, self.widths)])
         self.dp, self.rank = self.dp[:b], self.rank[: b * width]
-        return self.dp, self.rank
+        return self.dp
 
-    def extend(self, dp: np.ndarray, parent: np.ndarray) -> None:
-        """One step: rows ``dp``, flat state i after flat state ``parent[i]``."""
+    def step(self, scores: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
+        """One DP step of the running parts; returns their new scores.
+        ``scores`` is (b, k, ..., n): axes 1 to -2, flattened, index the
+        previous state and axes 2 to -1 the new state, so new state (r, d)
+        has the k candidate parents (g, r).  ``after``, a (b, new states)
+        term, is added once the parents are picked: no rounded sum moves a tie."""
+        plan = self.plans.get(scores.shape)
+        if plan is None:
+            plan = self.plans[scores.shape] = self._plan(scores.shape)
+        keys, r, columns, index = plan
+        best, g = best_parents(scores.swapaxes(0, 1), self.rank.reshape(keys).swapaxes(0, 1))
+        if r > 1:
+            g *= r
+        g += columns
+        if after is not None:
+            best += after
+        parent, self.dp = g.reshape(-1), best.reshape(len(g), -1)
         self.parents.append(parent)
-        self.widths.append(dp.shape[1])
-        if parent.size > self.index.size:  # the steps' flat state indices: a prefix of index
-            self.index = np.arange(parent.size)
-        self.rank, self.top = rerank(self.rank, parent, self.top, self.index[: parent.size])
-        self.dp = dp
+        self.widths.append(self.dp.shape[1])
+        self.rank, self.top = rerank(self.rank, parent, self.top, index)
+        return self.dp
+
+    def _plan(self, shape: tuple) -> tuple:
+        """``step``'s reads for scores of one (b, k, ..., n) shape: the keys'
+        shape, r, and two views of ``index``, grown to fit: each part's flat
+        previous states (0, r) and the new states' flat indices."""
+        b, prev, n = shape[0], shape[1:-1], shape[-1]
+        r = math.prod(prev[1:])
+        if b * r * max(prev[0], n) > self.index.size:
+            self.index = np.arange(b * r * max(prev[0], n))
+        columns = self.index[: b * r * prev[0]].reshape(b, *prev, 1)[:, 0]
+        return shape[:-1] + (1,), r, columns, self.index[: b * r * n]
 
 
 def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:

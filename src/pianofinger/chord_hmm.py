@@ -24,11 +24,12 @@ One edge kernel scores every chord: it builds the (previous states,
 current states) score matrix of each boundary from the scaled tables in
 one fixed term order, all boundaries of one (previous size, size) shape
 at once; a zero exponent times a -inf factor (NaN) scores as -inf.  A set
-of hand parts decodes in one DP, ``_run_viterbi``, in lock step on the
-note decoder's bookkeeping, ``_tables.LockStep``.  It masks each matrix
-with the sustain filter before adding it, except where the mask leaves no
-finite transition: there it lifts the constraint at that boundary alone.
-The oracle ``chord_path_log_score`` reads a path's cells of what the DP
+of hand parts decodes in one DP, ``_run_viterbi``, in lock step, each
+boundary one ``_tables.LockStep.step`` of a (b, previous width, width)
+block, as the note decoder steps.  It masks each matrix with the sustain
+filter before adding it, except where the mask leaves no finite
+transition: there it lifts the constraint at that boundary alone.  The
+oracle ``chord_path_log_score`` reads a path's cells of what the DP
 of its one part added.
 """
 
@@ -47,7 +48,6 @@ from ._tables import (
     Counts,
     LockStep,
     annotated_parts,
-    best_parents,
     check_digits,
     check_fields,
     decode_set,
@@ -139,7 +139,7 @@ class _Chords:
     its onset and size (Python floats, ``intp``); per component, chord by
     chord in ascending pitch, its MIDI number and sustained flag; the
     ``(component, note position)`` pairs, by component and then position;
-    the note id at each position; and ``held``, boundary ci -> the
+    the note id column, one id per position; and ``held``, boundary ci -> the
     ``(previous component, component)`` index pairs, within each chord, of
     the notes chord ci shares with chord ci - 1 where it holds a sustained
     copy, which the sustain filter ``_keeps`` reads."""
@@ -149,7 +149,7 @@ class _Chords:
     midis: np.ndarray
     sustained: np.ndarray
     pairs: tuple
-    ids: list
+    ids: np.ndarray
     held: dict
 
 
@@ -208,7 +208,7 @@ def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Ch
     for c, a, b in zip(*(x[shared].tolist() for x in (ci, i - start[ci - 1], j - start[ci]))):
         held.setdefault(c, []).append((a, b))
     return _Chords(chord_onsets, sizes, midi[first], sustained[first],
-                   (comp[kept], note[kept]), ids, held)
+                   (comp[kept], note[kept]), piece.ids, held)
 
 
 def _columns(chords) -> _Chords:
@@ -230,7 +230,8 @@ def _columns(chords) -> _Chords:
                    np.array([chord.size for chord in chords], dtype=np.intp),
                    np.array([c.midi for c in components]),
                    np.array([bool(c.sustained) for c in components], dtype=bool),
-                   tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T), list(position), held)
+                   tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T),
+                   np.fromiter(position, object, len(position)), held)
 
 
 def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
@@ -249,7 +250,8 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     first chord of more than five pitches raises HandOverflow.
     """
     chords = _cluster(piece, delta, truncate_overlaps)
-    note_ids = [tuple(chords.ids[p] for _, p in pairs) for _, pairs in
+    ids = chords.ids.tolist()
+    note_ids = [tuple(ids[p] for _, p in pairs) for _, pairs in
                 groupby(zip(*(column.tolist() for column in chords.pairs)), lambda pair: pair[0])]
     components = iter(map(ChordComponent, chords.midis.tolist(), note_ids,
                           chords.sustained.tolist()))
@@ -534,12 +536,10 @@ def _run_viterbi(model: ChordHmmModel, parts) -> tuple:
     no finite score while its previous chord has one: then that boundary
     is relaxed, the matrix added unmasked."""
     edges, relaxed = _edges(model, parts), [[] for _ in parts]
-    starts = np.arange(len(parts))[:, None] * np.arange(11)  # [p, w]: part p's first of w states
     lock = LockStep(edges[0][:, 0])
     for ci, edge in enumerate(edges[1:], 1):
-        b, w_prev = edge.shape[:2]
-        dp, rank = lock.running(b)
-        for p, (chords, hand) in enumerate(parts[:b]):
+        dp = lock.running(len(edge))
+        for p, (chords, hand) in enumerate(parts[: len(edge)]):
             keep = _keeps(chords, ci, hand)
             if keep is not None:
                 matrix = edge[p, : keep.shape[0], : keep.shape[1]]
@@ -549,10 +549,7 @@ def _run_viterbi(model: ChordHmmModel, parts) -> tuple:
                     relaxed[p].append(ci)
                 else:
                     matrix[...] = masked
-        dp, g = best_parents((dp[:, :, None] + edge).swapaxes(0, 1),
-                             rank.reshape(b, w_prev, 1).swapaxes(0, 1))
-        g += starts[:b, w_prev, None]
-        lock.extend(dp, g.ravel())
+        lock.step(dp[:, :, None] + edge)
     lock.running(0)
     return lock.paths, relaxed, edges
 
@@ -610,6 +607,7 @@ def _decode_set(model: ChordHmmModel, parts, columns) -> list:
     def prepare(part, hand):
         chords = columns(part)
         _check_sizes(chords, "decode")
+        hand = infer_hand(part) if hand is None else hand
         return chords.sizes.size, len(chords.ids), (chords, hand)
 
     def result(chords, hand, decoded, relaxed):
@@ -623,7 +621,7 @@ def _decode_set(model: ChordHmmModel, parts, columns) -> list:
         by_position = np.zeros(len(chords.ids), dtype=np.int64)
         by_position[pos] = digits
         return by_position, ChordDecodeResult(
-            fingers_by_note=dict(zip(map(chords.ids.__getitem__, pos.tolist()), digits.tolist())),
+            fingers_by_note=dict(zip(chords.ids[pos].tolist(), digits.tolist())),
             states=path,
             log_score=decoded[0],
             relaxed_boundaries=tuple(relaxed),
@@ -649,9 +647,9 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
 
 
 def decode_parts(model: ChordHmmModel, parts) -> list:
-    """Per ``(part, hand)`` of ``parts``, in order: (the digit of each of its
-    notes, the decode result), or the FingeringError that clustering or
-    decoding it raised.  Each part is clustered once, and the parts are
-    decoded in lock step, LOCKSTEP part-notes (or one part) to a DP."""
+    """Per ``(part, hand)`` of ``parts``, the hand inferred if None, in order:
+    (the digit of each of its notes, the decode result), or the FingeringError
+    that clustering or decoding it raised.  Each part is clustered once, and
+    the parts are decoded in lock step, LOCKSTEP part-notes (or one part) to a DP."""
     p = model.params
     return _decode_set(model, parts, lambda part: _cluster(part, p.delta, p.truncate_overlaps))

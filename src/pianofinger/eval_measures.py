@@ -25,13 +25,10 @@ the caller: ``cli.cmd_evaluate`` scores every piece, hand and
 leave-one-out row of an ``evaluate`` call in one ``hand_reports`` call,
 and ``experiments.evaluate_model`` every validation piece in one
 ``match_rates`` call.  Only ``recombination_match_rates`` reads the
-paths, so only it keeps prefix keys and parents.  A lone call is a batch
-of one, which pays numpy's per-step overhead for a single row: on a
-3,000-note row, about 17 us per note at G = 2 and 22 at G = 5 for
-``recombination_match_rate``, 9 and 12 for ``match_rates("m_rec", ...)``
-and ``match_rate_report``, which need only E, against 3 and 7 us for the
-plain per-note loop, and about 0.1 us per note at G = 1 (one CPU of a
-shared 2-vCPU Intel Xeon host, Python 3.11, numpy 2.4).
+paths, so only it runs on ``_tables.LockStep``, each note one ``step`` of
+a (b, G, G) array, as the decoders step; the others take the best
+candidate per step and keep nothing else.  A lone call is a batch of
+one, which pays numpy's per-step overhead for a single row.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._tables import best_parents, best_path, rerank
+from ._tables import LockStep
 from .errors import LengthMismatch
 from .pig_io import hand_positions
 
@@ -176,11 +173,11 @@ def _lockstep(batch, config, paths) -> tuple:
     first, one note of every unfinished row per step.
 
     ``dp`` holds each row's best prefix cost per ground truth g, negated,
-    so that the exact-DP tie rule of ``_tables`` picks the paths: the rows'
-    prefix keys sit in one flat array, row r's from r * G, as in
-    ``note_hmm._run_viterbi``, and each row backtracks when it ends.  A
+    so that ``_tables.LockStep`` picks the paths by the exact-DP tie rule,
+    adding each note's substitution costs once the parents are picked.  A
     max of negated costs is the negated min bit for bit, as every cost is
-    non-negative.  Without ``paths`` a step keeps no keys or parents.
+    non-negative.  Without ``paths`` no ``LockStep`` is built, and a step
+    is one max over the previous ground truth.
     """
     lengths = [agree.shape[1] for _, agree in batch]
     n_steps, n_rows, n_g = lengths[0], len(batch), len(batch[0][0])
@@ -197,35 +194,24 @@ def _lockstep(batch, config, paths) -> tuple:
     switch = -np.array([config.c_rec_prime, config.c_rec, 0.0])  # negated, by same label + same g
     stay = np.eye(n_g, dtype=np.int8)
     sub = -np.array([0.0, config.c_sub])
-    offsets = np.arange(n_rows)[:, None] * n_g  # of each row in a flat (rows, G) array
     dp = sub.take(miss[: starts[1]]).reshape(n_rows, n_g)
-    rank, top, index = np.arange(dp.size), dp.size - 1, np.arange(dp.size)
-    e_rec, tracks, parents = np.empty(n_rows), [None] * n_rows, []
-
-    def end(b):  # rows b.. have no next note
-        e_rec[b : len(dp)] = -dp[b:].max(axis=1)
-        if paths:
-            for r in range(b, len(dp)):
-                _, path = best_path(dp[r], rank[r * n_g : (r + 1) * n_g], parents, r * n_g)
-                tracks[r] = (0,) * lengths[r] if path is None else tuple(int(s) % n_g for s in path)
-        return dp[:b], rank[: b * n_g]
-
+    lock, e_rec = LockStep(dp) if paths else None, np.empty(n_rows)
     for pos in range(1, n_steps):
         b, note = active[pos], slice(starts[pos], starts[pos + 1])
-        if b < len(dp):
-            dp, rank = end(b)
+        if b < len(dp):  # rows b.. have no next note
+            e_rec[b : len(dp)] = -dp[b:].max(axis=1)
+            dp = lock.running(b) if lock else dp[:b]
         col = codes[note].reshape(b, n_g)
         same = (col[:, :, None] == col[:, None, :]).view(np.int8)
-        scores = (dp[:, :, None] + switch.take(same + stay)).swapaxes(0, 1)  # parent first
-        if paths:
-            dp, g = best_parents(scores, rank.reshape(b, n_g, 1).swapaxes(0, 1))
-            parents.append((g + offsets[:b]).reshape(-1))
-            rank, top = rerank(rank, parents[-1], top, index[: b * n_g])
-        else:
-            dp = np.maximum.reduce(scores)
-        dp = dp + sub.take(miss[note]).reshape(b, n_g)
-    end(0)
-    return e_rec.tolist(), tracks
+        scores = dp[:, :, None] + switch.take(same + stay)  # (row, previous g, g)
+        cost = sub.take(miss[note]).reshape(b, n_g)
+        dp = lock.step(scores, cost) if lock else np.maximum.reduce(scores, axis=1) + cost
+    e_rec[: len(dp)] = -dp.max(axis=1)
+    if not lock:
+        return e_rec.tolist(), [None] * n_rows
+    lock.running(0)
+    return e_rec.tolist(), [(0,) * n if path is None else tuple(path[1])
+                            for path, n in zip(lock.paths, lengths)]
 
 
 def _reports(rows, config) -> list:

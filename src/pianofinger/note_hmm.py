@@ -9,9 +9,10 @@ imposed by count tying, and a hard constraint can forbid finger crossings
 inside chords.  Decoding is exact Viterbi over the last-``m``-digit state
 space, in one DP over a list of hand parts (``decode_parts``; up to
 ``_tables.LOCKSTEP`` part-notes each) that reads one set of
-``_step_tables`` in place: the parts run in lock step on the bookkeeping
-both decoders share, ``_tables.LockStep``.  Parts the crossing constraint
-leaves no path rerun on the same tables without it.
+``_step_tables`` in place: the parts run in lock step, each note one
+``_tables.LockStep.step`` of a (b, 5, 5**(m-1), 5) array, or a
+(b, 1, w, 5) one while the states grow to m digits.  Parts the crossing
+constraint leaves no path rerun on the same tables without it.
 
 Score convention: each pairwise output row is normalised over the clamped
 displacement alphabet for its finger pair, and decoding maximises
@@ -38,7 +39,6 @@ from ._tables import (
     Counts,
     LockStep,
     annotated_parts,
-    best_parents,
     check_digits,
     check_fields,
     check_non_negative,
@@ -398,29 +398,16 @@ def _run_viterbi(model: NoteHmmModel, tables) -> list:
     to the lexicographically smallest digits by the tie rule of ``_tables``.
     Each score is ``(dp + transition) + terms``, masked by ``allowed``: the
     terms and masks whose path cells the oracle reads."""
-    m, parts = model.config.order, len(tables[2])
-    base = N_DIGITS ** (m - 1)
-    # the flat index of part p's state (0, r), r the state's last m - 1 digits
-    columns = (np.arange(parts)[:, None] * base * N_DIGITS + np.arange(base))[:, :, None]
-    lock = LockStep(model.log_initial[0][0][None].repeat(parts, axis=0))
+    m = model.config.order
+    lock = LockStep(model.log_initial[0][0][None].repeat(len(tables[2]), axis=0))
     for n, (b, trans, terms, allow) in enumerate(_steps(model, tables), 1):
-        dp, rank = lock.running(b)
-        scores = dp[:, :, None] + trans
+        scores = lock.running(b)[:, :, None] + trans
         if terms is not None:
             scores += terms
         if allow is not None:  # over (the state's last digit, digit)
             scores = np.where(allow[:, None], scores.reshape(b, -1, N_DIGITS, N_DIGITS), NEG_INF)
-        if n < m:
-            parent = np.repeat(np.arange(dp.size), N_DIGITS)
-            dp = scores.reshape(b, -1)
-        else:
-            # merge: the predecessors of state (r, d) differ in their oldest digit g
-            dp, g = best_parents(
-                scores.reshape(b, N_DIGITS, base, N_DIGITS).swapaxes(0, 1),
-                rank.reshape(b, N_DIGITS, base, 1).swapaxes(0, 1),
-            )
-            dp, parent = dp.reshape(b, -1), (g * base + columns[:b]).reshape(-1)
-        lock.extend(dp, parent)
+        # the parents of state (r, d) differ in their oldest digit, or are r alone
+        lock.step(scores.reshape(b, N_DIGITS if n >= m else 1, -1, N_DIGITS))
     lock.running(0)
     return [path and (tuple(s % N_DIGITS + 1 for s in path[1]), path[0]) for path in lock.paths]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import count_calls, make_piece
-from pianofinger import eval_measures
+from pianofinger import _tables
 from pianofinger.errors import LengthMismatch
 from pianofinger.eval_measures import (
     DEFAULT_COSTS,
@@ -204,7 +204,7 @@ def test_long_tie_heavy_rows_equal_reference_loop(rng, config):
 
 
 def test_batches_that_only_need_e_rec_do_no_tie_work(monkeypatch):
-    calls = [count_calls(monkeypatch, eval_measures, name) for name in ("best_parents", "rerank")]
+    calls = [count_calls(monkeypatch, _tables, name) for name in ("best_parents", "rerank")]
     gts = [[1, 2, 1, 2, 3], [1, 1, 2, 2, 3], [2, 1, 1, 2, 3]]
     est = [1, 2, 2, 2, 3]
     piece = make_piece([60, 62, 64, 65, 67])

@@ -13,16 +13,19 @@ from hypothesis import strategies as st
 from conftest import random_piece
 from pianofinger.chord_hmm import ChordHmmParams, train_chord
 from pianofinger.cli import main
+from pianofinger.dataset import load_piece
 from pianofinger.errors import MalformedModel
 from pianofinger.model_io import (
+    KINDS,
     _digit_rows,
     _disp_keys,
     dumps_model,
     load_model,
     loads_model,
+    model_kind,
 )
 from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, Symmetry, decode_viterbi, train
-from pianofinger.pig_io import FingerLabel, Hand
+from pianofinger.pig_io import FingerLabel, Hand, infer_hand, split_hands
 from pianofinger.pitch_space import PitchRepresentation
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -440,3 +443,19 @@ def test_a_leaf_above_zero_is_no_log_probability(name):
         else:
             with pytest.raises(MalformedModel, match="above 0"):
                 loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("name", ["note_o3_lattice.json", "chord.json"])
+def test_both_kinds_decode_a_part_of_no_hand_as_its_inferred_hand(name):
+    model = load_model(MODEL_V1 / name)
+    decode_parts = KINDS[model_kind(model)].decode_parts
+    piece = load_piece(DATA / "sample_corpus" / "101-1_fingering.txt")
+    parts = split_hands(piece)
+    assert [infer_hand(part) for part in parts] == [Hand.RH, Hand.LH]
+    for part in parts:
+        inferred, given = decode_parts(model, [(part, None), (part, infer_hand(part))])
+        assert np.asarray(inferred[0]).tolist() == np.asarray(given[0]).tolist()
+        assert repr(inferred[1]) == repr(given[1])
+    with pytest.raises(ValueError) as info:
+        decode_parts(model, [(piece, None)])
+    assert str(info.value) == "expected a single-hand part, channels [0, 1]"

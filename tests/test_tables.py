@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 import reference
 from conftest import make_piece, random_note_model, random_rows, tie_heavy_chord_part
 from pianofinger import _tables, chord_hmm, note_hmm
-from pianofinger._tables import KEY_LIMIT, NEG_INF, best_parents, best_path, fit_line, rerank
+from pianofinger._tables import (
+    KEY_LIMIT,
+    NEG_INF,
+    LockStep,
+    best_parents,
+    best_path,
+    fit_line,
+    rerank,
+)
 from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
 from pianofinger.errors import DegenerateFit
 from pianofinger.note_hmm import NoteHmmConfig
@@ -70,6 +78,65 @@ def test_the_tie_rule_finds_the_lexicographically_first_best_path(data):
         assert path is None
     else:
         assert tuple(int(s) for s in path) == next(s for score, s in scored if score == top)
+
+
+def _brute_force(initial: np.ndarray, steps: list) -> list:
+    """Every ``(score, states)`` path of one part, in lexicographic order.
+    Each of ``steps`` is ``(scores, after)``: a (k, r, n) array, whose
+    cell (g, r, d) scores previous state (g, r) then new state (r, d), and
+    None or a term per new state."""
+    paths = [(initial[s], (s,)) for s in range(initial.size)]
+    for scores, after in steps:
+        _, r, n = scores.shape
+        longer = []
+        for score, states in paths:
+            g, i = divmod(states[-1], r)
+            for d in range(n):
+                new = score + scores[g, i, d]
+                longer.append((new if after is None else new + after[i * n + d],
+                               states + (i * n + d,)))
+        paths = longer
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lockstep_gives_each_part_its_lexicographically_first_best_path(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p_inf = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    lengths = sorted(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)), reverse=True)
+    order = data.draw(st.sampled_from([None, 1, 2]))  # None: full matrices of changing widths
+
+    def cells(*shape):
+        return np.where(rng.random(shape) < p_inf, NEG_INF, rng.choice(_VALUES[1:], shape))
+
+    if order is None:  # (b, w_prev, w) blocks, and an after term as the recombination DP adds
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=lengths[0], max_size=lengths[0]))
+        shapes = list(zip(widths, widths[1:]))
+    else:  # (b, 1, w, 5) warm-ups, then (b, 5, r, 5) merges
+        widths = [5] * lengths[0]
+        shapes = [(1, 5**t, 5) if t < order else (5, 5 ** (order - 1), 5)
+                  for t in range(1, lengths[0])]
+    initial = cells(len(lengths), widths[0])
+    steps = [cells(sum(n > t for n in lengths), *shape) for t, shape in enumerate(shapes, 1)]
+    afters = [cells(len(step), step.shape[-1]) if order is None else None for step in steps]
+
+    lock = LockStep(initial)
+    for scores, after in zip(steps, afters):
+        dp = lock.running(len(scores))
+        lock.step(dp.reshape(scores.shape[:-1] + (1,)) + scores, after)
+    lock.running(0)
+
+    for p, n in enumerate(lengths):
+        mine = [(scores[p].reshape(scores.shape[1], -1, scores.shape[-1]),
+                 None if after is None else after[p])
+                for scores, after in zip(steps[: n - 1], afters)]
+        scored = _brute_force(initial[p], mine)
+        top = max(score for score, _ in scored)
+        if top == NEG_INF:
+            assert lock.paths[p] is None
+        else:
+            assert lock.paths[p] == (top, list(next(s for score, s in scored if score == top)))
 
 
 def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
@@ -148,8 +215,7 @@ def _tie_heavy_scale(n_notes: int, cluster: bool):
 
 
 def _dense_rule(monkeypatch):
-    for module in (note_hmm, chord_hmm):
-        monkeypatch.setattr(module, "best_parents", reference.best_parents)
+    monkeypatch.setattr(_tables, "best_parents", reference.best_parents)
     monkeypatch.setattr(_tables, "rerank", reference.rerank)
 
 
