@@ -1,6 +1,7 @@
 """What the note and chord HMMs share: digit states and their rule, config
 value rules, annotated training parts, additive counts; the one DP step of
-all three exact DPs (``LockStep.step``), alone in applying their tie rule;
+all three exact DPs (``LockStep.step``), alone in applying their tie rule
+and reading each parent off its winning key;
 and the two decoders' lock step over a set of parts."""
 
 import math
@@ -161,16 +162,9 @@ def safe_log(table: np.ndarray) -> np.ndarray:
 
 # The exact-DP tie rule: score ties go to the lexicographically smallest
 # state path, as enumeration finds it.  ``rank[s]`` is an int64 key ordering
-# the best prefixes ending in each state s; a tie takes the lowest key.
-KEY_LIMIT = 1 << 62  # above every key: the sentinel of best_parents
-
-
-def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
-    """``(best, parent)`` of one DP step: the best of ``scores`` over axis
-    0, the candidate parents, and the lowest-ranked candidate that reaches
-    it; ``rank`` ranks the candidates, shaped to broadcast to ``scores``."""
-    best = np.maximum.reduce(scores)
-    return best, np.where(scores == best, rank, KEY_LIMIT).argmin(axis=0)
+# the best prefixes ending in each state s of n, and ``rank[s] % n`` is s; a
+# tie takes the lowest key, which so names the parent.
+KEY_LIMIT = 1 << 62  # above every key: what ``LockStep.step`` gives a candidate off the best
 
 
 def best_path(dp: np.ndarray, rank: np.ndarray, parents: list, offset: int = 0) -> tuple:
@@ -186,23 +180,6 @@ def best_path(dp: np.ndarray, rank: np.ndarray, parents: list, offset: int = 0) 
     for parent in reversed(parents):
         path.append(parent[path[-1]])
     return best, path[::-1]
-
-
-def rerank(rank: np.ndarray, parent: np.ndarray, top: int, index: np.ndarray) -> tuple:
-    """``(keys, top)`` after one DP step in which state i of n extends the
-    best prefix of state ``parent[i]``: the keys ``rank[parent[i]] * n +
-    i``, in (parent rank, own index) order, and a bound on them.  ``top``
-    bounds the keys of ``rank``: a Python int the caller carries from step
-    to step, so that no step reads ``rank.max()``; ``index`` is
-    ``np.arange(n)``, kept by a caller of many steps.  Where a key could
-    reach KEY_LIMIT, ``rank`` first becomes the dense ranks of its keys,
-    one argsort per 62 / log2(n) steps."""
-    n = parent.size
-    if top >= KEY_LIMIT // n:
-        dense = np.empty_like(rank)
-        dense[np.argsort(rank)] = np.arange(rank.size)
-        rank, top = dense, rank.size - 1
-    return rank[parent] * n + index, top * n + n - 1
 
 
 # part-notes decoded in one lock-step DP, which keeps each step's parents
@@ -239,12 +216,13 @@ class LockStep:
     None if its every path scores -inf, else its best score and the state
     of each step, within its row, of the lowest-ranked path to it.  The
     prefix keys and parents are flat, part p's from p times its row width,
-    so one ``rerank`` extends all."""
+    and each key ends in its state's flat index: ``rank % n`` is
+    ``arange(n)``, n the number of states when the keys were made."""
 
     def __init__(self, dp: np.ndarray):
         self.dp, self.paths, self.parents, self.widths = dp, [None] * len(dp), [], [dp.shape[1]]
-        self.rank, self.top, self.index = np.arange(dp.size), dp.size - 1, np.arange(dp.size)
-        self.plans = {}  # per shape of a step's scores: what _plan gives
+        self.rank, self.top, self.n = np.arange(dp.size), dp.size - 1, dp.size
+        self.index = np.arange(dp.size)  # grown to fit each step's states
 
     def running(self, b: int) -> np.ndarray:
         """The scores of the first b parts; the others end here, and
@@ -264,33 +242,31 @@ class LockStep:
         ``scores`` is (b, k, ..., n): axes 1 to -2, flattened, index the
         previous state and axes 2 to -1 the new state, so new state (r, d)
         has the k candidate parents (g, r).  ``after``, a (b, new states)
-        term, is added once the parents are picked: no rounded sum moves a tie."""
-        plan = self.plans.get(scores.shape)
-        if plan is None:
-            plan = self.plans[scores.shape] = self._plan(scores.shape)
-        keys, r, columns, index = plan
-        best, g = best_parents(scores.swapaxes(0, 1), self.rank.reshape(keys).swapaxes(0, 1))
-        if r > 1:
-            g *= r
-        g += columns
+        term, is added once the parents are picked: no rounded sum moves a tie.
+        A new state's parent is its best candidates' lowest key % ``n``, its
+        key that key times the new n plus its flat index.  ``top``, a Python
+        int, bounds the keys; where one could reach KEY_LIMIT, the parents'
+        keys first become their dense ranks, one argsort per 62 / log2(n) steps."""
+        best = np.maximum.reduce(scores, axis=1)
+        keys = self.rank.reshape(scores.shape[:-1] + (1,))
+        key = np.minimum.reduce(np.where(scores == best[:, None], keys, KEY_LIMIT), axis=1)
+        key = key.reshape(-1)
+        parent, n = key % self.n, key.size
+        if self.top >= KEY_LIMIT // n:
+            dense = np.empty_like(self.rank)
+            dense[np.argsort(self.rank)] = np.arange(self.rank.size)
+            key, self.top = dense[parent], self.rank.size - 1
+        if n > self.index.size:
+            self.index = np.arange(n)
+        key *= n
+        key += self.index[:n]
+        self.rank, self.top, self.n = key, self.top * n + n - 1, n
         if after is not None:
             best += after
-        parent, self.dp = g.reshape(-1), best.reshape(len(g), -1)
+        self.dp = best.reshape(len(best), -1)
         self.parents.append(parent)
         self.widths.append(self.dp.shape[1])
-        self.rank, self.top = rerank(self.rank, parent, self.top, index)
         return self.dp
-
-    def _plan(self, shape: tuple) -> tuple:
-        """``step``'s reads for scores of one (b, k, ..., n) shape: the keys'
-        shape, r, and two views of ``index``, grown to fit: each part's flat
-        previous states (0, r) and the new states' flat indices."""
-        b, prev, n = shape[0], shape[1:-1], shape[-1]
-        r = math.prod(prev[1:])
-        if b * r * max(prev[0], n) > self.index.size:
-            self.index = np.arange(b * r * max(prev[0], n))
-        columns = self.index[: b * r * prev[0]].reshape(b, *prev, 1)[:, 0]
-        return shape[:-1] + (1,), r, columns, self.index[: b * r * n]
 
 
 def fit_line(points, g, positive: str, distinct: str, log_y: bool = False) -> np.ndarray:

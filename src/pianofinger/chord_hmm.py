@@ -55,7 +55,7 @@ from ._tables import (
     safe_log,
 )
 from .errors import EmptyInput, FingeringError, HandOverflow, NoFeasiblePath, RepeatedNoteId
-from .pig_io import Hand, Piece, infer_hand
+from .pig_io import Hand, Piece, infer_hand, part_hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_table, key_indices
 
 
@@ -576,9 +576,16 @@ def _check_sizes(chords: _Chords, what: str) -> None:
             raise error(f"chord {ci} at {onset:.6f}s has {size} pitches, not 1 to 5")
 
 
+def _check_hand(hand) -> None:
+    """ValueError naming ``hand`` unless it is a Hand: a chord list has no
+    channels to infer one from."""
+    if not isinstance(hand, Hand):
+        raise ValueError(f"hand must be a Hand, got {hand!r}")
+
+
 def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
-    the decoder assigns to it: the refusals of ``_check_sizes`` first,
+    the decoder assigns to it: ``_check_hand`` and ``_check_sizes`` first,
     then ValueError for a path of another length, a state its chord does
     not have, or a digit that is not an integer (True and 1.0 equal 1).
 
@@ -587,6 +594,7 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     -inf where the path changes the digit of a sustained note, unless
     the decoder relaxed that boundary.
     """
+    _check_hand(hand)
     chords, path = _columns(chords), [tuple(state) for state in path]
     _check_sizes(chords, "score")
     if len(path) != len(chords.onsets):
@@ -607,8 +615,7 @@ def _decode_set(model: ChordHmmModel, parts, columns) -> list:
     def prepare(part, hand):
         chords = columns(part)
         _check_sizes(chords, "decode")
-        hand = infer_hand(part) if hand is None else hand
-        return chords.sizes.size, len(chords.ids), (chords, hand)
+        return chords.sizes.size, len(chords.ids), (chords, part_hand(part, hand))
 
     def result(chords, hand, decoded, relaxed):
         if decoded is None:
@@ -639,7 +646,8 @@ def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult
     ``_tables``.  A boundary where the sustain constraint leaves no
     feasible transition is relaxed and recorded; a decode whose score is
     still -inf raises NoFeasiblePath.  ``_check_sizes`` refuses chords no
-    hand can play first."""
+    hand can play first, after ``_check_hand``."""
+    _check_hand(hand)
     (result,) = _decode_set(model, [(chords, hand)], _columns)
     if isinstance(result, FingeringError):
         raise result

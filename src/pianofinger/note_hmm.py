@@ -47,7 +47,7 @@ from ._tables import (
     safe_log,
 )
 from .errors import EmptyPiece, FingeringError, NoFeasiblePath
-from .pig_io import FingerLabel, Hand, Note, Piece, infer_hand, midi_to_pitch
+from .pig_io import FingerLabel, Hand, Note, Piece, midi_to_pitch, part_hand
 from .pitch_space import (
     MIDI_MAX,
     MIDI_MIN,
@@ -413,12 +413,11 @@ def _run_viterbi(model: NoteHmmModel, tables) -> list:
 
 
 def _hand_part(piece: Piece, hand: Hand | None) -> tuple:
-    """``(hand, keys, onsets)`` of one hand part, the hand inferred if
-    None; EmptyPiece for a piece of no notes, OutOfRange off the keys."""
+    """``(hand, keys, onsets)`` of one hand part, its hand by ``part_hand``;
+    EmptyPiece for a piece of no notes, OutOfRange off the keys."""
     if len(piece) == 0:
         raise EmptyPiece(f"piece {piece.piece_id!r} has no notes")
-    hand = infer_hand(piece) if hand is None else hand
-    return hand, key_indices(piece.midis), piece.onsets
+    return part_hand(piece, hand), key_indices(piece.midis), piece.onsets
 
 
 def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:

@@ -380,6 +380,16 @@ def infer_hand(piece: Piece) -> Hand:
     return Hand(channels[0])
 
 
+def part_hand(piece: Piece, hand) -> Hand:
+    """``hand`` if a Hand, ``infer_hand(piece)`` if None; ValueError naming
+    any other value."""
+    if hand is None:
+        return infer_hand(piece)
+    if not isinstance(hand, Hand):
+        raise ValueError(f"hand must be None or a Hand, got {hand!r}")
+    return hand
+
+
 def check_alignment(piece: Piece, reference: Piece, name: str) -> None:
     """Raise unless ``piece`` holds the notes of ``reference``: the same
     number of notes and the same (onset, MIDI pitch) at every position.

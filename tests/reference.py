@@ -2,9 +2,10 @@
 
 The dense tie rule: after every DP step the best prefixes are ranked
 0..states-1 by one stable argsort, and ``best_parents`` takes the
-lowest-ranked of the tied best candidates.  ``pianofinger._tables``
-extends integer keys instead, in both decoders and the recombination DP;
-both must choose the same parents.
+lowest-ranked of the tied best candidates; ``dense_step`` is
+``LockStep.step`` by that rule.  ``pianofinger._tables`` extends integer
+keys instead, in both decoders and the recombination DP, and reads each
+parent off its winning key; both must choose the same parents.
 
 The per-boundary chord edge kernel: each boundary's score matrix is
 gathered on its own and summed by ``np.add.accumulate`` over the terms.
@@ -107,15 +108,34 @@ def best_parents(scores: np.ndarray, rank: np.ndarray) -> tuple:
     return best, np.where(scores == best, rank, rank.size).argmin(axis=0)
 
 
-def rerank(rank: np.ndarray, parent: np.ndarray, top=None, index=None) -> tuple:
+def rerank(rank: np.ndarray, parent: np.ndarray) -> tuple:
     """``(ranks, top)``: the lexicographic ranks after one DP step in which
     state i extends the best prefix of state ``parent[i]``, by (parent
-    rank, own index), as the sort is stable, and the largest of them.
-    ``top`` and ``index`` are taken for the library's signature and not read."""
+    rank, own index), as the sort is stable, and the largest of them."""
     order = np.argsort(rank[parent], kind="stable")
     new_rank = np.empty_like(order)
     new_rank[order] = np.arange(order.size)
     return new_rank, order.size - 1
+
+
+def dense_step(lock, scores: np.ndarray, after: np.ndarray | None = None) -> np.ndarray:
+    """``LockStep.step`` of ``lock`` by the dense tie rule, as it was before
+    each key named its parent: ``best_parents`` picks each new state's
+    candidate g, its flat parent is ``g * r + column`` (the part's offset
+    plus the state's r), and ``rerank`` gives the dense ranks of the new
+    prefixes.  ``lock.n`` is not kept: no keyed step follows a dense one."""
+    b, k, r = scores.shape[0], scores.shape[1], math.prod(scores.shape[2:-1])
+    ranks = lock.rank.reshape(scores.shape[:-1] + (1,))
+    best, g = best_parents(scores.swapaxes(0, 1), ranks.swapaxes(0, 1))
+    columns = np.arange(b * k * r).reshape(ranks.shape)[:, 0]
+    parent = (g * r + columns).reshape(-1)
+    if after is not None:
+        best += after
+    lock.dp = best.reshape(b, -1)
+    lock.parents.append(parent)
+    lock.widths.append(lock.dp.shape[1])
+    lock.rank, lock.top = rerank(lock.rank, parent)
+    return lock.dp
 
 
 def edge_scores(kernel, prev_midis: tuple, midis: tuple, rows=slice(None), cols=slice(None)):

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_piece
-from pianofinger.chord_hmm import ChordHmmParams, train_chord
+from pianofinger.chord_hmm import (
+    ChordHmmParams,
+    chord_path_log_score,
+    cluster_chords,
+    decode_chords,
+    train_chord,
+)
 from pianofinger.cli import main
 from pianofinger.dataset import load_piece
 from pianofinger.errors import MalformedModel
@@ -24,7 +30,14 @@ from pianofinger.model_io import (
     loads_model,
     model_kind,
 )
-from pianofinger.note_hmm import NoteHmmConfig, NoteHmmModel, Symmetry, decode_viterbi, train
+from pianofinger.note_hmm import (
+    NoteHmmConfig,
+    NoteHmmModel,
+    Symmetry,
+    decode_viterbi,
+    sequence_log_score,
+    train,
+)
 from pianofinger.pig_io import FingerLabel, Hand, infer_hand, split_hands
 from pianofinger.pitch_space import PitchRepresentation
 
@@ -459,3 +472,32 @@ def test_both_kinds_decode_a_part_of_no_hand_as_its_inferred_hand(name):
     with pytest.raises(ValueError) as info:
         decode_parts(model, [(piece, None)])
     assert str(info.value) == "expected a single-hand part, channels [0, 1]"
+
+
+@pytest.mark.parametrize("name, hand", [
+    *[(name, hand) for name in ("note_o2_integral.json", "chord.json") for hand in ("rh", 0)],
+    ("chord.json", None),
+])
+def test_both_kinds_refuse_a_hand_that_is_no_hand_by_name(name, hand):
+    # a part has channels to infer a None hand from; a chord list has none
+    model = load_model(MODEL_V1 / name)
+    rh = split_hands(load_piece(DATA / "sample_corpus" / "101-1_fingering.txt"))[0]
+    if name == "chord.json":
+        chords = cluster_chords(rh, model.params.delta)
+        path = decode_chords(model, chords, Hand.RH).states
+        calls = [lambda: decode_chords(model, chords, hand),
+                 lambda: chord_path_log_score(model, chords, hand, path)]
+        expected = f"hand must be a Hand, got {hand!r}"
+    else:
+        fingers = decode_viterbi(model, rh, Hand.RH).fingers
+        calls = [lambda: decode_viterbi(model, rh, hand),
+                 lambda: sequence_log_score(model, rh, fingers, hand)]
+        expected = f"hand must be None or a Hand, got {hand!r}"
+    refusals = [(call, expected) for call in calls]
+    if hand is not None:
+        refusals.append((lambda: KINDS[model_kind(model)].decode_parts(model, [(rh, hand)]),
+                         f"hand must be None or a Hand, got {hand!r}"))
+    for call, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import fields
-from itertools import product
 
 import numpy as np
 import pytest
@@ -10,17 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_piece, random_note_model, random_rows, tie_heavy_chord_part
-from pianofinger import _tables, chord_hmm, note_hmm
-from pianofinger._tables import (
-    KEY_LIMIT,
-    NEG_INF,
-    LockStep,
-    best_parents,
-    best_path,
-    fit_line,
-    rerank,
-)
+from conftest import count_calls, make_piece, random_note_model, random_rows, tie_heavy_chord_part
+from pianofinger import chord_hmm, note_hmm
+from pianofinger._tables import KEY_LIMIT, NEG_INF, LockStep, fit_line
 from pianofinger.chord_hmm import ChordHmmModel, ChordHmmParams
 from pianofinger.errors import DegenerateFit
 from pianofinger.note_hmm import NoteHmmConfig
@@ -39,45 +30,20 @@ def _matrix(draw, rows: int, cols: int) -> np.ndarray:
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_best_parents_takes_the_lowest_ranked_of_the_best(data):
+def test_step_takes_the_lowest_keyed_of_the_best(data):
     n_parents = data.draw(st.integers(1, 5))
     scores = _matrix(data.draw, n_parents, data.draw(st.integers(1, 5)))
-    rank = np.array(data.draw(st.permutations(range(n_parents))))
-    best, parent = best_parents(scores, rank[:, None])
+    order = np.array(data.draw(st.permutations(range(n_parents))))
+    lock = LockStep(np.zeros((1, n_parents)))
+    # state i extends state order[i] alone, so the keys rank the states as order does
+    lock.step(np.where(np.arange(n_parents)[:, None] == order, 0.0, NEG_INF)[None])
+    lock.step(lock.dp[:, :, None] + scores)
+    best, parent = lock.dp[0], lock.parents[-1]
     for c in range(scores.shape[1]):
         column = scores[:, c].tolist()
         tied = [p for p in range(n_parents) if column[p] == max(column)]
         assert best[c] == max(column)
-        assert parent[c] == min(tied, key=lambda p: rank[p])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_the_tie_rule_finds_the_lexicographically_first_best_path(data):
-    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    initial = _matrix(data.draw, 1, sizes[0])[0]
-    steps = [_matrix(data.draw, a, b) for a, b in zip(sizes, sizes[1:])]
-
-    dp, rank, top, parents = initial, np.arange(sizes[0]), sizes[0] - 1, []
-    for step in steps:
-        dp, parent = best_parents(dp[:, None] + step, rank[:, None])
-        parents.append(parent)
-        rank, top = rerank(rank, parent, top, np.arange(parent.size))
-    best, path = best_path(dp, rank, parents)
-
-    # brute force: product() lists the paths in lexicographic order
-    scored = []
-    for states in product(*map(range, sizes)):
-        score = initial[states[0]]
-        for step, a, b in zip(steps, states, states[1:]):
-            score = score + step[a, b]
-        scored.append((score, states))
-    top = max(score for score, _ in scored)
-    assert best == top
-    if top == NEG_INF:
-        assert path is None
-    else:
-        assert tuple(int(s) for s in path) == next(s for score, s in scored if score == top)
+        assert parent[c] == min(tied, key=lambda p: order[p])
 
 
 def _brute_force(initial: np.ndarray, steps: list) -> list:
@@ -140,31 +106,27 @@ def test_lockstep_gives_each_part_its_lexicographically_first_best_path(data):
 
 
 def _keyed_and_dense(initial: np.ndarray, steps: list) -> int:
-    """Run the DP over ``steps`` by the keyed rule and by the dense rule of
-    ``reference`` side by side; both must pick the same parents, order the
-    prefixes alike and end in the same best score and path.  Returns the
-    number of steps at which the keys were re-densified."""
-    dp, rank, top, parents = initial, np.arange(initial.size), initial.size - 1, []
-    dense_dp, dense, dense_parents = initial, np.arange(initial.size), []
+    """Run the DP over ``steps`` on two one-part ``LockStep``s side by side,
+    one by its keyed ``step`` and one by ``reference.dense_step``; both must
+    pick the same parents, order the prefixes alike and end in the same
+    best score and path.  Returns the number of steps at which the keys
+    were re-densified."""
+    keyed, dense = LockStep(initial[None]), LockStep(initial[None])
     densified = 0
     for step in steps:
-        dp, parent = best_parents(dp[:, None] + step, rank[:, None])
-        dense_dp, dense_parent = reference.best_parents(dense_dp[:, None] + step, dense[:, None])
-        assert np.array_equal(parent, dense_parent)
-        assert np.array_equal(dp, dense_dp)
-        keys, top = rerank(rank, parent, top, np.arange(parent.size))
-        dense, _ = reference.rerank(dense, dense_parent)
-        assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() <= top < KEY_LIMIT
-        assert np.array_equal(np.argsort(keys), np.argsort(dense))
+        rank = keyed.rank
+        keyed.step(keyed.dp[:, :, None] + step)
+        reference.dense_step(dense, dense.dp[:, :, None] + step)
+        parent, keys = keyed.parents[-1], keyed.rank
+        assert np.array_equal(parent, dense.parents[-1])
+        assert np.array_equal(keyed.dp, dense.dp)
+        assert keys.dtype == np.int64 and 0 <= keys.min() and keys.max() <= keyed.top < KEY_LIMIT
+        assert np.array_equal(np.argsort(keys), np.argsort(dense.rank))
         # without a re-densification each key is its parent's key times n, plus i
         densified += not np.array_equal(keys // parent.size, rank[parent])
-        rank = keys
-        parents.append(parent)
-        dense_parents.append(dense_parent)
-    best, path = best_path(dp, rank, parents)
-    dense_best, dense_path = best_path(dense_dp, dense, dense_parents)
-    assert best == dense_best
-    assert (path is None and dense_path is None) or list(path) == list(dense_path)
+    keyed.running(0)
+    dense.running(0)
+    assert keyed.paths == dense.paths
     return densified
 
 
@@ -183,6 +145,23 @@ def test_keys_choose_as_the_dense_ranks_do(sizes, seed):
 def test_keys_are_redensified_before_they_overflow():
     # 200 steps of 10 states add about 664 bits of key
     assert _keyed_and_dense(*_few_valued_steps(7, [10] * 201)) >= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_key_ends_in_its_states_flat_index(data):
+    # 64 or more steps of 2 or more states each: every example re-densifies
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lengths = sorted(data.draw(st.lists(st.integers(64, 120), min_size=1, max_size=4)),
+                     reverse=True)
+    widths = data.draw(st.lists(st.integers(2, 10), min_size=lengths[0], max_size=lengths[0]))
+    lock, densified = LockStep(rng.choice(_VALUES, (len(lengths), widths[0]))), 0
+    for t, (w_prev, w) in enumerate(zip(widths, widths[1:]), 1):
+        dp, top = lock.running(sum(n > t for n in lengths)), lock.top
+        lock.step(dp[:, :, None] + rng.choice(_VALUES, (len(dp), w_prev, w)))
+        assert np.array_equal(lock.rank % lock.n, np.arange(lock.n))
+        densified += lock.top != top * lock.n + lock.n - 1
+    assert densified
 
 
 def _few_valued(log_table: np.ndarray) -> np.ndarray:
@@ -214,9 +193,14 @@ def _tie_heavy_scale(n_notes: int, cluster: bool):
     return make_piece(midis, onsets=onsets)
 
 
-def _dense_rule(monkeypatch):
-    monkeypatch.setattr(_tables, "best_parents", reference.best_parents)
-    monkeypatch.setattr(_tables, "rerank", reference.rerank)
+def _by_dense_rule(monkeypatch, decode):
+    """``decode()`` with ``LockStep.step`` replaced by
+    ``reference.dense_step``, which must run."""
+    monkeypatch.setattr(LockStep, "step", reference.dense_step)
+    calls = count_calls(monkeypatch, LockStep, "step")
+    result = decode()
+    assert calls
+    return result
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -225,8 +209,7 @@ def test_note_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch, order, clus
     model = _tie_heavy_note_model(rng, order)
     piece = _tie_heavy_scale(2100, cluster)
     keyed = note_hmm.decode_viterbi(model, piece, Hand.RH)
-    _dense_rule(monkeypatch)
-    dense = note_hmm.decode_viterbi(model, piece, Hand.RH)
+    dense = _by_dense_rule(monkeypatch, lambda: note_hmm.decode_viterbi(model, piece, Hand.RH))
     assert keyed.fingers == dense.fingers
     assert keyed.log_score.hex() == dense.log_score.hex()
     assert keyed.crossing_fallback_used == dense.crossing_fallback_used == cluster
@@ -248,8 +231,7 @@ def test_chord_decodes_by_keys_equal_the_dense_rule(rng, monkeypatch):
     assert len(piece) >= 2000
     chords = chord_hmm.cluster_chords(piece, params.delta)
     keyed = chord_hmm.decode_chords(model, chords, Hand.RH)
-    _dense_rule(monkeypatch)
-    dense = chord_hmm.decode_chords(model, chords, Hand.RH)
+    dense = _by_dense_rule(monkeypatch, lambda: chord_hmm.decode_chords(model, chords, Hand.RH))
     assert keyed.states == dense.states
     assert keyed.log_score.hex() == dense.log_score.hex()
     assert keyed.relaxed_boundaries == dense.relaxed_boundaries
