@@ -2,9 +2,10 @@
 
 Notes whose onsets fall within a small threshold of each other are
 clustered into chords, and a note that is still sounding when a later
-chord starts joins that chord as a *sustained* component.  Clustering
-builds columns (``_Chords``), which training, the decoder and its oracle
-read; ``Chord`` is the public view of them, which no CLI path builds.
+chord starts joins that chord as a *sustained* component; a note sounds
+until its offset or the next strike of its pitch.  Clustering builds
+columns (``_Chords``), which training, the decoder and its oracle read;
+``Chord`` is the public view of them, which no CLI path builds.
 The hidden state of a chord is a crossing-free assignment of distinct
 digits to its (pitch-ascending) components: digits ascend with pitch in
 the right hand and descend in the left, giving exactly C(5, K) states
@@ -54,7 +55,14 @@ from ._tables import (
     normalize_rows,
     safe_log,
 )
-from .errors import EmptyInput, FingeringError, HandOverflow, NoFeasiblePath, RepeatedNoteId
+from .errors import (
+    EmptyInput,
+    FingeringError,
+    HandOverflow,
+    NoFeasiblePath,
+    NonMonotoneOnsets,
+    RepeatedNoteId,
+)
 from .pig_io import Hand, Piece, infer_hand, part_hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_table, key_indices
 
@@ -157,39 +165,35 @@ def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Ch
     """``cluster_chords`` as columns; the rule is told there."""
     if len(piece):
         infer_hand(piece)
-    ids, offsets, n = piece.ids.tolist(), piece.offsets.tolist(), len(piece)
-    onsets = piece.onsets
+    ids, onsets, midis, n = piece.ids.tolist(), piece.onsets, piece.midis, len(piece)
     if len(set(ids)) < n:
         seen = set()  # the first id met twice; set.add returns None
         repeated = next(i for i in ids if i in seen or seen.add(i))
         raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
-    if truncate_overlaps:
-        distinct = sorted(set(onsets.tolist()))
-        next_onset = dict(zip(distinct, distinct[1:]))
-        offsets = [min(off, next_onset[t]) if t in next_onset else off
-                   for t, off in zip(onsets.tolist(), offsets)]
-    opens = np.concatenate([[True], ~(onsets[1:] - onsets[:-1] <= delta)])[:n]  # starts a chord
-    group = (np.cumsum(opens) - 1).tolist()
-    chord_onsets = onsets[opens].tolist()
+    gaps = onsets[1:] - onsets[:-1]
+    if (gaps < 0).any():
+        i = (gaps < 0).argmax() + 1
+        raise NonMonotoneOnsets(f"piece {piece.piece_id!r}: onset {onsets[i]} of note {ids[i]} "
+                                f"precedes {onsets[i - 1]}")
+    opens = np.concatenate([[True], ~(gaps <= delta)])[:n]  # starts a chord
+    group = opens.cumsum() - 1
+    chord_onsets = onsets[opens]
 
-    # entry k is note k struck in its chord, and the sustained copies follow;
-    # a note's walk starts past the last chord an earlier note of its pitch
-    # reached, so the walks of one pitch meet each chord once
-    reach, copies = {}, []  # pitch -> last chord reached; (chord, note, entry before)
-    for k, (gi, midi, offset) in enumerate(zip(group, piece.midis.tolist(), offsets)):
-        gj = max(gi, reach.get(midi, gi)) + 1
-        before = k if gj == gi + 1 else -1  # the note's entry in chord gj - 1
-        while gj < len(chord_onsets) and chord_onsets[gj] < offset:
-            copies.append((gj, k, before))
-            before = n + len(copies) - 1
-            gj += 1
-        reach[midi] = gj - 1
-    copies = np.array(copies, dtype=np.intp).reshape(-1, 3).T
-    chord = np.concatenate([group, copies[0]]).astype(np.intp)
-    note = np.concatenate([np.arange(n), copies[1]])
-    sustained = np.arange(chord.size) >= n
-    order = np.lexsort((note, sustained, piece.midis[note], chord))
-    chord, midi, sustained = chord[order], piece.midis[note[order]], sustained[order]
+    # a note's entries run in a row: struck in its chord, then held in each
+    # later one that starts before the end of its sound
+    by_pitch = midis.argsort(kind="stable")
+    again = midis[by_pitch[1:]] == midis[by_pitch[:-1]]
+    k, later = by_pitch[:-1][again], by_pitch[1:][again]  # a note, the next of its pitch
+    end = piece.offsets.copy()
+    end[k] = np.minimum(end[k], onsets[later])
+    if truncate_overlaps:
+        end = np.minimum(end, np.append(onsets, np.inf)[onsets.searchsorted(onsets, "right")])
+    runs = np.maximum(chord_onsets.searchsorted(end) - group, 1)  # chords a note is in
+    note = np.arange(n).repeat(runs)
+    nth = np.arange(note.size) - (runs.cumsum() - runs).repeat(runs)  # 0: struck
+    at = group[note] + nth  # each entry's chord
+    order = np.lexsort((note, nth > 0, midis[note], at))
+    chord, midi, sustained = at[order], midis[note[order]], nth[order] > 0
     step = (chord[1:] != chord[:-1]) | (midi[1:] != midi[:-1])
     first = np.concatenate([[True], step])[: chord.size]  # an entry that opens a component
     keep = first | ~sustained  # a struck note displaces its pitch's sustained copy
@@ -199,15 +203,15 @@ def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Ch
     if over:
         raise HandOverflow(f"piece {piece.piece_id!r}: chord at {chord_onsets[over[0]]:.6f}s "
                            f"needs {sizes[over[0]].item()} pitches in one hand")
-    comp = np.full(chord.size + 1, -1)  # each entry's component; -1: displaced, or none
+    comp = np.full(chord.size, -1)  # each entry's component; -1: displaced
     comp[kept] = np.cumsum(first[keep]) - 1
-    start = np.cumsum(sizes) - sizes
-    ci, i, j = copies[0], comp[copies[2]], comp[n:-1]
+    start, copy = np.cumsum(sizes) - sizes, nth.nonzero()[0]  # entry copy - 1: the chord before
+    ci, i, j = at[copy], comp[copy - 1], comp[copy]
     shared = (i >= 0) & (j >= 0)
     held = {}
     for c, a, b in zip(*(x[shared].tolist() for x in (ci, i - start[ci - 1], j - start[ci]))):
         held.setdefault(c, []).append((a, b))
-    return _Chords(chord_onsets, sizes, midi[first], sustained[first],
+    return _Chords(chord_onsets.tolist(), sizes, midi[first], sustained[first],
                    (comp[kept], note[kept]), piece.ids, held)
 
 
@@ -239,15 +243,15 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     as ``Chord``s: the public view of the columns every reader takes.
 
     A note joins the current chord when its onset is within ``delta`` of
-    the previous note's, in the piece's order (a note whose onset goes
-    down always joins); afterwards every note whose offset exceeds a
-    later chord's onset is added there as sustained, walking on chord by
-    chord until the first that starts at or after the offset.  A pitch
-    that is re-struck displaces its sustained copy, but only in the chord
-    that re-strikes it: a later chord the earlier note still reaches
-    holds the earlier note, not the re-struck one.  Chords identify notes
-    by ``note_id``, so a repeated id raises RepeatedNoteId; then the
-    first chord of more than five pitches raises HandOverflow.
+    the previous note's.  It sounds until the earliest of its offset, the
+    next onset of its pitch and, with ``truncate_overlaps``, the next
+    onset, and joins every later chord that starts before then as
+    sustained: a key struck again holds its earlier note no longer, a
+    struck note displaces its pitch's held copy, and a unison is held from
+    its later note.  Chords identify notes by ``note_id``, so a repeated id
+    raises RepeatedNoteId; a part whose onsets go down raises
+    NonMonotoneOnsets, as the parser does; then the first chord of more
+    than five pitches raises HandOverflow.
     """
     chords = _cluster(piece, delta, truncate_overlaps)
     ids = chords.ids.tolist()

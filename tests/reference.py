@@ -23,11 +23,12 @@ the per-note loop the lock-step batch replaced
 its tie rule, ``cluster_chords`` as a quadratic walk
 (``reference_cluster_chords``), and the chord decoder's sustain filter
 ``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).
-Chord clustering and the chord HMM's training counts as they were
-before clustering built columns: one ``Chord`` per chord, read back one
-attribute at a time (``reference_chord_objects``,
-``reference_chord_count``).  The fingering-file parser as the per-line loop the
-column-at-a-time parser replaced (``reference_parse_fingering_file``),
+Chord clustering and the chord HMM's training counts as one ``Chord``
+per chord, read back one attribute at a time (``reference_chord_objects``,
+``reference_chord_count``), and the earlier clustering walk, whose
+sustain ran past a re-strike (``offset_walk_chords``).  The
+fingering-file parser as the per-line loop the column-at-a-time parser
+replaced (``reference_parse_fingering_file``),
 and the per-note readers that the piece's columns replaced: the per-hand
 view, the writer, the alignment check and the ground-truth set
 (``reference_hand_positions``, ``reference_split_hands``,
@@ -342,35 +343,45 @@ def reference_recombination(est, gts, config):
 
 def reference_cluster_chords(piece, delta, truncate_overlaps=False):
     """``cluster_chords`` as a plain loop in which every note walks each
-    later chord until its offset: quadratic, and the reference."""
+    later chord until it stops sounding: at its offset, at the next onset
+    of its pitch or, with ``truncate_overlaps``, at the next onset, the
+    earliest of them.  Quadratic, and the reference.  A part whose onsets
+    go down is refused as the parser refuses a file."""
     if len(piece) == 0:
         return []
     notes = list(piece.notes)
-    next_onset = {}
-    if truncate_overlaps:
-        onsets = sorted({n.onset for n in notes})
-        for i, t in enumerate(onsets[:-1]):
-            next_onset[t] = onsets[i + 1]
+    for before, note in zip(notes, notes[1:]):
+        if note.onset < before.onset:
+            raise NonMonotoneOnsets(f"piece {piece.piece_id!r}: onset {note.onset} of note "
+                                    f"{note.note_id} precedes {before.onset}")
+    ends = []
+    for k, note in enumerate(notes):
+        end = note.offset
+        for later in notes[k + 1 :]:
+            if later.midi == note.midi:
+                end = min(end, later.onset)
+                break
+        if truncate_overlaps:
+            end = min([end] + [later.onset for later in notes if later.onset > note.onset])
+        ends.append(end)
     groups = []
-    for note in notes:
-        if groups and note.onset - groups[-1][-1].onset <= delta:
-            groups[-1].append(note)
+    for k, note in enumerate(notes):
+        if groups and note.onset - notes[k - 1].onset <= delta:
+            groups[-1].append(k)
         else:
-            groups.append([note])
-    chord_onsets = [g[0].onset for g in groups]
+            groups.append([k])
+    chord_onsets = [notes[g[0]].onset for g in groups]
     members = [{} for _ in groups]
     for gi, group in enumerate(groups):
-        for note in group:
+        for k in group:
+            note = notes[k]
             entry = members[gi].get(note.midi)
             if entry is None or entry[1]:
                 members[gi][note.midi] = [[note.note_id], False]
             else:
                 entry[0].append(note.note_id)
-            offset = note.offset
-            if truncate_overlaps and note.onset in next_onset:
-                offset = min(offset, next_onset[note.onset])
             for gj in range(gi + 1, len(groups)):
-                if chord_onsets[gj] >= offset:
+                if chord_onsets[gj] >= ends[k]:
                     break
                 if note.midi not in members[gj]:
                     members[gj][note.midi] = [[note.note_id], True]
@@ -390,15 +401,32 @@ def reference_cluster_chords(piece, delta, truncate_overlaps=False):
 
 
 def reference_chord_objects(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
-    """``cluster_chords`` as it built one ``Chord`` per chord.
+    """``cluster_chords`` with the checks of the one-``Chord``-per-chord
+    code it replaced: the hand is inferred, a repeated note id raises
+    RepeatedNoteId, and then ``reference_cluster_chords`` clusters."""
+    if len(piece) == 0:
+        return []
+    infer_hand(piece)
+    ids = piece.ids.tolist()
+    if len(set(ids)) < len(ids):
+        seen = set()  # the first id met twice; set.add returns None
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
+    return reference_cluster_chords(piece, delta, truncate_overlaps)
 
-    Greedy onset clustering of one hand part, plus sustained membership.
+
+def offset_walk_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
+    """Clustering by the earlier walk, in which a note's sustain ran to its
+    offset even past a re-strike of its pitch.
 
     A note joins the current chord when its onset is within ``delta`` of
-    the chord's latest member onset; afterwards every note whose offset
-    exceeds a later chord's onset is added there as sustained.  A pitch
-    that is re-struck displaces its sustained copy.  Chords identify
-    notes by ``note_id``, so a repeated id raises RepeatedNoteId.
+    the previous note's; afterwards every note whose offset exceeds a
+    later chord's onset is added there as sustained, its walk starting
+    past the last chord an earlier note of its pitch reached.  A pitch
+    that is re-struck displaces its sustained copy only in the chord that
+    re-strikes it, and of a unison the earlier note is held.  On a part
+    with neither a pitch struck again while it sounds nor a unison, this
+    is ``cluster_chords``.
     """
     if len(piece) == 0:
         return []

@@ -41,6 +41,7 @@ from pianofinger.errors import (
     FingeringError,
     HandOverflow,
     NoFeasiblePath,
+    NonMonotoneOnsets,
     OutOfRange,
     RepeatedNoteId,
 )
@@ -207,12 +208,41 @@ def test_cluster_matches_the_walk_over_every_later_chord(case):
 
 
 @st.composite
+def unrestruck_cases(draw):
+    """``clustering_cases`` whose pitches are drawn note by note from those
+    no earlier note of the chord strikes and no earlier note still sounds:
+    parts with no pitch struck again while it sounds and no unison."""
+    n = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n, max_size=n))
+    onsets = [round(0.02 * t, 6) for t in np.cumsum(steps)]
+    durations = st.sampled_from([0.01, 0.02, 0.05, 0.2, 1.0, 100.0, 100.0])
+    offsets = [round(t + d, 6) for t, d in
+               zip(onsets, draw(st.lists(durations, min_size=n, max_size=n)))]
+    delta = draw(st.sampled_from([0.0, DELTA, 0.05]))
+    chord = np.cumsum([True] + [b - a > delta for a, b in zip(onsets, onsets[1:])])
+    midis, span = [], draw(st.integers(0, 8))
+    for k in range(n):
+        busy = {m for j, m in enumerate(midis) if offsets[j] > onsets[k] or chord[j] == chord[k]}
+        midis.append(draw(st.sampled_from([m for m in range(60, 61 + k + span) if m not in busy])))
+    piece = make_piece(midis, onsets=onsets, offsets=offsets, hand=draw(st.sampled_from(Hand)))
+    return piece, delta, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(unrestruck_cases())
+def test_without_restrikes_or_unisons_the_earlier_walk_gives_the_same_chords(case):
+    piece, delta, truncate = case
+    expected = _outcome(lambda: reference.offset_walk_chords(piece, delta, truncate))
+    assert _outcome(lambda: cluster_chords(piece, delta, truncate)) == expected
+
+
+@st.composite
 def column_parts(draw):
     """A one-hand part built column by column, so its notes may be out of
-    onset order: shared onsets, unisons struck together, pitches re-struck
-    while a copy of them is held, notes that sound to the end, and, with
-    more than five pitches in play or a copied id, hand overflows and
-    repeated note ids.  Empty parts too."""
+    onset order, which the chord kind refuses: shared onsets, unisons
+    struck together, pitches re-struck while a note of them still sounds,
+    notes that sound to the end, and, with more than five pitches in play
+    or a copied id, hand overflows and repeated note ids.  Empty parts too."""
     n = draw(st.integers(0, 14))
     gaps = st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.03, 0.2])
     steps = draw(st.lists(gaps, min_size=n, max_size=n))
@@ -390,30 +420,57 @@ def test_a_chord_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkey
         assert result.log_score.hex() == single.log_score.hex()
 
 
-@pytest.mark.parametrize("onsets, chord_onsets", [
-    ([1.0, 0.2, 0.5, 0.6], [1.0, 0.5, 0.6]),  # a note whose onset goes down joins the chord
-    ([0.0, 0.5, 0.3, 0.9], [0.0, 0.5, 0.9]),
+@pytest.mark.parametrize("onsets, message", [
+    ([1.0, 0.2, 0.5, 0.6], "onset 0.2 of note 1 precedes 1.0"),
+    ([0.0, 0.5, 0.3, 0.9], "onset 0.3 of note 2 precedes 0.5"),
 ])
-def test_notes_out_of_onset_order_cluster_in_piece_order(onsets, chord_onsets):
+def test_a_part_whose_onsets_go_down_is_refused_as_the_parser_refuses_it(onsets, message):
     n = len(onsets)
     part = Piece(None, "p", "1", ids=range(n), onsets=onsets, offsets=[t + 0.2 for t in onsets],
                  pitches=["C4"] * n, midis=[60 + 2 * i for i in range(n)],
-                 onset_velocities=[64] * n, offset_velocities=[64] * n, channels=[0] * n)
-    chords = cluster_chords(part, DELTA)
-    assert [chord.onset for chord in chords] == chord_onsets
-    assert chords == reference.reference_chord_objects(part, DELTA)
+                 onset_velocities=[64] * n, offset_velocities=[64] * n, channels=[0] * n,
+                 signed_fingers=[1, 2, 3, 4])
+    message = f"^piece 'p': {re.escape(message)}$"
+    with pytest.raises(NonMonotoneOnsets, match=message):
+        cluster_chords(part, DELTA)
+    with pytest.raises(NonMonotoneOnsets, match=message):
+        count([part], ChordHmmParams())
+    sorted_part = make_piece([60, 62], hand=Hand.RH)
+    decoded, refused = chord_hmm.decode_parts(load_model(CHORD_V1), [(sorted_part, None),
+                                                                     (part, None)])
+    assert decoded[0].tolist() == [1, 2]
+    assert isinstance(refused, NonMonotoneOnsets) and re.match(message, str(refused))
 
 
-def test_a_restruck_pitch_leaves_later_chords_holding_the_earlier_note():
-    # note 2 re-strikes C4 while note 0 still sounds; the chord at 3.0 is
-    # reached by both, and holds note 0, so nothing pins note 2's digit there
+def test_a_restruck_pitch_hands_later_chords_the_restruck_note():
+    # note 2 re-strikes C4 while note 0 still sounds; note 0 stops sounding
+    # there, so the chord at 3.0 holds note 2 and pins its digit
     piece = make_piece([60, 64, 60, 67, 65], onsets=[0, 1, 2, 2, 3],
                        offsets=[10, 1.5, 3.5, 2.5, 3.4])
     chords = cluster_chords(piece, DELTA)
     assert [chord.onset for chord in chords] == [0.0, 1.0, 2.0, 3.0]
     assert chords[2].components[0] == ChordComponent(midi=60, note_ids=(2,), sustained=False)
-    assert chords[3].components[0] == ChordComponent(midi=60, note_ids=(0,), sustained=True)
+    assert chords[3].components[0] == ChordComponent(midi=60, note_ids=(2,), sustained=True)
+    assert chord_hmm._cluster(piece, DELTA).held[3] == [(0, 0)]
     assert chords == reference.reference_chord_objects(piece, DELTA)
+
+
+def test_a_unison_is_one_component_held_from_its_later_note():
+    # two C4s struck at 0.0: one component of both ids, whose later note is
+    # held at 1.0; the earlier note stops sounding at the later one's onset
+    piece = make_piece([60, 60, 64, 67], onsets=[0, 0, 1, 2], offsets=[2.5, 1.5, 1.5, 2.5])
+    chords = cluster_chords(piece, DELTA)
+    assert [chord.midis for chord in chords] == [(60,), (60, 64), (67,)]
+    assert chords[0].components[0] == ChordComponent(midi=60, note_ids=(0, 1), sustained=False)
+    assert chords[1].components[0] == ChordComponent(midi=60, note_ids=(1,), sustained=True)
+    assert chords == reference.reference_chord_objects(piece, DELTA)
+    # the earlier walk held the earlier note, as long as it sounded
+    walked = reference.offset_walk_chords(piece, DELTA)
+    assert walked[1].components[0].note_ids == (0,) and walked[2].midis == (60, 67)
+    model = load_model(CHORD_V1)
+    ((_, result),) = chord_hmm.decode_parts(model, [(piece, Hand.RH)])
+    (digit,), (held, _) = result.states[:2]  # C4 is the lower pitch at 1.0
+    assert held == digit and estimate_piece(model, piece)[0][:2] == [digit, digit]
 
 
 def test_repeated_note_ids_are_refused():
