@@ -170,6 +170,13 @@ def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Ch
         seen = set()  # the first id met twice; set.add returns None
         repeated = next(i for i in ids if i in seen or seen.add(i))
         raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
+    finite = np.isfinite(onsets) & np.isfinite(piece.offsets)
+    if not finite.all():  # checked first: a NaN onset passes the order check
+        i = finite.argmin()
+        name, time = (("onset", onsets[i]) if not np.isfinite(onsets[i])
+                      else ("offset", piece.offsets[i]))
+        raise FingeringError(f"piece {piece.piece_id!r}: note {ids[i]} has {name} {time}, "
+                             "not a finite time")
     gaps = onsets[1:] - onsets[:-1]
     if (gaps < 0).any():
         i = (gaps < 0).argmax() + 1
@@ -249,9 +256,10 @@ def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) 
     sustained: a key struck again holds its earlier note no longer, a
     struck note displaces its pitch's held copy, and a unison is held from
     its later note.  Chords identify notes by ``note_id``, so a repeated id
-    raises RepeatedNoteId; a part whose onsets go down raises
-    NonMonotoneOnsets, as the parser does; then the first chord of more
-    than five pitches raises HandOverflow.
+    raises RepeatedNoteId; a NaN or infinite onset or offset raises
+    FingeringError, and a part whose onsets go down NonMonotoneOnsets, as
+    the parser refuses both; then the first chord of more than five
+    pitches raises HandOverflow.
     """
     chords = _cluster(piece, delta, truncate_overlaps)
     ids = chords.ids.tolist()

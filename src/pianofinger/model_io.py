@@ -19,6 +19,12 @@ written as ``{row: {column: leaf}}``; hands are ``"rh"``/``"lh"``:
   displacement alphabet as ``"dx"`` (integral) or ``"dx,dy"`` (lattice);
 * the chord ``initial_digit`` is a single bare row ``{"1": ..}``.
 
+Each kind's ``tables`` object is declared once, as a layout
+(``_note_layout``, ``_chord_layout``): the file's nested objects and
+lists, with each table's row and column keys where its values go.  The
+writer and the loader both walk it: ``_fill`` puts the model's arrays in
+it to write, and ``_read`` checks a file against it and loads the arrays.
+
 The config object holds one key per field of the kind's config class,
 named without a trailing ``_`` (``lambda_`` is ``"lambda"``): enums as
 their values, the symmetry set as a sorted list, tuples as lists.  The
@@ -38,7 +44,7 @@ The loader refuses, with ``MalformedModel``, a missing or extra key in
 the document or in its config, a config value of the wrong type or out
 of range, any table whose rows or columns differ from the keys its
 config implies (a missing or extra row, or an edited ``delta_p_max``), a
-missing or extra table, any leaf that is not a number (true, false,
+missing or extra table or list item, any leaf that is not a number (true, false,
 null, a string or a list), NaN or above 0, and a file nested too
 deeply for the JSON parser.
 
@@ -52,6 +58,7 @@ whole search box of ``experiments.tune``).  All else looks a kind up here.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass, fields, replace
@@ -71,62 +78,56 @@ from .pitch_space import PitchRepresentation, alphabet_size, index_displacement
 FORMAT = "piano-fingering-model"
 VERSION = 1
 
-_HAND_KEY = {Hand.RH: "rh", Hand.LH: "lh"}
-_DIGITS = [str(d + 1) for d in range(N_DIGITS)]
-_HANDS = [_HAND_KEY[h] for h in Hand]
+_DIGITS = tuple(str(d + 1) for d in range(N_DIGITS))
+_HANDS = [hand.name.lower() for hand in Hand]  # "rh", "lh"
 _NUMBERS = {int, float}
 _DOCUMENT = ["format", "version", "kind", "config", "tables"]
 # how the JSON module spells the floats that repr() writes as inf and nan
 _NON_FINITE = {"-inf": "-Infinity", "inf": "Infinity", "nan": "NaN"}
 
 
-def _digit_rows(length: int) -> list:
+def _digit_rows(length: int) -> tuple:
     """Keys of all digit contexts of the given length, in flat-index order."""
-    return [",".join(ctx) for ctx in itertools.product(_DIGITS, repeat=length)]
+    return tuple(",".join(ctx) for ctx in itertools.product(_DIGITS, repeat=length))
 
 
-def _disp_keys(representation: PitchRepresentation, delta_p_max: int) -> list:
+def _disp_keys(representation: PitchRepresentation, delta_p_max: int) -> tuple:
     """Keys of the displacement alphabet, in cell order."""
     keys = []
     for idx in range(alphabet_size(representation, delta_p_max)):
         d = index_displacement(representation, delta_p_max, idx)
         keys.append(str(d.dx) if d.dy is None else f"{d.dx},{d.dy}")
-    return keys
+    return tuple(keys)
 
 
-@dataclass(frozen=True)
-class _Axis:
-    """One table axis as the writer lays it out: ``order`` lists the cell
-    positions in sorted-key order and ``keys`` the matching JSON-quoted
-    keys, so each key list is sorted once per model."""
-
-    order: list
-    keys: list
-
-
-def _axis(keys: list) -> _Axis:
+@functools.cache
+def _sorted(keys: tuple) -> tuple:
+    """One table axis as the writer lays it out, sorted once per key tuple:
+    the cell positions in sorted-key order and the matching quoted keys."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return _Axis(order, [json.dumps(keys[i]) for i in order])
+    return order, [json.dumps(keys[i]) for i in order]
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A table to write as ``{row: {col: leaf}}`` in row-major cell order;
-    ``rows=None`` writes a one-row table as a bare ``{col: leaf}``."""
+    """A table to write as ``{row: {col: leaf}}``: its array in row-major
+    cell order and its row and column keys in cell order; ``rows=None``
+    writes a one-row table as a bare ``{col: leaf}``."""
 
     values: np.ndarray
-    rows: _Axis | None
-    cols: _Axis
+    rows: tuple | None
+    cols: tuple
 
     def render(self, depth: int, out: list) -> None:
         """Append the table's text at nesting ``depth`` to ``out``, rendered
         from the array: each distinct leaf (by its float64 bits, so 0.0 and
         -0.0 stay apart) is formatted once and gathered into its cells."""
-        cols = self.cols
-        grid = self.values.reshape(-1, len(cols.keys))
+        col_order, col_keys = _sorted(self.cols)
+        grid = self.values.reshape(-1, len(col_keys))
         if self.rows is not None:
-            grid = grid[self.rows.order]
-        grid = np.ascontiguousarray(grid[:, cols.order], dtype=np.float64)
+            row_order, row_keys = _sorted(self.rows)
+            grid = grid[row_order]
+        grid = np.ascontiguousarray(grid[:, col_order], dtype=np.float64)
         bits, where = np.unique(grid.view(np.int64).ravel(), return_inverse=True)
         leaves = np.array(
             [_NON_FINITE.get(s, s) for s in map(repr, bits.view(np.float64).tolist())],
@@ -134,7 +135,7 @@ class _Table:
         )
         cell_depth = depth + (1 if self.rows is None else 2)
         prefixes = np.array(
-            [f"\n{' ' * cell_depth}{key}: " for key in cols.keys], dtype=object
+            [f"\n{' ' * cell_depth}{key}: " for key in col_keys], dtype=object
         )
         close = "\n" + " " * (cell_depth - 1) + "}"
         lines = (prefixes + leaves[where.reshape(grid.shape)]).tolist()
@@ -142,9 +143,20 @@ class _Table:
             out += ("{", ",".join(lines[0]), close)
             return
         indent = "\n" + " " * (depth + 1)
-        for i, (key, line) in enumerate(zip(self.rows.keys, lines)):
+        for i, (key, line) in enumerate(zip(row_keys, lines)):
             out += (f"{',' if i else '{'}{indent}{key}: {{", ",".join(line), close)
         out.append("\n" + " " * depth + "}")
+
+
+def _fill(layout, values):
+    """The ``tables`` object of a ``layout``, each ``(rows, cols)`` made a
+    ``_Table`` of its array in ``values``, which nests as the layout does,
+    an object's values in its layout's key order."""
+    if isinstance(layout, tuple):
+        return _Table(values, *layout)
+    if isinstance(layout, dict):
+        return {key: _fill(sub, v) for (key, sub), v in zip(layout.items(), values, strict=True)}
+    return [_fill(sub, v) for sub, v in zip(layout, values, strict=True)]
 
 
 def _render(value, depth: int, out: list) -> None:
@@ -171,32 +183,24 @@ def _render(value, depth: int, out: list) -> None:
     out.append("\n" + " " * depth + brackets[1])
 
 
-def _decode(data, rows, cols: list) -> np.ndarray:
-    """The inverse of writing a ``_Table``, as a ``(len(rows), len(cols))`` array.
+def _decode(data, rows, cols) -> np.ndarray:
+    """The inverse of writing a ``_Table``, as a ``(len(rows), len(cols))``
+    array, of one row if ``rows`` is None.
 
     Every object must hold exactly the expected keys, and every leaf must
     be a log probability, a number at most 0: numpy would read a
     true/false leaf as 1/0 and a null leaf as NaN.
     """
-    if rows is None:
-        values = _leaves(data, cols)
-    else:
-        values = [_leaves(row, cols) for row in _keyed(data, rows)]
+    values = [_keyed(row, cols) for row in ([data] if rows is None else _keyed(data, rows))]
+    if not set(map(type, itertools.chain(*values))) <= _NUMBERS:
+        raise ValueError("a leaf is not a number")
     table = np.array(values)
     if table.dtype.kind not in "if" or not (table <= 0).all():
         raise ValueError("a leaf is NaN, above 0 or out of range")
     return table.astype(float)
 
 
-def _leaves(data, keys: list) -> list:
-    """``_keyed`` for a row of leaves, which must all be JSON numbers."""
-    values = _keyed(data, keys)
-    if not set(map(type, values)) <= _NUMBERS:
-        raise ValueError("a leaf is not a number")
-    return values
-
-
-def _keyed(data, keys: list) -> list:
+def _keyed(data, keys) -> list:
     """The values of a JSON object whose keys are exactly ``keys``, in order."""
     if not isinstance(data, dict):
         raise TypeError(f"expected an object, got {type(data).__name__}")
@@ -210,6 +214,20 @@ def _keyed(data, keys: list) -> list:
     raise ValueError(
         f"keys differ from the format's: missing {missing[:3]}, extra {extra[:3]}"
     )
+
+
+def _read(data, layout) -> list:
+    """The inverse of ``_fill``: the arrays of a ``tables`` object that
+    must match ``layout``, nested as its layout, an object's in key order.
+    Every object must hold exactly the layout's keys, every list its
+    length, and every table is ``_decode``d."""
+    if isinstance(layout, tuple):
+        return _decode(data, *layout)
+    if isinstance(layout, dict):
+        return [_read(v, sub) for v, sub in zip(_keyed(data, layout), layout.values())]
+    if not isinstance(data, list) or len(data) != len(layout):
+        raise ValueError(f"expected a list of {len(layout)} items")
+    return [_read(v, sub) for v, sub in zip(data, layout)]
 
 
 def _json_value(value):
@@ -243,56 +261,31 @@ def _config_from_dict(cls, data, **constants):
 
 # --- note HMM ------------------------------------------------------------
 
-def _note_to_dict(model: NoteHmmModel) -> tuple:
-    cfg = model.config
-    contexts = [_axis(_digit_rows(k)) for k in range(cfg.order + 1)]
-    digits, pairs = _axis(_DIGITS), _axis(_digit_rows(2))
-    disps = _axis(_disp_keys(cfg.pitch_representation, cfg.delta_p_max))
-    tables = {
-        "initial": [
-            _Table(model.log_initial[k], contexts[k], digits)
-            for k in range(cfg.order)
-        ],
-        "transition": _Table(model.log_transition, contexts[cfg.order], digits),
-        "output": {
-            _HAND_KEY[hand]: {
-                str(lag + 1): _Table(table, pairs, disps)
-                for lag, table in enumerate(model.log_output[hand])
-            }
-            for hand in Hand
-        },
+def _note_layout(config: NoteHmmConfig) -> dict:
+    """The v1 ``tables`` object of a note model: each table's ``(rows,
+    cols)`` keys, ``rows=None`` for a bare row."""
+    contexts = [_digit_rows(k) for k in range(config.order + 1)]
+    output = (_digit_rows(2), _disp_keys(config.pitch_representation, config.delta_p_max))
+    lags = {str(lag + 1): output for lag in range(config.order)}
+    return {
+        "initial": [(contexts[k], _DIGITS) for k in range(config.order)],
+        "transition": (contexts[config.order], _DIGITS),
+        "output": dict.fromkeys(_HANDS, lags),
     }
-    return _config_to_dict(cfg), tables
+
+
+def _note_to_dict(model: NoteHmmModel) -> tuple:
+    output = [model.log_output[hand] for hand in Hand]
+    tables = (model.log_initial, model.log_transition, output)
+    return _config_to_dict(model.config), _fill(_note_layout(model.config), tables)
 
 
 def _note_from_dict(data: dict, tables: dict) -> NoteHmmModel:
     config = _config_from_dict(NoteHmmConfig, data)
-    contexts = [_digit_rows(k) for k in range(config.order + 1)]
-    pairs = _digit_rows(2)
-    disps = _disp_keys(config.pitch_representation, config.delta_p_max)
-    initial, transition, output = _keyed(tables, ["initial", "transition", "output"])
-    if not isinstance(initial, list) or len(initial) != config.order:
-        raise ValueError(f"expected {config.order} initial tables")
-    lags = [str(lag + 1) for lag in range(config.order)]
-    return NoteHmmModel(
-        config=config,
-        log_initial=[_decode(t, contexts[k], _DIGITS) for k, t in enumerate(initial)],
-        log_transition=_decode(transition, contexts[config.order], _DIGITS),
-        log_output={
-            hand: [
-                _decode(t, pairs, disps).reshape(N_DIGITS, N_DIGITS, -1)
-                for t in _keyed(by_lag, lags)
-            ]
-            for hand, by_lag in zip(Hand, _keyed(output, _HANDS))
-        },
-    )
-
-
-def _decode_note_parts(model: NoteHmmModel, parts) -> list:
-    return [
-        result if isinstance(result, FingeringError) else (result.fingers, result)
-        for result in note_hmm.decode_parts(model, parts)
-    ]
+    initial, transition, output = _read(tables, _note_layout(config))
+    by_hand = {hand: [t.reshape(N_DIGITS, N_DIGITS, -1) for t in by_lag]
+               for hand, by_lag in zip(Hand, output)}
+    return NoteHmmModel(config, initial, transition, by_hand)
 
 
 def _note_coefficients(config: NoteHmmConfig) -> dict:
@@ -336,47 +329,34 @@ def _note_describe(config: NoteHmmConfig, args) -> str:
 
 # --- chord HMM -----------------------------------------------------------
 
-def _chord_to_dict(model: ChordHmmModel) -> tuple:
-    digits, pairs = _axis(_DIGITS), _axis(_digit_rows(2))
-    disps = _axis(_disp_keys(PitchRepresentation.LATTICE, model.params.delta_p_max))
-    tables = {
-        "initial_digit": _Table(model.log_initial_digit, None, digits),
-        "transition_across": _Table(model.log_trans_across, digits, digits),
-        "transition_within": _Table(model.log_trans_within, digits, digits),
-        "output_across": {
-            _HAND_KEY[h]: _Table(model.log_out_across[h], pairs, disps) for h in Hand
-        },
-        "output_within": {
-            _HAND_KEY[h]: _Table(model.log_out_within[h], pairs, disps) for h in Hand
-        },
+def _chord_layout(params: ChordHmmParams) -> dict:
+    """The v1 ``tables`` object of a chord model, as ``_note_layout``."""
+    disps = _disp_keys(PitchRepresentation.LATTICE, params.delta_p_max)
+    output = dict.fromkeys(_HANDS, (_digit_rows(2), disps))
+    return {
+        "initial_digit": (None, _DIGITS),
+        "transition_across": (_DIGITS, _DIGITS),
+        "transition_within": (_DIGITS, _DIGITS),
+        "output_across": output,
+        "output_within": output,
     }
+
+
+def _chord_to_dict(model: ChordHmmModel) -> tuple:
     # v1 files carry the chord transition order, which is always 1
-    return {**_config_to_dict(model.params), "order": 1}, tables
+    config = {**_config_to_dict(model.params), "order": 1}
+    return config, _fill(_chord_layout(model.params), (
+        model.log_initial_digit, model.log_trans_across, model.log_trans_within,
+        [model.log_out_across[h] for h in Hand], [model.log_out_within[h] for h in Hand],
+    ))
 
 
 def _chord_from_dict(data: dict, tables: dict) -> ChordHmmModel:
     params = _config_from_dict(ChordHmmParams, data, order=1)
-    digits, pairs = _digit_rows(1), _digit_rows(2)
-    disps = _disp_keys(PitchRepresentation.LATTICE, params.delta_p_max)
-    initial, t_across, t_within, o_across, o_within = _keyed(tables, [
-        "initial_digit", "transition_across", "transition_within",
-        "output_across", "output_within",
-    ])
-
-    def output(by_hand) -> dict:
-        return {
-            h: _decode(t, pairs, disps).reshape(N_DIGITS, N_DIGITS, -1)
-            for h, t in zip(Hand, _keyed(by_hand, _HANDS))
-        }
-
-    return ChordHmmModel(
-        params=params,
-        log_initial_digit=_decode(initial, None, _DIGITS),
-        log_trans_across=_decode(t_across, digits, _DIGITS),
-        log_trans_within=_decode(t_within, digits, _DIGITS),
-        log_out_across=output(o_across),
-        log_out_within=output(o_within),
-    )
+    (initial,), t_across, t_within, *outputs = _read(tables, _chord_layout(params))
+    across, within = ({h: t.reshape(N_DIGITS, N_DIGITS, -1) for h, t in zip(Hand, by_hand)}
+                      for by_hand in outputs)
+    return ChordHmmModel(params, initial, t_across, t_within, across, within)
 
 
 def _chord_coefficients(config: ChordHmmParams) -> dict:
@@ -448,7 +428,7 @@ KINDS = {
         model=NoteHmmModel,
         count=lambda parts, config: note_hmm.count(parts, config),
         fit=lambda counts, config: note_hmm.fit(counts, config),
-        decode_parts=_decode_note_parts,
+        decode_parts=lambda model, parts: note_hmm.decode_parts(model, parts),
         to_dict=_note_to_dict,
         from_dict=_note_from_dict,
         coefficients=_note_coefficients,

@@ -427,8 +427,8 @@ def _part_tables(model: NoteHmmModel, piece: Piece, hand: Hand | None) -> tuple:
 
 def decode_parts(model: NoteHmmModel, parts) -> list:
     """Most probable fingering of each ``(part, hand)`` pair by exact
-    Viterbi, the hand inferred if None: per pair, in order, its
-    DecodeResult or the FingeringError it raised.  ``_tables.decode_set``
+    Viterbi, the hand inferred if None: per pair, in order, (its digits,
+    its DecodeResult) or the FingeringError it raised.  ``_tables.decode_set``
     gives the parts to ``_run_viterbi``, one set of ``_step_tables`` per
     DP; those the within-chord constraint leaves no path (e.g. an
     unplayable cluster) run again as a second batch, on the same tables
@@ -443,7 +443,8 @@ def decode_parts(model: NoteHmmModel, parts) -> list:
             unmasked = (tables[0], tables[1][fallback], tables[2][fallback], {})
             decoded.update(zip(fallback, _run_viterbi(model, unmasked)))
         return [NoFeasiblePath(f"piece {piece_id!r}: all fingerings have zero probability")
-                if result is None else DecodeResult(*result, crossing_fallback_used=k in fallback)
+                if result is None
+                else (result[0], DecodeResult(*result, crossing_fallback_used=k in fallback))
                 for (piece_id, _), (k, result) in zip(batch, decoded.items())]
 
     return decode_set(parts, lambda piece, hand: (
@@ -455,7 +456,7 @@ def decode_viterbi(model: NoteHmmModel, piece: Piece, hand: Hand | None = None) 
     (result,) = decode_parts(model, [(piece, hand)])
     if isinstance(result, FingeringError):
         raise result
-    return result
+    return result[1]
 
 
 @np.errstate(over="ignore")

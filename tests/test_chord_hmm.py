@@ -442,6 +442,30 @@ def test_a_part_whose_onsets_go_down_is_refused_as_the_parser_refuses_it(onsets,
     assert isinstance(refused, NonMonotoneOnsets) and re.match(message, str(refused))
 
 
+@pytest.mark.parametrize("onsets, offsets, message", [
+    ([0, 1, 2, 3], [math.nan, 1.5, 2.5, 3.5], "note 0 has offset nan"),
+    ([0, math.nan, 2, 3], [0.5, 1.5, 2.5, 3.5], "note 1 has onset nan"),
+    ([0, 1, 2, 3], [0.5, 1.5, math.inf, 3.5], "note 2 has offset inf"),
+], ids=["nan-offset", "nan-onset", "inf-offset"])
+def test_a_part_of_non_finite_times_is_refused_as_the_parser_refuses_it(onsets, offsets,
+                                                                       message):
+    # a NaN offset would hold its note in every later chord, and a NaN
+    # onset passes the onset-order check
+    part = Piece(None, "p", "1", ids=range(4), onsets=onsets, offsets=offsets,
+                 pitches=["C4"] * 4, midis=[60, 62, 64, 66], onset_velocities=[64] * 4,
+                 offset_velocities=[64] * 4, channels=[0] * 4, signed_fingers=[1, 2, 3, 4])
+    message = f"^piece 'p': {message}, not a finite time$"
+    with pytest.raises(FingeringError, match=message):
+        cluster_chords(part, DELTA)
+    with pytest.raises(FingeringError, match=message):
+        count([part], ChordHmmParams())
+    sorted_part = make_piece([60, 62], hand=Hand.RH)
+    decoded, refused = chord_hmm.decode_parts(load_model(CHORD_V1), [(sorted_part, None),
+                                                                     (part, None)])
+    assert decoded[0].tolist() == [1, 2]
+    assert type(refused) is FingeringError and re.match(message, str(refused))
+
+
 def test_a_restruck_pitch_hands_later_chords_the_restruck_note():
     # note 2 re-strikes C4 while note 0 still sounds; note 0 stops sounding
     # there, so the chord at 3.0 holds note 2 and pins its digit

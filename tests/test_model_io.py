@@ -19,8 +19,9 @@ from pianofinger.chord_hmm import (
     train_chord,
 )
 from pianofinger.cli import main
-from pianofinger.dataset import load_piece
+from pianofinger.dataset import load_corpus, load_piece
 from pianofinger.errors import MalformedModel
+from pianofinger.experiments import train_model
 from pianofinger.model_io import (
     KINDS,
     _digit_rows,
@@ -439,6 +440,53 @@ def test_malformed_model_documents_raise_malformed_model(rng):
         note_doc, lambda d: d["tables"]["transition"]["2"].update({"3": -np.inf})
     )
     assert np.isneginf(loads_model(text).log_transition[1, 2])
+
+
+def _leaf_row(value) -> bool:
+    return isinstance(value, dict) and not any(
+        isinstance(leaf, (dict, list)) for leaf in value.values())
+
+
+def _containers(value, path=()):
+    """The path of ``value`` and of every object and list under it, but of
+    a table's leaf rows only the first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    children = [(key, child) for key, child in items if isinstance(child, (dict, list))]
+    if children and all(_leaf_row(child) for _, child in children):
+        children = children[:1]
+    for key, child in children:
+        yield from _containers(child, (*path, key))
+
+
+def test_the_loader_refuses_a_missing_or_extra_item_at_every_level():
+    corpus = load_corpus(DATA / "sample_corpus")
+    models = [
+        train_model("note-hmm", NoteHmmConfig(order=3, pitch_representation="integral",
+                                              delta_p_max=1), corpus),
+        train_model("chord-hmm", ChordHmmParams(delta_p_max=1), corpus),
+    ]
+    edits = {
+        dict: [lambda node: node.pop(next(iter(node))),
+               lambda node: node.update(bogus=next(iter(node.values())))],
+        list: [lambda node: node.pop(), lambda node: node.append(node[0])],
+    }
+    visited = set()
+    for model in models:
+        text = dumps_model(model)
+        paths = list(_containers(json.loads(text)["tables"]))
+        visited.update(paths)
+        for path in paths:
+            for n in range(2):
+                doc = json.loads(text)
+                node = doc["tables"]
+                for key in path:
+                    node = node[key]
+                edits[type(node)][n](node)
+                with pytest.raises(MalformedModel):
+                    loads_model(json.dumps(doc))
+    assert {(), ("initial",), ("initial", 2, "1,1"), ("output", "lh", "3", "1,1"),
+            ("initial_digit",), ("output_within", "rh", "1,1")} <= visited
 
 
 @pytest.mark.parametrize("name", ["note_o2_integral.json", "chord.json"])

@@ -721,6 +721,7 @@ def test_a_set_decodes_in_lock_step_as_each_part_alone(case):
         if isinstance(alone, FingeringError):
             assert type(result) is type(alone) and str(result) == str(alone)
         else:
+            (_, result), (_, alone) = result, alone
             assert result.fingers == alone.fingers
             assert result.log_score.hex() == alone.log_score.hex()
             assert result.crossing_fallback_used == alone.crossing_fallback_used
@@ -739,7 +740,7 @@ def test_a_batched_read_adds_the_cells_of_the_per_note_loop_bitwise(seed, order,
     paths = rng.integers(1, 6, (8, n))
     result = decode_parts(model, [(piece, Hand.RH)])[0]
     if not isinstance(result, FingeringError):
-        paths[0] = result.fingers
+        paths[0] = result[1].fingers
     expected = reference.path_scores(model, tables, paths)
     assert note_hmm._path_scores(model, tables, paths).tobytes() == expected.tobytes()
 
@@ -806,7 +807,7 @@ def test_a_set_runs_one_lock_step_dp_and_one_fallback_batch(monkeypatch):
     ]
     results = decode_parts(model, parts)
     assert batches == [3, 2]
-    assert [r.crossing_fallback_used for r in results[:3]] == [True, False, True]
+    assert [r.crossing_fallback_used for _, r in results[:3]] == [True, False, True]
     assert isinstance(results[3], EmptyPiece)
 
 
@@ -821,7 +822,7 @@ def test_a_set_of_more_than_lockstep_part_notes_runs_in_several_dps(monkeypatch)
     batches = lockstep_batches(monkeypatch)
     together = decode_parts(model, parts)
     assert batches == [1, 1, 2, 1]  # 40 | 30 | 27 + 5 | 1
-    for result, single in zip(together, alone):
+    for (_, result), (_, single) in zip(together, alone):
         assert result.fingers == single.fingers
         assert result.log_score.hex() == single.log_score.hex()
 

@@ -1,7 +1,8 @@
 """The README quickstarts run as written: the library block, then each
 ``pianofinger`` line of the command-line block through ``cli.main``, from
 a directory that holds the repo's ``data/`` as the README assumes.  And
-every module name the README cites is one the package has."""
+every module name the README cites is one the package has, and its
+package table has one row for each module."""
 
 import importlib
 import pkgutil
@@ -15,11 +16,15 @@ from pianofinger.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _section(section: str) -> str:
+    """The README text under the heading ``section``, up to the next one."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _block(section: str, language: str) -> str:
     """The first ``language`` code block under the README heading ``section``."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"```{language}\n(.*?)```", body, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", _section(section), re.S).group(1)
 
 
 def test_readme_quickstarts_run(tmp_path, monkeypatch, capsys):
@@ -53,3 +58,9 @@ def test_readme_cites_only_names_the_package_has():
         checked.add(cited)
     assert {"_tables.LOCKSTEP", "chord_hmm._keeps", "pitch_space.index_table",
             "pianofinger.note_hmm"} <= checked
+
+
+def test_the_package_table_has_one_row_per_module():
+    modules = sorted(info.name for info in pkgutil.iter_modules(pianofinger.__path__))
+    rows = re.findall(r"^\| `pianofinger\.(\w+)` \|", _section("Package layout"), re.M)
+    assert sorted(rows) == modules
