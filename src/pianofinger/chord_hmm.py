@@ -3,9 +3,10 @@
 Notes whose onsets fall within a small threshold of each other are
 clustered into chords, and a note that is still sounding when a later
 chord starts joins that chord as a *sustained* component; a note sounds
-until its offset or the next strike of its pitch.  Clustering builds
-columns (``_Chords``), which training, the decoder and its oracle read;
-``Chord`` is the public view of them, which no CLI path builds.
+until its offset or the next strike of its pitch.  Clustering,
+``cluster_chords``, builds columns (``Chords``), the one form of a hand's
+chords that training, the decoder and its oracle read; indexing them gives
+``Chord`` views, which no CLI path builds.  Notes are keyed by position.
 The hidden state of a chord is a crossing-free assignment of distinct
 digits to its (pitch-ascending) components: digits ascend with pitch in
 the right hand and descend in the left, giving exactly C(5, K) states
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby, islice, permutations, product
 
 import numpy as np
@@ -61,7 +62,6 @@ from .errors import (
     HandOverflow,
     NoFeasiblePath,
     NonMonotoneOnsets,
-    RepeatedNoteId,
 )
 from .pig_io import Hand, Piece, infer_hand, part_hand
 from .pitch_space import PitchRepresentation, alphabet_size, index_table, key_indices
@@ -134,7 +134,6 @@ class ChordHmmModel:
 
 @dataclass(frozen=True)
 class ChordDecodeResult:
-    fingers_by_note: dict       # note id -> digit
     states: tuple               # chosen digit assignment per chord
     log_score: float
     relaxed_boundaries: tuple   # chord indices where the sustain filter was lifted
@@ -142,15 +141,17 @@ class ChordDecodeResult:
 
 
 @dataclass(frozen=True, eq=False)
-class _Chords:
-    """A hand's chords as columns, the form every reader takes: per chord
-    its onset and size (Python floats, ``intp``); per component, chord by
-    chord in ascending pitch, its MIDI number and sustained flag; the
-    ``(component, note position)`` pairs, by component and then position;
-    the note id column, one id per position; and ``held``, boundary ci -> the
-    ``(previous component, component)`` index pairs, within each chord, of
-    the notes chord ci shares with chord ci - 1 where it holds a sustained
-    copy, which the sustain filter ``_keeps`` reads."""
+class Chords:
+    """A hand's chords as columns, the one form every reader takes: per
+    chord its onset and size (Python floats, ``intp``); per component,
+    chord by chord in ascending pitch, its MIDI number and sustained flag;
+    the ``(component, note position)`` pairs, by component and then
+    position; the part's note id column, one id per position; and
+    ``held``, boundary ci -> the ``(previous component, component)`` index
+    pairs, within each chord, of the notes chord ci shares with chord
+    ci - 1 where it holds a sustained copy, which the sustain filter
+    ``_keeps`` reads.  ``len`` and indexing give one ``Chord`` view per
+    chord, the views built on first read."""
 
     onsets: list
     sizes: np.ndarray
@@ -160,28 +161,53 @@ class _Chords:
     ids: np.ndarray
     held: dict
 
+    def __len__(self) -> int:
+        return len(self.onsets)
 
-def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Chords:
-    """``cluster_chords`` as columns; the rule is told there."""
+    def __getitem__(self, ci):
+        return self._views[ci]
+
+    @cached_property
+    def _views(self) -> list:
+        ids = self.ids.tolist()
+        note_ids = [tuple(ids[p] for _, p in pairs) for _, pairs in
+                    groupby(zip(*(column.tolist() for column in self.pairs)), lambda pair: pair[0])]
+        components = iter(map(ChordComponent, self.midis.tolist(), note_ids,
+                              self.sustained.tolist()))
+        return [Chord(onset, tuple(islice(components, size)))
+                for onset, size in zip(self.onsets, self.sizes.tolist())]
+
+
+def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> Chords:
+    """Greedy onset clustering of one hand part, plus sustained membership.
+
+    A note joins the current chord when its onset is within ``delta`` of
+    the previous note's.  It sounds until the earliest of its offset, the
+    next onset of its pitch and, with ``truncate_overlaps``, the next
+    onset, and joins every later chord that starts before then as
+    sustained: a key struck again holds its earlier note no longer, a
+    struck note displaces its pitch's held copy, and a unison is held from
+    its later note.  Chords key notes by position, so two notes may share
+    an id.  A NaN or infinite onset or offset raises FingeringError, and a
+    part whose onsets go down NonMonotoneOnsets, as the parser refuses
+    both; then the first chord of more than five pitches raises
+    HandOverflow.
+    """
     if len(piece):
         infer_hand(piece)
-    ids, onsets, midis, n = piece.ids.tolist(), piece.onsets, piece.midis, len(piece)
-    if len(set(ids)) < n:
-        seen = set()  # the first id met twice; set.add returns None
-        repeated = next(i for i in ids if i in seen or seen.add(i))
-        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
+    onsets, midis, n = piece.onsets, piece.midis, len(piece)
     finite = np.isfinite(onsets) & np.isfinite(piece.offsets)
     if not finite.all():  # checked first: a NaN onset passes the order check
         i = finite.argmin()
         name, time = (("onset", onsets[i]) if not np.isfinite(onsets[i])
                       else ("offset", piece.offsets[i]))
-        raise FingeringError(f"piece {piece.piece_id!r}: note {ids[i]} has {name} {time}, "
+        raise FingeringError(f"piece {piece.piece_id!r}: note {piece.ids[i]} has {name} {time}, "
                              "not a finite time")
     gaps = onsets[1:] - onsets[:-1]
     if (gaps < 0).any():
         i = (gaps < 0).argmax() + 1
-        raise NonMonotoneOnsets(f"piece {piece.piece_id!r}: onset {onsets[i]} of note {ids[i]} "
-                                f"precedes {onsets[i - 1]}")
+        raise NonMonotoneOnsets(f"piece {piece.piece_id!r}: onset {onsets[i]} of note "
+                                f"{piece.ids[i]} precedes {onsets[i - 1]}")
     opens = np.concatenate([[True], ~(gaps <= delta)])[:n]  # starts a chord
     group = opens.cumsum() - 1
     chord_onsets = onsets[opens]
@@ -218,57 +244,9 @@ def _cluster(piece: Piece, delta: float, truncate_overlaps: bool = False) -> _Ch
     held = {}
     for c, a, b in zip(*(x[shared].tolist() for x in (ci, i - start[ci - 1], j - start[ci]))):
         held.setdefault(c, []).append((a, b))
-    return _Chords(chord_onsets.tolist(), sizes, midi[first], sustained[first],
-                   (comp[kept], note[kept]), piece.ids, held)
+    return Chords(chord_onsets.tolist(), sizes, midi[first], sustained[first],
+                  (comp[kept], note[kept]), piece.ids, held)
 
-
-def _columns(chords) -> _Chords:
-    """A ``Chord`` list as the columns of ``_cluster``: a note's position
-    is where its id first occurs, and a note in two components of the
-    previous chord is held from the later one."""
-    chords = list(chords)
-    components = [c for chord in chords for c in chord.components]
-    position, held = {}, {}
-    pairs = [(ci, position.setdefault(nid, len(position)))
-             for ci, c in enumerate(components) for nid in c.note_ids]
-    for ci, (prev, chord) in enumerate(zip(chords, chords[1:]), 1):
-        where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
-        shared = [(where[nid], j) for j, c in enumerate(chord.components)
-                  for nid in c.note_ids if nid in where]
-        if shared and any(c.sustained for c in chord.components):
-            held[ci] = shared
-    return _Chords([chord.onset for chord in chords],
-                   np.array([chord.size for chord in chords], dtype=np.intp),
-                   np.array([c.midi for c in components]),
-                   np.array([bool(c.sustained) for c in components], dtype=bool),
-                   tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T),
-                   np.fromiter(position, object, len(position)), held)
-
-
-def cluster_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
-    """Greedy onset clustering of one hand part, plus sustained membership,
-    as ``Chord``s: the public view of the columns every reader takes.
-
-    A note joins the current chord when its onset is within ``delta`` of
-    the previous note's.  It sounds until the earliest of its offset, the
-    next onset of its pitch and, with ``truncate_overlaps``, the next
-    onset, and joins every later chord that starts before then as
-    sustained: a key struck again holds its earlier note no longer, a
-    struck note displaces its pitch's held copy, and a unison is held from
-    its later note.  Chords identify notes by ``note_id``, so a repeated id
-    raises RepeatedNoteId; a NaN or infinite onset or offset raises
-    FingeringError, and a part whose onsets go down NonMonotoneOnsets, as
-    the parser refuses both; then the first chord of more than five
-    pitches raises HandOverflow.
-    """
-    chords = _cluster(piece, delta, truncate_overlaps)
-    ids = chords.ids.tolist()
-    note_ids = [tuple(ids[p] for _, p in pairs) for _, pairs in
-                groupby(zip(*(column.tolist() for column in chords.pairs)), lambda pair: pair[0])]
-    components = iter(map(ChordComponent, chords.midis.tolist(), note_ids,
-                          chords.sustained.tolist()))
-    return [Chord(onset, tuple(islice(components, size)))
-            for onset, size in zip(chords.onsets, chords.sizes.tolist())]
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +311,7 @@ def count(corpus, params: ChordHmmParams) -> ChordCounts:
     skipped, joined = [], [(np.zeros(0, dtype=np.intp),) * 5]  # a part of no chords: none may join
     for piece, hand, note_digits in parts:
         try:
-            chords = _cluster(piece, params.delta, params.truncate_overlaps)
+            chords = cluster_chords(piece, params.delta, params.truncate_overlaps)
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
@@ -506,7 +484,7 @@ class _EdgeKernel:
             out[rows[members], : base.shape[1], : base.shape[2]] = np.fmax(total, NEG_INF, total)
 
 
-def _keeps(chords: _Chords, ci: int, hand: Hand):
+def _keeps(chords: Chords, ci: int, hand: Hand):
     """Which (previous states, states) pairs of boundary ``ci`` keep the
     digit of every note the two chords share, or None if they share none:
     the component pairs ``held`` lists for it."""
@@ -577,7 +555,7 @@ def _path_scores(edges: list, cells) -> np.ndarray:
     return score
 
 
-def _check_sizes(chords: _Chords, what: str) -> None:
+def _check_sizes(chords: Chords, what: str) -> None:
     """Refuse chords no hand can play, before anything reads them:
     EmptyInput for none or one of no pitches, HandOverflow for more than five."""
     if not chords.onsets:
@@ -589,13 +567,13 @@ def _check_sizes(chords: _Chords, what: str) -> None:
 
 
 def _check_hand(hand) -> None:
-    """ValueError naming ``hand`` unless it is a Hand: a chord list has no
+    """ValueError naming ``hand`` unless it is a Hand: chords have no
     channels to infer one from."""
     if not isinstance(hand, Hand):
         raise ValueError(f"hand must be a Hand, got {hand!r}")
 
 
-def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> float:
+def chord_path_log_score(model: ChordHmmModel, chords: Chords, hand: Hand, path) -> float:
     """Score of one complete state path, bitwise identical to the value
     the decoder assigns to it: ``_check_hand`` and ``_check_sizes`` first,
     then ValueError for a path of another length, a state its chord does
@@ -607,7 +585,7 @@ def chord_path_log_score(model: ChordHmmModel, chords, hand: Hand, path) -> floa
     the decoder relaxed that boundary.
     """
     _check_hand(hand)
-    chords, path = _columns(chords), [tuple(state) for state in path]
+    path = [tuple(state) for state in path]
     _check_sizes(chords, "score")
     if len(path) != len(chords.onsets):
         raise ValueError("state path length does not match the chords")
@@ -635,12 +613,9 @@ def _decode_set(model: ChordHmmModel, parts, columns) -> list:
         path = tuple(_states(size, hand)[i] for size, i in zip(chords.sizes.tolist(), decoded[1]))
         comp, pos = chords.pairs
         struck = ~chords.sustained[comp]
-        comp, pos = comp[struck], pos[struck]
-        digits = np.array([d for state in path for d in state], dtype=np.int64)[comp]
         by_position = np.zeros(len(chords.ids), dtype=np.int64)
-        by_position[pos] = digits
+        by_position[pos[struck]] = np.array([d for state in path for d in state])[comp[struck]]
         return by_position, ChordDecodeResult(
-            fingers_by_note=dict(zip(chords.ids[pos].tolist(), digits.tolist())),
             states=path,
             log_score=decoded[0],
             relaxed_boundaries=tuple(relaxed),
@@ -650,17 +625,17 @@ def _decode_set(model: ChordHmmModel, parts, columns) -> list:
         result(*part, *out) for part, *out in zip(batch, *_run_viterbi(model, batch)[:2])])
 
 
-def decode_chords(model: ChordHmmModel, chords, hand: Hand) -> ChordDecodeResult:
-    """Exact Viterbi over chord states: ``decode_parts``' DP of one chord
-    list, read as the columns ``_columns`` makes of it, raising its error.
-    Ties resolve to the lexicographically smallest state path, states in
-    the order ``enumerate_states`` lists them, by the tie rule of
-    ``_tables``.  A boundary where the sustain constraint leaves no
-    feasible transition is relaxed and recorded; a decode whose score is
-    still -inf raises NoFeasiblePath.  ``_check_sizes`` refuses chords no
-    hand can play first, after ``_check_hand``."""
+def decode_chords(model: ChordHmmModel, chords: Chords, hand: Hand) -> ChordDecodeResult:
+    """Exact Viterbi over chord states: ``decode_parts``' DP of one part's
+    ``Chords``, raising its error.  Ties resolve to the lexicographically
+    smallest state path, states in the order ``enumerate_states`` lists
+    them, by the tie rule of ``_tables``.  A boundary where the sustain
+    constraint leaves no feasible transition is relaxed and recorded; a
+    decode whose score is still -inf raises NoFeasiblePath.
+    ``_check_sizes`` refuses chords no hand can play first, after
+    ``_check_hand``."""
     _check_hand(hand)
-    (result,) = _decode_set(model, [(chords, hand)], _columns)
+    (result,) = _decode_set(model, [(chords, hand)], lambda chords: chords)
     if isinstance(result, FingeringError):
         raise result
     return result[1]
@@ -672,4 +647,5 @@ def decode_parts(model: ChordHmmModel, parts) -> list:
     that clustering or decoding it raised.  Each part is clustered once, and
     the parts are decoded in lock step, LOCKSTEP part-notes (or one part) to a DP."""
     p = model.params
-    return _decode_set(model, parts, lambda part: _cluster(part, p.delta, p.truncate_overlaps))
+    return _decode_set(model, parts,
+                       lambda part: cluster_chords(part, p.delta, p.truncate_overlaps))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -334,8 +335,9 @@ def parse_fingering_file(text: str, piece_id: str = "", annotator_id: str = "") 
     if error is not None:
         raise error
     midis, signed = values[6:]
+    pitches = list(map(sys.intern, columns[3]))  # one str per distinct token, not per note
     piece = Piece(None, piece_id, annotator_id, **dict(zip(_COLUMNS, (
-        ids, onsets, offsets, columns[3], midis, on_vels, off_vels, channels, signed))))
+        ids, onsets, offsets, pitches, midis, on_vels, off_vels, channels, signed))))
     later, earlier = piece.onsets[1:], piece.onsets[:-1]
     if (later < earlier).any():
         # Raised only after every rule passed, so a malformed line anywhere wins.

@@ -25,8 +25,11 @@ its tie rule, ``cluster_chords`` as a quadratic walk
 ``_keeps`` by enumeration of (previous state, state) pairs (``keeps``).
 Chord clustering and the chord HMM's training counts as one ``Chord``
 per chord, read back one attribute at a time (``reference_chord_objects``,
-``reference_chord_count``), and the earlier clustering walk, whose
-sustain ran past a re-strike (``offset_walk_chords``).  The
+the same keyed by note position, ``reference_chord_positions``, and
+``reference_chord_count``), the earlier clustering walk, whose
+sustain ran past a re-strike (``offset_walk_chords``), and a ``Chord``
+list as the ``Chords`` columns the decoder reads, for chords no piece
+clusters into (``chord_columns``).  The
 fingering-file parser as the per-line loop the column-at-a-time parser
 replaced (``reference_parse_fingering_file``),
 and the per-note readers that the piece's columns replaced: the per-hand
@@ -54,6 +57,7 @@ from pianofinger.chord_hmm import (
     ChordComponent,
     ChordCounts,
     ChordHmmParams,
+    Chords,
     _EdgeKernel,
     _keeps,
     _layout,
@@ -70,7 +74,6 @@ from pianofinger.errors import (
     MalformedLine,
     MissingFinger,
     NonMonotoneOnsets,
-    RepeatedNoteId,
 )
 from pianofinger.note_hmm import (
     ALLOWED_ASCENDING_RH,
@@ -401,18 +404,22 @@ def reference_cluster_chords(piece, delta, truncate_overlaps=False):
 
 
 def reference_chord_objects(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
-    """``cluster_chords`` with the checks of the one-``Chord``-per-chord
-    code it replaced: the hand is inferred, a repeated note id raises
-    RepeatedNoteId, and then ``reference_cluster_chords`` clusters."""
+    """``cluster_chords`` with the check of the one-``Chord``-per-chord
+    code it replaced: the hand is inferred, and then
+    ``reference_cluster_chords`` clusters."""
     if len(piece) == 0:
         return []
     infer_hand(piece)
-    ids = piece.ids.tolist()
-    if len(set(ids)) < len(ids):
-        seen = set()  # the first id met twice; set.add returns None
-        repeated = next(i for i in ids if i in seen or seen.add(i))
-        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
     return reference_cluster_chords(piece, delta, truncate_overlaps)
+
+
+def reference_chord_positions(piece: Piece, delta: float, truncate_overlaps=False) -> list:
+    """``reference_chord_objects`` whose note ids are note positions, as the
+    library keys notes: its refusals name the part's own ids, and then the
+    part with its ids renumbered is clustered."""
+    reference_chord_objects(piece, delta, truncate_overlaps)
+    return reference_chord_objects(replace(piece, ids=range(len(piece))), delta,
+                                   truncate_overlaps)
 
 
 def offset_walk_chords(piece: Piece, delta: float, truncate_overlaps: bool = False) -> list:
@@ -433,10 +440,6 @@ def offset_walk_chords(piece: Piece, delta: float, truncate_overlaps: bool = Fal
     infer_hand(piece)
     ids, onsets, offsets, midis = (
         column.tolist() for column in (piece.ids, piece.onsets, piece.offsets, piece.midis))
-    if len(set(ids)) < len(ids):
-        seen = set()  # the first id met twice; set.add returns None
-        repeated = next(i for i in ids if i in seen or seen.add(i))
-        raise RepeatedNoteId(f"piece {piece.piece_id!r}: note id {repeated} occurs twice")
     next_onset = {}
     if truncate_overlaps:
         distinct = sorted(set(onsets))
@@ -488,7 +491,7 @@ def offset_walk_chords(piece: Piece, delta: float, truncate_overlaps: bool = Fal
 
 
 def reference_chord_count(corpus, params: ChordHmmParams) -> ChordCounts:
-    """``chord_hmm.count`` as it read ``reference_chord_objects`` part by
+    """``chord_hmm.count`` as it read ``reference_chord_positions`` part by
     part.  Training counts of annotated single-hand pieces.  Empty pieces are
     skipped, and so are pieces with a hand overflow, whose ids are
     recorded.  Only the ``ChordCounts.SETTINGS`` fields matter here."""
@@ -506,15 +509,14 @@ def reference_chord_count(corpus, params: ChordHmmParams) -> ChordCounts:
     skipped = []
     for piece, hand, note_digits in parts:
         try:
-            chords = reference_chord_objects(piece, params.delta, params.truncate_overlaps)
+            chords = reference_chord_positions(piece, params.delta, params.truncate_overlaps)
         except HandOverflow:
             skipped.append(piece.piece_id)
             continue
         # every component of every chord, flat: its key index and digit
         flat = [c for chord in chords for c in chord.components]
-        position = dict(zip(piece.ids.tolist(), range(len(piece))))
         keys = key_indices(c.midi for c in flat)
-        digits = note_digits[[position[c.note_ids[0]] for c in flat]]
+        digits = note_digits[[c.note_ids[0] for c in flat]]
         sizes = np.array([chord.size for chord in chords])
         first = np.cumsum(sizes) - sizes
         cells["initial"].append(digits[: sizes[0]])
@@ -546,6 +548,30 @@ def keeps(prev: Chord, chord: Chord, hand: Hand):
          for s in enumerate_states(chord, hand)]
         for p in enumerate_states(prev, hand)
     ])
+
+
+def chord_columns(chords) -> Chords:
+    """A ``Chord`` list as the ``Chords`` columns of ``cluster_chords``, for
+    chords no piece clusters into: a note's position is where its id first
+    occurs, and a note in two components of the previous chord is held
+    from the later one."""
+    chords = list(chords)
+    components = [c for chord in chords for c in chord.components]
+    position, held = {}, {}
+    pairs = [(ci, position.setdefault(nid, len(position)))
+             for ci, c in enumerate(components) for nid in c.note_ids]
+    for ci, (prev, chord) in enumerate(zip(chords, chords[1:]), 1):
+        where = {nid: i for i, c in enumerate(prev.components) for nid in c.note_ids}
+        shared = [(where[nid], j) for j, c in enumerate(chord.components)
+                  for nid in c.note_ids if nid in where]
+        if shared and any(c.sustained for c in chord.components):
+            held[ci] = shared
+    return Chords([chord.onset for chord in chords],
+                  np.array([chord.size for chord in chords], dtype=np.intp),
+                  np.array([c.midi for c in components]),
+                  np.array([bool(c.sustained) for c in components], dtype=bool),
+                  tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T),
+                  np.fromiter(position, object, len(position)), held)
 
 
 def reference_step_tables(model: NoteHmmModel, hand: Hand, keys, onsets, use_constraint):

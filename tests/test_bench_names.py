@@ -11,12 +11,16 @@ through ``pf.<name>`` chains on the imported package, and
 ``bench/test_bench.py`` imports names from it; a name deleted from the
 library, or a signature its calls no longer fit, would fail the
 benchmark, so each name is resolved and each call bound here first.
+Binding checks no type, so the per-hand checks ``check_outputs`` makes of
+every estimate are replayed here too, on the sample corpus with each
+shipped model.
 """
 
 import ast
 import importlib
 import inspect
 import types
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -25,6 +29,7 @@ import pianofinger
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _assigned(name: str):
@@ -138,3 +143,28 @@ def test_every_library_call_the_benchmark_makes_binds_to_its_signature():
         except TypeError as exc:
             unbound.append(f"{where}:{call.lineno}: {name}: {exc}")
     assert not unbound
+
+
+@pytest.mark.parametrize("model_file", sorted(p.name for p in (DATA / "model_v1").glob("*.json")))
+def test_the_benchmarks_per_hand_output_checks_hold_on_the_sample_corpus(model_file):
+    # as bench/run.py's check_outputs reads each hand of an estimate: its
+    # decoded score is its oracle's, bit for bit, and a chord of K pitches
+    # has C(5, K) states
+    pf = pianofinger
+    model = pf.load_model(DATA / "model_v1" / model_file)
+    for path in sorted((DATA / "sample_corpus").glob("*_fingering.txt")):
+        piece = pf.dataset.load_piece(path)
+        _, results = pf.estimate_piece(model, piece)
+        for hand, part in zip((pf.Hand.RH, pf.Hand.LH), pf.split_hands(piece)):
+            if len(part) == 0:
+                continue
+            res = results[hand]
+            if isinstance(model, pf.NoteHmmModel):
+                oracle = pf.sequence_log_score(model, part, res.fingers, hand)
+            else:
+                params = model.params
+                chords = pf.cluster_chords(part, params.delta, params.truncate_overlaps)
+                oracle = pf.chord_path_log_score(model, chords, hand, res.states)
+                sizes = [len(pf.enumerate_states(c, hand)) for c in chords]
+                assert sizes == [comb(5, c.size) for c in chords] and len(chords) == len(sizes)
+            assert float(oracle).hex() == float(res.log_score).hex()

@@ -43,7 +43,6 @@ from pianofinger.errors import (
     NoFeasiblePath,
     NonMonotoneOnsets,
     OutOfRange,
-    RepeatedNoteId,
 )
 from pianofinger.estimate import estimate_piece
 from pianofinger.experiments import train_model
@@ -112,7 +111,7 @@ def brute_force_chords(model, chords, hand):
     score: the oracle's preparation once, then one read of every path."""
     states = [enumerate_states(c, hand) for c in chords]
     cells = np.array(list(product(*[range(len(s)) for s in states])))
-    edges = chord_hmm._run_viterbi(model, [(chord_hmm._columns(chords), hand)])[-1]
+    edges = chord_hmm._run_viterbi(model, [(chords, hand)])[-1]
     scores = chord_hmm._path_scores(edges, cells)
     best = int(np.argmax(scores))
     return tuple(s[i] for s, i in zip(states, cells[best])), float(scores[best])
@@ -204,7 +203,7 @@ def test_cluster_matches_the_walk_over_every_later_chord(case):
             cluster_chords(piece, delta, truncate)
         assert str(raised.value) == str(exc)
     else:
-        assert cluster_chords(piece, delta, truncate) == expected
+        assert list(cluster_chords(piece, delta, truncate)) == expected
 
 
 @st.composite
@@ -233,7 +232,7 @@ def unrestruck_cases(draw):
 def test_without_restrikes_or_unisons_the_earlier_walk_gives_the_same_chords(case):
     piece, delta, truncate = case
     expected = _outcome(lambda: reference.offset_walk_chords(piece, delta, truncate))
-    assert _outcome(lambda: cluster_chords(piece, delta, truncate)) == expected
+    assert _outcome(lambda: list(cluster_chords(piece, delta, truncate))) == expected
 
 
 @st.composite
@@ -242,7 +241,8 @@ def column_parts(draw):
     onset order, which the chord kind refuses: shared onsets, unisons
     struck together, pitches re-struck while a note of them still sounds,
     notes that sound to the end, and, with more than five pitches in play
-    or a copied id, hand overflows and repeated note ids.  Empty parts too."""
+    or a copied id, hand overflows and repeated note ids, which the chord
+    kind keys by position.  Empty parts too."""
     n = draw(st.integers(0, 14))
     gaps = st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.03, 0.2])
     steps = draw(st.lists(gaps, min_size=n, max_size=n))
@@ -280,7 +280,7 @@ def test_columns_give_the_chords_and_counts_of_the_chord_objects(parts, delta, t
     for part in parts:
         expected = _outcome(lambda: reference.reference_chord_objects(part, delta, truncate))
         # repr: the same Python values, note ids included
-        assert repr(_outcome(lambda: cluster_chords(part, delta, truncate))) == repr(expected)
+        assert repr(_outcome(lambda: list(cluster_chords(part, delta, truncate)))) == repr(expected)
     params = ChordHmmParams(delta=delta, truncate_overlaps=truncate)
 
     def tables(count):
@@ -299,9 +299,12 @@ def test_decode_parts_writes_each_notes_digit_as_the_chord_objects_decode(parts,
     parts = [(part, Hand(part.channels[0]) if len(part) else Hand.RH) for part in parts]
 
     def by_objects(part, hand):
-        chords = reference.reference_chord_objects(part, model.params.delta, truncate)
-        result = decode_chords(model, chords, hand)
-        return list(map(result.fingers_by_note.__getitem__, part.ids.tolist())), result
+        chords = reference.reference_chord_positions(part, model.params.delta, truncate)
+        result = decode_chords(model, reference.chord_columns(chords), hand)
+        fingers = {position: d for chord, state in zip(chords, result.states)
+                   for c, d in zip(chord.components, state) if not c.sustained
+                   for position in c.note_ids}
+        return [fingers[position] for position in range(len(part))], result
 
     for (part, hand), decoded in zip(parts, chord_hmm.decode_parts(model, parts)):
         expected = _outcome(lambda: by_objects(part, hand))
@@ -378,7 +381,7 @@ def test_a_chord_set_decodes_in_lock_step_as_each_part_alone(case):
             assert result.relaxed_boundaries == alone.relaxed_boundaries
         if not isinstance(alone, (EmptyInput, HandOverflow)):
             # and as the per-part recursion the lock-step DP replaced
-            chords = chord_hmm._cluster(part, model.params.delta)
+            chords = cluster_chords(part, model.params.delta)
             expected = reference.chord_viterbi(model, chords, hand)
             assert (expected is None) == isinstance(result, NoFeasiblePath)
             if expected is not None:
@@ -475,8 +478,8 @@ def test_a_restruck_pitch_hands_later_chords_the_restruck_note():
     assert [chord.onset for chord in chords] == [0.0, 1.0, 2.0, 3.0]
     assert chords[2].components[0] == ChordComponent(midi=60, note_ids=(2,), sustained=False)
     assert chords[3].components[0] == ChordComponent(midi=60, note_ids=(2,), sustained=True)
-    assert chord_hmm._cluster(piece, DELTA).held[3] == [(0, 0)]
-    assert chords == reference.reference_chord_objects(piece, DELTA)
+    assert chords.held[3] == [(0, 0)]
+    assert list(chords) == reference.reference_chord_objects(piece, DELTA)
 
 
 def test_a_unison_is_one_component_held_from_its_later_note():
@@ -487,7 +490,7 @@ def test_a_unison_is_one_component_held_from_its_later_note():
     assert [chord.midis for chord in chords] == [(60,), (60, 64), (67,)]
     assert chords[0].components[0] == ChordComponent(midi=60, note_ids=(0, 1), sustained=False)
     assert chords[1].components[0] == ChordComponent(midi=60, note_ids=(1,), sustained=True)
-    assert chords == reference.reference_chord_objects(piece, DELTA)
+    assert list(chords) == reference.reference_chord_objects(piece, DELTA)
     # the earlier walk held the earlier note, as long as it sounded
     walked = reference.offset_walk_chords(piece, DELTA)
     assert walked[1].components[0].note_ids == (0,) and walked[2].midis == (60, 67)
@@ -495,21 +498,6 @@ def test_a_unison_is_one_component_held_from_its_later_note():
     ((_, result),) = chord_hmm.decode_parts(model, [(piece, Hand.RH)])
     (digit,), (held, _) = result.states[:2]  # C4 is the lower pitch at 1.0
     assert held == digit and estimate_piece(model, piece)[0][:2] == [digit, digit]
-
-
-def test_repeated_note_ids_are_refused():
-    piece = make_piece([60, 62, 64, 67], hand=Hand.RH, digits=[1, 2, 3, 5])
-    model = load_model(CHORD_V1)
-    assert estimate_piece(model, piece)[0] == [1, 2, 3, 5]
-    for ids in ([0, 0, 1, 1], [7, 7, 7, 7]):
-        repeated = replace(
-            piece, notes=tuple(replace(n, note_id=i) for n, i in zip(piece.notes, ids))
-        )
-        message = rf"piece 'piece': note id {ids[1]} occurs twice"
-        with pytest.raises(RepeatedNoteId, match=message):
-            estimate_piece(model, repeated)
-        with pytest.raises(RepeatedNoteId, match=message):
-            count([repeated], model.params)
 
 
 # --- state enumeration --------------------------------------------------------
@@ -540,7 +528,7 @@ def test_keeps_pins_a_held_note():
             ChordComponent(midi=64, note_ids=(1,), sustained=False),
         ),
     )
-    keep = chord_hmm._keeps(chord_hmm._columns([prev, chord]), 1, Hand.RH)
+    keep = chord_hmm._keeps(reference.chord_columns([prev, chord]), 1, Hand.RH)
     states = enumerate_states(chord, Hand.RH)
     assert keep.shape == (5, 10)
     assert [s for s, kept in zip(states, keep[0]) if kept] == [(1, 2), (1, 3), (1, 4), (1, 5)]
@@ -552,7 +540,7 @@ def test_keeps_matches_brute_force(rng):
     for _ in range(200):
         prev, chord = random_chord_pair(rng)
         for hand in Hand:
-            keep = chord_hmm._keeps(chord_hmm._columns([prev, chord]), 1, hand)
+            keep = chord_hmm._keeps(reference.chord_columns([prev, chord]), 1, hand)
             expected = reference.keeps(prev, chord, hand)
             assert (keep is None) == (expected is None)
             if keep is not None:
@@ -698,7 +686,8 @@ def test_sustained_note_keeps_finger(rng):
     result = decode_chords(model, chords, Hand.RH)
     digit_60 = result.states[0][0]
     assert result.states[1][0] == digit_60  # 60 is the lower component of chord 2
-    assert result.fingers_by_note[0] == digit_60
+    ((digits, _),) = chord_hmm.decode_parts(model, [(piece, Hand.RH)])
+    assert digits[0] == digit_60
 
 
 def test_decode_digits_monotone_with_pitch(rng):
@@ -723,7 +712,8 @@ def test_unsatisfiable_sustain_relaxes_single_boundary(rng):
     result = decode_chords(model, chords, Hand.RH)
     assert result.relaxed_boundaries == (1,)
     assert result.states[0] == (1, 2, 3, 4, 5)
-    assert result.fingers_by_note[0] == 1  # the long C4 keeps its struck digit
+    ((digits, _),) = chord_hmm.decode_parts(model, [(piece, Hand.RH)])
+    assert digits[0] == 1  # the long C4 keeps its struck digit
     oracle = chord_path_log_score(model, chords, Hand.RH, result.states)
     assert oracle.hex() == result.log_score.hex()
 
@@ -796,7 +786,7 @@ def test_zeta_damps_large_chord_influence(rng):
 def test_decode_empty_input(rng):
     model = random_chord_model(rng)
     with pytest.raises(EmptyInput):
-        decode_chords(model, [], Hand.RH)
+        decode_chords(model, reference.chord_columns([]), Hand.RH)
 
 
 def _struck(onset, *midis):
@@ -815,6 +805,7 @@ def test_chords_no_hand_can_play_are_refused_before_decoding_or_scoring(
 ):
     model = random_chord_model(rng)
     path = [tuple(range(1, chord.size + 1)) for chord in chords]
+    chords = reference.chord_columns(chords)
     message = rf"^{re.escape(message)} pitches, not 1 to 5$"
     with pytest.raises(error, match=message):
         decode_chords(model, chords, Hand.RH)
@@ -825,8 +816,9 @@ def test_chords_no_hand_can_play_are_refused_before_decoding_or_scoring(
 def test_chords_off_the_keyboard_are_refused_as_note_pitches_are(rng):
     model = random_chord_model(rng)
     low = Chord(onset=0.0, components=(ChordComponent(midi=20, note_ids=(0,), sustained=False),))
-    for call in (lambda: decode_chords(model, [low], Hand.RH),
-                 lambda: chord_path_log_score(model, [low], Hand.RH, [(1,)])):
+    low = reference.chord_columns([low])
+    for call in (lambda: decode_chords(model, low, Hand.RH),
+                 lambda: chord_path_log_score(model, low, Hand.RH, [(1,)])):
         with pytest.raises(OutOfRange, match=r"^MIDI number 20 outside 21\.\.108$"):
             call()
 
@@ -861,13 +853,9 @@ def test_monophonic_reduction_matches_note_hmm(rng):
         n = int(rng.integers(1, 10))
         midis = [int(m) for m in rng.integers(50, 85, size=n)]
         piece = make_piece(midis, onsets=[0.4 * i for i in range(n)])
-        chords = cluster_chords(piece, params.delta)
-        chord_result = decode_chords(chord_model, chords, Hand.RH)
+        ((chord_fingers, _),) = chord_hmm.decode_parts(chord_model, [(piece, Hand.RH)])
         note_result = decode_viterbi(note_model, piece, hand=Hand.RH)
-        chord_fingers = tuple(
-            chord_result.fingers_by_note[note.note_id] for note in piece.notes
-        )
-        assert chord_fingers == note_result.fingers
+        assert tuple(chord_fingers.tolist()) == note_result.fingers
 
 
 def test_decode_piece_assigns_both_hands(rng):
@@ -922,7 +910,8 @@ def test_random_pieces_decode_to_their_oracle_score_or_raise_fingering_error(cas
         result = decode_chords(model, chords, hand)
     except FingeringError:
         return
-    assert sorted(result.fingers_by_note) == [note.note_id for note in piece.notes]
+    ((digits, _),) = chord_hmm.decode_parts(model, [(piece, hand)])
+    assert digits.size == len(piece) and digits.min() >= 1  # every note has a digit
     assert not math.isnan(result.log_score)
     assert chord_path_log_score(model, chords, hand, result.states) == result.log_score
 
@@ -968,7 +957,7 @@ def test_batched_edge_matrices_are_the_per_boundary_kernel_byte_for_byte(case):
     for chords in lists:
         sizes = [0] + [chord.size for chord in chords]
         shapes |= set(zip(sizes, sizes[1:]))
-        columns = chord_hmm._columns(chords)
+        columns = reference.chord_columns(chords)
         batched = [block[0] for block in chord_hmm._edges(model, [(columns, hand)])]
         per_boundary = reference.edge_matrices(kernel, columns)
         assert [m.shape for m in batched] == [m.shape for m in per_boundary]
@@ -1046,7 +1035,7 @@ def test_path_scorer_refuses_a_path_that_does_not_fit_the_chords(rng):
         with pytest.raises(ValueError, match=r"^state path length does not match the chords$"):
             chord_path_log_score(model, chords, Hand.RH, wrong)
     with pytest.raises(EmptyInput, match=r"^no chords to score$"):
-        chord_path_log_score(model, [], Hand.RH, [])
+        chord_path_log_score(model, reference.chord_columns([]), Hand.RH, [])
     # crossing digits, no such digit, a state of another chord size
     for ci, state in ((0, (3, 1)), (1, (6,)), (2, (1, 2))):
         wrong = path[:ci] + [state] + path[ci + 1:]
@@ -1087,7 +1076,7 @@ def test_each_row_of_a_batched_read_is_its_one_path_oracle(rng):
     states = [enumerate_states(chord, Hand.RH) for chord in chords]
     cells = np.array([[int(rng.integers(len(s))) for s in states] for _ in range(40)]
                      + [[s.index(state) for s, state in zip(states, result.states)]])
-    edges = chord_hmm._run_viterbi(model, [(chord_hmm._columns(chords), Hand.RH)])[-1]
+    edges = chord_hmm._run_viterbi(model, [(chords, Hand.RH)])[-1]
     for row, score in zip(cells, chord_hmm._path_scores(edges, cells)):
         path = [s[i] for s, i in zip(states, row)]
         assert score.hex() == chord_path_log_score(model, chords, Hand.RH, path).hex()

@@ -793,9 +793,28 @@ def test_no_chord_command_builds_a_chord_object(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv
     assert built == []
-    # the spy sees the view being built
-    assert cluster_chords(split_hands(load_piece(piece))[0], ChordHmmParams().delta)
+    # the spy sees the views being built when they are read
+    assert list(cluster_chords(split_hands(load_piece(piece))[0], ChordHmmParams().delta))
     assert set(built) == {"Chord", "ChordComponent"}
+
+
+@pytest.mark.parametrize("model", ["chord.json", "note_o2_integral.json"])
+def test_a_repeated_note_id_estimates_as_with_the_ids_renumbered(tmp_path, capsys, model):
+    # both kinds key notes by position: note ids 0, 0, 1, 1, ... write the
+    # digits that ids 0, 1, 2, 3, ... do
+    source, repeated = CORPUS / "101-1_fingering.txt", tmp_path / "rep.txt"
+    lines = source.read_text().splitlines(keepends=True)
+    repeated.write_text(lines[0] + "".join(
+        f"{i // 2}\t" + line.split("\t", 1)[1] for i, line in enumerate(lines[1:])))
+    fingers = []
+    for path in (source, repeated):
+        out = tmp_path / f"{path.stem}_est.txt"
+        assert main(["estimate", str(path), "--model", str(DATA / "model_v1" / model),
+                     "--out", str(out)]) == 0
+        fingers.append(load_piece(out).signed_fingers.tolist())
+    assert capsys.readouterr().err == ""
+    assert fingers[0] == fingers[1] and 0 not in fingers[0]
+
 
 @pytest.mark.parametrize("command", [
     ["scaling", str(CORPUS), "--test", str(CORPUS), "--repeats", "1"],

@@ -334,7 +334,7 @@ def test_evaluate_model_runs_one_chord_dp_for_every_part(monkeypatch):
     rates = match_rates("m_gen", [(estimate_piece(model, s.piece)[0], s.signed_fingerings)
                                   for s in gt_sets])
     dps = count_calls(monkeypatch, chord_hmm, "_run_viterbi")
-    clusters = count_calls(monkeypatch, chord_hmm, "_cluster")
+    clusters = count_calls(monkeypatch, chord_hmm, "cluster_chords")
     assert evaluate_model(model, gt_sets) == sum(rates) / len(rates)
     parts = sum(len(part) > 0 for s in gt_sets for part in split_hands(s.piece))
     assert parts > len(gt_sets) and len(dps) == 1 and len(clusters) == parts

@@ -390,7 +390,10 @@ def test_parse_serialize_is_byte_identical_on_data_files(path):
     notes_only = "".join(
         line + "\n" for line in text.splitlines() if not line.startswith("//")
     )
-    assert serialize_fingering_file(parse_fingering_file(text)) == notes_only
+    piece = parse_fingering_file(text)
+    assert serialize_fingering_file(piece) == notes_only
+    # the notes of one pitch token share one str
+    assert len(set(map(id, piece.pitches))) == len(set(piece.pitches)) < len(piece)
 
 
 def test_canonical_order_keeps_file_order_for_equal_onset_and_pitch():
